@@ -6,20 +6,38 @@ requires the secrecy rate C_s(h) to stay at or above the threshold r_s;
 since C_s falls with altitude over the operating range, that yields a
 maximum altitude found by bisection.  Their intersection is the feasible
 hover interval, possibly empty.
+
+:func:`feasible_interval` solves one scenario and is the reference.
+:func:`feasibility_grid` gives its emptiness verdict for whole arrays of
+(p_u, p_j) at once, without bisection: it evaluates C_s - r_s on the
+solver's doubling scan and at the covert floor h_min, all with numpy, and
+locates h_min against the bracket where the scan crosses r_s.  A value
+inside a guard band of 0 could be decided differently by the solver
+(np.log2 rounding, the bisection residual), and a scan that re-crosses
+r_s makes the solver raise; such points are flagged uncertain, for the
+caller to hand to :func:`feasible_interval`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, NumericalError
 from .model import Scenario
 from .detection import optimal_detection
-from .rates import rate_report
+from .rates import capacity, snrs_at
 
 SEARCH_CEILING_M = 1e6     # far beyond any physical hover height
 BISECT_MAX_ITER = 200
 BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at the returned height
+# Guard bands of feasibility_grid.  A scan sign is unsure within
+# SIGN_GUARD * (c_b + c_u + r_s) of 0, thousands of times the few-ULP gap
+# between np.log2 and math.log2; C_s(h_min) - r_s is unsure within
+# RESIDUAL_GUARD, where the bisection may stop on either side of h_min.
+SIGN_GUARD = 1e-12
+RESIDUAL_GUARD = 2.0 * BISECT_RESIDUAL
 
 
 @dataclass(frozen=True)
@@ -43,8 +61,13 @@ def covert_height_bound(p_u: float, p_j: float, beta: float, epsilon: float,
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if min(p_u, p_j, beta) <= 0.0:
         raise ConfigError("p_u, p_j, beta must be > 0")
-    radicand = -p_u * beta / (p_j * math.log1p(-epsilon)) - d_w2
+    radicand = _covert_radicand(p_u, p_j, beta, epsilon, d_w2)
     return math.sqrt(radicand) if radicand > 0.0 else 0.0
+
+
+def _covert_radicand(p_u, p_j, beta: float, epsilon: float, d_w2: float):
+    """h_min^2 before folding; p_u and p_j may be broadcast arrays."""
+    return -p_u * beta / (p_j * math.log1p(-epsilon)) - d_w2
 
 
 def min_error_at_height(scenario: Scenario, h: float) -> float:
@@ -54,7 +77,24 @@ def min_error_at_height(scenario: Scenario, h: float) -> float:
 
 def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
     """C_s as a function of altitude, other fields fixed."""
-    return rate_report(scenario.replace(h=h)).c_s
+    if not (math.isfinite(h) and h >= 0.0):
+        raise ConfigError(f"h must be finite and >= 0, got {h!r}")
+    gamma_u, gamma_b = snrs_at(scenario, scenario.p_u, scenario.p_j, h)
+    return capacity(gamma_b) - capacity(gamma_u)
+
+
+def _scan_heights(ceiling: float) -> list[float]:
+    """0, then doubling altitudes from 1 m, then the ceiling itself."""
+    scan = [0.0]
+    h = 1.0
+    while h < ceiling:
+        scan.append(h)
+        h *= 2.0
+    scan.append(ceiling)
+    return scan
+
+
+_SCAN = np.array(_scan_heights(SEARCH_CEILING_M))
 
 
 def security_height_bound(scenario: Scenario, r_s: float | None = None,
@@ -78,13 +118,7 @@ def security_height_bound(scenario: Scenario, r_s: float | None = None,
         return None
 
     # Doubling scan to bracket the first crossing.
-    scan = [0.0]
-    h = 1.0
-    while h < ceiling:
-        scan.append(h)
-        h *= 2.0
-    scan.append(ceiling)
-
+    scan = _scan_heights(ceiling)
     values = [f(x) for x in scan]
     crossings = [i for i in range(len(scan) - 1)
                  if values[i] >= 0.0 > values[i + 1]]
@@ -125,3 +159,66 @@ def feasible_interval(scenario: Scenario) -> FeasibleHeightInterval:
     if h_max is None:
         return FeasibleHeightInterval(h_min=h_min, h_max=math.nan, empty=True)
     return FeasibleHeightInterval(h_min=h_min, h_max=h_max, empty=h_min > h_max)
+
+
+@dataclass(frozen=True)
+class GridVerdict:
+    """:func:`feasibility_grid` output, arrays of the broadcast power shape.
+
+    ``gamma_u`` and ``gamma_b`` are the SNRs at ``h_min``; ``feasible`` is
+    ``not feasible_interval(...).empty`` wherever ``certain`` holds.
+    """
+
+    h_min: np.ndarray
+    gamma_u: np.ndarray
+    gamma_b: np.ndarray
+    feasible: np.ndarray
+    certain: np.ndarray
+
+
+def feasibility_grid(scenario: Scenario, p_u: np.ndarray,
+                     p_j: np.ndarray) -> GridVerdict:
+    """Array verdict of :func:`feasible_interval` over broadcast powers.
+
+    ``p_u`` and ``p_j`` are arrays of positive powers that broadcast
+    together; the other fields come from ``scenario``.  A point is
+    feasible when C_s(0) >= r_s and h_min lies below the scan bracket
+    where C_s first drops under r_s, or inside it with C_s(h_min) >= r_s,
+    or when the scan never drops under r_s (h_max = inf).  This assumes,
+    as the bisection does, one crossing inside that bracket.  Points whose
+    scan re-crosses r_s, or whose deciding values sit in a guard band of 0,
+    are left uncertain.
+    """
+    s = scenario
+    h_min = np.sqrt(np.maximum(
+        _covert_radicand(p_u, p_j, s.beta, s.epsilon, s.d_w2), 0.0))
+    margin, scale = _secrecy_margin(
+        *snrs_at(s, p_u[..., None], p_j[..., None], _SCAN), s.r_s)
+    gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
+    margin_min, _ = _secrecy_margin(gamma_u, gamma_b, s.r_s)
+
+    above = margin >= 0.0
+    ground_ok = above[..., 0]
+    n_above = above.sum(axis=-1)
+    one_crossing = (above[..., :-1] >= above[..., 1:]).all(axis=-1)
+    k = np.minimum(np.maximum(n_above - 1, 0), _SCAN.size - 2)
+    lo, hi = _SCAN[k], _SCAN[k + 1]
+    in_bracket = (n_above < _SCAN.size) & (h_min > lo) & (h_min <= hi)
+    feasible = ground_ok & ((n_above == _SCAN.size) | (h_min <= lo)
+                            | (in_bracket & (margin_min >= 0.0)))
+
+    unsure = np.abs(margin) <= SIGN_GUARD * scale
+    certain = np.where(
+        ground_ok,
+        one_crossing & ~unsure.any(axis=-1)
+        & ~(in_bracket & (np.abs(margin_min) <= RESIDUAL_GUARD)),
+        ~unsure[..., 0])
+    return GridVerdict(h_min=h_min, gamma_u=gamma_u, gamma_b=gamma_b,
+                       feasible=feasible, certain=certain)
+
+
+def _secrecy_margin(gamma_u: np.ndarray, gamma_b: np.ndarray, r_s: float):
+    """C_s - r_s with np.log2, and the magnitude c_b + c_u + r_s it is
+    rounded against."""
+    c_u, c_b = np.log2(1.0 + gamma_u), np.log2(1.0 + gamma_b)
+    return c_b - c_u - r_s, c_b + c_u + r_s

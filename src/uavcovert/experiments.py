@@ -19,7 +19,6 @@ from .errors import ConfigError, NumericalError
 from .model import Scenario
 from .detection import optimal_detection, simulate_detection, total_error
 from .rates import rate_report, simulate_destination_snr
-from .constraints import feasible_interval
 from .optimizer import GridSpec, maximize_covert_rate
 
 SWEEPABLE = ("gamma", "h", "epsilon", "p_u", "p_j")
@@ -238,14 +237,8 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
         point_grid = GridSpec(p_u_values=grid.p_u_values, p_j_values=(p_j,))
         result = maximize_covert_rate(sc, point_grid)
         record = scenario_columns(sc)
-        if result.feasible:
-            interval = feasible_interval(
-                sc.replace(p_u=result.p_u_star, p_j=result.p_j_star))
-            h_min, h_max = interval.h_min, interval.h_max
-        else:
-            h_min = h_max = math.nan
         record.update(
-            feasible=result.feasible, h_min=h_min, h_max=h_max,
+            feasible=result.feasible, h_min=result.h_star, h_max=result.h_max,
             p_u_star=result.p_u_star, p_j_star=result.p_j_star,
             h_star=result.h_star, r_b_star=result.r_b_star,
             c_s_star=result.c_s_star,

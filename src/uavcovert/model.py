@@ -170,7 +170,9 @@ _JSON_FIELDS = {
 def los_gain_squared(beta: float, d_i2: float, h: float) -> LinkGainSquared:
     """Squared air-to-ground LOS gain beta / (d_i^2 + h^2).
 
-    Strictly decreasing in both ``h`` and ``d_i2``.
+    Strictly decreasing in both ``h`` and ``d_i2``.  When ``h > 0`` is so
+    small that ``d_i2 + h*h`` underflows to 0, the gain overflows: the
+    result is ``beta / h / h`` (``inf``), not a zero-range error.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be > 0, got {beta!r}")
@@ -178,6 +180,8 @@ def los_gain_squared(beta: float, d_i2: float, h: float) -> LinkGainSquared:
         raise ValueError("d_i2 and h must be >= 0")
     denom = d_i2 + h * h
     if denom <= 0.0:
+        if h > 0.0:
+            return beta / h / h
         raise ValueError("d_i2 + h^2 must be > 0 (gain undefined at zero range)")
     return beta / denom
 

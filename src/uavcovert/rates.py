@@ -52,13 +52,36 @@ def capacity(snr: float) -> float:
     return math.log2(1.0 + snr)
 
 
+def snrs_at(scenario: Scenario, p_u, p_j, h):
+    """Relay and destination SNRs ``(gamma_u, gamma_b)`` at forward power
+    ``p_u``, jamming power ``p_j`` and altitude ``h``, the other fields
+    taken from ``scenario``; see :func:`snr_relay` and
+    :func:`snr_destination` for the formulas.
+
+    The LOS gains are those of :func:`model.los_gain_squared` (a scenario's
+    d^2 > 0 keeps their denominators positive).  Only plain arithmetic
+    operators appear, so floats and broadcast numpy arrays take this one
+    path and round identically element by element; ``h`` must be finite
+    and >= 0.
+    """
+    s = scenario
+    hh = h * h
+    g_ua = s.beta / (s.d_a2 + hh)
+    g_ub = s.beta / (s.d_b2 + hh)
+    gamma_u = s.p_a * g_ua / (p_j * g_ub + s.sigma_u2)
+    num = p_u * s.p_a * g_ub * g_ua
+    den = ((p_u * s.sigma_u2 + p_j * s.sigma_b2) * g_ub
+           + s.p_a * g_ua * s.sigma_b2 + s.sigma_b2 * s.sigma_u2)
+    return gamma_u, num / den
+
+
 def snr_relay(scenario: Scenario) -> float:
     """SNR of the source signal as decodable by the (eavesdropping) relay.
 
     gamma_u = P_a |h_ua|^2 / (P_J |h_ub|^2 + sigma_u^2), per-link LOS gains.
     """
     s = scenario
-    return s.p_a * s.gain_ua2() / (s.p_j * s.gain_ub2() + s.sigma_u2)
+    return snrs_at(s, s.p_u, s.p_j, s.h)[0]
 
 
 def snr_destination(scenario: Scenario) -> float:
@@ -72,11 +95,7 @@ def snr_destination(scenario: Scenario) -> float:
     out the relay scaling G.
     """
     s = scenario
-    g_ua, g_ub = s.gain_ua2(), s.gain_ub2()
-    num = s.p_u * s.p_a * g_ub * g_ua
-    den = ((s.p_u * s.sigma_u2 + s.p_j * s.sigma_b2) * g_ub
-           + s.p_a * g_ua * s.sigma_b2 + s.sigma_b2 * s.sigma_u2)
-    return num / den
+    return snrs_at(s, s.p_u, s.p_j, s.h)[1]
 
 
 def aux_coefficients(scenario: Scenario) -> AuxCoefficients:
@@ -118,8 +137,8 @@ def snr_destination_expanded(scenario: Scenario,
 
 def rate_report(scenario: Scenario) -> RateReport:
     """Evaluate the full rate chain for one scenario."""
-    g_u = snr_relay(scenario)
-    g_b = snr_destination(scenario)
+    s = scenario
+    g_u, g_b = snrs_at(s, s.p_u, s.p_j, s.h)
     return RateReport(gamma_u=g_u, gamma_b=g_b,
                       c_u=capacity(g_u), c_b=capacity(g_b))
 

@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import uavcovert.constraints
+import uavcovert.optimizer
 from uavcovert import (
-    ConfigError, GridSpec, InfeasibleError, feasible_interval,
+    ConfigError, GridSpec, InfeasibleError, NumericalError,
+    OptimizationResult, Scenario, covert_height_bound, feasible_interval,
     maximize_covert_rate, min_error_at_height, optimal_height_given_powers,
     rate_report, secrecy_rate_at_height,
 )
@@ -175,3 +180,238 @@ def test_endpoint_optimality_randomized():
         for h in np.linspace(interval.h_min, top, 25):
             assert rate_report(s.replace(h=float(h))).r_b <= r_b + 1e-12
         done += 1
+
+
+# -- array grid pass vs the per-point scalar solver --------------------------
+
+def per_point_oracle(scenario, grid):
+    """The optimizer as a plain loop: feasible_interval and rate_report on
+    every in-cap grid point, in scan order, with strict improvement."""
+    best = None
+    for p_u in grid.p_u_values:
+        if p_u > scenario.p_max:
+            continue
+        for p_j in grid.p_j_values:
+            if p_j > scenario.p_max:
+                continue
+            candidate = scenario.replace(p_u=p_u, p_j=p_j)
+            interval = feasible_interval(candidate)
+            if interval.empty:
+                continue
+            h = interval.h_min
+            report = rate_report(candidate.replace(h=h))
+            if best is None or report.r_b > best[0]:
+                best = (report.r_b, p_u, p_j, h, report.c_s, interval.h_max)
+
+    if best is None:
+        return OptimizationResult(
+            p_u_star=math.nan, p_j_star=math.nan, h_star=math.nan,
+            r_b_star=math.nan, c_s_star=math.nan, feasible=False,
+            active_constraints=(), h_max=math.nan)
+    r_b, p_u, p_j, h, c_s, h_max = best
+    tol, cap = 1e-9, scenario.p_max
+    active = []
+    if h > 0.0:
+        active.append("covert")
+    if math.isfinite(h_max) and h >= h_max - tol * max(1.0, h_max):
+        active.append("security")
+    if p_u >= cap - tol * cap:
+        active.append("p_u_cap")
+    if p_j >= cap - tol * cap:
+        active.append("p_j_cap")
+    return OptimizationResult(
+        p_u_star=p_u, p_j_star=p_j, h_star=h, r_b_star=r_b, c_s_star=c_s,
+        feasible=True, active_constraints=tuple(active), h_max=h_max)
+
+
+def assert_same_result(got, want):
+    """== on every field, NaN matching NaN."""
+    for field in dataclasses.fields(OptimizationResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, float) and math.isnan(b):
+            assert math.isnan(a), field.name
+        else:
+            assert a == b, (field.name, a, b)
+
+
+def count_scalar_solves(monkeypatch):
+    """Count feasible_interval calls made by the optimizer."""
+    calls = []
+
+    def counted(scenario):
+        calls.append((scenario.p_u, scenario.p_j))
+        return feasible_interval(scenario)
+    monkeypatch.setattr(uavcovert.optimizer, "feasible_interval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("log2_skew", [0.0, math.inf, -math.inf])
+def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
+    # a skew moves np.log2 results one ULP, alternately up and down, as
+    # another libm may: the guard band must still keep every verdict equal
+    # to the scalar solver's
+    if log2_skew:
+        log2, turn = np.log2, itertools.count()
+        monkeypatch.setattr(np, "log2", lambda x: np.nextafter(
+            log2(x), log2_skew if next(turn) % 2 else -log2_skew))
+    calls = count_scalar_solves(monkeypatch)
+    rng = np.random.default_rng(20240309)
+    kinds = {"random": 0, "r_s=0": 0, "guard": 0, "feasible": 0}
+    fallbacks = {"random": 0, "r_s=0": 0, "guard": 0}
+    for trial in range(240):
+        s = draw_scenario(rng, d_w2=float(rng.uniform(5.0, 300.0)),
+                          epsilon=float(rng.uniform(0.002, 0.1)),
+                          r_s=float(rng.uniform(0.0, 0.05)))
+        grid = GridSpec.linear(
+            float(rng.uniform(5.0, 40.0)), float(rng.uniform(5.0, 40.0)),
+            p_u_steps=int(rng.integers(1, 8)), p_j_steps=int(rng.integers(1, 8)))
+        kind = ("random", "r_s=0", "guard")[trial % 3]
+        if kind == "r_s=0":
+            s = s.replace(r_s=0.0)
+        elif kind == "guard":
+            # put r_s on C_s at h_min or at the ground for one grid point,
+            # or 1e-12 either side
+            p_u = float(rng.choice([v for v in grid.p_u_values if v <= s.p_max]
+                                   or [s.p_max]))
+            p_j = float(rng.choice([v for v in grid.p_j_values if v <= s.p_max]
+                                   or [s.p_max]))
+            h = float(rng.choice(
+                [covert_height_bound(p_u, p_j, s.beta, s.epsilon, s.d_w2), 0.0]))
+            c_s = secrecy_rate_at_height(s.replace(p_u=p_u, p_j=p_j), h)
+            r_s = c_s + float(rng.choice([-1e-12, 0.0, 1e-12]))
+            if r_s >= 0.0:
+                s = s.replace(r_s=r_s)
+        calls.clear()
+        got = maximize_covert_rate(s, grid)
+        want = per_point_oracle(s, grid)
+        assert_same_result(got, want)
+        kinds[kind] += 1
+        kinds["feasible"] += want.feasible
+        fallbacks[kind] += len(calls) - int(got.feasible)
+    assert kinds["feasible"] >= 50
+    assert fallbacks["guard"] >= 10      # the guard band routes to the solver
+    assert fallbacks["random"] == fallbacks["r_s=0"] == 0
+
+
+@pytest.mark.parametrize("changes", [
+    # near-noiseless receivers: C_s never drops under r_s, h_max = inf
+    dict(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0, d_w2=10.0,
+         r_s=0.0),
+    # covertness so tight that h_min lies above the solver's search ceiling
+    dict(epsilon=1e-13),
+    dict(epsilon=1e-13, sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0,
+         d_b2=100.0, r_s=0.0),
+    dict(),
+    dict(r_s=0.0, epsilon=0.3),
+])
+def test_grid_pass_matches_oracle_on_edge_scenarios(fig5, changes):
+    s = fig5.replace(**changes)
+    grid = GridSpec.linear(s.p_max, s.p_max, p_u_steps=9, p_j_steps=7)
+    assert_same_result(maximize_covert_rate(s, grid), per_point_oracle(s, grid))
+
+
+def test_uncertain_point_keeps_its_numerical_error(fig5, monkeypatch):
+    grid = GridSpec(p_u_values=(10.0, 20.0, 30.0), p_j_values=(15.0,))
+    h_min = covert_height_bound(10.0, 15.0, fig5.beta, fig5.epsilon, fig5.d_w2)
+    on_guard = fig5.replace(
+        r_s=secrecy_rate_at_height(fig5.replace(p_u=10.0, p_j=15.0), h_min))
+    assert maximize_covert_rate(on_guard, grid).p_u_star != 10.0
+
+    solve = uavcovert.constraints.security_height_bound
+
+    def not_an_interval(scenario, *args, **kwargs):
+        if scenario.p_u == 10.0:
+            raise NumericalError("secrecy rate re-crosses the threshold")
+        return solve(scenario, *args, **kwargs)
+    monkeypatch.setattr(uavcovert.constraints, "security_height_bound",
+                        not_an_interval)
+    with pytest.raises(NumericalError):
+        maximize_covert_rate(on_guard, grid)
+    # off the guard band the grid pass decides p_u=10 without the solver
+    off_guard = fig5.replace(r_s=on_guard.r_s - 1e-3)
+    assert maximize_covert_rate(off_guard, grid).feasible
+
+
+def test_reported_rates_are_math_log2_capacities(fig5):
+    # np.log2 differs from math.log2 in the last bit on some inputs, which
+    # would move r_b_star off the rate_report value
+    rng = np.random.default_rng(77)
+    checked = 0
+    for p_u, p_j, epsilon in zip(rng.uniform(1.0, 30.0, 1500),
+                                 rng.uniform(1.0, 30.0, 1500),
+                                 rng.uniform(0.005, 0.05, 1500)):
+        s = fig5.replace(p_u=float(p_u), p_j=float(p_j), epsilon=float(epsilon))
+        result = maximize_covert_rate(
+            s, GridSpec(p_u_values=(s.p_u,), p_j_values=(s.p_j,)))
+        if not result.feasible:
+            continue
+        report = rate_report(s.replace(h=result.h_star))
+        assert result.r_b_star == report.r_b
+        assert result.c_s_star == report.c_s
+        checked += 1
+    assert checked >= 1000
+
+
+def test_ties_break_toward_first_point_in_scan_order(fig5, monkeypatch):
+    # every feasible point rates the same, so the first one in scan order
+    # (p_u outer, p_j inner) wins, also across row blocks
+    monkeypatch.setattr(uavcovert.optimizer, "capacity", lambda snr: 1.0)
+    monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_POINTS", 4)
+    grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=6, p_j_steps=5)
+    first = next((p_u, p_j) for p_u in grid.p_u_values for p_j in grid.p_j_values
+                 if not feasible_interval(fig5.replace(p_u=p_u, p_j=p_j)).empty)
+    result = maximize_covert_rate(fig5, grid)
+    assert (result.p_u_star, result.p_j_star) == first
+
+
+def test_noise_level_recrossing_raises_like_the_solver():
+    # found by random search: at r_s = 0 the far end of the scan hovers
+    # around 0 at rounding level and re-crosses it for p_u near 5.8e4
+    s = Scenario(d_a2=2.0720582959461726, d_b2=254.2324082263717, d_w2=1.0,
+                 h=0.0, beta=176.32932143498837, p_a=0.009886590725721985,
+                 p_u=1.0, p_j=1.0, p_max=1e6, sigma_u2=1.3142905344791695,
+                 sigma_b2=8.421854256367805e-10, sigma_w2=0.01, epsilon=0.05,
+                 r_s=0.0)
+    grid = GridSpec(p_u_values=(5e4, 57951.730594944325, 6e4),
+                    p_j_values=(2505.31356725798,))
+    with pytest.raises(NumericalError, match="re-crosses"):
+        per_point_oracle(s, grid)
+    with pytest.raises(NumericalError, match="re-crosses"):
+        maximize_covert_rate(s, grid)
+
+
+def bump_secrecy_rate(monkeypatch, center, p_u):
+    """Lift C_s far over r_s within ~1 m of altitude ``center``, at forward
+    power ``p_u`` only; the solver and the grid pass both see it."""
+    snrs_at = uavcovert.constraints.snrs_at
+
+    def bumped(scenario, p_u_, p_j, h):
+        gamma_u, gamma_b = snrs_at(scenario, p_u_, p_j, h)
+        bump = np.where(p_u_ == p_u, 1e6 * np.exp(-(h - center) ** 2), 0.0)
+        return gamma_u, gamma_b * (1.0 + bump)
+    monkeypatch.setattr(uavcovert.constraints, "snrs_at", bumped)
+
+
+def test_scan_recrossing_goes_to_the_solver(fig5, monkeypatch):
+    # the bump sits on the 1024 m scan point, far above h_max: the scan
+    # re-crosses r_s at p_u = 10, which is not the argmax
+    bump_secrecy_rate(monkeypatch, 1024.0, p_u=10.0)
+    grid = GridSpec(p_u_values=(10.0, 20.0), p_j_values=(5.0, 15.0))
+    with pytest.raises(NumericalError, match="re-crosses"):
+        per_point_oracle(fig5, grid)
+    with pytest.raises(NumericalError, match="re-crosses"):
+        maximize_covert_rate(fig5, grid)
+
+
+def test_bump_between_scan_points_follows_the_solver(fig5, monkeypatch):
+    # C_s(h_min) >= r_s only through a bump the scan steps over, above the
+    # bracket of its first crossing: the solver's h_max lies below h_min
+    s = fig5.replace(epsilon=1e-4)
+    h_min = covert_height_bound(10.0, 5.0, s.beta, s.epsilon, s.d_w2)
+    assert 256.0 < h_min < 512.0
+    bump_secrecy_rate(monkeypatch, h_min, p_u=10.0)
+    assert secrecy_rate_at_height(s.replace(p_u=10.0, p_j=5.0), h_min) > s.r_s
+    grid = GridSpec(p_u_values=(10.0,), p_j_values=(5.0,))
+    want = per_point_oracle(s, grid)
+    assert not want.feasible
+    assert_same_result(maximize_covert_rate(s, grid), want)
