@@ -4,7 +4,6 @@ full-duplex jamming receiver."""
 
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .model import (
-    LinkGainSquared,
     Scenario,
     db_to_linear,
     linear_to_db,
@@ -31,15 +30,12 @@ from .rates import (
     capacity,
     rate_report,
     simulate_destination_snr,
-    snr_destination,
     snr_destination_expanded,
-    snr_relay,
 )
 from .constraints import (
     FeasibleHeightInterval,
     covert_height_bound,
     feasible_interval,
-    min_error_at_height,
     secrecy_rate_at_height,
     security_height_bound,
 )
@@ -47,13 +43,11 @@ from .optimizer import (
     GridSpec,
     OptimizationResult,
     maximize_covert_rate,
-    optimal_height_given_powers,
 )
 from .experiments import (
     SweepSpec,
     ValidationCheck,
     mc_zeta_tolerance,
-    monotone_by_overlay,
     render_csv,
     run_covertness_sweep,
     run_detection_sweep,
@@ -72,7 +66,6 @@ __all__ = [
     "FeasibleHeightInterval",
     "GridSpec",
     "InfeasibleError",
-    "LinkGainSquared",
     "NumericalError",
     "OptimalDetection",
     "OptimizationResult",
@@ -89,10 +82,7 @@ __all__ = [
     "los_gain_squared",
     "maximize_covert_rate",
     "mc_zeta_tolerance",
-    "min_error_at_height",
-    "monotone_by_overlay",
     "optimal_detection",
-    "optimal_height_given_powers",
     "p_false_alarm",
     "p_missed_detection",
     "rate_report",
@@ -107,9 +97,7 @@ __all__ = [
     "security_height_bound",
     "simulate_destination_snr",
     "simulate_detection",
-    "snr_destination",
     "snr_destination_expanded",
-    "snr_relay",
     "total_error",
     "total_error_curve",
     "total_error_derivative",

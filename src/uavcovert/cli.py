@@ -38,7 +38,6 @@ def _add_common(sub, default_out: str) -> None:
     sub.add_argument("--scenario", required=True, help="scenario JSON file")
     sub.add_argument("--out", default=default_out, help="output CSV path")
     sub.add_argument("--seed", type=int, default=0, help="master seed (non-negative)")
-    sub.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +107,7 @@ def _cmd_detect_sweep(args) -> int:
                       steps=args.steps, overlay_parameter="p_u",
                       overlay_values=_parse_values(args.overlay_values))
     records = run_detection_sweep(scenario, sweep, n_trials=args.trials,
-                                  seed=_check_seed(args.seed), workers=args.workers)
+                                  seed=_check_seed(args.seed))
     write_csv(args.out, records, DETECTION_COLUMNS)
     print(f"wrote {len(records)} rows to {args.out}")
     return EXIT_OK
@@ -119,8 +118,7 @@ def _cmd_rate_sweep(args) -> int:
     sweep = SweepSpec(parameter="h", start=args.start, stop=args.stop,
                       steps=args.steps, overlay_parameter="p_u",
                       overlay_values=_parse_values(args.overlay_values))
-    records = run_rate_sweep(scenario, sweep, seed=_check_seed(args.seed),
-                             workers=args.workers)
+    records = run_rate_sweep(scenario, sweep, seed=_check_seed(args.seed))
     write_csv(args.out, records, RATE_COLUMNS)
     print(f"wrote {len(records)} rows to {args.out}")
     return EXIT_OK
@@ -133,7 +131,7 @@ def _cmd_covertness_sweep(args) -> int:
                       overlay_values=_parse_values(args.overlay_values))
     grid = default_power_grid(scenario, steps=args.pu_steps)
     records = run_covertness_sweep(scenario, sweep, grid=grid,
-                                   seed=_check_seed(args.seed), workers=args.workers)
+                                   seed=_check_seed(args.seed))
     write_csv(args.out, records, COVERTNESS_COLUMNS)
     n_infeasible = sum(1 for r in records if not r["feasible"])
     print(f"wrote {len(records)} rows to {args.out} ({n_infeasible} infeasible)")

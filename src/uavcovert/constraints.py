@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import Scenario
-from .detection import optimal_detection
 from .rates import capacity, snrs_at
 
 SEARCH_CEILING_M = 1e6     # far beyond any physical hover height
@@ -68,11 +67,6 @@ def covert_height_bound(p_u: float, p_j: float, beta: float, epsilon: float,
 def _covert_radicand(p_u, p_j, beta: float, epsilon: float, d_w2: float):
     """h_min^2 before folding; p_u and p_j may be broadcast arrays."""
     return -p_u * beta / (p_j * math.log1p(-epsilon)) - d_w2
-
-
-def min_error_at_height(scenario: Scenario, h: float) -> float:
-    """zeta_star as a function of altitude, other fields fixed."""
-    return optimal_detection(scenario.replace(h=h)).zeta_star
 
 
 def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:

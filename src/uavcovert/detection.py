@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import Scenario
+from .model import Scenario, sample_rayleigh_power
 
 _ZETA_SLACK = 1e-12
 
@@ -145,7 +145,7 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
         raise ConfigError(f"n_trials must be a positive integer, got {n_trials!r}")
     s = scenario
     rng = np.random.default_rng(seed)
-    fade = rng.exponential(1.0, int(n_trials))
+    fade = sample_rayleigh_power(rng, int(n_trials))
     t_silent = s.p_j * fade + s.sigma_w2
     t_active = t_silent + s.p_u * s.gain_uw2()
     p_fa = float(np.count_nonzero(t_silent >= gamma)) / n_trials

@@ -5,12 +5,12 @@ with closed-form and Monte Carlo error curves, an altitude sweep of the
 rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Records are plain dicts in a fixed column order; floats render
 with repr so the CSV round-trips exactly and is byte-deterministic for a
-fixed (scenario, seed, trials), independent of worker count.
+fixed (scenario, seed, trials) on one platform.  Each runner is one serial
+loop over its sorted overlays with the swept points inside.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -107,52 +107,38 @@ def write_csv(path, records: list[dict], columns: tuple[str, ...]) -> None:
         fh.write(render_csv(records, columns))
 
 
-def _run_jobs(jobs, worker, workers: int):
-    if workers <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
-                        seed: int, workers: int = 1) -> list[dict]:
+                        seed: int) -> list[dict]:
     """Closed-form and Monte Carlo error curves over a threshold grid.
 
     One record per (overlay p_u, gamma), sorted by (overlay, gamma).  The
     Monte Carlo stream of each point derives from (seed, overlay index,
-    point index), so output is identical for any worker count.
+    point index), so a point's draws do not depend on the other points.
     """
     if sweep.parameter != "gamma" or sweep.overlay_parameter != "p_u":
         raise ConfigError("detection sweep expects parameter=gamma, overlay=p_u")
-    overlays = sorted(sweep.overlay_values)
-    gammas = sweep.points()
-    jobs = [(oi, p_u, gi, float(g))
-            for oi, p_u in enumerate(overlays)
-            for gi, g in enumerate(gammas)]
-    variants = {p_u: scenario.replace(p_u=p_u) for p_u in overlays}
-    optima = {p_u: optimal_detection(variants[p_u]) for p_u in overlays}
-    hashes = {p_u: variants[p_u].canonical_hash() for p_u in overlays}
-
-    def worker(job):
-        oi, p_u, gi, gamma = job
-        sc = variants[p_u]
-        closed = total_error(gamma, sc)
-        point_seed = np.random.SeedSequence(entropy=[int(seed), oi, gi])
-        mc = simulate_detection(sc, gamma, n_trials, seed=point_seed)
-        record = scenario_columns(sc)
-        record.update(
-            gamma=gamma, p_fa=closed.p_fa, p_md=closed.p_md, zeta=closed.zeta,
-            p_fa_mc=mc.p_fa, p_md_mc=mc.p_md, zeta_mc=mc.zeta,
-            gamma_star=optima[p_u].gamma_star, zeta_star=optima[p_u].zeta_star,
-            n_trials=int(n_trials), seed=int(seed), scenario_hash=hashes[p_u],
-        )
-        return record
-
-    return _run_jobs(jobs, worker, workers)
+    records = []
+    for oi, p_u in enumerate(sorted(sweep.overlay_values)):
+        sc = scenario.replace(p_u=p_u)
+        optimum = optimal_detection(sc)
+        scenario_hash = sc.canonical_hash()
+        for gi, g in enumerate(sweep.points()):
+            gamma = float(g)
+            closed = total_error(gamma, sc)
+            point_seed = np.random.SeedSequence(entropy=[int(seed), oi, gi])
+            mc = simulate_detection(sc, gamma, n_trials, seed=point_seed)
+            record = scenario_columns(sc)
+            record.update(
+                gamma=gamma, p_fa=closed.p_fa, p_md=closed.p_md, zeta=closed.zeta,
+                p_fa_mc=mc.p_fa, p_md_mc=mc.p_md, zeta_mc=mc.zeta,
+                gamma_star=optimum.gamma_star, zeta_star=optimum.zeta_star,
+                n_trials=int(n_trials), seed=int(seed), scenario_hash=scenario_hash,
+            )
+            records.append(record)
+    return records
 
 
-def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0,
-                   workers: int = 1) -> list[dict]:
+def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[dict]:
     """Rate chain over an altitude grid with forward-power overlays.
 
     The destination capacity is provably decreasing in altitude; the runner
@@ -162,46 +148,24 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0,
         raise ConfigError("rate sweep expects parameter=h, overlay=p_u")
     if sweep.start < 0.0:
         raise ConfigError("altitude sweep must start at h >= 0")
-    overlays = sorted(sweep.overlay_values)
-    heights = sweep.points()
-
-    def worker(job):
-        p_u, h = job
-        sc = scenario.replace(p_u=p_u, h=float(h))
-        report = rate_report(sc)
-        record = scenario_columns(sc)
-        record.update(
-            gamma_u=report.gamma_u, gamma_b=report.gamma_b,
-            c_u=report.c_u, c_b=report.c_b, c_s=report.c_s, r_b=report.r_b,
-            seed=int(seed), scenario_hash=sc.canonical_hash(),
-        )
-        return record
-
-    jobs = [(p_u, h) for p_u in overlays for h in heights]
-    records = _run_jobs(jobs, worker, workers)
-
-    per_overlay = len(heights)
-    for oi, p_u in enumerate(overlays):
-        chunk = records[oi * per_overlay:(oi + 1) * per_overlay]
-        c_b = [r["c_b"] for r in chunk]
+    records = []
+    for p_u in sorted(sweep.overlay_values):
+        c_b = []
+        for h in sweep.points():
+            sc = scenario.replace(p_u=p_u, h=float(h))
+            report = rate_report(sc)
+            record = scenario_columns(sc)
+            record.update(
+                gamma_u=report.gamma_u, gamma_b=report.gamma_b,
+                c_u=report.c_u, c_b=report.c_b, c_s=report.c_s, r_b=report.r_b,
+                seed=int(seed), scenario_hash=sc.canonical_hash(),
+            )
+            records.append(record)
+            c_b.append(report.c_b)
         if any(b > a + _MONOTONE_SLACK for a, b in zip(c_b, c_b[1:])):
             raise NumericalError(
                 f"destination capacity not decreasing in h at p_u={p_u}")
     return records
-
-
-def monotone_by_overlay(records: list[dict], y: str, group: str = "p_u",
-                        x: str = "h", decreasing: bool = True) -> dict:
-    """Per-overlay strict monotonicity flags of column y along column x."""
-    flags = {}
-    for key in sorted({r[group] for r in records}):
-        series = sorted((r[x], r[y]) for r in records if r[group] == key)
-        values = [v for _, v in series]
-        if decreasing:
-            flags[key] = all(b < a for a, b in zip(values, values[1:]))
-        else:
-            flags[key] = all(b > a for a, b in zip(values, values[1:]))
-    return flags
 
 
 def default_power_grid(scenario: Scenario, steps: int = 60) -> GridSpec:
@@ -212,8 +176,7 @@ def default_power_grid(scenario: Scenario, steps: int = 60) -> GridSpec:
 
 
 def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
-                         grid: GridSpec | None = None, seed: int = 0,
-                         workers: int = 1) -> list[dict]:
+                         grid: GridSpec | None = None, seed: int = 0) -> list[dict]:
     """Optimized covert rate over a covertness-slack grid.
 
     For each (overlay p_j, epsilon) the forward power is re-optimized on
@@ -228,31 +191,24 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
     if grid is None:
         grid = default_power_grid(scenario)
-    overlays = sorted(sweep.overlay_values)
-    eps_values = sweep.points()
-
-    def worker(job):
-        p_j, eps = job
-        sc = scenario.replace(p_j=p_j, epsilon=float(eps))
+    records = []
+    for p_j in sorted(sweep.overlay_values):
         point_grid = GridSpec(p_u_values=grid.p_u_values, p_j_values=(p_j,))
-        result = maximize_covert_rate(sc, point_grid)
-        record = scenario_columns(sc)
-        record.update(
-            feasible=result.feasible, h_min=result.h_star, h_max=result.h_max,
-            p_u_star=result.p_u_star, p_j_star=result.p_j_star,
-            h_star=result.h_star, r_b_star=result.r_b_star,
-            c_s_star=result.c_s_star,
-            seed=int(seed), scenario_hash=sc.canonical_hash(),
-        )
-        return record
-
-    jobs = [(p_j, eps) for p_j in overlays for eps in eps_values]
-    records = _run_jobs(jobs, worker, workers)
-
-    per_overlay = len(eps_values)
-    for oi, p_j in enumerate(overlays):
-        chunk = records[oi * per_overlay:(oi + 1) * per_overlay]
-        rates = [r["r_b_star"] for r in chunk if r["feasible"]]
+        rates = []
+        for eps in sweep.points():
+            sc = scenario.replace(p_j=p_j, epsilon=float(eps))
+            result = maximize_covert_rate(sc, point_grid)
+            record = scenario_columns(sc)
+            record.update(
+                feasible=result.feasible, h_min=result.h_star, h_max=result.h_max,
+                p_u_star=result.p_u_star, p_j_star=result.p_j_star,
+                h_star=result.h_star, r_b_star=result.r_b_star,
+                c_s_star=result.c_s_star,
+                seed=int(seed), scenario_hash=sc.canonical_hash(),
+            )
+            records.append(record)
+            if result.feasible:
+                rates.append(result.r_b_star)
         if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):
             raise NumericalError(
                 f"optimized covert rate not nondecreasing in epsilon at p_j={p_j}")

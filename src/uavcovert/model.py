@@ -22,10 +22,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Squared channel amplitude gain |h|^2 (dimensionless, >= 0).
-LinkGainSquared = float
-
-
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
@@ -82,15 +78,15 @@ class Scenario:
 
     # -- per-link LOS gains ------------------------------------------------
 
-    def gain_ua2(self) -> LinkGainSquared:
+    def gain_ua2(self) -> float:
         """Squared LOS gain of the source -> relay link."""
         return los_gain_squared(self.beta, self.d_a2, self.h)
 
-    def gain_ub2(self) -> LinkGainSquared:
+    def gain_ub2(self) -> float:
         """Squared LOS gain of the relay -> receiver link."""
         return los_gain_squared(self.beta, self.d_b2, self.h)
 
-    def gain_uw2(self) -> LinkGainSquared:
+    def gain_uw2(self) -> float:
         """Squared LOS gain of the relay -> warden link."""
         return los_gain_squared(self.beta, self.d_w2, self.h)
 
@@ -167,7 +163,7 @@ _JSON_FIELDS = {
 }
 
 
-def los_gain_squared(beta: float, d_i2: float, h: float) -> LinkGainSquared:
+def los_gain_squared(beta: float, d_i2: float, h: float) -> float:
     """Squared air-to-ground LOS gain beta / (d_i^2 + h^2).
 
     Strictly decreasing in both ``h`` and ``d_i2``.  When ``h > 0`` is so

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError, NumericalError
+from .errors import ConfigError, NumericalError
 from .model import Scenario
 from .constraints import feasibility_grid, feasible_interval
-from .rates import capacity, rate_report
+from .rates import capacity
 
 _ACTIVE_TOL = 1e-9
 # Grid points per array pass; bounds the (points x scan heights) temporaries.
@@ -86,20 +86,6 @@ class OptimizationResult:
     feasible: bool
     active_constraints: tuple[str, ...]
     h_max: float  # security ceiling at the argmax (inf if none, NaN if infeasible)
-
-
-def optimal_height_given_powers(scenario: Scenario) -> tuple[float, float]:
-    """Best altitude and covert rate for the scenario's own powers.
-
-    The rate falls with altitude, so the maximizer is the interval's lower
-    end.  Raises InfeasibleError when the interval is empty.
-    """
-    interval = feasible_interval(scenario)
-    if interval.empty:
-        raise InfeasibleError(
-            f"no feasible hover height for p_u={scenario.p_u}, p_j={scenario.p_j}")
-    h = interval.h_min
-    return h, rate_report(scenario.replace(h=h)).r_b
 
 
 def maximize_covert_rate(scenario: Scenario, grid: GridSpec) -> OptimizationResult:

@@ -55,8 +55,21 @@ def capacity(snr: float) -> float:
 def snrs_at(scenario: Scenario, p_u, p_j, h):
     """Relay and destination SNRs ``(gamma_u, gamma_b)`` at forward power
     ``p_u``, jamming power ``p_j`` and altitude ``h``, the other fields
-    taken from ``scenario``; see :func:`snr_relay` and
-    :func:`snr_destination` for the formulas.
+    taken from ``scenario``.
+
+    gamma_u is the SNR of the source signal as decodable by the
+    (eavesdropping) relay:
+
+        gamma_u = P_a |h_ua|^2 / (P_J |h_ub|^2 + sigma_u^2)
+
+    gamma_b is the end-to-end SNR at the receiver through the relay:
+
+        gamma_b = P_u P_a |h_ub|^2 |h_ua|^2 /
+            ((P_u sigma_u^2 + P_J sigma_b^2) |h_ub|^2
+             + P_a |h_ua|^2 sigma_b^2 + sigma_b^2 sigma_u^2)
+
+    which is the post-cancellation signal-to-noise ratio after dividing
+    out the relay scaling G.
 
     The LOS gains are those of :func:`model.los_gain_squared` (a scenario's
     d^2 > 0 keeps their denominators positive).  Only plain arithmetic
@@ -75,31 +88,8 @@ def snrs_at(scenario: Scenario, p_u, p_j, h):
     return gamma_u, num / den
 
 
-def snr_relay(scenario: Scenario) -> float:
-    """SNR of the source signal as decodable by the (eavesdropping) relay.
-
-    gamma_u = P_a |h_ua|^2 / (P_J |h_ub|^2 + sigma_u^2), per-link LOS gains.
-    """
-    s = scenario
-    return snrs_at(s, s.p_u, s.p_j, s.h)[0]
-
-
-def snr_destination(scenario: Scenario) -> float:
-    """End-to-end SNR at the receiver through the relay.
-
-    gamma_b = P_u P_a |h_ub|^2 |h_ua|^2 /
-        ((P_u sigma_u^2 + P_J sigma_b^2) |h_ub|^2
-         + P_a |h_ua|^2 sigma_b^2 + sigma_b^2 sigma_u^2)
-
-    which is the post-cancellation signal-to-noise ratio after dividing
-    out the relay scaling G.
-    """
-    s = scenario
-    return snrs_at(s, s.p_u, s.p_j, s.h)[1]
-
-
 def aux_coefficients(scenario: Scenario) -> AuxCoefficients:
-    """Expand the per-link denominator of :func:`snr_destination` in h^2.
+    """Expand the per-link denominator of gamma_b (:func:`snrs_at`) in h^2.
 
     phi_1 = P_J beta d_a^2 + sigma_u^2 d_a^2 d_b^2
     phi_2 = P_J beta + sigma_u^2 (d_a^2 + d_b^2)
@@ -123,7 +113,7 @@ def snr_destination_expanded(scenario: Scenario,
         (sigma_b^2 phi_1 + sigma_b^2 h^2 phi_2 + h^2 q + p
          + sigma_b^2 sigma_u^2 h^4)
 
-    Algebraically identical to :func:`snr_destination` with the default
+    Algebraically identical to gamma_b of :func:`snrs_at` with the default
     coefficients; an explicit ``coefficients`` argument lets diagnostics
     probe variant coefficient sets.
     """

@@ -7,7 +7,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from uavcovert import Scenario  # noqa: E402
+from uavcovert import (  # noqa: E402
+    InfeasibleError, Scenario, feasible_interval, optimal_detection, rate_report,
+)
 
 SCENARIOS = ROOT / "scenarios"
 
@@ -52,3 +54,36 @@ def draw_scenario(rng: np.random.Generator, **overrides) -> Scenario:
     )
     fields.update(overrides)
     return Scenario(**fields)
+
+
+def min_error_at_height(scenario: Scenario, h: float) -> float:
+    """zeta_star as a function of altitude, other fields fixed."""
+    return optimal_detection(scenario.replace(h=h)).zeta_star
+
+
+def optimal_height_given_powers(scenario: Scenario) -> tuple[float, float]:
+    """Best altitude and covert rate for the scenario's own powers.
+
+    The rate falls with altitude, so the maximizer is the interval's lower
+    end.  Raises InfeasibleError when the interval is empty.
+    """
+    interval = feasible_interval(scenario)
+    if interval.empty:
+        raise InfeasibleError(
+            f"no feasible hover height for p_u={scenario.p_u}, p_j={scenario.p_j}")
+    h = interval.h_min
+    return h, rate_report(scenario.replace(h=h)).r_b
+
+
+def monotone_by_overlay(records: list[dict], y: str, group: str = "p_u",
+                        x: str = "h", decreasing: bool = True) -> dict:
+    """Per-overlay strict monotonicity flags of column y along column x."""
+    flags = {}
+    for key in sorted({r[group] for r in records}):
+        series = sorted((r[x], r[y]) for r in records if r[group] == key)
+        values = [v for _, v in series]
+        if decreasing:
+            flags[key] = all(b < a for a, b in zip(values, values[1:]))
+        else:
+            flags[key] = all(b > a for a, b in zip(values, values[1:]))
+    return flags

@@ -12,16 +12,15 @@ import numpy as np
 
 from uavcovert import (
     GridSpec, Scenario, SweepSpec, covert_height_bound, feasible_interval,
-    maximize_covert_rate, mc_zeta_tolerance, min_error_at_height,
-    optimal_detection, rate_report, run_covertness_sweep, run_detection_sweep,
-    run_rate_sweep, secrecy_rate_at_height, security_height_bound,
-    simulate_destination_snr, snr_destination, snr_destination_expanded,
-    total_error_curve, total_error_derivative,
+    maximize_covert_rate, mc_zeta_tolerance, optimal_detection, rate_report,
+    run_covertness_sweep, run_detection_sweep, run_rate_sweep,
+    secrecy_rate_at_height, security_height_bound, simulate_destination_snr,
+    snr_destination_expanded, total_error_curve, total_error_derivative,
 )
 from uavcovert.cli import main
 from uavcovert.rates import AuxCoefficients, aux_coefficients
 
-from conftest import draw_scenario
+from conftest import draw_scenario, min_error_at_height
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -91,7 +90,7 @@ def test_c4_snr_algebraic_equivalence():
     rng = np.random.default_rng(1003)
     for _ in range(10_000):
         s = draw_scenario(rng)
-        per_link = snr_destination(s)
+        per_link = rate_report(s).gamma_b
         expanded = snr_destination_expanded(s)
         assert abs(expanded - per_link) / per_link <= 1e-10
 
@@ -106,7 +105,8 @@ def test_c4_snr_algebraic_equivalence():
             phi_1=c.phi_1, phi_2=c.phi_2, q=c.q,
             p=s.p_u * s.sigma_u2 * s.d_a2 * s.beta + s.p_a * s.sigma_b2 ** 2 * s.beta)
         value = snr_destination_expanded(s, coefficients=variant)
-        deviations.append(abs(value - snr_destination(s)) / snr_destination(s))
+        per_link = rate_report(s).gamma_b
+        deviations.append(abs(value - per_link) / per_link)
     assert min(deviations) > 1e-10
     _ok(4, f"per-link and expanded forms agree to 1e-10 on 1e4 scenarios; "
            f"sigma_b^4 variant deviates by {min(deviations):.2e}.."
@@ -118,7 +118,7 @@ def test_c4_snr_algebraic_equivalence():
 def test_c5_end_to_end_signal_oracle(fig4):
     s = fig4.replace(h=50.0)
     est = simulate_destination_snr(s, 1_000_000, seed=1004)
-    closed = snr_destination(s)
+    closed = rate_report(s).gamma_b
     rel_gap = abs(est.snr - closed) / closed
     assert rel_gap <= 0.01
     assert abs(est.forwarded_power - 1.0) <= 0.01
@@ -251,22 +251,20 @@ def test_c8_optimizer_matches_brute_force():
            f"({feasible_count} feasible); altitude endpoint never beaten")
 
 
-# 9. determinism across runs and worker counts -----------------------------------
+# 9. determinism across runs ------------------------------------------------------
 
 def test_c9_byte_identical_csv(tmp_path):
     args = ["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"),
             "--trials", "20000", "--steps", "12", "--seed", "33"]
-    outs = [tmp_path / f"det{i}.csv" for i in range(3)]
+    outs = [tmp_path / f"det{i}.csv" for i in range(2)]
     assert main(args + ["--out", str(outs[0])]) == 0
     assert main(args + ["--out", str(outs[1])]) == 0
-    assert main(args + ["--out", str(outs[2]), "--workers", "4"]) == 0
-    blobs = [p.read_bytes() for p in outs]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
     cov_args = ["covertness-sweep", "--scenario", str(SCENARIOS / "fig5.json"),
                 "--steps", "4", "--pu-steps", "12", "--seed", "33"]
     cov_outs = [tmp_path / f"cov{i}.csv" for i in range(2)]
     assert main(cov_args + ["--out", str(cov_outs[0])]) == 0
-    assert main(cov_args + ["--out", str(cov_outs[1]), "--workers", "3"]) == 0
+    assert main(cov_args + ["--out", str(cov_outs[1])]) == 0
     assert cov_outs[0].read_bytes() == cov_outs[1].read_bytes()
-    _ok(9, "CSV bytes identical across repeated runs and worker counts")
+    _ok(9, "CSV bytes identical across repeated runs")

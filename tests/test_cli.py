@@ -45,15 +45,21 @@ def test_detect_sweep_writes_csv(tmp_path):
     assert lines[0].startswith("d_a2,d_b2,d_w2,h,")
 
 
-def test_detect_sweep_byte_identical_runs_and_workers(tmp_path):
+def test_detect_sweep_byte_identical_runs(tmp_path):
     args = ["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"),
             "--trials", "2000", "--steps", "5", "--seed", "21"]
-    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
+    paths = [tmp_path / f"run{i}.csv" for i in range(2)]
     assert main(args + ["--out", str(paths[0])]) == 0
     assert main(args + ["--out", str(paths[1])]) == 0
-    assert main(args + ["--out", str(paths[2]), "--workers", "4"]) == 0
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_workers_option_is_rejected(tmp_path):
+    out = tmp_path / "det.csv"
+    assert main(["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"),
+                 "--out", str(out), "--trials", "10", "--steps", "2",
+                 "--workers", "2"]) == 2
+    assert not out.exists()
 
 
 def test_rate_sweep_cli(tmp_path):

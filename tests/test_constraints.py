@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from uavcovert import (
-    ConfigError, covert_height_bound, feasible_interval, min_error_at_height,
+    ConfigError, covert_height_bound, feasible_interval,
     secrecy_rate_at_height, security_height_bound,
 )
 
-from conftest import draw_scenario
+from conftest import draw_scenario, min_error_at_height
 
 
 def bisect_covert_bound(scenario, lo=0.0, hi=5e4, iters=200):

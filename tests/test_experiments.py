@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from uavcovert import (
-    ConfigError, GridSpec, SweepSpec, mc_zeta_tolerance, monotone_by_overlay,
-    render_csv, run_covertness_sweep, run_detection_sweep, run_rate_sweep,
-    run_validation,
+    ConfigError, GridSpec, SweepSpec, mc_zeta_tolerance, render_csv,
+    run_covertness_sweep, run_detection_sweep, run_rate_sweep, run_validation,
 )
 from uavcovert.experiments import (
     COVERTNESS_COLUMNS, DETECTION_COLUMNS, RATE_COLUMNS,
 )
+
+from conftest import monotone_by_overlay
 
 
 def detection_sweep_spec(steps=8, overlays=(2.0, 3.0, 4.0)):
@@ -71,14 +72,11 @@ def test_detection_sweep_single_trial_degenerate(fig2):
     assert all(r["zeta_mc"] in (0.0, 0.5, 1.0) for r in records)
 
 
-def test_detection_sweep_deterministic_across_workers(fig2):
+def test_detection_sweep_deterministic_across_runs(fig2):
     spec = detection_sweep_spec(steps=5)
-    serial = run_detection_sweep(fig2, spec, n_trials=2000, seed=11, workers=1)
-    threaded = run_detection_sweep(fig2, spec, n_trials=2000, seed=11, workers=4)
-    assert render_csv(serial, DETECTION_COLUMNS) == render_csv(
-        threaded, DETECTION_COLUMNS)
-    again = run_detection_sweep(fig2, spec, n_trials=2000, seed=11, workers=1)
-    assert render_csv(serial, DETECTION_COLUMNS) == render_csv(
+    first = run_detection_sweep(fig2, spec, n_trials=2000, seed=11)
+    again = run_detection_sweep(fig2, spec, n_trials=2000, seed=11)
+    assert render_csv(first, DETECTION_COLUMNS) == render_csv(
         again, DETECTION_COLUMNS)
 
 

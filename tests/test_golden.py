@@ -1,8 +1,9 @@
-"""Golden regression: the fig5 runs against their tracked results.
+"""Golden regression: every figure run against its tracked result in out/.
 
-Columns, rows, flags, strings and the argmax powers must match exactly.
-Other numeric cells may drift by at most 2 ULP, the most a libm build's
-log2 has been seen to move them, so the test holds across platforms.
+Columns, rows, flags, strings, seeds, scenario hashes and the argmax powers
+must match exactly.  Other numeric cells may drift by at most 2 ULP, the
+most a libm build's log2 has been seen to move them (the fig3 row at h=20,
+p_u=8), so the test holds across platforms.
 """
 import csv
 import importlib.util
@@ -15,7 +16,8 @@ from uavcovert.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MAX_ULP = 2
-EXACT_COLUMNS = {"feasible", "p_u_star", "p_j_star", "seed", "scenario_hash"}
+EXACT_COLUMNS = {"feasible", "p_u_star", "p_j_star", "n_trials", "seed",
+                 "scenario_hash"}
 
 
 def ulp_distance(a: float, b: float) -> int:
@@ -31,13 +33,14 @@ def ulp_distance(a: float, b: float) -> int:
     return abs(ordered(a) - ordered(b))
 
 
-def reproduce_argv(command: str) -> list[str]:
-    """The argv scripts/reproduce_figures.py runs for one subcommand."""
+def reproduce_argv(out_name: str) -> list[str]:
+    """The argv scripts/reproduce_figures.py runs to write out/<out_name>."""
     spec = importlib.util.spec_from_file_location(
         "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    (argv,) = [run for run in module.RUNS if run[0] == command]
+    (argv,) = [run for run in module.RUNS
+               if pathlib.Path(run[run.index("--out") + 1]).name == out_name]
     return argv
 
 
@@ -55,14 +58,15 @@ def test_ulp_distance():
     assert ulp_distance(math.nan, 1.0) == math.inf
 
 
-def test_fig5_covertness_sweep_matches_tracked_csv(tmp_path):
-    argv = reproduce_argv("covertness-sweep")
-    out = tmp_path / "fig5.csv"
+def assert_matches_tracked(out_name: str, tmp_path) -> None:
+    """Rerun the figure run that writes out/<out_name> and compare."""
+    argv = reproduce_argv(out_name)
+    out = tmp_path / out_name
     argv[argv.index("--out") + 1] = str(out)
     assert main(argv) == 0
 
     header, rows = read_csv(out)
-    ref_header, ref_rows = read_csv(ROOT / "out" / "fig5_optimized_rate.csv")
+    ref_header, ref_rows = read_csv(ROOT / "out" / out_name)
     assert header == ref_header
     assert len(rows) == len(ref_rows)
     for i, (row, ref) in enumerate(zip(rows, ref_rows)):
@@ -72,6 +76,22 @@ def test_fig5_covertness_sweep_matches_tracked_csv(tmp_path):
             else:
                 assert ulp_distance(float(got), float(want)) <= MAX_ULP, \
                     (i, column, got, want)
+
+
+def test_fig2_detection_sweep_matches_tracked_csv(tmp_path):
+    assert_matches_tracked("fig2_detection.csv", tmp_path)
+
+
+def test_fig3_rate_sweep_matches_tracked_csv(tmp_path):
+    assert_matches_tracked("fig3_secrecy_rate.csv", tmp_path)
+
+
+def test_fig4_rate_sweep_matches_tracked_csv(tmp_path):
+    assert_matches_tracked("fig4_covert_rate.csv", tmp_path)
+
+
+def test_fig5_covertness_sweep_matches_tracked_csv(tmp_path):
+    assert_matches_tracked("fig5_optimized_rate.csv", tmp_path)
 
 
 def test_fig5_optimize_50x50_argmax(tmp_path):

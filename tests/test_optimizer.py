@@ -10,11 +10,10 @@ import uavcovert.optimizer
 from uavcovert import (
     ConfigError, GridSpec, InfeasibleError, NumericalError,
     OptimizationResult, Scenario, covert_height_bound, feasible_interval,
-    maximize_covert_rate, min_error_at_height, optimal_height_given_powers,
-    rate_report, secrecy_rate_at_height,
+    maximize_covert_rate, rate_report, secrecy_rate_at_height,
 )
 
-from conftest import draw_scenario
+from conftest import draw_scenario, min_error_at_height, optimal_height_given_powers
 
 
 # -- grid spec ---------------------------------------------------------------

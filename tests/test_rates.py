@@ -7,8 +7,7 @@ import hypothesis.strategies as st
 
 from uavcovert import (
     AuxCoefficients, ConfigError, RateReport, aux_coefficients, capacity,
-    rate_report, simulate_destination_snr, snr_destination,
-    snr_destination_expanded, snr_relay,
+    rate_report, simulate_destination_snr, snr_destination_expanded,
 )
 
 from conftest import draw_scenario
@@ -28,43 +27,44 @@ def closed_form_snr_relay(s):
 def test_snr_relay_value(fig3):
     s = fig3.replace(h=100.0)
     expected = 20.0 * 12_500.0 / (13_600.0 * 225.0)
-    assert math.isclose(snr_relay(s), expected, rel_tol=1e-13)
-    assert math.isclose(snr_relay(s), 0.08169934640522875, rel_tol=1e-13)
+    assert math.isclose(rate_report(s).gamma_u, expected, rel_tol=1e-13)
+    assert math.isclose(rate_report(s).gamma_u, 0.08169934640522875, rel_tol=1e-13)
 
 
 def test_snr_relay_matches_closed_form(fig3):
     for h in (0.0, 10.0, 50.0, 100.0, 400.0):
         s = fig3.replace(h=h)
-        assert math.isclose(snr_relay(s), closed_form_snr_relay(s), rel_tol=1e-12)
+        assert math.isclose(rate_report(s).gamma_u, closed_form_snr_relay(s),
+                            rel_tol=1e-12)
 
 
 def test_snr_relay_limits(fig3):
     vanishing = fig3.replace(p_a=1e-12)
-    assert snr_relay(vanishing) < 1e-10
+    assert rate_report(vanishing).gamma_u < 1e-10
     no_jamming = fig3.replace(p_j=1e-12, h=100.0)
     expected = no_jamming.p_a * no_jamming.beta / (13_600.0 * no_jamming.sigma_u2)
-    assert math.isclose(snr_relay(no_jamming), expected, rel_tol=1e-9)
+    assert math.isclose(rate_report(no_jamming).gamma_u, expected, rel_tol=1e-9)
 
 
 # -- destination SNR ---------------------------------------------------------
 
 def test_snr_destination_value(fig4):
     s = fig4.replace(h=50.0)
-    assert math.isclose(snr_destination(s), 0.025575447570332484, rel_tol=1e-13)
+    assert math.isclose(rate_report(s).gamma_b, 0.025575447570332484, rel_tol=1e-13)
 
 
 def test_snr_destination_limits(fig4):
-    assert snr_destination(fig4.replace(p_u=1e-12)) < 1e-10
-    assert snr_destination(fig4.replace(p_a=1e-12)) < 1e-10
+    assert rate_report(fig4.replace(p_u=1e-12)).gamma_b < 1e-10
+    assert rate_report(fig4.replace(p_a=1e-12)).gamma_b < 1e-10
     relay_noise_only = fig4.replace(sigma_b2=1e-12, p_j=1e-12, h=50.0)
     expected = relay_noise_only.p_a * relay_noise_only.gain_ua2() / relay_noise_only.sigma_u2
-    assert math.isclose(snr_destination(relay_noise_only), expected, rel_tol=1e-9)
+    assert math.isclose(rate_report(relay_noise_only).gamma_b, expected, rel_tol=1e-9)
 
 
 def test_expanded_form_matches_per_link(fig4):
     for h in (0.0, 25.0, 50.0, 120.0, 333.0):
         s = fig4.replace(h=h)
-        assert math.isclose(snr_destination_expanded(s), snr_destination(s),
+        assert math.isclose(snr_destination_expanded(s), rate_report(s).gamma_b,
                             rel_tol=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_expanded_form_matches_per_link(fig4):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_expanded_form_matches_per_link_random(seed):
     s = draw_scenario(np.random.default_rng(seed))
-    assert math.isclose(snr_destination_expanded(s), snr_destination(s),
+    assert math.isclose(snr_destination_expanded(s), rate_report(s).gamma_b,
                         rel_tol=1e-11)
 
 
@@ -110,7 +110,7 @@ def test_variant_constant_term_diagnostic(fig4):
     # variant collapses to the consistent form when sigma_b^2 == d_b^2.
     s = fig4.replace(h=50.0)
     assert s.sigma_b2 != s.d_b2
-    per_link = snr_destination(s)
+    per_link = rate_report(s).gamma_b
     variant = snr_destination_expanded(s, coefficients=variant_coefficients(s))
     deviation = abs(variant - per_link) / per_link
     assert deviation > 1e-6
@@ -121,7 +121,7 @@ def test_variant_constant_term_diagnostic(fig4):
     assert math.isclose(
         snr_destination_expanded(degenerate,
                                  coefficients=variant_coefficients(degenerate)),
-        snr_destination(degenerate), rel_tol=1e-12)
+        rate_report(degenerate).gamma_b, rel_tol=1e-12)
 
 
 # -- rate report -------------------------------------------------------------
@@ -171,7 +171,8 @@ def test_simulate_destination_snr_matches_closed_form(fig4):
     s = fig4.replace(h=50.0)
     est = simulate_destination_snr(s, 200_000, seed=42)
     assert abs(est.forwarded_power - 1.0) <= 0.02
-    assert abs(est.snr - snr_destination(s)) / snr_destination(s) <= 0.02
+    closed = rate_report(s).gamma_b
+    assert abs(est.snr - closed) / closed <= 0.02
     assert est.signal_power > 0.0 and est.noise_power > 0.0
 
 
