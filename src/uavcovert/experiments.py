@@ -6,7 +6,10 @@ rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Records are plain dicts in a fixed column order; floats render
 with repr so the CSV round-trips exactly and is byte-deterministic for a
 fixed (scenario, seed, trials) on one platform.  Each runner is one serial
-loop over its sorted overlays with the swept points inside.
+loop over its sorted overlays with the swept points inside; the rate sweep
+makes each overlay one array pass, with capacities by ``math.log2`` on each
+element, since ``np.log2`` can round the last bit differently and so change
+the CSV bytes.
 """
 from __future__ import annotations
 
@@ -16,9 +19,9 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import Scenario
+from .model import Scenario, _canonical_hashes
 from .detection import optimal_detection, simulate_detection, total_error
-from .rates import rate_report, simulate_destination_snr
+from .rates import capacity, rate_report, simulate_destination_snr, snrs_at
 from .optimizer import GridSpec, maximize_covert_rate
 
 SWEEPABLE = ("gamma", "h", "epsilon", "p_u", "p_j")
@@ -44,6 +47,9 @@ class SweepSpec:
             raise ConfigError(f"unknown overlay parameter {self.overlay_parameter!r}")
         if self.overlay_parameter == self.parameter:
             raise ConfigError("overlay parameter must differ from the swept one")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(
+                f"sweep bounds must be finite, got [{self.start}, {self.stop}]")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.steps == 1:
@@ -141,6 +147,16 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
 def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[dict]:
     """Rate chain over an altitude grid with forward-power overlays.
 
+    Each overlay is one array pass.  Its scenario is built and validated
+    once, at the first altitude; the other altitudes need no revalidation,
+    since :class:`SweepSpec` keeps every point finite and the start check
+    keeps them >= 0.  :func:`rates.snrs_at` gives both SNRs over the whole
+    altitude array, with the float operations of the scalar
+    :func:`rates.rate_report`.  Capacities take ``math.log2`` on each
+    element, as ``rate_report`` does, not ``np.log2``, which can differ in
+    the last bit.  Each row's ``scenario_hash`` splices its altitude into
+    one per-overlay template.
+
     The destination capacity is provably decreasing in altitude; the runner
     asserts that on each overlay as a numerical self-check.
     """
@@ -148,20 +164,23 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
         raise ConfigError("rate sweep expects parameter=h, overlay=p_u")
     if sweep.start < 0.0:
         raise ConfigError("altitude sweep must start at h >= 0")
+    hs = sweep.points()
+    h_values = hs.tolist()
+    seed = int(seed)
     records = []
     for p_u in sorted(sweep.overlay_values):
+        sc = scenario.replace(p_u=p_u, h=h_values[0])
+        with np.errstate(over="ignore"):  # h*h overflows to inf, as for floats
+            gamma_u, gamma_b = snrs_at(sc, sc.p_u, sc.p_j, hs)
+        base = scenario_columns(sc)
         c_b = []
-        for h in sweep.points():
-            sc = scenario.replace(p_u=p_u, h=float(h))
-            report = rate_report(sc)
-            record = scenario_columns(sc)
-            record.update(
-                gamma_u=report.gamma_u, gamma_b=report.gamma_b,
-                c_u=report.c_u, c_b=report.c_b, c_s=report.c_s, r_b=report.r_b,
-                seed=int(seed), scenario_hash=sc.canonical_hash(),
-            )
-            records.append(record)
-            c_b.append(report.c_b)
+        for h, g_u, g_b, digest in zip(h_values, gamma_u.tolist(), gamma_b.tolist(),
+                                       _canonical_hashes(sc, h_values)):
+            c_u, c_b_h = capacity(g_u), capacity(g_b)
+            records.append(dict(
+                base, h=h, gamma_u=g_u, gamma_b=g_b, c_u=c_u, c_b=c_b_h,
+                c_s=c_b_h - c_u, r_b=c_b_h, seed=seed, scenario_hash=digest))
+            c_b.append(c_b_h)
         if any(b > a + _MONOTONE_SLACK for a, b in zip(c_b, c_b[1:])):
             raise NumericalError(
                 f"destination capacity not decreasing in h at p_u={p_u}")

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import pathlib
 import sys
 
@@ -10,6 +13,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from uavcovert import (  # noqa: E402
     InfeasibleError, Scenario, feasible_interval, optimal_detection, rate_report,
 )
+from uavcovert.experiments import scenario_columns  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
 
@@ -87,3 +91,31 @@ def monotone_by_overlay(records: list[dict], y: str, group: str = "p_u",
         else:
             flags[key] = all(b > a for a, b in zip(values, values[1:]))
     return flags
+
+
+def json_canonical_hash(scenario: Scenario) -> str:
+    """The scenario hash as first defined: a JSON dump of the repr-rendered
+    fields with sorted keys, then sha256."""
+    payload = json.dumps(
+        {f.name: repr(getattr(scenario, f.name)) for f in dataclasses.fields(scenario)},
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+
+def per_row_rate_oracle(scenario: Scenario, sweep, seed: int = 0) -> list[dict]:
+    """The rate sweep as one validated scenario, scalar rate_report and JSON
+    hash per row: the reference for the array pass of run_rate_sweep."""
+    records = []
+    for p_u in sorted(sweep.overlay_values):
+        for h in sweep.points():
+            sc = scenario.replace(p_u=p_u, h=float(h))
+            report = rate_report(sc)
+            record = scenario_columns(sc)
+            record.update(
+                gamma_u=report.gamma_u, gamma_b=report.gamma_b,
+                c_u=report.c_u, c_b=report.c_b, c_s=report.c_s, r_b=report.r_b,
+                seed=int(seed), scenario_hash=json_canonical_hash(sc),
+            )
+            records.append(record)
+    return records

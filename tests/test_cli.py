@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -68,6 +69,21 @@ def test_rate_sweep_cli(tmp_path):
                  "--out", str(out), "--steps", "7"])
     assert code == 0
     assert len(out.read_text().strip().split("\n")) == 1 + 3 * 7
+
+
+@pytest.mark.parametrize("bound", [["--stop", "inf"], ["--start", "nan"],
+                                   ["--stop", "nan"]])
+def test_rate_sweep_non_finite_bound_exits_two(tmp_path, capsys, bound):
+    out = tmp_path / "rates.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"),
+                     "--out", str(out)] + bound)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep bounds must be finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_covertness_sweep_cli(tmp_path):

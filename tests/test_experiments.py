@@ -1,17 +1,25 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from uavcovert import experiments
 from uavcovert import (
-    ConfigError, GridSpec, SweepSpec, mc_zeta_tolerance, render_csv,
+    ConfigError, GridSpec, NumericalError, SweepSpec, mc_zeta_tolerance, render_csv,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep, run_validation,
 )
 from uavcovert.experiments import (
     COVERTNESS_COLUMNS, DETECTION_COLUMNS, RATE_COLUMNS,
 )
 
-from conftest import monotone_by_overlay
+from uavcovert.cli import main
+from uavcovert.model import _canonical_hashes
+
+from conftest import (
+    SCENARIOS, draw_scenario, json_canonical_hash, monotone_by_overlay,
+    per_row_rate_oracle,
+)
 
 
 def detection_sweep_spec(steps=8, overlays=(2.0, 3.0, 4.0)):
@@ -36,6 +44,10 @@ def test_sweepspec_validation():
         SweepSpec("voltage", 0.0, 1.0, 5, "p_u", (2.0,))
     with pytest.raises(ConfigError):
         SweepSpec("gamma", 0.0, 1.0, 1, "p_u", (2.0,))
+    for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                        (0.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(ConfigError):
+            SweepSpec("h", start, stop, 5, "p_u", (2.0,))
 
 
 def test_sweepspec_degenerate_single_point():
@@ -104,6 +116,77 @@ def test_rate_sweep_single_point(fig3):
     records = run_rate_sweep(fig3, spec)
     assert len(records) == 1
     assert records[0]["h"] == 40.0
+
+
+def assert_same_records(got, want):
+    """Equal field by field, down to the sign of zero and the value's type."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        assert {k: repr(v) for k, v in g.items()} == {
+            k: repr(v) for k, v in w.items()}
+
+
+def test_rate_sweep_matches_per_row_oracle_on_random_sweeps():
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        scenario = draw_scenario(rng)
+        steps = int(rng.integers(1, 40))
+        start = float(rng.choice([0.0, rng.uniform(0.0, 300.0)]))
+        stop = start if steps == 1 else start + float(rng.uniform(1e-3, 500.0))
+        overlays = tuple(float(v) for v in rng.choice(
+            np.linspace(1.0, 30.0, 59), size=int(rng.integers(1, 5)),
+            replace=False))
+        spec = SweepSpec("h", start, stop, steps, "p_u", overlays)
+        seed = int(rng.integers(0, 2**31))
+        records = run_rate_sweep(scenario, spec, seed=seed)
+        assert_same_records(records, per_row_rate_oracle(scenario, spec, seed=seed))
+        assert all(type(v) is float for r in records for k, v in r.items()
+                   if k not in ("seed", "scenario_hash"))
+
+
+@pytest.mark.parametrize("start, stop, steps", [
+    (-0.0, -0.0, 1),            # a negative zero altitude stays -0.0
+    (-0.0, 50.0, 6),
+    (40.0, 40.0, 1),
+    (0.0, 1e-310, 7),           # subnormal altitudes: h*h underflows to 0
+    (5e-324, 5e-324, 1),
+    (1e100, 1e200, 5),          # h*h overflows to inf
+    (0.0, 1e200, 4),
+])
+def test_rate_sweep_matches_per_row_oracle_on_edges(fig3, fig4, start, stop, steps):
+    for scenario, overlays in ((fig3, (9.0, 7.0, 8.0)), (fig4, (2.0,))):
+        spec = SweepSpec("h", start, stop, steps, "p_u", overlays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_rate_sweep(scenario, spec, seed=5)
+        assert_same_records(records, per_row_rate_oracle(scenario, spec, seed=5))
+        if steps == 1:
+            assert all(repr(r["h"]) == repr(start) for r in records)
+        h_values = spec.points().tolist()
+        for p_u in overlays:
+            sc = scenario.replace(p_u=p_u, h=h_values[0])
+            assert _canonical_hashes(sc, h_values) == [
+                sc.replace(h=h).canonical_hash() for h in h_values] == [
+                json_canonical_hash(sc.replace(h=h)) for h in h_values]
+            if repr(start) == "-0.0" and steps == 1:
+                assert sc.canonical_hash() != sc.replace(h=0.0).canonical_hash()
+
+
+def test_rate_sweep_self_check_catches_rising_capacity(fig3, monkeypatch, tmp_path):
+    real_snrs_at = experiments.snrs_at
+
+    def rising(scenario, p_u, p_j, h):
+        gamma_u, gamma_b = real_snrs_at(scenario, p_u, p_j, h)
+        return gamma_u, gamma_b + h
+
+    monkeypatch.setattr(experiments, "snrs_at", rising)
+    with pytest.raises(NumericalError, match="not decreasing"):
+        run_rate_sweep(fig3, rate_sweep_spec(steps=5))
+    out = tmp_path / "rates.csv"
+    assert main(["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"),
+                 "--out", str(out), "--steps", "5"]) == 4
+    assert not out.exists()
 
 
 def test_rate_sweep_requires_h_overlay_pu(fig3):

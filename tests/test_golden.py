@@ -10,38 +10,26 @@ import importlib.util
 import io
 import math
 import pathlib
-import struct
 
 from uavcovert.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MAX_ULP = 2
-EXACT_COLUMNS = {"feasible", "p_u_star", "p_j_star", "n_trials", "seed",
-                 "scenario_hash"}
 
 
-def ulp_distance(a: float, b: float) -> int:
-    """Number of doubles between a and b (0 when equal, inf across NaN)."""
-    if a == b:
-        return 0
-    if math.isnan(a) or math.isnan(b):
-        return 0 if math.isnan(a) and math.isnan(b) else math.inf
-
-    def ordered(x):
-        n = struct.unpack("<q", struct.pack("<d", x))[0]
-        return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
-    return abs(ordered(a) - ordered(b))
+_spec = importlib.util.spec_from_file_location(
+    "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
+reproduce_figures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reproduce_figures)
+ulp_distance = reproduce_figures.ulp_distance
+golden_mismatches = reproduce_figures.golden_mismatches
+MAX_ULP = reproduce_figures.MAX_ULP
 
 
 def reproduce_argv(out_name: str) -> list[str]:
     """The argv scripts/reproduce_figures.py runs to write out/<out_name>."""
-    spec = importlib.util.spec_from_file_location(
-        "reproduce_figures", ROOT / "scripts" / "reproduce_figures.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    (argv,) = [run for run in module.RUNS
+    (argv,) = [run for run in reproduce_figures.RUNS
                if pathlib.Path(run[run.index("--out") + 1]).name == out_name]
-    return argv
+    return list(argv)
 
 
 def read_csv(path):
@@ -64,18 +52,8 @@ def assert_matches_tracked(out_name: str, tmp_path) -> None:
     out = tmp_path / out_name
     argv[argv.index("--out") + 1] = str(out)
     assert main(argv) == 0
-
-    header, rows = read_csv(out)
-    ref_header, ref_rows = read_csv(ROOT / "out" / out_name)
-    assert header == ref_header
-    assert len(rows) == len(ref_rows)
-    for i, (row, ref) in enumerate(zip(rows, ref_rows)):
-        for column, got, want in zip(header, row, ref):
-            if column in EXACT_COLUMNS or got == want:
-                assert got == want, (i, column, got, want)
-            else:
-                assert ulp_distance(float(got), float(want)) <= MAX_ULP, \
-                    (i, column, got, want)
+    tracked = (ROOT / "out" / out_name).read_text()
+    assert golden_mismatches(out.read_text(), tracked) == []
 
 
 def test_fig2_detection_sweep_matches_tracked_csv(tmp_path):
@@ -105,3 +83,46 @@ def test_fig5_optimize_50x50_argmax(tmp_path):
     assert float(row["p_j_star"]) == 19.2
     assert ulp_distance(float(row["h_star"]), 35.42138356483582) <= MAX_ULP
     assert ulp_distance(float(row["r_b_star"]), 0.15706492469581043) <= MAX_ULP
+
+
+def test_golden_mismatches_flags_what_breaks_the_rule():
+    tracked = (ROOT / "out" / "fig3_secrecy_rate.csv").read_text()
+    header, *rows = tracked.splitlines()
+    c_b = header.split(",").index("c_b")
+
+    def with_cell(row, column, value):
+        lines = [header] + rows
+        cells = lines[row + 1].split(",")
+        cells[column] = value
+        lines[row + 1] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+
+    value = float(rows[3].split(",")[c_b])
+    two_ulp = math.nextafter(math.nextafter(value, 1.0), 1.0)
+    assert golden_mismatches(tracked, tracked) == []
+    assert golden_mismatches(with_cell(3, c_b, repr(two_ulp)), tracked) == []
+    assert golden_mismatches(
+        with_cell(3, c_b, repr(math.nextafter(two_ulp, 1.0))), tracked) != []
+    assert golden_mismatches(with_cell(3, -1, "0" * 16), tracked) != []
+    assert golden_mismatches(with_cell(3, c_b, "x"), tracked) != []
+    assert golden_mismatches("\n".join([header] + rows[:-1]) + "\n", tracked) != []
+    assert golden_mismatches(tracked.replace("c_b", "c_B", 1), tracked) != []
+
+
+def test_regenerate_keeps_a_golden_match_and_rewrites_a_drift(tmp_path):
+    argv = reproduce_argv("fig3_secrecy_rate.csv")
+    target = tmp_path / "fig3_secrecy_rate.csv"
+    argv[argv.index("--out") + 1] = str(target)
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    tracked = (ROOT / "out" / "fig3_secrecy_rate.csv").read_bytes()
+
+    target.write_bytes(tracked)
+    assert reproduce_figures.regenerate(argv, scratch).startswith("kept")
+    assert target.read_bytes() == tracked
+
+    drifted = tracked.replace(b",0.1", b",0.2", 1)
+    target.write_bytes(drifted)
+    assert reproduce_figures.regenerate(argv, scratch) == "rewrote"
+    assert target.read_bytes() == (scratch / target.name).read_bytes()
+    assert golden_mismatches(target.read_text(), tracked.decode()) == []

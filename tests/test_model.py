@@ -11,6 +11,9 @@ from uavcovert import (
     ConfigError, Scenario, db_to_linear, linear_to_db, los_gain_squared,
     relay_scaling, sample_rayleigh_power,
 )
+from uavcovert.model import _canonical_hashes
+
+from conftest import draw_scenario, json_canonical_hash
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -182,6 +185,17 @@ def test_db_helpers_invert():
 
 def test_scenario_hash_tracks_fields(fig2):
     assert fig2.canonical_hash() != fig2.replace(p_u=3.0).canonical_hash()
+
+
+def test_scenario_hash_is_the_json_payload_hash(fig2, fig3, fig4, fig5):
+    rng = np.random.default_rng(8)
+    scenarios = [fig2, fig3, fig4, fig5, fig2.replace(h=0, p_u=2),
+                 fig3.replace(h=-0.0)] + [draw_scenario(rng) for _ in range(50)]
+    for sc in scenarios:
+        assert sc.canonical_hash() == json_canonical_hash(sc)
+    hs = [0, -0.0, 0.0, 5e-324, 12.5, 99.99999999999999, 1e200]
+    assert _canonical_hashes(fig3, hs) == [
+        json_canonical_hash(fig3.replace(h=h)) for h in hs]
 
 
 def test_scenario_to_dict_matches_file(fig2):
