@@ -2,7 +2,7 @@
 untrusted amplify-and-forward UAV, with a power-detecting warden and a
 full-duplex jamming receiver."""
 
-from .errors import ConfigError, InfeasibleError, NumericalError
+from .errors import ConfigError, NumericalError
 from .model import (
     Scenario,
     db_to_linear,
@@ -14,26 +14,18 @@ from .model import (
 from .detection import (
     DetectionPoint,
     OptimalDetection,
+    error_curve,
     optimal_detection,
-    p_false_alarm,
-    p_missed_detection,
     simulate_detection,
-    total_error,
-    total_error_curve,
-    total_error_derivative,
 )
 from .rates import (
-    AuxCoefficients,
     DestinationSnrEstimate,
     RateReport,
-    aux_coefficients,
     capacity,
     rate_report,
     simulate_destination_snr,
-    snr_destination_expanded,
 )
 from .constraints import (
-    FeasibleHeightInterval,
     covert_height_bound,
     feasible_interval,
     secrecy_rate_at_height,
@@ -47,7 +39,6 @@ from .optimizer import (
 from .experiments import (
     SweepSpec,
     ValidationCheck,
-    mc_zeta_tolerance,
     render_csv,
     run_covertness_sweep,
     run_detection_sweep,
@@ -59,13 +50,10 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxCoefficients",
     "ConfigError",
     "DestinationSnrEstimate",
     "DetectionPoint",
-    "FeasibleHeightInterval",
     "GridSpec",
-    "InfeasibleError",
     "NumericalError",
     "OptimalDetection",
     "OptimizationResult",
@@ -73,18 +61,15 @@ __all__ = [
     "Scenario",
     "SweepSpec",
     "ValidationCheck",
-    "aux_coefficients",
     "capacity",
     "covert_height_bound",
     "db_to_linear",
+    "error_curve",
     "feasible_interval",
     "linear_to_db",
     "los_gain_squared",
     "maximize_covert_rate",
-    "mc_zeta_tolerance",
     "optimal_detection",
-    "p_false_alarm",
-    "p_missed_detection",
     "rate_report",
     "relay_scaling",
     "render_csv",
@@ -97,9 +82,5 @@ __all__ = [
     "security_height_bound",
     "simulate_destination_snr",
     "simulate_detection",
-    "snr_destination_expanded",
-    "total_error",
-    "total_error_curve",
-    "total_error_derivative",
     "write_csv",
 ]

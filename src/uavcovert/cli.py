@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, InfeasibleError, NumericalError
+from .errors import ConfigError, NumericalError
 from .model import Scenario
 from .optimizer import GridSpec, maximize_covert_rate
 from .experiments import (
@@ -140,6 +140,7 @@ def _cmd_covertness_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     scenario = Scenario.from_file(args.scenario)
+    seed = _check_seed(args.seed)
     grid = GridSpec.linear(
         p_u_stop=args.pu_max if args.pu_max is not None else scenario.p_max,
         p_j_stop=args.pj_max if args.pj_max is not None else scenario.p_max,
@@ -151,7 +152,7 @@ def _cmd_optimize(args) -> int:
         p_j_star=result.p_j_star, h_star=result.h_star,
         r_b_star=result.r_b_star, c_s_star=result.c_s_star,
         active_constraints=";".join(result.active_constraints),
-        seed=_check_seed(args.seed), scenario_hash=scenario.canonical_hash(),
+        seed=seed, scenario_hash=scenario.canonical_hash(),
     )
     write_csv(args.out, [record], OPTIMIZE_COLUMNS)
     if not result.feasible:
@@ -198,9 +199,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

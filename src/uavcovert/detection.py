@@ -5,8 +5,8 @@ and decides "relay transmitting" above it.  Under jamming with a unit-mean
 exponential fade the false-alarm and missed-detection probabilities have
 simple exponential closed forms; their sum ``zeta`` is the total error
 probability, minimized at a threshold ``gamma_star`` with floor
-``zeta_star``.  A vectorized Monte Carlo mirror reproduces all of it
-empirically.
+``zeta_star``.  The closed forms are one array path, :func:`error_curve`;
+a vectorized Monte Carlo mirror reproduces them, one threshold per call.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .model import Scenario, sample_rayleigh_power
 
 _ZETA_SLACK = 1e-12
@@ -47,25 +47,19 @@ class OptimalDetection:
     zeta_star: float
 
 
-def _as_float_or_array(out: np.ndarray, scalar_input: bool):
-    return float(out) if scalar_input else out
-
-
-def p_false_alarm(gamma, p_j: float, sigma_w2: float):
-    """P(decide transmission | relay silent).
+def p_false_alarm(gamma, p_j: float, sigma_w2: float) -> np.ndarray:
+    """P(decide transmission | relay silent) at each threshold in ``gamma``.
 
     exp((sigma_w^2 - gamma) / P_J) for gamma >= sigma_w^2, else 1.
-    Accepts a scalar or ndarray threshold.
     """
     g = np.asarray(gamma, dtype=float)
     exponent = np.minimum(sigma_w2 - g, 0.0) / p_j
-    out = np.where(g >= sigma_w2, np.exp(exponent), 1.0)
-    return _as_float_or_array(out, g.ndim == 0)
+    return np.where(g >= sigma_w2, np.exp(exponent), 1.0)
 
 
 def p_missed_detection(gamma, p_u: float, p_j: float, beta: float,
-                       d_w2: float, h: float, sigma_w2: float):
-    """P(decide silence | relay transmitting).
+                       d_w2: float, h: float, sigma_w2: float) -> np.ndarray:
+    """P(decide silence | relay transmitting) at each threshold in ``gamma``.
 
     The warden's signal term P_u |h_uw|^2 is deterministic LOS, so only the
     jamming fade is random: 1 - exp(tau) with
@@ -75,45 +69,24 @@ def p_missed_detection(gamma, p_u: float, p_j: float, beta: float,
     g = np.asarray(gamma, dtype=float)
     floor = sigma_w2 + p_u * beta / (d_w2 + h * h)
     tau = np.minimum(floor - g, 0.0) / p_j
-    out = np.where(g >= floor, 1.0 - np.exp(tau), 0.0)
-    return _as_float_or_array(out, g.ndim == 0)
+    return np.where(g >= floor, 1.0 - np.exp(tau), 0.0)
 
 
-def total_error(gamma: float, scenario: Scenario) -> DetectionPoint:
-    """Closed-form total error zeta = P_FA + P_MD at one threshold."""
-    fa = p_false_alarm(gamma, scenario.p_j, scenario.sigma_w2)
-    md = p_missed_detection(gamma, scenario.p_u, scenario.p_j, scenario.beta,
-                            scenario.d_w2, scenario.h, scenario.sigma_w2)
-    return DetectionPoint(gamma=float(gamma), p_fa=fa, p_md=md)
-
-
-def total_error_curve(scenario: Scenario, gammas) -> np.ndarray:
-    """Vectorized zeta over a threshold grid."""
-    g = np.asarray(gammas, dtype=float)
-    fa = p_false_alarm(g, scenario.p_j, scenario.sigma_w2)
-    md = p_missed_detection(g, scenario.p_u, scenario.p_j, scenario.beta,
-                            scenario.d_w2, scenario.h, scenario.sigma_w2)
-    return fa + md
-
-
-def total_error_derivative(gamma, scenario: Scenario):
-    """Analytic d(zeta)/d(gamma), piecewise.
-
-    Zero below the noise floor, -exp((sigma_w^2 - gamma)/P_J)/P_J on the
-    falling branch, and [exp(tau) - exp((sigma_w^2 - gamma)/P_J)] / P_J
-    above gamma_star, where it is strictly positive.
+def error_curve(scenario: Scenario, gammas):
+    """Closed-form ``(p_fa, p_md, zeta)`` arrays over the thresholds
+    ``gammas``, zeta = P_FA + P_MD, each element rounded as in a one-element
+    call.  Raises :class:`NumericalError` if a probability leaves [0, 1].
     """
-    g = np.asarray(gamma, dtype=float)
     s = scenario
-    floor = s.sigma_w2 + s.p_u * s.beta / (s.d_w2 + s.h * s.h)
-    fa_exp = np.exp(np.minimum(s.sigma_w2 - g, 0.0) / s.p_j)
-    tau_exp = np.exp(np.minimum(floor - g, 0.0) / s.p_j)
-    out = np.where(
-        g <= s.sigma_w2,
-        0.0,
-        np.where(g <= floor, -fa_exp / s.p_j, (tau_exp - fa_exp) / s.p_j),
-    )
-    return _as_float_or_array(out, g.ndim == 0)
+    g = np.asarray(gammas, dtype=float)
+    p_fa = p_false_alarm(g, s.p_j, s.sigma_w2)
+    p_md = p_missed_detection(g, s.p_u, s.p_j, s.beta, s.d_w2, s.h, s.sigma_w2)
+    zeta = p_fa + p_md
+    in_range = ((0.0 <= p_fa) & (p_fa <= 1.0) & (0.0 <= p_md) & (p_md <= 1.0)
+                & (zeta <= 1.0 + _ZETA_SLACK))
+    if not np.all(in_range):
+        raise NumericalError("detection error probabilities out of range")
+    return p_fa, p_md, zeta
 
 
 def optimal_detection(scenario: Scenario) -> OptimalDetection:

@@ -1,16 +1,13 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, infeasible optimization problems with 3, numerical failures with 4.
+with 2 and numerical failures with 4.  Exit 3 (infeasible) comes from an
+infeasible ``OptimizationResult``, not from an exception.
 """
 
 
 class ConfigError(ValueError):
     """Invalid scenario, sweep, or grid configuration."""
-
-
-class InfeasibleError(Exception):
-    """No hover height (or grid point) satisfies the active constraints."""
 
 
 class NumericalError(RuntimeError):

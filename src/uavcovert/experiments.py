@@ -6,10 +6,11 @@ rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Records are plain dicts in a fixed column order; floats render
 with repr so the CSV round-trips exactly and is byte-deterministic for a
 fixed (scenario, seed, trials) on one platform.  Each runner is one serial
-loop over its sorted overlays with the swept points inside; the rate sweep
-makes each overlay one array pass, with capacities by ``math.log2`` on each
-element, since ``np.log2`` can round the last bit differently and so change
-the CSV bytes.
+loop over its sorted overlays with the swept points inside.  The detection
+and rate sweeps take each overlay's closed forms in one array pass (Monte
+Carlo stays per point), with capacities by ``math.log2`` on each element,
+since ``np.log2`` can round the last bit differently and so change the CSV
+bytes; array values reach the records as floats via ``.tolist()``.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import Scenario, _canonical_hashes
-from .detection import optimal_detection, simulate_detection, total_error
+from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import capacity, rate_report, simulate_destination_snr, snrs_at
 from .optimizer import GridSpec, maximize_covert_rate
 
@@ -117,25 +118,26 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
                         seed: int) -> list[dict]:
     """Closed-form and Monte Carlo error curves over a threshold grid.
 
-    One record per (overlay p_u, gamma), sorted by (overlay, gamma).  The
-    Monte Carlo stream of each point derives from (seed, overlay index,
+    One record per (overlay p_u, gamma), sorted by (overlay, gamma), with
+    each overlay's closed-form columns from one :func:`error_curve` call.
+    The Monte Carlo stream of each point derives from (seed, overlay index,
     point index), so a point's draws do not depend on the other points.
     """
     if sweep.parameter != "gamma" or sweep.overlay_parameter != "p_u":
         raise ConfigError("detection sweep expects parameter=gamma, overlay=p_u")
+    gammas = sweep.points()
     records = []
     for oi, p_u in enumerate(sorted(sweep.overlay_values)):
         sc = scenario.replace(p_u=p_u)
         optimum = optimal_detection(sc)
         scenario_hash = sc.canonical_hash()
-        for gi, g in enumerate(sweep.points()):
-            gamma = float(g)
-            closed = total_error(gamma, sc)
+        p_fa, p_md, zeta = (column.tolist() for column in error_curve(sc, gammas))
+        for gi, gamma in enumerate(gammas.tolist()):
             point_seed = np.random.SeedSequence(entropy=[int(seed), oi, gi])
             mc = simulate_detection(sc, gamma, n_trials, seed=point_seed)
             record = scenario_columns(sc)
             record.update(
-                gamma=gamma, p_fa=closed.p_fa, p_md=closed.p_md, zeta=closed.zeta,
+                gamma=gamma, p_fa=p_fa[gi], p_md=p_md[gi], zeta=zeta[gi],
                 p_fa_mc=mc.p_fa, p_md_mc=mc.p_md, zeta_mc=mc.zeta,
                 gamma_star=optimum.gamma_star, zeta_star=optimum.zeta_star,
                 n_trials=int(n_trials), seed=int(seed), scenario_hash=scenario_hash,
@@ -253,22 +255,24 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
                    gamma_points: int = 20) -> list[ValidationCheck]:
     """Compare every closed form against its Monte Carlo counterpart.
 
-    Checks the detection error curve point by point on a threshold grid
-    around gamma_star, the unit forwarded power of the relay scaling, and
-    the end-to-end destination SNR.
+    Checks the detection error curve point by point on a grid of
+    ``gamma_points`` >= 1 thresholds around gamma_star, the unit forwarded
+    power of the relay scaling, and the end-to-end destination SNR.
     """
+    if gamma_points < 1:
+        raise ConfigError(f"gamma_points must be >= 1, got {gamma_points}")
     checks = []
 
     opt = optimal_detection(scenario)
     gammas = np.linspace(0.0, 10.0 * opt.gamma_star, gamma_points)
+    zeta = error_curve(scenario, gammas)[2].tolist()
     worst = 0.0
     ok = True
-    for gi, gamma in enumerate(gammas):
-        closed = total_error(float(gamma), scenario)
-        mc = simulate_detection(scenario, float(gamma), n_trials,
+    for gi, (gamma, closed) in enumerate(zip(gammas.tolist(), zeta)):
+        mc = simulate_detection(scenario, gamma, n_trials,
                                 seed=np.random.SeedSequence(entropy=[int(seed), 0, gi]))
-        gap = abs(mc.zeta - closed.zeta)
-        tol = mc_zeta_tolerance(closed.zeta, n_trials)
+        gap = abs(mc.zeta - closed)
+        tol = mc_zeta_tolerance(closed, n_trials)
         worst = max(worst, gap / tol)
         ok = ok and gap <= tol
     checks.append(ValidationCheck(

@@ -19,19 +19,6 @@ from .model import Scenario, relay_scaling
 
 
 @dataclass(frozen=True)
-class AuxCoefficients:
-    """Coefficients of the destination-SNR denominator polynomial in h^2.
-
-    den = sigma_b^2 phi_1 + (q + sigma_b^2 phi_2) h^2 + p + sigma_b^2 sigma_u^2 h^4
-    """
-
-    phi_1: float
-    phi_2: float
-    p: float
-    q: float
-
-
-@dataclass(frozen=True)
 class RateReport:
     """SNRs and capacities for one scenario; c_s and r_b are derived."""
 
@@ -86,43 +73,6 @@ def snrs_at(scenario: Scenario, p_u, p_j, h):
     den = ((p_u * s.sigma_u2 + p_j * s.sigma_b2) * g_ub
            + s.p_a * g_ua * s.sigma_b2 + s.sigma_b2 * s.sigma_u2)
     return gamma_u, num / den
-
-
-def aux_coefficients(scenario: Scenario) -> AuxCoefficients:
-    """Expand the per-link denominator of gamma_b (:func:`snrs_at`) in h^2.
-
-    phi_1 = P_J beta d_a^2 + sigma_u^2 d_a^2 d_b^2
-    phi_2 = P_J beta + sigma_u^2 (d_a^2 + d_b^2)
-    p     = P_u sigma_u^2 d_a^2 beta + P_a sigma_b^2 d_b^2 beta
-    q     = P_u sigma_u^2 beta + P_a sigma_b^2 beta
-    """
-    s = scenario
-    return AuxCoefficients(
-        phi_1=s.p_j * s.beta * s.d_a2 + s.sigma_u2 * s.d_a2 * s.d_b2,
-        phi_2=s.p_j * s.beta + s.sigma_u2 * (s.d_a2 + s.d_b2),
-        p=s.p_u * s.sigma_u2 * s.d_a2 * s.beta + s.p_a * s.sigma_b2 * s.d_b2 * s.beta,
-        q=s.p_u * s.sigma_u2 * s.beta + s.p_a * s.sigma_b2 * s.beta,
-    )
-
-
-def snr_destination_expanded(scenario: Scenario,
-                             coefficients: AuxCoefficients | None = None) -> float:
-    """Destination SNR via the h-polynomial denominator form.
-
-    gamma_b = P_u P_a beta^2 /
-        (sigma_b^2 phi_1 + sigma_b^2 h^2 phi_2 + h^2 q + p
-         + sigma_b^2 sigma_u^2 h^4)
-
-    Algebraically identical to gamma_b of :func:`snrs_at` with the default
-    coefficients; an explicit ``coefficients`` argument lets diagnostics
-    probe variant coefficient sets.
-    """
-    s = scenario
-    c = coefficients if coefficients is not None else aux_coefficients(s)
-    h2 = s.h * s.h
-    den = (s.sigma_b2 * c.phi_1 + s.sigma_b2 * h2 * c.phi_2
-           + h2 * c.q + c.p + s.sigma_b2 * s.sigma_u2 * h2 * h2)
-    return s.p_u * s.p_a * s.beta * s.beta / den
 
 
 def rate_report(scenario: Scenario) -> RateReport:

@@ -11,7 +11,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
-    InfeasibleError, Scenario, feasible_interval, optimal_detection, rate_report,
+    Scenario, feasible_interval, optimal_detection, rate_report,
 )
 from uavcovert.experiments import scenario_columns  # noqa: E402
 
@@ -65,18 +65,91 @@ def min_error_at_height(scenario: Scenario, h: float) -> float:
     return optimal_detection(scenario.replace(h=h)).zeta_star
 
 
+class NoFeasibleHeight(Exception):
+    """No hover height satisfies the scenario's constraints."""
+
+
 def optimal_height_given_powers(scenario: Scenario) -> tuple[float, float]:
     """Best altitude and covert rate for the scenario's own powers.
 
     The rate falls with altitude, so the maximizer is the interval's lower
-    end.  Raises InfeasibleError when the interval is empty.
+    end.  Raises NoFeasibleHeight when the interval is empty.
     """
     interval = feasible_interval(scenario)
     if interval.empty:
-        raise InfeasibleError(
+        raise NoFeasibleHeight(
             f"no feasible hover height for p_u={scenario.p_u}, p_j={scenario.p_j}")
     h = interval.h_min
     return h, rate_report(scenario.replace(h=h)).r_b
+
+
+def total_error_derivative(gamma, scenario: Scenario) -> np.ndarray:
+    """Analytic d(zeta)/d(gamma) at each threshold in ``gamma``, piecewise.
+
+    Zero below the noise floor, -exp((sigma_w^2 - gamma)/P_J)/P_J on the
+    falling branch, and [exp(tau) - exp((sigma_w^2 - gamma)/P_J)] / P_J
+    above gamma_star, where it is strictly positive.
+    """
+    g = np.asarray(gamma, dtype=float)
+    s = scenario
+    floor = s.sigma_w2 + s.p_u * s.beta / (s.d_w2 + s.h * s.h)
+    fa_exp = np.exp(np.minimum(s.sigma_w2 - g, 0.0) / s.p_j)
+    tau_exp = np.exp(np.minimum(floor - g, 0.0) / s.p_j)
+    return np.where(
+        g <= s.sigma_w2,
+        0.0,
+        np.where(g <= floor, -fa_exp / s.p_j, (tau_exp - fa_exp) / s.p_j),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class AuxCoefficients:
+    """Coefficients of the destination-SNR denominator polynomial in h^2.
+
+    den = sigma_b^2 phi_1 + (q + sigma_b^2 phi_2) h^2 + p + sigma_b^2 sigma_u^2 h^4
+    """
+
+    phi_1: float
+    phi_2: float
+    p: float
+    q: float
+
+
+def aux_coefficients(scenario: Scenario) -> AuxCoefficients:
+    """Expand the per-link denominator of gamma_b (``rates.snrs_at``) in h^2.
+
+    phi_1 = P_J beta d_a^2 + sigma_u^2 d_a^2 d_b^2
+    phi_2 = P_J beta + sigma_u^2 (d_a^2 + d_b^2)
+    p     = P_u sigma_u^2 d_a^2 beta + P_a sigma_b^2 d_b^2 beta
+    q     = P_u sigma_u^2 beta + P_a sigma_b^2 beta
+    """
+    s = scenario
+    return AuxCoefficients(
+        phi_1=s.p_j * s.beta * s.d_a2 + s.sigma_u2 * s.d_a2 * s.d_b2,
+        phi_2=s.p_j * s.beta + s.sigma_u2 * (s.d_a2 + s.d_b2),
+        p=s.p_u * s.sigma_u2 * s.d_a2 * s.beta + s.p_a * s.sigma_b2 * s.d_b2 * s.beta,
+        q=s.p_u * s.sigma_u2 * s.beta + s.p_a * s.sigma_b2 * s.beta,
+    )
+
+
+def snr_destination_expanded(scenario: Scenario,
+                             coefficients: AuxCoefficients | None = None) -> float:
+    """Destination SNR via the h-polynomial denominator form.
+
+    gamma_b = P_u P_a beta^2 /
+        (sigma_b^2 phi_1 + sigma_b^2 h^2 phi_2 + h^2 q + p
+         + sigma_b^2 sigma_u^2 h^4)
+
+    Algebraically identical to the per-link gamma_b of ``rates.snrs_at``
+    with the default coefficients; an explicit ``coefficients`` argument
+    lets diagnostics probe variant coefficient sets.
+    """
+    s = scenario
+    c = coefficients if coefficients is not None else aux_coefficients(s)
+    h2 = s.h * s.h
+    den = (s.sigma_b2 * c.phi_1 + s.sigma_b2 * h2 * c.phi_2
+           + h2 * c.q + c.p + s.sigma_b2 * s.sigma_u2 * h2 * h2)
+    return s.p_u * s.p_a * s.beta * s.beta / den
 
 
 def monotone_by_overlay(records: list[dict], y: str, group: str = "p_u",

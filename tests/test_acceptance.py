@@ -11,16 +11,18 @@ import time
 import numpy as np
 
 from uavcovert import (
-    GridSpec, Scenario, SweepSpec, covert_height_bound, feasible_interval,
-    maximize_covert_rate, mc_zeta_tolerance, optimal_detection, rate_report,
+    GridSpec, Scenario, SweepSpec, covert_height_bound, error_curve,
+    feasible_interval, maximize_covert_rate, optimal_detection, rate_report,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep,
     secrecy_rate_at_height, security_height_bound, simulate_destination_snr,
-    snr_destination_expanded, total_error_curve, total_error_derivative,
 )
 from uavcovert.cli import main
-from uavcovert.rates import AuxCoefficients, aux_coefficients
+from uavcovert.experiments import mc_zeta_tolerance
 
-from conftest import draw_scenario, min_error_at_height
+from conftest import (
+    AuxCoefficients, aux_coefficients, draw_scenario, min_error_at_height,
+    snr_destination_expanded, total_error_derivative,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -59,11 +61,11 @@ def test_c2_optimal_threshold_grid_search_oracle():
         s = draw_scenario(rng)
         opt = optimal_detection(s)
         grid = np.linspace(0.0, 10.0 * opt.gamma_star, 100_000)
-        zeta = total_error_curve(s, grid)
+        zeta = error_curve(s, grid)[2]
         best = int(np.argmin(zeta))
         step = grid[1] - grid[0]
         assert abs(grid[best] - opt.gamma_star) <= step + 1e-15
-        zeta_at_star = float(total_error_curve(s, np.asarray([opt.gamma_star]))[0])
+        zeta_at_star = float(error_curve(s, np.asarray([opt.gamma_star]))[2][0])
         assert abs(zeta_at_star - opt.zeta_star) <= 1e-9
     _ok(2, "grid argmin within one step of gamma_star and error floor "
            "within 1e-9 on 100 randomized scenarios")
@@ -75,7 +77,7 @@ def test_c3_piecewise_structure(fig2):
     rng = np.random.default_rng(1002)
     for s in [fig2] + [draw_scenario(rng) for _ in range(10)]:
         below = np.linspace(0.0, s.sigma_w2, 2_000)
-        assert np.all(total_error_curve(s, below) == 1.0)
+        assert np.all(error_curve(s, below)[2] == 1.0)
         gamma_star = optimal_detection(s).gamma_star
         above = np.linspace(gamma_star, 20.0 * gamma_star, 10_002)[1:]
         derivative = total_error_derivative(above, s)

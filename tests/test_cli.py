@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import uavcovert.cli
 from uavcovert.cli import main
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -121,6 +122,28 @@ def test_validate_cli(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_validate_empty_threshold_grid_exits_two(capsys, points):
+    code = main(["validate", "--scenario", str(SCENARIOS / "fig2.json"),
+                 "--trials", "10", "--symbols", "10", "--gamma-points", points])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: gamma_points must be >= 1, got {points}\n"
+
+
+def test_optimize_checks_seed_before_searching(tmp_path, monkeypatch, capsys):
+    def search(*args, **kwargs):
+        raise AssertionError("grid search ran before the seed check")
+    monkeypatch.setattr(uavcovert.cli, "maximize_covert_rate", search)
+    out = tmp_path / "opt.csv"
+    code = main(["optimize", "--scenario", str(SCENARIOS / "fig5.json"),
+                 "--out", str(out), "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
+    assert not out.exists()
 
 
 def test_negative_seed_exits_two(tmp_path, capsys):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import uavcovert.detection
 from uavcovert import (
-    ConfigError, DetectionPoint, optimal_detection, p_false_alarm,
-    p_missed_detection, simulate_detection, total_error, total_error_curve,
-    total_error_derivative,
+    ConfigError, DetectionPoint, NumericalError, Scenario, SweepSpec, error_curve,
+    optimal_detection, run_detection_sweep, simulate_detection,
 )
+from uavcovert.cli import main
+from uavcovert.detection import p_false_alarm, p_missed_detection
 
-from conftest import draw_scenario
+from conftest import SCENARIOS, draw_scenario, total_error_derivative
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -25,6 +27,14 @@ def piecewise_zeta(gamma, s):
         return math.exp((s.sigma_w2 - gamma) / s.p_j)
     tau = (peak - gamma) / s.p_j
     return 1.0 - math.exp(tau) + math.exp((s.sigma_w2 - gamma) / s.p_j)
+
+
+def piecewise_columns(gamma, s):
+    """Independent branch-by-branch oracle for (P_FA, P_MD) at one threshold."""
+    peak = s.sigma_w2 + s.p_u * s.beta / (s.d_w2 + s.h * s.h)
+    p_fa = 1.0 if gamma <= s.sigma_w2 else math.exp((s.sigma_w2 - gamma) / s.p_j)
+    p_md = 0.0 if gamma <= peak else 1.0 - math.exp((peak - gamma) / s.p_j)
+    return p_fa, p_md
 
 
 # -- false alarm -------------------------------------------------------------
@@ -90,25 +100,77 @@ def test_total_error_equals_piecewise_oracle(fig2):
         np.linspace(fig2.sigma_w2, opt.gamma_star, 7),
         np.linspace(opt.gamma_star, 10 * opt.gamma_star, 23),
     ])
-    for gamma in grid:
-        point = total_error(float(gamma), fig2)
-        assert point.zeta == pytest.approx(piecewise_zeta(float(gamma), fig2),
-                                           rel=1e-14)
-        assert point.zeta == point.p_fa + point.p_md
+    p_fa, p_md, zeta = error_curve(fig2, grid)
+    for gamma, fa, md, z in zip(grid, p_fa, p_md, zeta):
+        assert z == pytest.approx(piecewise_zeta(float(gamma), fig2), rel=1e-14)
+        assert z == fa + md
 
 
 def test_total_error_trivial_points(fig2):
-    assert total_error(0.0, fig2).zeta == 1.0
+    assert error_curve(fig2, [0.0])[2][0] == 1.0
     opt = optimal_detection(fig2)
-    assert total_error(opt.gamma_star, fig2).zeta == pytest.approx(
+    assert error_curve(fig2, [opt.gamma_star])[2][0] == pytest.approx(
         opt.zeta_star, rel=1e-14)
 
 
 def test_total_error_curve_matches_pointwise(fig2):
     gammas = np.linspace(0.0, 0.5, 101)
-    curve = total_error_curve(fig2, gammas)
-    assert np.allclose(curve, [total_error(float(g), fig2).zeta for g in gammas],
-                       rtol=0, atol=0)
+    curve = error_curve(fig2, gammas)[2]
+    assert np.array_equal(curve, [error_curve(fig2, [float(g)])[2][0] for g in gammas])
+
+
+def exactness_cases():
+    """(scenario, thresholds): the fig2 sweep grid on each forward-power
+    overlay, and per preset a few thousand random thresholds up to
+    12 gamma_star plus the branch edges and their float neighbours."""
+    rng = np.random.default_rng(2024)
+    fig2_grid = np.linspace(0.0, 1.0, 50)
+    fig2 = Scenario.from_file(SCENARIOS / "fig2.json")
+    cases = [(fig2.replace(p_u=p_u), fig2_grid) for p_u in (2.0, 3.0, 4.0)]
+    for preset in ("fig2", "fig3", "fig4", "fig5"):
+        s = Scenario.from_file(SCENARIOS / f"{preset}.json")
+        star = optimal_detection(s).gamma_star
+        edges = [s.sigma_w2, star]
+        edges += [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
+        cases.append((s, np.concatenate([rng.uniform(0.0, 12.0 * star, 3000),
+                                         edges])))
+    return cases
+
+
+def test_error_curve_is_per_element_exact():
+    # the detection CSV's bytes rely on one-element and whole-grid calls
+    # rounding alike; the oracle's math.exp may differ from np.exp by 1 ULP,
+    # so columns in [0, 1] may differ from it by a few 1e-16
+    for s, gammas in exactness_cases():
+        whole = error_curve(s, gammas)
+        assert all(type(c) is np.ndarray and c.shape == gammas.shape for c in whole)
+        for i, gamma in enumerate(gammas.tolist()):
+            single = error_curve(s, np.asarray([gamma]))
+            for column, one in zip(whole, single):
+                assert column[i] == one[0]
+            fa, md = piecewise_columns(gamma, s)
+            assert whole[0][i] == pytest.approx(fa, rel=1e-14, abs=1e-15)
+            assert whole[1][i] == pytest.approx(md, rel=1e-14, abs=1e-15)
+            assert whole[2][i] == pytest.approx(piecewise_zeta(gamma, s),
+                                                rel=1e-14, abs=1e-15)
+            assert whole[2][i] == whole[0][i] + whole[1][i]
+
+
+def test_error_curve_out_of_range_is_numerical_error(fig2, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(uavcovert.detection, "p_false_alarm",
+                        lambda g, p_j, sigma_w2: np.full(np.shape(g), 0.9))
+    monkeypatch.setattr(uavcovert.detection, "p_missed_detection",
+                        lambda g, *args: np.full(np.shape(g), 0.9))
+    with pytest.raises(NumericalError):
+        error_curve(fig2, [0.1, 0.2])
+    sweep = SweepSpec("gamma", 0.0, 1.0, 3, "p_u", (2.0,))
+    with pytest.raises(NumericalError):
+        run_detection_sweep(fig2, sweep, n_trials=10, seed=0)
+    code = main(["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"),
+                 "--out", str(tmp_path / "x.csv"), "--trials", "10", "--steps", "3"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,10 +178,10 @@ def test_total_error_curve_matches_pointwise(fig2):
 def test_total_error_decomposition_random(seed, frac):
     s = draw_scenario(np.random.default_rng(seed))
     gamma = frac * optimal_detection(s).gamma_star
-    point = total_error(gamma, s)
-    assert point.zeta == point.p_fa + point.p_md
-    assert 0.0 <= point.zeta <= 1.0 + 1e-12
-    assert point.zeta == pytest.approx(piecewise_zeta(gamma, s), rel=1e-12)
+    p_fa, p_md, zeta = (float(c[0]) for c in error_curve(s, [gamma]))
+    assert zeta == p_fa + p_md
+    assert 0.0 <= zeta <= 1.0 + 1e-12
+    assert zeta == pytest.approx(piecewise_zeta(gamma, s), rel=1e-12)
 
 
 # -- error-minimizing threshold ------------------------------------------------
@@ -133,7 +195,7 @@ def test_optimal_detection_values(fig2):
 def test_optimal_detection_grid_search_oracle(fig2):
     opt = optimal_detection(fig2)
     grid = np.linspace(0.0, 10.0 * opt.gamma_star, 100_000)
-    zeta = total_error_curve(fig2, grid)
+    zeta = error_curve(fig2, grid)[2]
     best = int(np.argmin(zeta))
     step = grid[1] - grid[0]
     assert abs(grid[best] - opt.gamma_star) <= step + 1e-15
@@ -142,7 +204,7 @@ def test_optimal_detection_grid_search_oracle(fig2):
 
 def test_error_curve_has_unique_minimum_on_threshold_grid(fig2):
     grid = np.linspace(0.0, 1.0, 2_000)
-    zeta = total_error_curve(fig2, grid)
+    zeta = error_curve(fig2, grid)[2]
     assert int(np.count_nonzero(zeta == zeta.min())) == 1
 
 
@@ -171,7 +233,7 @@ def test_derivative_matches_finite_differences(fig2):
     for gamma in np.linspace(1.5 * opt.gamma_star, 8 * opt.gamma_star, 9):
         eps = 1e-7
         numeric = (piecewise_zeta(gamma + eps, s) - piecewise_zeta(gamma - eps, s)) / (2 * eps)
-        assert total_error_derivative(float(gamma), s) == pytest.approx(
+        assert float(total_error_derivative(gamma, s)) == pytest.approx(
             numeric, rel=1e-5, abs=1e-12)
 
 
@@ -195,15 +257,13 @@ def test_simulate_detection_deterministic(fig2):
 def test_simulate_detection_tracks_closed_form(fig2):
     n = 100_000
     for gamma, seed in ((0.02, 1), (0.05, 2), (0.3, 3)):
-        closed = total_error(gamma, fig2)
+        p_fa, p_md, zeta = (float(c[0]) for c in error_curve(fig2, [gamma]))
         mc = simulate_detection(fig2, gamma, n, seed=seed)
-        tol = max(0.005, 3.0 * math.sqrt(closed.zeta * (1 - closed.zeta) / n))
-        assert abs(mc.zeta - closed.zeta) <= tol
+        tol = max(0.005, 3.0 * math.sqrt(zeta * (1 - zeta) / n))
+        assert abs(mc.zeta - zeta) <= tol
         # conditional rates are validated separately, not only their sum
-        assert abs(mc.p_fa - closed.p_fa) <= 0.005 + 3.0 * math.sqrt(
-            closed.p_fa * (1 - closed.p_fa) / n)
-        assert abs(mc.p_md - closed.p_md) <= 0.005 + 3.0 * math.sqrt(
-            closed.p_md * (1 - closed.p_md) / n)
+        assert abs(mc.p_fa - p_fa) <= 0.005 + 3.0 * math.sqrt(p_fa * (1 - p_fa) / n)
+        assert abs(mc.p_md - p_md) <= 0.005 + 3.0 * math.sqrt(p_md * (1 - p_md) / n)
 
 
 def test_simulate_detection_invalid_trials(fig2):

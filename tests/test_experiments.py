@@ -6,11 +6,11 @@ import pytest
 
 from uavcovert import experiments
 from uavcovert import (
-    ConfigError, GridSpec, NumericalError, SweepSpec, mc_zeta_tolerance, render_csv,
+    ConfigError, GridSpec, NumericalError, SweepSpec, render_csv,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep, run_validation,
 )
 from uavcovert.experiments import (
-    COVERTNESS_COLUMNS, DETECTION_COLUMNS, RATE_COLUMNS,
+    COVERTNESS_COLUMNS, DETECTION_COLUMNS, RATE_COLUMNS, mc_zeta_tolerance,
 )
 
 from uavcovert.cli import main
@@ -64,6 +64,7 @@ def test_detection_sweep_records(fig2):
     keys = [(r["p_u"], r["gamma"]) for r in records]
     assert keys == sorted(keys)
     for r in records:
+        assert all(type(r[c]) is float for c in ("gamma", "p_fa", "p_md", "zeta"))
         assert r["zeta"] == r["p_fa"] + r["p_md"]
         assert r["zeta_mc"] == r["p_fa_mc"] + r["p_md_mc"]
         assert abs(r["zeta_mc"] - r["zeta"]) <= mc_zeta_tolerance(
@@ -277,7 +278,7 @@ def test_csv_columns_prefixed_by_scenario():
 
 def test_records_recomputable_from_scenario_columns(fig2, fig3):
     # closed-form outputs must follow from the row's own scenario columns
-    from uavcovert import Scenario, optimal_detection, rate_report, total_error
+    from uavcovert import Scenario, error_curve, optimal_detection, rate_report
 
     det = run_detection_sweep(fig2, detection_sweep_spec(steps=5),
                               n_trials=100, seed=6)
@@ -285,7 +286,7 @@ def test_records_recomputable_from_scenario_columns(fig2, fig3):
         text = render_csv([row], DETECTION_COLUMNS).strip().split("\n")[1]
         parsed = dict(zip(DETECTION_COLUMNS, text.split(",")))
         rebuilt = Scenario(**{k: float(parsed[k]) for k in DETECTION_COLUMNS[:14]})
-        assert total_error(float(parsed["gamma"]), rebuilt).zeta == row["zeta"]
+        assert error_curve(rebuilt, [float(parsed["gamma"])])[2][0] == row["zeta"]
         assert optimal_detection(rebuilt).gamma_star == row["gamma_star"]
 
     rates = run_rate_sweep(fig3, rate_sweep_spec(steps=5))
@@ -307,6 +308,12 @@ def test_run_validation_passes(fig2):
         "destination_snr_mc_vs_closed",
     ]
     assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("gamma_points", [0, -3])
+def test_run_validation_rejects_empty_threshold_grid(fig2, gamma_points):
+    with pytest.raises(ConfigError, match="gamma_points"):
+        run_validation(fig2, n_trials=10, n_symbols=10, gamma_points=gamma_points)
 
 
 def test_run_validation_deterministic(fig2):

@@ -8,12 +8,14 @@ import pytest
 import uavcovert.constraints
 import uavcovert.optimizer
 from uavcovert import (
-    ConfigError, GridSpec, InfeasibleError, NumericalError,
+    ConfigError, GridSpec, NumericalError,
     OptimizationResult, Scenario, covert_height_bound, feasible_interval,
     maximize_covert_rate, rate_report, secrecy_rate_at_height,
 )
 
-from conftest import draw_scenario, min_error_at_height, optimal_height_given_powers
+from conftest import (
+    NoFeasibleHeight, draw_scenario, min_error_at_height, optimal_height_given_powers,
+)
 
 
 # -- grid spec ---------------------------------------------------------------
@@ -56,7 +58,7 @@ def test_optimal_height_beats_interior_grid(fig5):
 
 
 def test_optimal_height_infeasible_raises(fig4):
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(NoFeasibleHeight):
         optimal_height_given_powers(fig4)
 
 

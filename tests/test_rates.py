@@ -6,11 +6,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from uavcovert import (
-    AuxCoefficients, ConfigError, RateReport, aux_coefficients, capacity,
-    rate_report, simulate_destination_snr, snr_destination_expanded,
+    ConfigError, RateReport, capacity, rate_report, simulate_destination_snr,
 )
 
-from conftest import draw_scenario
+from conftest import (
+    AuxCoefficients, aux_coefficients, draw_scenario, snr_destination_expanded,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
