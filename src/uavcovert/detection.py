@@ -7,6 +7,8 @@ simple exponential closed forms; their sum ``zeta`` is the total error
 probability, minimized at a threshold ``gamma_star`` with floor
 ``zeta_star``.  The closed forms are one array path, :func:`error_curve`;
 a vectorized Monte Carlo mirror reproduces them, one threshold per call.
+The mirror draws its fades first and then works in place in one float
+array, about 9 bytes per trial.
 """
 from __future__ import annotations
 
@@ -113,14 +115,21 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
     indicator is Bernoulli(zeta) and the empirical zeta is an unbiased
     binomial estimate.  Ties at the threshold decide "transmission".
     Reproducible for a fixed seed, independent of trial partitioning.
+
+    The ``n_trials`` fades are the generator's first draws.  One float
+    array holds them and becomes the silent statistic, then the active
+    one, in place; with each count's boolean mask that is about 9 bytes
+    per trial.
     """
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
+    if (isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer))
+            or n_trials < 1):
         raise ConfigError(f"n_trials must be a positive integer, got {n_trials!r}")
     s = scenario
     rng = np.random.default_rng(seed)
-    fade = sample_rayleigh_power(rng, int(n_trials))
-    t_silent = s.p_j * fade + s.sigma_w2
-    t_active = t_silent + s.p_u * s.gain_uw2()
-    p_fa = float(np.count_nonzero(t_silent >= gamma)) / n_trials
-    p_md = float(np.count_nonzero(t_active < gamma)) / n_trials
+    t = sample_rayleigh_power(rng, int(n_trials))
+    t *= s.p_j
+    t += s.sigma_w2                                          # silent
+    p_fa = float(np.count_nonzero(t >= gamma)) / n_trials
+    t += s.p_u * s.gain_uw2()                                # transmitting
+    p_md = float(np.count_nonzero(t < gamma)) / n_trials
     return DetectionPoint(gamma=float(gamma), p_fa=p_fa, p_md=p_md)

@@ -257,7 +257,10 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
 
     Checks the detection error curve point by point on a grid of
     ``gamma_points`` >= 1 thresholds around gamma_star, the unit forwarded
-    power of the relay scaling, and the end-to-end destination SNR.
+    power of the relay scaling, and the end-to-end destination SNR.  The
+    two symbol-level bands are three standard errors, floored at 1%:
+    |x_u|^2 is Exp(1), so its mean has relative error 1/sqrt(n_symbols);
+    the SNR is a ratio of two independent exponential means, sqrt(2/n).
     """
     if gamma_points < 1:
         raise ConfigError(f"gamma_points must be >= 1, got {gamma_points}")
@@ -283,13 +286,15 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
                                    seed=np.random.SeedSequence(entropy=[int(seed), 1]))
     power_gap = abs(est.forwarded_power - 1.0)
     checks.append(ValidationCheck(
-        name="relay_forwarded_power_unit", passed=power_gap <= 0.01,
+        name="relay_forwarded_power_unit",
+        passed=power_gap <= max(0.01, 3.0 / math.sqrt(n_symbols)),
         detail=f"mean |x_u|^2 = {est.forwarded_power:.6f}"))
 
     closed_snr = rate_report(scenario).gamma_b
     rel_gap = abs(est.snr - closed_snr) / closed_snr
     checks.append(ValidationCheck(
-        name="destination_snr_mc_vs_closed", passed=rel_gap <= 0.01,
+        name="destination_snr_mc_vs_closed",
+        passed=rel_gap <= max(0.01, 3.0 * math.sqrt(2.0 / n_symbols)),
         detail=f"mc {est.snr:.6g} vs closed {closed_snr:.6g} ({rel_gap:.2%})"))
 
     return checks

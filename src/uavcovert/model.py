@@ -203,7 +203,7 @@ def sample_rayleigh_power(rng: np.random.Generator, size=None):
     One draw models one quasi-static transmission block.  Deterministic
     given the generator state; callers own stream management.
     """
-    return rng.exponential(1.0, size)
+    return rng.standard_exponential(size)
 
 
 def relay_scaling(p_a: float, p_j: float, gain_ua2: float, gain_ub2: float,

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +13,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
-    Scenario, feasible_interval, optimal_detection, rate_report,
+    DestinationSnrEstimate, DetectionPoint, Scenario, feasible_interval,
+    optimal_detection, rate_report, relay_scaling,
 )
 from uavcovert.experiments import scenario_columns  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
+PRESETS = ("fig2", "fig3", "fig4", "fig5")
 
 
 @pytest.fixture(scope="session")
@@ -192,3 +196,69 @@ def per_row_rate_oracle(scenario: Scenario, sweep, seed: int = 0) -> list[dict]:
             )
             records.append(record)
     return records
+
+
+def _complex_normal(rng: np.random.Generator, variance: float, n: int) -> np.ndarray:
+    scale = math.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def reference_destination_snr(scenario: Scenario, n_symbols: int,
+                              seed) -> DestinationSnrEstimate:
+    """The signal-level oracle as first written, one fresh array per
+    expression: the reference for the in-place simulate_destination_snr."""
+    s = scenario
+    n = int(n_symbols)
+    rng = np.random.default_rng(seed)
+
+    x_a = _complex_normal(rng, 1.0, n)
+    x_j = _complex_normal(rng, 1.0, n)
+    n_u = _complex_normal(rng, s.sigma_u2, n)
+    n_b = _complex_normal(rng, s.sigma_b2, n)
+
+    amp_ua = math.sqrt(s.p_a * s.gain_ua2())
+    amp_jam = math.sqrt(s.p_j * s.gain_ub2())
+    y_u = amp_ua * x_a + amp_jam * x_j + n_u
+
+    g = relay_scaling(s.p_a, s.p_j, s.gain_ua2(), s.gain_ub2(), s.sigma_u2)
+    x_u = g * y_u
+    forwarded_power = float(np.mean(np.abs(x_u) ** 2))
+
+    amp_ub = math.sqrt(s.p_u * s.gain_ub2())
+    signal = amp_ub * g * amp_ua * x_a
+    noise = amp_ub * g * n_u + n_b
+
+    signal_power = float(np.mean(np.abs(signal) ** 2))
+    noise_power = float(np.mean(np.abs(noise) ** 2))
+    return DestinationSnrEstimate(
+        snr=signal_power / noise_power,
+        forwarded_power=forwarded_power,
+        signal_power=signal_power,
+        noise_power=noise_power,
+    )
+
+
+def reference_detection(scenario: Scenario, gamma: float, n_trials: int,
+                        seed) -> DetectionPoint:
+    """The radiometer Monte Carlo as first written, with a fresh array per
+    hypothesis: the reference for the in-place simulate_detection."""
+    s = scenario
+    rng = np.random.default_rng(seed)
+    fade = rng.exponential(1.0, int(n_trials))
+    t_silent = s.p_j * fade + s.sigma_w2
+    t_active = t_silent + s.p_u * s.gain_uw2()
+    p_fa = float(np.count_nonzero(t_silent >= gamma)) / n_trials
+    p_md = float(np.count_nonzero(t_active < gamma)) / n_trials
+    return DetectionPoint(gamma=float(gamma), p_fa=p_fa, p_md=p_md)
+
+
+def traced_peak_bytes(fn, *args) -> int:
+    """Peak bytes allocated under tracemalloc while ``fn(*args)`` runs,
+    above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -7,6 +7,8 @@ import pytest
 import uavcovert.cli
 from uavcovert.cli import main
 
+from conftest import PRESETS
+
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -121,6 +123,17 @@ def test_validate_cli(capsys):
                  "--gamma-points", "5"])
     assert code == 0
     out = capsys.readouterr().out
+    assert out.count("PASS") == 3 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_validate_symbol_bands_scale_with_sample_size(capsys, preset):
+    # at 2e4 symbols the SNR estimate's standard error is 1%, so a correct
+    # closed form lands 1.2% off on this seed; a fixed 1% band failed it
+    code = main(["validate", "--scenario", str(SCENARIOS / f"{preset}.json"),
+                 "--trials", "20000", "--symbols", "20000", "--seed", "4"])
+    out = capsys.readouterr().out
+    assert code == 0, out
     assert out.count("PASS") == 3 and "FAIL" not in out
 
 

@@ -13,7 +13,10 @@ from uavcovert import (
 from uavcovert.cli import main
 from uavcovert.detection import p_false_alarm, p_missed_detection
 
-from conftest import SCENARIOS, draw_scenario, total_error_derivative
+from conftest import (
+    PRESETS, SCENARIOS, draw_scenario, reference_detection, total_error_derivative,
+    traced_peak_bytes,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -271,6 +274,36 @@ def test_simulate_detection_invalid_trials(fig2):
         simulate_detection(fig2, 0.1, 0, seed=1)
     with pytest.raises(ConfigError):
         simulate_detection(fig2, 0.1, -5, seed=1)
+
+
+def test_simulate_detection_rejects_bool(fig2):
+    with pytest.raises(ConfigError):
+        simulate_detection(fig2, 0.1, True, seed=1)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_simulate_detection_matches_reference(preset):
+    # thresholds at the noise floor and gamma_star, and their neighbours,
+    # where one rounding difference would flip a count
+    s = Scenario.from_file(SCENARIOS / f"{preset}.json")
+    gammas = []
+    for edge in (0.0, s.sigma_w2, optimal_detection(s).gamma_star):
+        gammas += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    for entropy in (0, 4, 11):
+        for n in (1, 2, 7, 1000):
+            for gi, gamma in enumerate(gammas):
+                seed = [entropy, 0, gi]
+                got = simulate_detection(s, gamma, n, np.random.SeedSequence(seed))
+                want = reference_detection(s, gamma, n, np.random.SeedSequence(seed))
+                assert got == want, (entropy, n, gamma)
+
+
+def test_simulate_detection_footprint(fig2):
+    # one float array plus a boolean mask per count
+    n = 100_000
+    gamma = optimal_detection(fig2).gamma_star
+    peak = traced_peak_bytes(simulate_detection, fig2, gamma, n, 3)
+    assert peak <= 2 * 8 * n
 
 
 def test_detection_point_guards():

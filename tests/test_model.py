@@ -89,6 +89,14 @@ def test_rayleigh_deterministic_stream():
     assert np.allclose(singles, a, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("size", [None, 0, 1, 10**5, (3, 4)])
+def test_rayleigh_is_the_unit_exponential_stream(size):
+    got = sample_rayleigh_power(np.random.default_rng(31), size)
+    want = np.random.default_rng(31).exponential(1.0, size)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
 # -- relay scaling -----------------------------------------------------------
 
 def test_relay_scaling_values():

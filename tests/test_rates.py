@@ -6,11 +6,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from uavcovert import (
-    ConfigError, RateReport, capacity, rate_report, simulate_destination_snr,
+    ConfigError, RateReport, Scenario, capacity, rate_report, simulate_destination_snr,
 )
 
 from conftest import (
-    AuxCoefficients, aux_coefficients, draw_scenario, snr_destination_expanded,
+    PRESETS, SCENARIOS, AuxCoefficients, aux_coefficients, draw_scenario,
+    reference_destination_snr, snr_destination_expanded, traced_peak_bytes,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -186,3 +187,34 @@ def test_simulate_destination_snr_deterministic(fig4):
 def test_simulate_destination_snr_invalid(fig4):
     with pytest.raises(ConfigError):
         simulate_destination_snr(fig4, 0, seed=1)
+
+
+def test_simulate_destination_snr_rejects_bool(fig4):
+    with pytest.raises(ConfigError):
+        simulate_destination_snr(fig4, True, seed=1)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_simulate_destination_snr_matches_reference(preset):
+    # the in-place kernel consumes the stream in the reference's order and
+    # rounds every operation alike, so each field is equal, not close
+    s = Scenario.from_file(SCENARIOS / f"{preset}.json")
+    for entropy in (0, 4, 11):
+        for n in (1, 2, 7, 1000):
+            seed = [entropy, 1]
+            got = simulate_destination_snr(s, n, np.random.SeedSequence(seed))
+            want = reference_destination_snr(s, n, np.random.SeedSequence(seed))
+            assert got == want, (entropy, n)
+
+
+def test_simulate_destination_snr_matches_reference_at_1e6(fig4):
+    seed = np.random.SeedSequence([4, 1])
+    got = simulate_destination_snr(fig4, 1_000_000, seed)
+    assert got == reference_destination_snr(fig4, 1_000_000, seed)
+
+
+def test_simulate_destination_snr_footprint(fig4):
+    # two complex buffers and one real one: 40 bytes per symbol
+    n = 1_000_000
+    peak = traced_peak_bytes(simulate_destination_snr, fig4, n, 3)
+    assert peak <= 48 * n
