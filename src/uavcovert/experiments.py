@@ -10,12 +10,17 @@ loop over its sorted overlays with the swept points inside.  The detection
 and rate sweeps take each overlay's closed forms in one array pass (Monte
 Carlo stays per point), with capacities by ``math.log2`` on each element,
 since ``np.log2`` can round the last bit differently and so change the CSV
-bytes; array values reach the records as floats via ``.tolist()``.
+bytes; array values reach the records as floats via ``.tolist()``.  The
+CSV is rendered in blocks of rows, each block a column at a time with a
+repeated cell object rendered once; the bytes are those of rendering each
+cell on its own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import repeat
+from operator import is_
 
 import numpy as np
 
@@ -101,17 +106,71 @@ def _render_cell(value) -> str:
     return str(value)
 
 
+_BLOCK_ROWS = 256  # rows per column pass: bounds the cells alive at once
+
+
 def render_csv(records: list[dict], columns: tuple[str, ...]) -> str:
-    """Header plus one comma-joined line per record, LF newlines."""
+    """Header plus one comma-joined line per record, LF newlines.
+
+    Renders blocks of up to ``_BLOCK_ROWS`` records a column at a time, so
+    a CSV holds no more memory than a row-at-a-time loop's lines plus one
+    block's cells.
+    """
     lines = [",".join(columns)]
-    for record in records:
-        lines.append(",".join(_render_cell(record[c]) for c in columns))
+    for start in range(0, len(records), _BLOCK_ROWS):
+        lines.extend(_render_block(records[start:start + _BLOCK_ROWS], columns))
     return "\n".join(lines) + "\n"
 
 
+def _render_block(records: list[dict], columns: tuple[str, ...]):
+    """The lines of a nonempty run of records, each distinct cell object
+    rendered once.
+
+    A column holding an earlier column's objects in the same order reuses
+    that column's cells; a column holding one object in every row is one
+    cell, repeated; a column of exact floats goes straight through
+    ``float.__repr__``; any other column renders each object it has not
+    met before and looks up the rest.  Every cell is thus
+    :func:`_render_cell` of its own object, and the text is what a
+    row-at-a-time loop writes.  Objects are matched by identity, not value
+    (``0.0 == -0.0``, ``True == 1 == 1.0``, ``nan != nan``).  ``starts``
+    holds every column's objects while the block renders, so no ``id``
+    that ``texts`` or ``starts`` keys on can be reused by a new object
+    meanwhile.
+    """
+    texts = {}    # id(object) -> its cell
+    starts = {}   # id(first object) -> [(objects, cells)] of earlier columns
+    table = []
+    for column in columns:
+        values = [record[column] for record in records]
+        first = values[0]
+        for earlier, earlier_cells in starts.get(id(first), ()):
+            if all(map(is_, values, earlier)):
+                cells = earlier_cells
+                break
+        else:
+            if all(map(is_, values, repeat(first))):
+                if id(first) not in texts:
+                    texts[id(first)] = _render_cell(first)
+                cells = [texts[id(first)]] * len(values)
+            elif all(type(value) is float for value in values):
+                cells = list(map(float.__repr__, values))
+            else:
+                for value in values:
+                    if id(value) not in texts:
+                        texts[id(value)] = _render_cell(value)
+                cells = [texts[id(value)] for value in values]
+            starts.setdefault(id(first), []).append((values, cells))
+        table.append(cells)
+    return map(",".join, zip(*table))
+
+
 def write_csv(path, records: list[dict], columns: tuple[str, ...]) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(render_csv(records, columns))
+    """Render and encode first, then write, so a render that raises leaves
+    ``path`` as it was."""
+    data = render_csv(records, columns).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
@@ -177,7 +236,7 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
         base = scenario_columns(sc)
         c_b = []
         for h, g_u, g_b, digest in zip(h_values, gamma_u.tolist(), gamma_b.tolist(),
-                                       _canonical_hashes(sc, h_values)):
+                                       _canonical_hashes(sc, "h", h_values)):
             c_u, c_b_h = capacity(g_u), capacity(g_b)
             records.append(dict(
                 base, h=h, gamma_u=g_u, gamma_b=g_b, c_u=c_u, c_b=c_b_h,
@@ -204,7 +263,8 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     the grid's p_u axis with the altitude closed out analytically.
     Infeasible points are recorded with feasible=false, never dropped.
     Relaxing epsilon only enlarges the feasible set, so the runner asserts
-    the optimized rate is nondecreasing along each overlay.
+    the optimized rate is nondecreasing along each overlay.  Each row's
+    ``scenario_hash`` splices its epsilon into one per-overlay template.
     """
     if sweep.parameter != "epsilon" or sweep.overlay_parameter != "p_j":
         raise ConfigError("covertness sweep expects parameter=epsilon, overlay=p_j")
@@ -212,12 +272,14 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
     if grid is None:
         grid = default_power_grid(scenario)
+    epsilons = sweep.points().tolist()
     records = []
     for p_j in sorted(sweep.overlay_values):
         point_grid = GridSpec(p_u_values=grid.p_u_values, p_j_values=(p_j,))
         rates = []
-        for eps in sweep.points():
-            sc = scenario.replace(p_j=p_j, epsilon=float(eps))
+        hashes = _canonical_hashes(scenario.replace(p_j=p_j), "epsilon", epsilons)
+        for eps, scenario_hash in zip(epsilons, hashes):
+            sc = scenario.replace(p_j=p_j, epsilon=eps)
             result = maximize_covert_rate(sc, point_grid)
             record = scenario_columns(sc)
             record.update(
@@ -225,7 +287,7 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
                 p_u_star=result.p_u_star, p_j_star=result.p_j_star,
                 h_star=result.h_star, r_b_star=result.r_b_star,
                 c_s_star=result.c_s_star,
-                seed=int(seed), scenario_hash=sc.canonical_hash(),
+                seed=int(seed), scenario_hash=scenario_hash,
             )
             records.append(record)
             if result.feasible:

@@ -133,26 +133,26 @@ class Scenario:
 
     def canonical_hash(self) -> str:
         """Stable short hash of the linear field values, for CSV provenance."""
-        (digest,) = _canonical_hashes(self, (self.h,))
+        (digest,) = _canonical_hashes(self, "h", (self.h,))
         return digest
 
 
-def _canonical_hashes(scenario: Scenario, hs) -> list[str]:
-    """``scenario.replace(h=h).canonical_hash()`` for each altitude ``h``,
-    without building (or validating) those scenarios.
+def _canonical_hashes(scenario: Scenario, name: str, values) -> list[str]:
+    """``scenario.replace(**{name: v}).canonical_hash()`` for each ``v`` in
+    ``values``, without building (or validating) those scenarios.
 
     The hashed payload is what ``json.dumps({field: repr(value)},
     sort_keys=True)`` writes for the fields.  Every value is the ``repr`` of
     a number, which holds nothing JSON escapes, so the payload is one
-    template per call with ``repr(h)`` spliced in.
+    template per call with ``repr(v)`` spliced in as field ``name``.
     """
     reprs = {f.name: repr(getattr(scenario, f.name))
              for f in dataclasses.fields(scenario)}
-    reprs["h"] = "\0"
+    reprs[name] = "\0"
     head, tail = ("{" + ", ".join(f'"{k}": "{reprs[k]}"' for k in sorted(reprs))
                   + "}").split("\0")
-    return [hashlib.sha256(f"{head}{h!r}{tail}".encode("ascii")).hexdigest()[:16]
-            for h in hs]
+    return [hashlib.sha256(f"{head}{v!r}{tail}".encode("ascii")).hexdigest()[:16]
+            for v in values]
 
 
 def _identity(x: float) -> float:

@@ -16,7 +16,7 @@ from uavcovert import (  # noqa: E402
     DestinationSnrEstimate, DetectionPoint, Scenario, feasible_interval,
     optimal_detection, rate_report, relay_scaling,
 )
-from uavcovert.experiments import scenario_columns  # noqa: E402
+from uavcovert.experiments import _render_cell, scenario_columns  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
@@ -196,6 +196,15 @@ def per_row_rate_oracle(scenario: Scenario, sweep, seed: int = 0) -> list[dict]:
             )
             records.append(record)
     return records
+
+
+def reference_render_csv(records: list[dict], columns: tuple[str, ...]) -> str:
+    """The CSV renderer as first written, one row at a time: the reference
+    for the column passes of render_csv."""
+    lines = [",".join(columns)]
+    for record in records:
+        lines.append(",".join(_render_cell(record[c]) for c in columns))
+    return "\n".join(lines) + "\n"
 
 
 def _complex_normal(rng: np.random.Generator, variance: float, n: int) -> np.ndarray:

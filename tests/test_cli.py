@@ -7,7 +7,7 @@ import pytest
 import uavcovert.cli
 from uavcovert.cli import main
 
-from conftest import PRESETS
+from conftest import PRESETS, reference_render_csv
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -164,3 +164,32 @@ def test_negative_seed_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv"), "--seed", "-1",
                  "--trials", "10", "--steps", "4"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"), "--trials", "300",
+     "--steps", "7", "--seed", "4"],
+    ["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"), "--steps", "200"],
+    ["rate-sweep", "--scenario", str(SCENARIOS / "fig4.json"), "--steps", "1",
+     "--start", "-0.0", "--stop", "-0.0"],
+    ["covertness-sweep", "--scenario", str(SCENARIOS / "fig5.json"), "--steps", "4",
+     "--pu-steps", "8"],
+    ["optimize", "--scenario", str(SCENARIOS / "fig5.json"), "--pu-steps", "6",
+     "--pj-steps", "6", "--seed", "3"],
+    ["optimize", "--scenario", str(SCENARIOS / "fig4.json"), "--pu-steps", "2",
+     "--pj-steps", "2", "--pu-max", "0.1", "--pj-max", "0.1"],
+], ids=["detect", "rate-fig3", "rate-negative-zero", "covertness", "optimize",
+        "optimize-infeasible"])
+def test_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch, argv):
+    written = []
+    write_csv = uavcovert.cli.write_csv
+
+    def recording(path, records, columns):
+        written.append((records, columns))
+        write_csv(path, records, columns)
+
+    monkeypatch.setattr(uavcovert.cli, "write_csv", recording)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == (3 if "--pu-max" in argv else 0)
+    ((records, columns),) = written
+    assert out.read_bytes() == reference_render_csv(records, columns).encode("ascii")

@@ -8,6 +8,7 @@ from uavcovert import experiments
 from uavcovert import (
     ConfigError, GridSpec, NumericalError, SweepSpec, render_csv,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep, run_validation,
+    write_csv,
 )
 from uavcovert.experiments import (
     COVERTNESS_COLUMNS, DETECTION_COLUMNS, RATE_COLUMNS, mc_zeta_tolerance,
@@ -18,7 +19,7 @@ from uavcovert.model import _canonical_hashes
 
 from conftest import (
     SCENARIOS, draw_scenario, json_canonical_hash, monotone_by_overlay,
-    per_row_rate_oracle,
+    per_row_rate_oracle, reference_render_csv,
 )
 
 
@@ -167,7 +168,7 @@ def test_rate_sweep_matches_per_row_oracle_on_edges(fig3, fig4, start, stop, ste
         h_values = spec.points().tolist()
         for p_u in overlays:
             sc = scenario.replace(p_u=p_u, h=h_values[0])
-            assert _canonical_hashes(sc, h_values) == [
+            assert _canonical_hashes(sc, "h", h_values) == [
                 sc.replace(h=h).canonical_hash() for h in h_values] == [
                 json_canonical_hash(sc.replace(h=h)) for h in h_values]
             if repr(start) == "-0.0" and steps == 1:
@@ -213,6 +214,8 @@ def test_covertness_sweep_records(fig5):
         assert r["h_star"] == r["h_min"]
         assert r["p_j_star"] == r["p_j"]
         assert r["r_b_star"] > 0.0
+        sc = fig5.replace(p_j=r["p_j"], epsilon=r["epsilon"])
+        assert r["scenario_hash"] == json_canonical_hash(sc) == sc.canonical_hash()
     flags = monotone_by_overlay(records, y="r_b_star", group="p_j",
                                 x="epsilon", decreasing=False)
     # nondecreasing is guaranteed; strict increase holds at this preset
@@ -267,6 +270,89 @@ def test_render_csv_round_trips_floats(fig2):
     for column in ("gamma", "p_fa", "zeta_mc", "beta", "sigma_w2"):
         assert float(parsed[column]) == records[0][column]
     assert parsed["scenario_hash"] == records[0]["scenario_hash"]
+
+
+class FreshFloats:
+    """A record whose every lookup returns a new float object, so that a
+    freed cell's id is free for the next column's objects to reuse."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def __getitem__(self, column):
+        return self.row + 1.0 / (1.0 + len(column))
+
+
+class Tenths(float):
+    def __repr__(self):
+        return f"Tenths({float(self) * 10.0!r})"
+
+
+def _render_cases() -> dict:
+    shared, zero, negative_zero = 0.1 + 0.2, 0.0, -0.0
+    mixed = [{"a": shared, "b": 0.1 * i, "c": shared if i % 2 else 0.3,
+              "d": i, "e": "x" * (i % 3), "f": shared if i < 3 else f"{i}"}
+             for i in range(7)]
+    return {
+        "mixed-shared-and-fresh": (mixed, ("a", "b", "c", "d", "e", "f")),
+        "signed-zeros": (
+            [{"a": zero, "b": negative_zero, "c": v, "d": w}
+             for v, w in ((zero, 1), (negative_zero, 2), (zero, "z"),
+                          (-0.0, negative_zero))],
+            ("a", "b", "c", "d")),
+        "true-one-one-point-zero": (
+            [{"a": v, "b": True, "c": 1, "d": 1.0}
+             for v in (True, 1, 1.0, False, 0, 0.0, True)],
+            ("b", "c", "d", "a")),
+        "special-floats": (
+            [{"a": v, "b": math.nan, "c": v, "d": u}
+             for v, u in ((math.nan, 1), (math.inf, math.nan), (-math.inf, "s"),
+                          (1e16, float("nan")), (5e-324, -5e-324))],
+            ("a", "b", "c", "d")),
+        "str-and-int": (
+            [{"name": f"row{i % 2}", "count": i * 10 ** i, "seed": 7, "hash": "ab"}
+             for i in range(5)],
+            ("hash", "count", "name", "seed")),
+        "column-under-two-names": (
+            [{"a": 0.5 * i, "b": 2.0, "c": i} for i in range(4)],
+            ("a", "b", "a", "c", "b", "c")),
+        "float-subclasses": (
+            [{"a": v, "b": Tenths(i), "c": np.float64(i)}
+             for i, v in enumerate((0.1, np.float64(0.1), Tenths(0.1), 0.1))],
+            ("a", "b", "c")),
+        "blocks": (
+            [{"a": shared, "b": zero if i < 300 else negative_zero, "c": 0.5 * i,
+              "d": i % 3 == 0, "e": f"h{i // 50}", "f": 7}
+             for i in range(2 * experiments._BLOCK_ROWS + 3)],
+            ("a", "b", "c", "d", "e", "f", "c")),
+        "zero-records": ([], ("a", "b")),
+        "one-record": ([{"a": -0.0, "b": True, "c": "s", "d": 3}], ("a", "b", "c", "d")),
+        "fresh-floats": ([FreshFloats(i) for i in range(20)], ("a", "bb", "ccc")),
+        "fresh-floats-with-ints": (
+            [FreshFloats(i) for i in range(20)] + [{"a": 1, "bb": 2, "ccc": 3}],
+            ("a", "bb", "ccc", "a")),
+        "fresh-floats-over-blocks": (
+            [FreshFloats(i) if i % 100 else {"a": i, "bb": True, "ccc": "s"}
+             for i in range(experiments._BLOCK_ROWS + 120)],
+            ("a", "bb", "ccc")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_render_cases()))
+def test_render_csv_matches_row_at_a_time_reference(case):
+    records, columns = _render_cases()[case]
+    assert render_csv(records, columns) == reference_render_csv(records, columns)
+
+
+def test_write_csv_leaves_file_unchanged_when_render_raises(tmp_path, fig3):
+    out = tmp_path / "rates.csv"
+    records = run_rate_sweep(fig3, rate_sweep_spec(steps=3))
+    write_csv(out, records, RATE_COLUMNS)
+    before = out.read_bytes()
+    del records[-1]["c_s"]
+    with pytest.raises(KeyError):
+        write_csv(out, records, RATE_COLUMNS)
+    assert out.read_bytes() == before
 
 
 def test_csv_columns_prefixed_by_scenario():

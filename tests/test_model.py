@@ -202,8 +202,17 @@ def test_scenario_hash_is_the_json_payload_hash(fig2, fig3, fig4, fig5):
     for sc in scenarios:
         assert sc.canonical_hash() == json_canonical_hash(sc)
     hs = [0, -0.0, 0.0, 5e-324, 12.5, 99.99999999999999, 1e200]
-    assert _canonical_hashes(fig3, hs) == [
+    assert _canonical_hashes(fig3, "h", hs) == [
         json_canonical_hash(fig3.replace(h=h)) for h in hs]
+
+
+def test_spliced_epsilon_hashes_match_replaced_scenarios(fig2, fig5):
+    epsilons = [0.01, 0.010526315789473684, 0.5, 1e-300, 5e-324,
+                0.9999999999999999, np.nextafter(0.02, 1.0).item()]
+    for sc in (fig2, fig5, fig5.replace(p_j=10.0)):
+        assert _canonical_hashes(sc, "epsilon", epsilons) == [
+            sc.replace(epsilon=e).canonical_hash() for e in epsilons] == [
+            json_canonical_hash(sc.replace(epsilon=e)) for e in epsilons]
 
 
 def test_scenario_to_dict_matches_file(fig2):
