@@ -16,9 +16,8 @@ from .model import Scenario
 from .optimizer import GridSpec, maximize_covert_rate
 from .experiments import (
     COVERTNESS_COLUMNS, DETECTION_COLUMNS, OPTIMIZE_COLUMNS, RATE_COLUMNS,
-    SweepSpec, default_power_grid, render_csv, scenario_columns,
-    run_covertness_sweep, run_detection_sweep, run_rate_sweep, run_validation,
-    write_csv,
+    SweepSpec, scenario_columns, run_covertness_sweep, run_detection_sweep,
+    run_rate_sweep, run_validation, write_csv,
 )
 
 EXIT_OK = 0
@@ -103,8 +102,7 @@ def _check_seed(seed: int) -> int:
 
 def _cmd_detect_sweep(args) -> int:
     scenario = Scenario.from_file(args.scenario)
-    sweep = SweepSpec(parameter="gamma", start=args.start, stop=args.stop,
-                      steps=args.steps, overlay_parameter="p_u",
+    sweep = SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
                       overlay_values=_parse_values(args.overlay_values))
     records = run_detection_sweep(scenario, sweep, n_trials=args.trials,
                                   seed=_check_seed(args.seed))
@@ -115,8 +113,7 @@ def _cmd_detect_sweep(args) -> int:
 
 def _cmd_rate_sweep(args) -> int:
     scenario = Scenario.from_file(args.scenario)
-    sweep = SweepSpec(parameter="h", start=args.start, stop=args.stop,
-                      steps=args.steps, overlay_parameter="p_u",
+    sweep = SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
                       overlay_values=_parse_values(args.overlay_values))
     records = run_rate_sweep(scenario, sweep, seed=_check_seed(args.seed))
     write_csv(args.out, records, RATE_COLUMNS)
@@ -126,11 +123,11 @@ def _cmd_rate_sweep(args) -> int:
 
 def _cmd_covertness_sweep(args) -> int:
     scenario = Scenario.from_file(args.scenario)
-    sweep = SweepSpec(parameter="epsilon", start=args.start, stop=args.stop,
-                      steps=args.steps, overlay_parameter="p_j",
+    sweep = SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
                       overlay_values=_parse_values(args.overlay_values))
-    grid = default_power_grid(scenario, steps=args.pu_steps)
-    records = run_covertness_sweep(scenario, sweep, grid=grid,
+    p_u_values = GridSpec.linear(scenario.p_max, scenario.p_max,
+                                 p_u_steps=args.pu_steps, p_j_steps=1).p_u_values
+    records = run_covertness_sweep(scenario, sweep, p_u_values,
                                    seed=_check_seed(args.seed))
     write_csv(args.out, records, COVERTNESS_COLUMNS)
     n_infeasible = sum(1 for r in records if not r["feasible"])

@@ -2,10 +2,11 @@
 
 Covertness requires the warden's minimum error zeta_star(h) to stay at or
 above 1 - epsilon, which translates into a minimum altitude.  Security
-requires the secrecy rate C_s(h) to stay at or above the threshold r_s;
-since C_s falls with altitude over the operating range, that yields a
-maximum altitude found by bisection.  Their intersection is the feasible
-hover interval, possibly empty.
+requires the secrecy rate C_s(h) to stay at or above the scenario's
+threshold r_s; since C_s falls with altitude over the operating range,
+that yields a maximum altitude found by bisection, bracketed on one fixed
+scan of doubling altitudes up to SEARCH_CEILING_M.  Their intersection is
+the feasible hover interval, possibly empty.
 
 :func:`feasible_interval` solves one scenario and is the reference.
 :func:`feasibility_grid` gives its emptiness verdict for whole arrays of
@@ -77,33 +78,22 @@ def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
     return capacity(gamma_b) - capacity(gamma_u)
 
 
-def _scan_heights(ceiling: float) -> list[float]:
-    """0, then doubling altitudes from 1 m, then the ceiling itself."""
-    scan = [0.0]
-    h = 1.0
-    while h < ceiling:
-        scan.append(h)
-        h *= 2.0
-    scan.append(ceiling)
-    return scan
+# The security bracket scan: 0, then doubling altitudes from 1 m, then the
+# search ceiling itself.
+_SCAN_HEIGHTS = (0.0, *(2.0 ** k for k in range(
+    math.ceil(math.log2(SEARCH_CEILING_M)))), SEARCH_CEILING_M)
+_SCAN = np.array(_SCAN_HEIGHTS)
 
 
-_SCAN = np.array(_scan_heights(SEARCH_CEILING_M))
-
-
-def security_height_bound(scenario: Scenario, r_s: float | None = None,
-                          ceiling: float = SEARCH_CEILING_M):
-    """Altitude h_max where C_s(h_max) == r_s, by bisection.
+def security_height_bound(scenario: Scenario):
+    """Altitude h_max where C_s(h_max) == scenario.r_s, by bisection.
 
     Returns None when C_s(0) < r_s (infeasible even on the ground) and
     math.inf when C_s stays above r_s all the way to the search ceiling.
     Bracketing scans doubling altitudes; a second sign change there means
     the feasible set is not an interval and raises NumericalError.
     """
-    if r_s is None:
-        r_s = scenario.r_s
-    if not (math.isfinite(r_s) and r_s >= 0.0):
-        raise ConfigError(f"r_s must be finite and >= 0, got {r_s!r}")
+    r_s = scenario.r_s
 
     def f(h: float) -> float:
         return secrecy_rate_at_height(scenario, h) - r_s
@@ -112,9 +102,8 @@ def security_height_bound(scenario: Scenario, r_s: float | None = None,
         return None
 
     # Doubling scan to bracket the first crossing.
-    scan = _scan_heights(ceiling)
-    values = [f(x) for x in scan]
-    crossings = [i for i in range(len(scan) - 1)
+    values = [f(x) for x in _SCAN_HEIGHTS]
+    crossings = [i for i in range(len(_SCAN_HEIGHTS) - 1)
                  if values[i] >= 0.0 > values[i + 1]]
     if not crossings:
         if any(v < 0.0 for v in values):
@@ -127,7 +116,7 @@ def security_height_bound(scenario: Scenario, r_s: float | None = None,
             "secrecy rate re-crosses the threshold above the first "
             "crossing; the feasible height set is not an interval")
 
-    lo, hi = scan[crossings[0]], scan[crossings[0] + 1]
+    lo, hi = _SCAN_HEIGHTS[crossings[0]], _SCAN_HEIGHTS[crossings[0] + 1]
     mid = 0.5 * (lo + hi)
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)

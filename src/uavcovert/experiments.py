@@ -3,7 +3,9 @@
 Each runner covers one experiment protocol: a detection-threshold sweep
 with closed-form and Monte Carlo error curves, an altitude sweep of the
 rate chain, and a covertness sweep that re-optimizes the covert rate per
-point.  Records are plain dicts in a fixed column order; floats render
+point.  Each runner's protocol fixes which field it sweeps and which it
+overlays; a :class:`SweepSpec` holds only the range and the overlay
+values.  Records are plain dicts in a fixed column order; floats render
 with repr so the CSV round-trips exactly and is byte-deterministic for a
 fixed (scenario, seed, trials) on one platform.  Each runner is one serial
 loop over its sorted overlays with the swept points inside.  The detection
@@ -30,29 +32,20 @@ from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import capacity, rate_report, simulate_destination_snr, snrs_at
 from .optimizer import GridSpec, maximize_covert_rate
 
-SWEEPABLE = ("gamma", "h", "epsilon", "p_u", "p_j")
-
 _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter over [start, stop] plus an overlay family."""
+    """One swept field over [start, stop] plus an overlay family; each
+    runner names the two fields it sweeps."""
 
-    parameter: str
     start: float
     stop: float
     steps: int
-    overlay_parameter: str
     overlay_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.parameter not in SWEEPABLE:
-            raise ConfigError(f"unknown sweep parameter {self.parameter!r}")
-        if self.overlay_parameter not in SWEEPABLE:
-            raise ConfigError(f"unknown overlay parameter {self.overlay_parameter!r}")
-        if self.overlay_parameter == self.parameter:
-            raise ConfigError("overlay parameter must differ from the swept one")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError(
                 f"sweep bounds must be finite, got [{self.start}, {self.stop}]")
@@ -129,14 +122,14 @@ def _render_block(records: list[dict], columns: tuple[str, ...]):
     A column holding an earlier column's objects in the same order reuses
     that column's cells; a column holding one object in every row is one
     cell, repeated; a column of exact floats goes straight through
-    ``float.__repr__``; any other column renders each object it has not
-    met before and looks up the rest.  Every cell is thus
-    :func:`_render_cell` of its own object, and the text is what a
-    row-at-a-time loop writes.  Objects are matched by identity, not value
-    (``0.0 == -0.0``, ``True == 1 == 1.0``, ``nan != nan``).  ``starts``
-    holds every column's objects while the block renders, so no ``id``
-    that ``texts`` or ``starts`` keys on can be reused by a new object
-    meanwhile.
+    ``float.__repr__``; a column of exact strs is its own cells; any other
+    column renders each object it has not met before and looks up the
+    rest.  Every cell is thus :func:`_render_cell` of its own object, and
+    the text is what a row-at-a-time loop writes.  Objects are matched by
+    identity, not value (``0.0 == -0.0``, ``True == 1 == 1.0``,
+    ``nan != nan``).  ``starts`` holds every column's objects while the
+    block renders, so no ``id`` that ``texts`` or ``starts`` keys on can be
+    reused by a new object meanwhile.
     """
     texts = {}    # id(object) -> its cell
     starts = {}   # id(first object) -> [(objects, cells)] of earlier columns
@@ -155,6 +148,8 @@ def _render_block(records: list[dict], columns: tuple[str, ...]):
                 cells = [texts[id(first)]] * len(values)
             elif all(type(value) is float for value in values):
                 cells = list(map(float.__repr__, values))
+            elif all(type(value) is str for value in values):
+                cells = values  # an exact str is its own cell
             else:
                 for value in values:
                     if id(value) not in texts:
@@ -177,13 +172,13 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
                         seed: int) -> list[dict]:
     """Closed-form and Monte Carlo error curves over a threshold grid.
 
-    One record per (overlay p_u, gamma), sorted by (overlay, gamma), with
-    each overlay's closed-form columns from one :func:`error_curve` call.
-    The Monte Carlo stream of each point derives from (seed, overlay index,
-    point index), so a point's draws do not depend on the other points.
+    ``sweep`` runs over the threshold ``gamma``; its overlay values are
+    forward powers ``p_u``.  One record per (overlay p_u, gamma), sorted by
+    (overlay, gamma), with each overlay's closed-form columns from one
+    :func:`error_curve` call.  The Monte Carlo stream of each point derives
+    from (seed, overlay index, point index), so a point's draws do not
+    depend on the other points.
     """
-    if sweep.parameter != "gamma" or sweep.overlay_parameter != "p_u":
-        raise ConfigError("detection sweep expects parameter=gamma, overlay=p_u")
     gammas = sweep.points()
     records = []
     for oi, p_u in enumerate(sorted(sweep.overlay_values)):
@@ -208,12 +203,13 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
 def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[dict]:
     """Rate chain over an altitude grid with forward-power overlays.
 
-    Each overlay is one array pass.  Its scenario is built and validated
-    once, at the first altitude; the other altitudes need no revalidation,
-    since :class:`SweepSpec` keeps every point finite and the start check
-    keeps them >= 0.  :func:`rates.snrs_at` gives both SNRs over the whole
-    altitude array, with the float operations of the scalar
-    :func:`rates.rate_report`.  Capacities take ``math.log2`` on each
+    ``sweep`` runs over the altitude ``h``, from ``h >= 0``; its overlay
+    values are forward powers ``p_u``.  Each overlay is one array pass.
+    Its scenario is built and validated once, at the first altitude; the
+    other altitudes need no revalidation, since :class:`SweepSpec` keeps
+    every point finite and the start check keeps them >= 0.
+    :func:`rates.snrs_at` gives both SNRs over the whole altitude array,
+    with the float operations of the scalar :func:`rates.rate_report`.  Capacities take ``math.log2`` on each
     element, as ``rate_report`` does, not ``np.log2``, which can differ in
     the last bit.  Each row's ``scenario_hash`` splices its altitude into
     one per-overlay template.
@@ -221,8 +217,6 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     The destination capacity is provably decreasing in altitude; the runner
     asserts that on each overlay as a numerical self-check.
     """
-    if sweep.parameter != "h" or sweep.overlay_parameter != "p_u":
-        raise ConfigError("rate sweep expects parameter=h, overlay=p_u")
     if sweep.start < 0.0:
         raise ConfigError("altitude sweep must start at h >= 0")
     hs = sweep.points()
@@ -248,34 +242,25 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     return records
 
 
-def default_power_grid(scenario: Scenario, steps: int = 60) -> GridSpec:
-    """Forward-power grid up to the cap; jamming axis is a placeholder
-    (covertness sweeps substitute the overlay value)."""
-    return GridSpec.linear(p_u_stop=scenario.p_max, p_j_stop=scenario.p_max,
-                           p_u_steps=steps, p_j_steps=1)
-
-
 def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
-                         grid: GridSpec | None = None, seed: int = 0) -> list[dict]:
+                         p_u_values: tuple[float, ...], seed: int = 0) -> list[dict]:
     """Optimized covert rate over a covertness-slack grid.
 
-    For each (overlay p_j, epsilon) the forward power is re-optimized on
-    the grid's p_u axis with the altitude closed out analytically.
-    Infeasible points are recorded with feasible=false, never dropped.
-    Relaxing epsilon only enlarges the feasible set, so the runner asserts
-    the optimized rate is nondecreasing along each overlay.  Each row's
-    ``scenario_hash`` splices its epsilon into one per-overlay template.
+    ``sweep`` runs over ``epsilon``, inside (0, 1); its overlay values are
+    jamming powers ``p_j``.  For each (overlay p_j, epsilon) the forward
+    power is re-optimized over ``p_u_values`` (ascending, distinct, > 0)
+    with the altitude closed out analytically.  Infeasible points are
+    recorded with feasible=false, never dropped.  Relaxing epsilon only
+    enlarges the feasible set, so the runner asserts the optimized rate is
+    nondecreasing along each overlay.  Each row's ``scenario_hash`` splices
+    its epsilon into one per-overlay template.
     """
-    if sweep.parameter != "epsilon" or sweep.overlay_parameter != "p_j":
-        raise ConfigError("covertness sweep expects parameter=epsilon, overlay=p_j")
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
-    if grid is None:
-        grid = default_power_grid(scenario)
     epsilons = sweep.points().tolist()
     records = []
     for p_j in sorted(sweep.overlay_values):
-        point_grid = GridSpec(p_u_values=grid.p_u_values, p_j_values=(p_j,))
+        point_grid = GridSpec(p_u_values=p_u_values, p_j_values=(p_j,))
         rates = []
         hashes = _canonical_hashes(scenario.replace(p_j=p_j), "epsilon", epsilons)
         for eps, scenario_hash in zip(epsilons, hashes):

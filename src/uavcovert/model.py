@@ -110,7 +110,10 @@ class Scenario:
             value = raw[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"scenario field {key} must be a number, got {value!r}")
-            kwargs[attr] = decode(float(value))
+            try:
+                kwargs[attr] = decode(float(value))
+            except OverflowError as exc:
+                raise ConfigError(f"scenario field {key} overflows a float") from exc
         return cls(**kwargs)
 
     @classmethod
@@ -120,7 +123,7 @@ class Scenario:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or a too-long integer
             raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"scenario file {path} must hold a JSON object")

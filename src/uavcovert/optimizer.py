@@ -55,23 +55,16 @@ class GridSpec:
 
     @classmethod
     def linear(cls, p_u_stop: float, p_j_stop: float, p_u_steps: int = 50,
-               p_j_steps: int = 50, p_u_start: float | None = None,
-               p_j_start: float | None = None) -> "GridSpec":
-        """Evenly spaced grids ending at the given stops.
-
-        Starts default to stop/steps so the grid stays strictly positive.
-        """
+               p_j_steps: int = 50) -> "GridSpec":
+        """Evenly spaced grids from stop/steps up to the given stops, so the
+        grid stays strictly positive (one step is the stop alone)."""
         if p_u_steps < 1 or p_j_steps < 1:
             raise ConfigError("step counts must be positive")
-        if p_u_start is None:
-            p_u_start = p_u_stop / p_u_steps
-        if p_j_start is None:
-            p_j_start = p_j_stop / p_j_steps
-        p_u = (p_u_stop,) if p_u_steps == 1 else tuple(
-            float(v) for v in np.linspace(p_u_start, p_u_stop, p_u_steps))
-        p_j = (p_j_stop,) if p_j_steps == 1 else tuple(
-            float(v) for v in np.linspace(p_j_start, p_j_stop, p_j_steps))
-        return cls(p_u_values=p_u, p_j_values=p_j)
+
+        def axis(stop, steps):
+            return tuple(np.linspace(stop / steps, stop, steps).tolist())
+        return cls(p_u_values=axis(p_u_stop, p_u_steps),
+                   p_j_values=axis(p_j_stop, p_j_steps))
 
 
 @dataclass(frozen=True)

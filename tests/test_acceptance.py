@@ -37,8 +37,7 @@ def _ok(number: int, message: str) -> None:
 def test_c1_detection_closed_form_vs_monte_carlo(fig2):
     n_trials = 100_000
     started = time.perf_counter()
-    sweep = SweepSpec(parameter="gamma", start=0.0, stop=1.0, steps=50,
-                      overlay_parameter="p_u", overlay_values=(2.0, 3.0, 4.0))
+    sweep = SweepSpec(start=0.0, stop=1.0, steps=50, overlay_values=(2.0, 3.0, 4.0))
     records = run_detection_sweep(fig2, sweep, n_trials=n_trials, seed=1)
     elapsed = time.perf_counter() - started
     assert len(records) == 150
@@ -143,7 +142,7 @@ def test_c6_constraint_round_trips():
         c_s_ground = secrecy_rate_at_height(s, 0.0)
         if c_s_ground > 0.0 and security_done < 100:
             target = float(rng.uniform(0.1, 0.9)) * c_s_ground
-            h_prime = security_height_bound(s, r_s=target)
+            h_prime = security_height_bound(s.replace(r_s=target))
             if h_prime is not None and math.isfinite(h_prime):
                 assert abs(secrecy_rate_at_height(s, h_prime) - target) <= 1e-8
                 security_done += 1
@@ -154,20 +153,21 @@ def test_c6_constraint_round_trips():
 # 7. trend reproduction at the figure presets -----------------------------------
 
 def test_c7_trend_reproduction(fig3, fig4, fig5):
-    sweep3 = SweepSpec(parameter="h", start=0.0, stop=100.0, steps=26,
-                       overlay_parameter="p_u", overlay_values=(7.0, 8.0, 9.0))
+    sweep3 = SweepSpec(start=0.0, stop=100.0, steps=26,
+                       overlay_values=(7.0, 8.0, 9.0))
     records3 = run_rate_sweep(fig3, sweep3)
     _assert_trends(records3, y="c_s")
 
-    sweep4 = SweepSpec(parameter="h", start=0.0, stop=100.0, steps=26,
-                       overlay_parameter="p_u", overlay_values=(2.0, 3.0, 4.0))
+    sweep4 = SweepSpec(start=0.0, stop=100.0, steps=26,
+                       overlay_values=(2.0, 3.0, 4.0))
     records4 = run_rate_sweep(fig4, sweep4)
     _assert_trends(records4, y="r_b")
 
-    sweep5 = SweepSpec(parameter="epsilon", start=0.01, stop=0.02, steps=20,
-                       overlay_parameter="p_j", overlay_values=(5.0, 10.0, 15.0))
-    grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=60, p_j_steps=1)
-    records5 = run_covertness_sweep(fig5, sweep5, grid=grid, seed=7)
+    sweep5 = SweepSpec(start=0.01, stop=0.02, steps=20,
+                       overlay_values=(5.0, 10.0, 15.0))
+    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=60,
+                                 p_j_steps=1).p_u_values
+    records5 = run_covertness_sweep(fig5, sweep5, p_u_values, seed=7)
     assert all(r["feasible"] for r in records5)
     by_overlay = {p_j: sorted((r["epsilon"], r["r_b_star"]) for r in records5
                               if r["p_j"] == p_j)

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 
 import uavcovert
 
@@ -19,7 +21,7 @@ PUBLIC_API = {
 REMOVED = {
     "InfeasibleError", "total_error", "total_error_curve",
     "total_error_derivative", "snr_destination_expanded", "aux_coefficients",
-    "AuxCoefficients",
+    "AuxCoefficients", "default_power_grid", "SWEEPABLE", "_scan_heights",
 }
 
 # names kept inside their modules but not exported
@@ -34,6 +36,18 @@ def test_public_api_is_pinned():
     assert len(uavcovert.__all__) == len(set(uavcovert.__all__))
     assert set(uavcovert.__all__) == PUBLIC_API
     assert len(PUBLIC_API) <= 33
+
+
+def test_entry_points_take_only_the_inputs_callers_vary():
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+    assert [f.name for f in dataclasses.fields(uavcovert.SweepSpec)] == [
+        "start", "stop", "steps", "overlay_values"]
+    assert parameters(uavcovert.run_covertness_sweep) == [
+        "scenario", "sweep", "p_u_values", "seed"]
+    assert parameters(uavcovert.GridSpec.linear) == [
+        "p_u_stop", "p_j_stop", "p_u_steps", "p_j_steps"]
+    assert parameters(uavcovert.security_height_bound) == ["scenario"]
 
 
 def test_every_exported_name_resolves():

@@ -38,6 +38,28 @@ def test_unknown_scenario_field_exits_two(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["detect-sweep", "--trials", "10", "--steps", "2"], ["rate-sweep"],
+    ["covertness-sweep"], ["optimize"], ["validate"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("key, value", [("beta_db", 4000), ("d_a2_m2", 10 ** 400)],
+                         ids=["beta_db", "d_a2_m2"])
+def test_scenario_overflow_exits_two(tmp_path, capsys, command, key, value):
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw[key] = value  # json writes 10 ** 400 as a 401-digit integer literal
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    argv = command[:1] + ["--scenario", str(bad)] + command[1:]
+    if command[0] != "validate":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: scenario field {key} overflows a float\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_detect_sweep_writes_csv(tmp_path):
     out = tmp_path / "fig2.csv"
     code = main(["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"),

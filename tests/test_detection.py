@@ -167,7 +167,7 @@ def test_error_curve_out_of_range_is_numerical_error(fig2, tmp_path, monkeypatch
                         lambda g, *args: np.full(np.shape(g), 0.9))
     with pytest.raises(NumericalError):
         error_curve(fig2, [0.1, 0.2])
-    sweep = SweepSpec("gamma", 0.0, 1.0, 3, "p_u", (2.0,))
+    sweep = SweepSpec(0.0, 1.0, 3, (2.0,))
     with pytest.raises(NumericalError):
         run_detection_sweep(fig2, sweep, n_trials=10, seed=0)
     code = main(["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"),

@@ -24,8 +24,7 @@ from conftest import (
 
 
 def detection_sweep_spec(steps=8, overlays=(2.0, 3.0, 4.0)):
-    return SweepSpec(parameter="gamma", start=0.0, stop=1.0, steps=steps,
-                     overlay_parameter="p_u", overlay_values=overlays)
+    return SweepSpec(start=0.0, stop=1.0, steps=steps, overlay_values=overlays)
 
 
 # -- sweep spec --------------------------------------------------------------
@@ -34,25 +33,23 @@ def test_sweepspec_validation():
     good = detection_sweep_spec()
     assert len(good.points()) == 8
     with pytest.raises(ConfigError):
-        SweepSpec("gamma", 1.0, 0.0, 5, "p_u", (2.0,))
+        SweepSpec(1.0, 0.0, 5, (2.0,))
     with pytest.raises(ConfigError):
-        SweepSpec("gamma", 0.0, 1.0, 0, "p_u", (2.0,))
+        SweepSpec(0.0, 1.0, 0, (2.0,))
     with pytest.raises(ConfigError):
-        SweepSpec("gamma", 0.0, 1.0, 5, "p_u", (2.0, 2.0))
+        SweepSpec(0.0, 1.0, 5, (2.0, 2.0))
     with pytest.raises(ConfigError):
-        SweepSpec("gamma", 0.0, 1.0, 5, "gamma", (2.0,))
+        SweepSpec(0.0, 1.0, 5, ())
     with pytest.raises(ConfigError):
-        SweepSpec("voltage", 0.0, 1.0, 5, "p_u", (2.0,))
-    with pytest.raises(ConfigError):
-        SweepSpec("gamma", 0.0, 1.0, 1, "p_u", (2.0,))
+        SweepSpec(0.0, 1.0, 1, (2.0,))
     for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                         (0.0, math.nan), (math.inf, math.inf)):
         with pytest.raises(ConfigError):
-            SweepSpec("h", start, stop, 5, "p_u", (2.0,))
+            SweepSpec(start, stop, 5, (2.0,))
 
 
 def test_sweepspec_degenerate_single_point():
-    spec = SweepSpec("h", 50.0, 50.0, 1, "p_u", (7.0,))
+    spec = SweepSpec(50.0, 50.0, 1, (7.0,))
     assert list(spec.points()) == [50.0]
 
 
@@ -74,12 +71,6 @@ def test_detection_sweep_records(fig2):
         assert len(r["scenario_hash"]) == 16
 
 
-def test_detection_sweep_requires_gamma(fig2):
-    bad = SweepSpec("h", 0.0, 1.0, 4, "p_u", (2.0,))
-    with pytest.raises(ConfigError):
-        run_detection_sweep(fig2, bad, n_trials=10, seed=0)
-
-
 def test_detection_sweep_single_trial_degenerate(fig2):
     records = run_detection_sweep(fig2, detection_sweep_spec(steps=6),
                                   n_trials=1, seed=5)
@@ -97,8 +88,7 @@ def test_detection_sweep_deterministic_across_runs(fig2):
 # -- rate sweep --------------------------------------------------------------
 
 def rate_sweep_spec(overlays=(7.0, 8.0, 9.0), stop=100.0, steps=21):
-    return SweepSpec(parameter="h", start=0.0, stop=stop, steps=steps,
-                     overlay_parameter="p_u", overlay_values=overlays)
+    return SweepSpec(start=0.0, stop=stop, steps=steps, overlay_values=overlays)
 
 
 def test_rate_sweep_records(fig3):
@@ -114,7 +104,7 @@ def test_rate_sweep_records(fig3):
 
 
 def test_rate_sweep_single_point(fig3):
-    spec = SweepSpec("h", 40.0, 40.0, 1, "p_u", (7.0,))
+    spec = SweepSpec(40.0, 40.0, 1, (7.0,))
     records = run_rate_sweep(fig3, spec)
     assert len(records) == 1
     assert records[0]["h"] == 40.0
@@ -139,7 +129,7 @@ def test_rate_sweep_matches_per_row_oracle_on_random_sweeps():
         overlays = tuple(float(v) for v in rng.choice(
             np.linspace(1.0, 30.0, 59), size=int(rng.integers(1, 5)),
             replace=False))
-        spec = SweepSpec("h", start, stop, steps, "p_u", overlays)
+        spec = SweepSpec(start, stop, steps, overlays)
         seed = int(rng.integers(0, 2**31))
         records = run_rate_sweep(scenario, spec, seed=seed)
         assert_same_records(records, per_row_rate_oracle(scenario, spec, seed=seed))
@@ -158,7 +148,7 @@ def test_rate_sweep_matches_per_row_oracle_on_random_sweeps():
 ])
 def test_rate_sweep_matches_per_row_oracle_on_edges(fig3, fig4, start, stop, steps):
     for scenario, overlays in ((fig3, (9.0, 7.0, 8.0)), (fig4, (2.0,))):
-        spec = SweepSpec("h", start, stop, steps, "p_u", overlays)
+        spec = SweepSpec(start, stop, steps, overlays)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records = run_rate_sweep(scenario, spec, seed=5)
@@ -191,22 +181,21 @@ def test_rate_sweep_self_check_catches_rising_capacity(fig3, monkeypatch, tmp_pa
     assert not out.exists()
 
 
-def test_rate_sweep_requires_h_overlay_pu(fig3):
-    bad = SweepSpec("epsilon", 0.01, 0.2, 4, "p_u", (7.0,))
-    with pytest.raises(ConfigError):
-        run_rate_sweep(fig3, bad)
+def test_rate_sweep_rejects_negative_altitude(fig3):
+    with pytest.raises(ConfigError, match="h >= 0"):
+        run_rate_sweep(fig3, SweepSpec(-1.0, 10.0, 4, (7.0,)))
 
 
 # -- covertness sweep --------------------------------------------------------
 
 def covertness_sweep_spec(steps=4, overlays=(5.0, 10.0, 15.0)):
-    return SweepSpec(parameter="epsilon", start=0.01, stop=0.02, steps=steps,
-                     overlay_parameter="p_j", overlay_values=overlays)
+    return SweepSpec(start=0.01, stop=0.02, steps=steps, overlay_values=overlays)
 
 
 def test_covertness_sweep_records(fig5):
-    grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=15, p_j_steps=1)
-    records = run_covertness_sweep(fig5, covertness_sweep_spec(), grid=grid,
+    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=15,
+                                 p_j_steps=1).p_u_values
+    records = run_covertness_sweep(fig5, covertness_sweep_spec(), p_u_values,
                                    seed=2)
     assert len(records) == 12
     assert all(r["feasible"] for r in records)
@@ -225,9 +214,8 @@ def test_covertness_sweep_records(fig5):
 def test_covertness_sweep_records_infeasible_rows(fig4):
     # pinned to the infeasible base forward power: every point reports
     # feasible=false instead of being dropped
-    grid = GridSpec(p_u_values=(fig4.p_u,), p_j_values=(fig4.p_j,))
-    spec = SweepSpec("epsilon", 0.01, 0.02, 3, "p_j", (fig4.p_j,))
-    records = run_covertness_sweep(fig4, spec, grid=grid, seed=2)
+    spec = SweepSpec(0.01, 0.02, 3, (fig4.p_j,))
+    records = run_covertness_sweep(fig4, spec, (fig4.p_u,), seed=2)
     assert len(records) == 3
     assert all(not r["feasible"] for r in records)
     assert all(math.isnan(r["r_b_star"]) for r in records)
@@ -236,25 +224,31 @@ def test_covertness_sweep_records_infeasible_rows(fig4):
 def test_covertness_sweep_tight_epsilon_infeasible(fig5):
     # covertness so tight that the required altitude overshoots the
     # security ceiling even at the power cap
-    grid = GridSpec(p_u_values=(fig5.p_max,), p_j_values=(5.0,))
-    spec = SweepSpec("epsilon", 0.0005, 0.0006, 2, "p_j", (5.0,))
-    records = run_covertness_sweep(fig5, spec, grid=grid)
+    spec = SweepSpec(0.0005, 0.0006, 2, (5.0,))
+    records = run_covertness_sweep(fig5, spec, (fig5.p_max,))
     assert len(records) == 2
     assert not any(r["feasible"] for r in records)
 
 
 def test_covertness_sweep_single_epsilon(fig5):
-    spec = SweepSpec("epsilon", 0.015, 0.015, 1, "p_j", (5.0, 10.0))
-    grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=8, p_j_steps=1)
-    records = run_covertness_sweep(fig5, spec, grid=grid)
+    spec = SweepSpec(0.015, 0.015, 1, (5.0, 10.0))
+    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=8,
+                                 p_j_steps=1).p_u_values
+    records = run_covertness_sweep(fig5, spec, p_u_values)
     assert [(r["p_j"], r["epsilon"]) for r in records] == [
         (5.0, 0.015), (10.0, 0.015)]
 
 
-def test_covertness_sweep_requires_epsilon_overlay_pj(fig5):
-    bad = SweepSpec("epsilon", 0.01, 0.02, 3, "p_u", (5.0,))
-    with pytest.raises(ConfigError):
-        run_covertness_sweep(fig5, bad)
+@pytest.mark.parametrize("start, stop", [(0.0, 0.02), (0.5, 1.0), (-0.1, 0.5)])
+def test_covertness_sweep_rejects_epsilon_outside_unit_interval(fig5, start, stop):
+    with pytest.raises(ConfigError, match=r"inside \(0, 1\)"):
+        run_covertness_sweep(fig5, SweepSpec(start, stop, 3, (5.0,)), (fig5.p_max,))
+
+
+@pytest.mark.parametrize("p_u_values", [(), (0.0, 1.0), (2.0, 1.0), (1.0, math.inf)])
+def test_covertness_sweep_validates_power_grid(fig5, p_u_values):
+    with pytest.raises(ConfigError, match="p_u_values"):
+        run_covertness_sweep(fig5, covertness_sweep_spec(steps=2), p_u_values)
 
 
 # -- CSV rendering -----------------------------------------------------------
@@ -286,6 +280,11 @@ class FreshFloats:
 class Tenths(float):
     def __repr__(self):
         return f"Tenths({float(self) * 10.0!r})"
+
+
+class Shouting(str):
+    def __str__(self):
+        return self.upper()
 
 
 def _render_cases() -> dict:
@@ -325,6 +324,10 @@ def _render_cases() -> dict:
               "d": i % 3 == 0, "e": f"h{i // 50}", "f": 7}
              for i in range(2 * experiments._BLOCK_ROWS + 3)],
             ("a", "b", "c", "d", "e", "f", "c")),
+        "str-subclass": (
+            [{"a": v, "b": "x", "c": f"r{i}"}
+             for i, v in enumerate(("p", Shouting("q"), "q", Shouting("p")))],
+            ("a", "b", "c", "a")),
         "zero-records": ([], ("a", "b")),
         "one-record": ([{"a": -0.0, "b": True, "c": "s", "d": 3}], ("a", "b", "c", "d")),
         "fresh-floats": ([FreshFloats(i) for i in range(20)], ("a", "bb", "ccc")),

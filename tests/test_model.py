@@ -166,6 +166,18 @@ def test_scenario_rejects_unknown_and_missing_fields():
         Scenario.from_dict(raw)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("beta_db", 4000), ("sigma_w2_dbw", 3100.0), ("d_a2_m2", 10 ** 400),
+], ids=["beta_db", "sigma_w2_dbw", "d_a2_m2"])
+def test_scenario_field_overflow_is_config_error(key, value):
+    # 10 ** (4000 / 10) overflows a float in db_to_linear; an integer
+    # literal of 401 digits overflows float() itself
+    raw = _valid_raw()
+    raw[key] = value
+    with pytest.raises(ConfigError, match=f"scenario field {key} overflows"):
+        Scenario.from_dict(raw)
+
+
 def test_scenario_file_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError):
@@ -173,6 +185,12 @@ def test_scenario_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     with pytest.raises(ConfigError):
+        Scenario.from_file(bad)
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        Scenario.from_file(bad)
+    bad.write_text('{"h_m": 1' + "0" * 5000 + "}")  # over int's digit limit
+    with pytest.raises(ConfigError, match="not valid JSON"):
         Scenario.from_file(bad)
 
 

@@ -320,10 +320,10 @@ def test_uncertain_point_keeps_its_numerical_error(fig5, monkeypatch):
 
     solve = uavcovert.constraints.security_height_bound
 
-    def not_an_interval(scenario, *args, **kwargs):
+    def not_an_interval(scenario):
         if scenario.p_u == 10.0:
             raise NumericalError("secrecy rate re-crosses the threshold")
-        return solve(scenario, *args, **kwargs)
+        return solve(scenario)
     monkeypatch.setattr(uavcovert.constraints, "security_height_bound",
                         not_an_interval)
     with pytest.raises(NumericalError):
