@@ -5,10 +5,15 @@ probability vs threshold), rate-sweep (rates vs altitude), covertness-sweep
 (optimized rate vs covertness slack), optimize (single grid search), and
 validate (closed form vs Monte Carlo).  Exit codes: 0 success, 2 config
 error, 3 infeasible, 4 numerical failure.
+
+:func:`main` may be called repeatedly in one process.  It builds its
+parser once, on the first call, not at import; every call parses into a
+fresh namespace.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, NumericalError
@@ -39,6 +44,7 @@ def _add_common(sub, default_out: str) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master seed (non-negative)")
 
 
+@functools.cache  # parse_args never mutates the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uavcovert",

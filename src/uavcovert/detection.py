@@ -25,7 +25,8 @@ _ZETA_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DetectionPoint:
-    """(threshold, P_FA, P_MD, total error) at one operating point."""
+    """(threshold, P_FA, P_MD, total error) at one operating point; raises
+    :class:`NumericalError`, as :func:`error_curve` does, out of range."""
 
     gamma: float
     p_fa: float
@@ -34,10 +35,11 @@ class DetectionPoint:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_fa <= 1.0 and 0.0 <= self.p_md <= 1.0):
-            raise ValueError(f"probabilities out of range: {self.p_fa!r}, {self.p_md!r}")
+            raise NumericalError(
+                f"probabilities out of range: {self.p_fa!r}, {self.p_md!r}")
         zeta = self.p_fa + self.p_md
         if zeta > 1.0 + _ZETA_SLACK:
-            raise ValueError(f"total error {zeta!r} exceeds 1")
+            raise NumericalError(f"total error {zeta!r} exceeds 1")
         object.__setattr__(self, "zeta", zeta)
 
 

@@ -14,8 +14,8 @@ Carlo stays per point), with capacities by ``math.log2`` on each element,
 since ``np.log2`` can round the last bit differently and so change the CSV
 bytes; array values reach the records as floats via ``.tolist()``.  The
 CSV is rendered in blocks of rows, each block a column at a time with a
-repeated cell object rendered once; the bytes are those of rendering each
-cell on its own.
+repeated cell object rendered once (a one-row block cell by cell); the
+bytes are those of rendering each cell on its own.
 """
 from __future__ import annotations
 
@@ -129,8 +129,14 @@ def _render_block(records: list[dict], columns: tuple[str, ...]):
     identity, not value (``0.0 == -0.0``, ``True == 1 == 1.0``,
     ``nan != nan``).  ``starts`` holds every column's objects while the
     block renders, so no ``id`` that ``texts`` or ``starts`` keys on can be
-    reused by a new object meanwhile.
+    reused by a new object meanwhile.  A one-record block (every
+    ``optimize`` CSV) skips that bookkeeping, which costs more than it
+    saves on one row, and renders each cell straight through
+    :func:`_render_cell`.
     """
+    if len(records) == 1:
+        (record,) = records
+        return [",".join([_render_cell(record[column]) for column in columns])]
     texts = {}    # id(object) -> its cell
     starts = {}   # id(first object) -> [(objects, cells)] of earlier columns
     table = []
@@ -308,9 +314,16 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     two symbol-level bands are three standard errors, floored at 1%:
     |x_u|^2 is Exp(1), so its mean has relative error 1/sqrt(n_symbols);
     the SNR is a ratio of two independent exponential means, sqrt(2/n).
+    Raises :class:`NumericalError`, before any Monte Carlo, if the
+    closed-form destination SNR is not positive (it underflows to 0 at
+    extreme powers), since the SNR gap is relative to it.
     """
     if gamma_points < 1:
         raise ConfigError(f"gamma_points must be >= 1, got {gamma_points}")
+    closed_snr = rate_report(scenario).gamma_b
+    if not closed_snr > 0.0:
+        raise NumericalError(
+            f"closed-form destination SNR {closed_snr!r} is not positive")
     checks = []
 
     opt = optimal_detection(scenario)
@@ -337,7 +350,6 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
         passed=power_gap <= max(0.01, 3.0 / math.sqrt(n_symbols)),
         detail=f"mean |x_u|^2 = {est.forwarded_power:.6f}"))
 
-    closed_snr = rate_report(scenario).gamma_b
     rel_gap = abs(est.snr - closed_snr) / closed_snr
     checks.append(ValidationCheck(
         name="destination_snr_mc_vs_closed",

@@ -1,5 +1,9 @@
+import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -12,13 +16,74 @@ from conftest import PRESETS, reference_render_csv
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
+def _optimize_argv(out, *extra):
+    return ["optimize", "--scenario", str(SCENARIOS / "fig5.json"), "--out", str(out),
+            "--pu-steps", "4", "--pj-steps", "4", *extra]
+
+
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    assert "detect-sweep" in capsys.readouterr().out
+    # twice, so the second call runs on the parser the first one built
+    texts = []
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "detect-sweep" in texts[0]
 
 
-def test_usage_error_exits_two():
+def test_usage_error_exits_two(tmp_path, capsys):
+    assert main(_optimize_argv(tmp_path / "opt.csv")) == 0
+    capsys.readouterr()
     assert main(["no-such-command"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    assert main(_optimize_argv(tmp_path / "a.csv")) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(_optimize_argv(tmp_path / "b.csv")) == 0
+    assert main(["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"),
+                 "--out", str(tmp_path / "c.csv"), "--steps", "3"]) == 0
+    assert built == []
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    with monkeypatch.context() as m:
+        # the uncached builder: a fresh parser for this call alone
+        m.setattr(uavcovert.cli, "build_parser", uavcovert.cli.build_parser.__wrapped__)
+        assert main(_optimize_argv(tmp_path / "fresh.csv")) == 0
+    fresh_out = capsys.readouterr()
+    assert main(_optimize_argv(tmp_path / "capped.csv", "--pu-max", "10",
+                               "--pj-max", "10")) == 0
+    capsys.readouterr()
+    assert main(_optimize_argv(tmp_path / "plain.csv")) == 0
+    assert capsys.readouterr() == fresh_out
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "capped.csv").read_bytes() != (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import uavcovert.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "0\n"
 
 
 def test_missing_scenario_file_exits_two(tmp_path, capsys):
@@ -157,6 +222,22 @@ def test_validate_symbol_bands_scale_with_sample_size(capsys, preset):
     out = capsys.readouterr().out
     assert code == 0, out
     assert out.count("PASS") == 3 and "FAIL" not in out
+
+
+def test_validate_underflowing_destination_snr_exits_four(tmp_path, capsys):
+    # at p_a = 5e-324 the closed-form gamma_b underflows to 0, the base of
+    # the relative SNR gap
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw["p_a_w"] = 5e-324
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(raw))
+    code = main(["validate", "--scenario", str(tiny), "--trials", "1000",
+                 "--symbols", "1000"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: closed-form destination SNR 0.0 "
+                            "is not positive\n")
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -307,9 +307,9 @@ def test_simulate_detection_footprint(fig2):
 
 
 def test_detection_point_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         DetectionPoint(gamma=0.1, p_fa=1.2, p_md=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         DetectionPoint(gamma=0.1, p_fa=0.9, p_md=0.9)
     point = DetectionPoint(gamma=0.1, p_fa=0.25, p_md=0.5)
     assert point.zeta == 0.75

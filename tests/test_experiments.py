@@ -330,6 +330,10 @@ def _render_cases() -> dict:
             ("a", "b", "c", "a")),
         "zero-records": ([], ("a", "b")),
         "one-record": ([{"a": -0.0, "b": True, "c": "s", "d": 3}], ("a", "b", "c", "d")),
+        "one-record-last-block": (
+            [{"a": 0.5 * i, "b": i % 2 == 0, "c": shared, "d": 1}
+             for i in range(experiments._BLOCK_ROWS + 1)],
+            ("a", "b", "c", "d", "c")),
         "fresh-floats": ([FreshFloats(i) for i in range(20)], ("a", "bb", "ccc")),
         "fresh-floats-with-ints": (
             [FreshFloats(i) for i in range(20)] + [{"a": 1, "bb": 2, "ccc": 3}],
