@@ -20,9 +20,7 @@ from .detection import (
 )
 from .rates import (
     DestinationSnrEstimate,
-    RateReport,
     capacity,
-    rate_report,
     simulate_destination_snr,
 )
 from .constraints import (
@@ -57,7 +55,6 @@ __all__ = [
     "NumericalError",
     "OptimalDetection",
     "OptimizationResult",
-    "RateReport",
     "Scenario",
     "SweepSpec",
     "ValidationCheck",
@@ -70,7 +67,6 @@ __all__ = [
     "los_gain_squared",
     "maximize_covert_rate",
     "optimal_detection",
-    "rate_report",
     "relay_scaling",
     "render_csv",
     "run_covertness_sweep",

@@ -106,38 +106,43 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _cmd_detect_sweep(args) -> int:
+def _scenario_and_sweep(args) -> tuple[Scenario, SweepSpec]:
     scenario = Scenario.from_file(args.scenario)
-    sweep = SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
-                      overlay_values=_parse_values(args.overlay_values))
-    records = run_detection_sweep(scenario, sweep, n_trials=args.trials,
-                                  seed=_check_seed(args.seed))
-    write_csv(args.out, records, DETECTION_COLUMNS)
-    print(f"wrote {len(records)} rows to {args.out}")
+    return scenario, SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
+                               overlay_values=_parse_values(args.overlay_values))
+
+
+def _rows(sweep: SweepSpec) -> int:
+    """Rows a sweep runner writes: one per (overlay, swept point)."""
+    return sweep.steps * len(sweep.overlay_values)
+
+
+def _cmd_detect_sweep(args) -> int:
+    scenario, sweep = _scenario_and_sweep(args)
+    blocks = run_detection_sweep(scenario, sweep, n_trials=args.trials,
+                                 seed=_check_seed(args.seed))
+    write_csv(args.out, blocks, DETECTION_COLUMNS)
+    print(f"wrote {_rows(sweep)} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_rate_sweep(args) -> int:
-    scenario = Scenario.from_file(args.scenario)
-    sweep = SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
-                      overlay_values=_parse_values(args.overlay_values))
-    records = run_rate_sweep(scenario, sweep, seed=_check_seed(args.seed))
-    write_csv(args.out, records, RATE_COLUMNS)
-    print(f"wrote {len(records)} rows to {args.out}")
+    scenario, sweep = _scenario_and_sweep(args)
+    blocks = run_rate_sweep(scenario, sweep, seed=_check_seed(args.seed))
+    write_csv(args.out, blocks, RATE_COLUMNS)
+    print(f"wrote {_rows(sweep)} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_covertness_sweep(args) -> int:
-    scenario = Scenario.from_file(args.scenario)
-    sweep = SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
-                      overlay_values=_parse_values(args.overlay_values))
+    scenario, sweep = _scenario_and_sweep(args)
     p_u_values = GridSpec.linear(scenario.p_max, scenario.p_max,
                                  p_u_steps=args.pu_steps, p_j_steps=1).p_u_values
-    records = run_covertness_sweep(scenario, sweep, p_u_values,
-                                   seed=_check_seed(args.seed))
-    write_csv(args.out, records, COVERTNESS_COLUMNS)
-    n_infeasible = sum(1 for r in records if not r["feasible"])
-    print(f"wrote {len(records)} rows to {args.out} ({n_infeasible} infeasible)")
+    blocks = run_covertness_sweep(scenario, sweep, p_u_values,
+                                  seed=_check_seed(args.seed))
+    write_csv(args.out, blocks, COVERTNESS_COLUMNS)
+    n_infeasible = sum(not f for block in blocks for f in block["feasible"])
+    print(f"wrote {_rows(sweep)} rows to {args.out} ({n_infeasible} infeasible)")
     return EXIT_OK
 
 

@@ -5,31 +5,32 @@ with closed-form and Monte Carlo error curves, an altitude sweep of the
 rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Each runner's protocol fixes which field it sweeps and which it
 overlays; a :class:`SweepSpec` holds only the range and the overlay
-values.  Records are plain dicts in a fixed column order; floats render
-with repr so the CSV round-trips exactly and is byte-deterministic for a
-fixed (scenario, seed, trials) on one platform.  Each runner is one serial
-loop over its sorted overlays with the swept points inside.  The detection
-and rate sweeps take each overlay's closed forms in one array pass (Monte
-Carlo stays per point), with capacities by ``math.log2`` on each element,
-since ``np.log2`` can round the last bit differently and so change the CSV
-bytes; array values reach the records as floats via ``.tolist()``.  The
-CSV is rendered in blocks of rows, each block a column at a time with a
-repeated cell object rendered once (a one-row block cell by cell); the
-bytes are those of rendering each cell on its own.
+values.  Each runner is one serial loop over its sorted overlays and
+returns one column block per overlay: a dict in a fixed column order that
+maps a column to a list of one value per swept point, or to one value
+shared by the block's rows.  The swept points are one list object shared
+by every block.  The detection and rate sweeps take each overlay's closed
+forms in one array pass (Monte Carlo stays per point), with capacities by
+``math.log2`` on each element, since ``np.log2`` can round the last bit
+differently and so change the CSV bytes; array values reach the blocks as
+floats via ``.tolist()``.  :func:`render_csv` renders each distinct list
+once and each shared value once per block; floats render with repr, so
+the CSV round-trips exactly and is byte-deterministic for a fixed
+(scenario, seed, trials) on one platform.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from itertools import repeat
-from operator import is_
+from operator import sub
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import Scenario, _canonical_hashes
 from .detection import error_curve, optimal_detection, simulate_detection
-from .rates import capacity, rate_report, simulate_destination_snr, snrs_at
+from .rates import simulate_destination_snr, snrs_at
 from .optimizer import GridSpec, maximize_covert_rate
 
 _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
@@ -99,77 +100,59 @@ def _render_cell(value) -> str:
     return str(value)
 
 
-_BLOCK_ROWS = 256  # rows per column pass: bounds the cells alive at once
+def _render_list(values: list) -> list[str]:
+    if set(map(type, values)) <= {float}:
+        return list(map(float.__repr__, values))
+    return list(map(_render_cell, values))
 
 
-def render_csv(records: list[dict], columns: tuple[str, ...]) -> str:
-    """Header plus one comma-joined line per record, LF newlines.
+def render_csv(blocks: list[dict], columns: tuple[str, ...]) -> str:
+    """Header plus one comma-joined line per row, LF newlines.
 
-    Renders blocks of up to ``_BLOCK_ROWS`` records a column at a time, so
-    a CSV holds no more memory than a row-at-a-time loop's lines plus one
-    block's cells.
+    Each block maps every column to a ``list`` (exactly that type) of one
+    value per row, or to one value shared by all its rows; a block with no
+    list is one row, so a plain record is a block.  A block's lists must be
+    equally long (``ValueError`` otherwise).  A list is rendered once,
+    however many columns or consecutive blocks hold it (matched by
+    identity, which the renderer pins by holding the list), and its cells
+    are dropped once a block no longer holds it; a shared value is
+    rendered once per block.  Every cell is :func:`_render_cell` of its
+    value, so the text is what rendering each row on its own writes.
     """
     lines = [",".join(columns)]
-    for start in range(0, len(records), _BLOCK_ROWS):
-        lines.extend(_render_block(records[start:start + _BLOCK_ROWS], columns))
+    rendered = {}  # id(list) -> (list, its cells), for the previous block's lists
+    for block in blocks:
+        if list not in map(type, block.values()):
+            lines.append(",".join([_render_cell(block[column]) for column in columns]))
+            continue
+        lengths = {len(value) for value in block.values() if type(value) is list}
+        if len(lengths) > 1:
+            raise ValueError(f"a block's lists differ in length: {sorted(lengths)}")
+        (rows,) = lengths
+        held, table, shared = {}, [], []
+        for column in columns:
+            value = block[column]
+            if type(value) is not list:
+                shared.append(_render_cell(value))
+                continue
+            if shared:
+                table.append(repeat(",".join(shared), rows))
+                shared = []
+            key = id(value)
+            entry = held.get(key) or rendered.get(key) or (value, _render_list(value))
+            held[key] = entry
+            table.append(entry[1])
+        if shared:
+            table.append(repeat(",".join(shared), rows))
+        lines.extend(map(",".join, zip(*table)))
+        rendered = held
     return "\n".join(lines) + "\n"
 
 
-def _render_block(records: list[dict], columns: tuple[str, ...]):
-    """The lines of a nonempty run of records, each distinct cell object
-    rendered once.
-
-    A column holding an earlier column's objects in the same order reuses
-    that column's cells; a column holding one object in every row is one
-    cell, repeated; a column of exact floats goes straight through
-    ``float.__repr__``; a column of exact strs is its own cells; any other
-    column renders each object it has not met before and looks up the
-    rest.  Every cell is thus :func:`_render_cell` of its own object, and
-    the text is what a row-at-a-time loop writes.  Objects are matched by
-    identity, not value (``0.0 == -0.0``, ``True == 1 == 1.0``,
-    ``nan != nan``).  ``starts`` holds every column's objects while the
-    block renders, so no ``id`` that ``texts`` or ``starts`` keys on can be
-    reused by a new object meanwhile.  A one-record block (every
-    ``optimize`` CSV) skips that bookkeeping, which costs more than it
-    saves on one row, and renders each cell straight through
-    :func:`_render_cell`.
-    """
-    if len(records) == 1:
-        (record,) = records
-        return [",".join([_render_cell(record[column]) for column in columns])]
-    texts = {}    # id(object) -> its cell
-    starts = {}   # id(first object) -> [(objects, cells)] of earlier columns
-    table = []
-    for column in columns:
-        values = [record[column] for record in records]
-        first = values[0]
-        for earlier, earlier_cells in starts.get(id(first), ()):
-            if all(map(is_, values, earlier)):
-                cells = earlier_cells
-                break
-        else:
-            if all(map(is_, values, repeat(first))):
-                if id(first) not in texts:
-                    texts[id(first)] = _render_cell(first)
-                cells = [texts[id(first)]] * len(values)
-            elif all(type(value) is float for value in values):
-                cells = list(map(float.__repr__, values))
-            elif all(type(value) is str for value in values):
-                cells = values  # an exact str is its own cell
-            else:
-                for value in values:
-                    if id(value) not in texts:
-                        texts[id(value)] = _render_cell(value)
-                cells = [texts[id(value)] for value in values]
-            starts.setdefault(id(first), []).append((values, cells))
-        table.append(cells)
-    return map(",".join, zip(*table))
-
-
-def write_csv(path, records: list[dict], columns: tuple[str, ...]) -> None:
+def write_csv(path, blocks: list[dict], columns: tuple[str, ...]) -> None:
     """Render and encode first, then write, so a render that raises leaves
     ``path`` as it was."""
-    data = render_csv(records, columns).encode("ascii")
+    data = render_csv(blocks, columns).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -179,46 +162,51 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
     """Closed-form and Monte Carlo error curves over a threshold grid.
 
     ``sweep`` runs over the threshold ``gamma``; its overlay values are
-    forward powers ``p_u``.  One record per (overlay p_u, gamma), sorted by
-    (overlay, gamma), with each overlay's closed-form columns from one
-    :func:`error_curve` call.  The Monte Carlo stream of each point derives
-    from (seed, overlay index, point index), so a point's draws do not
-    depend on the other points.
+    forward powers ``p_u``.  One block per overlay p_u, in ascending order,
+    each with one row per gamma: the ``gamma`` list (one object shared by
+    every block), the closed-form columns of one :func:`error_curve` call,
+    and the per-point Monte Carlo columns.  The Monte Carlo stream of each
+    point derives from (seed, overlay index, point index), so a point's
+    draws do not depend on the other points.
     """
     gammas = sweep.points()
-    records = []
+    gamma_values = gammas.tolist()
+    blocks = []
     for oi, p_u in enumerate(sorted(sweep.overlay_values)):
         sc = scenario.replace(p_u=p_u)
         optimum = optimal_detection(sc)
-        scenario_hash = sc.canonical_hash()
         p_fa, p_md, zeta = (column.tolist() for column in error_curve(sc, gammas))
-        for gi, gamma in enumerate(gammas.tolist()):
-            point_seed = np.random.SeedSequence(entropy=[int(seed), oi, gi])
-            mc = simulate_detection(sc, gamma, n_trials, seed=point_seed)
-            record = scenario_columns(sc)
-            record.update(
-                gamma=gamma, p_fa=p_fa[gi], p_md=p_md[gi], zeta=zeta[gi],
-                p_fa_mc=mc.p_fa, p_md_mc=mc.p_md, zeta_mc=mc.zeta,
-                gamma_star=optimum.gamma_star, zeta_star=optimum.zeta_star,
-                n_trials=int(n_trials), seed=int(seed), scenario_hash=scenario_hash,
-            )
-            records.append(record)
-    return records
+        points = [simulate_detection(
+                      sc, gamma, n_trials,
+                      seed=np.random.SeedSequence(entropy=[int(seed), oi, gi]))
+                  for gi, gamma in enumerate(gamma_values)]
+        block = scenario_columns(sc)
+        block.update(
+            gamma=gamma_values, p_fa=p_fa, p_md=p_md, zeta=zeta,
+            p_fa_mc=[mc.p_fa for mc in points], p_md_mc=[mc.p_md for mc in points],
+            zeta_mc=[mc.zeta for mc in points],
+            gamma_star=optimum.gamma_star, zeta_star=optimum.zeta_star,
+            n_trials=int(n_trials), seed=int(seed), scenario_hash=sc.canonical_hash(),
+        )
+        blocks.append(block)
+    return blocks
 
 
 def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[dict]:
     """Rate chain over an altitude grid with forward-power overlays.
 
     ``sweep`` runs over the altitude ``h``, from ``h >= 0``; its overlay
-    values are forward powers ``p_u``.  Each overlay is one array pass.
-    Its scenario is built and validated once, at the first altitude; the
-    other altitudes need no revalidation, since :class:`SweepSpec` keeps
-    every point finite and the start check keeps them >= 0.
-    :func:`rates.snrs_at` gives both SNRs over the whole altitude array,
-    with the float operations of the scalar :func:`rates.rate_report`.  Capacities take ``math.log2`` on each
-    element, as ``rate_report`` does, not ``np.log2``, which can differ in
-    the last bit.  Each row's ``scenario_hash`` splices its altitude into
-    one per-overlay template.
+    values are forward powers ``p_u``.  One block per overlay p_u, in
+    ascending order, each one array pass: the ``h`` list (one object shared
+    by every block), the SNR and capacity lists, with ``r_b`` the ``c_b``
+    list itself, and a ``scenario_hash`` list that splices each altitude's
+    ``repr`` (taken once per sweep) into one per-overlay template.  Each
+    overlay's scenario is built and validated once, at the first altitude;
+    the other altitudes need no revalidation, since :class:`SweepSpec`
+    keeps every point finite and the start check keeps them >= 0.
+    :func:`rates.snrs_at` gives both SNRs over the whole altitude array.
+    Capacities take ``math.log2`` on each element, not ``np.log2``, which
+    can differ in the last bit.
 
     The destination capacity is provably decreasing in altitude; the runner
     asserts that on each overlay as a numerical self-check.
@@ -227,25 +215,28 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
         raise ConfigError("altitude sweep must start at h >= 0")
     hs = sweep.points()
     h_values = hs.tolist()
-    seed = int(seed)
-    records = []
+    h_cells = list(map(float.__repr__, h_values))
+    blocks = []
     for p_u in sorted(sweep.overlay_values):
         sc = scenario.replace(p_u=p_u, h=h_values[0])
         with np.errstate(over="ignore"):  # h*h overflows to inf, as for floats
             gamma_u, gamma_b = snrs_at(sc, sc.p_u, sc.p_j, hs)
-        base = scenario_columns(sc)
-        c_b = []
-        for h, g_u, g_b, digest in zip(h_values, gamma_u.tolist(), gamma_b.tolist(),
-                                       _canonical_hashes(sc, "h", h_values)):
-            c_u, c_b_h = capacity(g_u), capacity(g_b)
-            records.append(dict(
-                base, h=h, gamma_u=g_u, gamma_b=g_b, c_u=c_u, c_b=c_b_h,
-                c_s=c_b_h - c_u, r_b=c_b_h, seed=seed, scenario_hash=digest))
-            c_b.append(c_b_h)
+        c_u = list(map(math.log2, (1.0 + gamma_u).tolist()))
+        c_b = list(map(math.log2, (1.0 + gamma_b).tolist()))
         if any(b > a + _MONOTONE_SLACK for a, b in zip(c_b, c_b[1:])):
             raise NumericalError(
                 f"destination capacity not decreasing in h at p_u={p_u}")
-    return records
+        block = scenario_columns(sc)
+        block.update(
+            h=h_values, gamma_u=gamma_u.tolist(), gamma_b=gamma_b.tolist(),
+            c_u=c_u, c_b=c_b, c_s=list(map(sub, c_b, c_u)), r_b=c_b,
+            seed=int(seed), scenario_hash=_canonical_hashes(sc, "h", h_cells))
+        blocks.append(block)
+    return blocks
+
+
+_RESULT_COLUMNS = ("feasible", "h_max", "p_u_star", "p_j_star", "h_star",
+                   "r_b_star", "c_s_star")
 
 
 def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
@@ -255,38 +246,37 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     ``sweep`` runs over ``epsilon``, inside (0, 1); its overlay values are
     jamming powers ``p_j``.  For each (overlay p_j, epsilon) the forward
     power is re-optimized over ``p_u_values`` (ascending, distinct, > 0)
-    with the altitude closed out analytically.  Infeasible points are
-    recorded with feasible=false, never dropped.  Relaxing epsilon only
-    enlarges the feasible set, so the runner asserts the optimized rate is
-    nondecreasing along each overlay.  Each row's ``scenario_hash`` splices
-    its epsilon into one per-overlay template.
+    with the altitude closed out analytically.  One block per overlay p_j,
+    in ascending order: the ``epsilon`` list (one object shared by every
+    block) and one list per result field, with ``h_min`` the ``h_star``
+    list itself.  Infeasible points are recorded with feasible=false, never
+    dropped.  Relaxing epsilon only enlarges the feasible set, so the
+    runner asserts the optimized rate is nondecreasing along each overlay.
+    The ``scenario_hash`` list splices each epsilon's ``repr`` (taken once
+    per sweep) into one per-overlay template.
     """
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
     epsilons = sweep.points().tolist()
-    records = []
+    epsilon_cells = list(map(float.__repr__, epsilons))
+    blocks = []
     for p_j in sorted(sweep.overlay_values):
         point_grid = GridSpec(p_u_values=p_u_values, p_j_values=(p_j,))
-        rates = []
-        hashes = _canonical_hashes(scenario.replace(p_j=p_j), "epsilon", epsilons)
-        for eps, scenario_hash in zip(epsilons, hashes):
-            sc = scenario.replace(p_j=p_j, epsilon=eps)
-            result = maximize_covert_rate(sc, point_grid)
-            record = scenario_columns(sc)
-            record.update(
-                feasible=result.feasible, h_min=result.h_star, h_max=result.h_max,
-                p_u_star=result.p_u_star, p_j_star=result.p_j_star,
-                h_star=result.h_star, r_b_star=result.r_b_star,
-                c_s_star=result.c_s_star,
-                seed=int(seed), scenario_hash=scenario_hash,
-            )
-            records.append(record)
-            if result.feasible:
-                rates.append(result.r_b_star)
+        results = [maximize_covert_rate(scenario.replace(p_j=p_j, epsilon=eps),
+                                        point_grid)
+                   for eps in epsilons]
+        rates = [r.r_b_star for r in results if r.feasible]
         if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):
             raise NumericalError(
                 f"optimized covert rate not nondecreasing in epsilon at p_j={p_j}")
-    return records
+        base = scenario.replace(p_j=p_j)
+        block = scenario_columns(base)
+        block.update({name: [getattr(r, name) for r in results]
+                      for name in _RESULT_COLUMNS})
+        block.update(epsilon=epsilons, h_min=block["h_star"], seed=int(seed),
+                     scenario_hash=_canonical_hashes(base, "epsilon", epsilon_cells))
+        blocks.append(block)
+    return blocks
 
 
 # -- closed-form vs Monte Carlo validation ---------------------------------
@@ -320,7 +310,7 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     """
     if gamma_points < 1:
         raise ConfigError(f"gamma_points must be >= 1, got {gamma_points}")
-    closed_snr = rate_report(scenario).gamma_b
+    closed_snr = snrs_at(scenario, scenario.p_u, scenario.p_j, scenario.h)[1]
     if not closed_snr > 0.0:
         raise NumericalError(
             f"closed-form destination SNR {closed_snr!r} is not positive")

@@ -66,6 +66,10 @@ class Scenario:
         for name, value in positive.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("d_a2", "d_b2", "d_w2"):
+            if not math.isfinite(self.beta / getattr(self, name)):
+                raise ConfigError(f"LOS gain beta / {name} must be finite, "
+                                  f"got {self.beta!r} / {getattr(self, name)!r}")
         if not (math.isfinite(self.h) and self.h >= 0.0):
             raise ConfigError(f"h must be finite and >= 0, got {self.h!r}")
         if not (0.0 < self.epsilon < 1.0):
@@ -136,26 +140,27 @@ class Scenario:
 
     def canonical_hash(self) -> str:
         """Stable short hash of the linear field values, for CSV provenance."""
-        (digest,) = _canonical_hashes(self, "h", (self.h,))
+        (digest,) = _canonical_hashes(self, "h", (repr(self.h),))
         return digest
 
 
-def _canonical_hashes(scenario: Scenario, name: str, values) -> list[str]:
-    """``scenario.replace(**{name: v}).canonical_hash()`` for each ``v`` in
-    ``values``, without building (or validating) those scenarios.
+def _canonical_hashes(scenario: Scenario, name: str, cells) -> list[str]:
+    """``scenario.replace(**{name: v}).canonical_hash()`` for each ``v``
+    whose ``repr`` is in ``cells``, without building (or validating) those
+    scenarios.
 
     The hashed payload is what ``json.dumps({field: repr(value)},
     sort_keys=True)`` writes for the fields.  Every value is the ``repr`` of
     a number, which holds nothing JSON escapes, so the payload is one
-    template per call with ``repr(v)`` spliced in as field ``name``.
+    template per call with each cell spliced in as field ``name``.
     """
     reprs = {f.name: repr(getattr(scenario, f.name))
              for f in dataclasses.fields(scenario)}
     reprs[name] = "\0"
     head, tail = ("{" + ", ".join(f'"{k}": "{reprs[k]}"' for k in sorted(reprs))
                   + "}").split("\0")
-    return [hashlib.sha256(f"{head}{v!r}{tail}".encode("ascii")).hexdigest()[:16]
-            for v in values]
+    return [hashlib.sha256(f"{head}{cell}{tail}".encode("ascii")).hexdigest()[:16]
+            for cell in cells]
 
 
 def _identity(x: float) -> float:

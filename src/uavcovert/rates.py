@@ -15,28 +15,12 @@ and pushes them through the chain in place in three reused buffers, about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import Scenario, relay_scaling
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """SNRs and capacities for one scenario; c_s and r_b are derived."""
-
-    gamma_u: float
-    gamma_b: float
-    c_u: float
-    c_b: float
-    c_s: float = field(init=False)
-    r_b: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c_s", self.c_b - self.c_u)
-        object.__setattr__(self, "r_b", self.c_b)
 
 
 def capacity(snr: float) -> float:
@@ -78,14 +62,6 @@ def snrs_at(scenario: Scenario, p_u, p_j, h):
     den = ((p_u * s.sigma_u2 + p_j * s.sigma_b2) * g_ub
            + s.p_a * g_ua * s.sigma_b2 + s.sigma_b2 * s.sigma_u2)
     return gamma_u, num / den
-
-
-def rate_report(scenario: Scenario) -> RateReport:
-    """Evaluate the full rate chain for one scenario."""
-    s = scenario
-    g_u, g_b = snrs_at(s, s.p_u, s.p_j, s.h)
-    return RateReport(gamma_u=g_u, gamma_b=g_b,
-                      c_u=capacity(g_u), c_b=capacity(g_b))
 
 
 @dataclass(frozen=True)

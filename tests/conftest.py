@@ -13,10 +13,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
-    DestinationSnrEstimate, DetectionPoint, Scenario, feasible_interval,
-    optimal_detection, rate_report, relay_scaling,
+    DestinationSnrEstimate, DetectionPoint, Scenario, capacity,
+    feasible_interval, optimal_detection, relay_scaling,
 )
 from uavcovert.experiments import _render_cell, scenario_columns  # noqa: E402
+from uavcovert.rates import snrs_at  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
@@ -62,6 +63,31 @@ def draw_scenario(rng: np.random.Generator, **overrides) -> Scenario:
     )
     fields.update(overrides)
     return Scenario(**fields)
+
+
+@dataclasses.dataclass(frozen=True)
+class RateReport:
+    """SNRs and capacities for one scenario; c_s and r_b are derived."""
+
+    gamma_u: float
+    gamma_b: float
+    c_u: float
+    c_b: float
+    c_s: float = dataclasses.field(init=False)
+    r_b: float = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "c_s", self.c_b - self.c_u)
+        object.__setattr__(self, "r_b", self.c_b)
+
+
+def rate_report(scenario: Scenario) -> RateReport:
+    """The full rate chain for one scenario, one scalar at a time: the
+    oracle for the array passes of the rate sweep and the optimizer."""
+    s = scenario
+    g_u, g_b = snrs_at(s, s.p_u, s.p_j, s.h)
+    return RateReport(gamma_u=g_u, gamma_b=g_b,
+                      c_u=capacity(g_u), c_b=capacity(g_b))
 
 
 def min_error_at_height(scenario: Scenario, h: float) -> float:
@@ -198,9 +224,22 @@ def per_row_rate_oracle(scenario: Scenario, sweep, seed: int = 0) -> list[dict]:
     return records
 
 
+def expand_rows(blocks: list[dict]) -> list[dict]:
+    """The rows of a list of column blocks, one dict per row: a block's
+    list columns give one value per row, its other columns the same value
+    in every row, and a block without lists is one row."""
+    rows = []
+    for block in blocks:
+        lengths = [len(v) for v in block.values() if type(v) is list]
+        for i in range(lengths[0] if lengths else 1):
+            rows.append({k: v[i] if type(v) is list else v
+                         for k, v in block.items()})
+    return rows
+
+
 def reference_render_csv(records: list[dict], columns: tuple[str, ...]) -> str:
     """The CSV renderer as first written, one row at a time: the reference
-    for the column passes of render_csv."""
+    for render_csv, fed the rows of :func:`expand_rows`."""
     lines = [",".join(columns)]
     for record in records:
         lines.append(",".join(_render_cell(record[c]) for c in columns))

@@ -12,7 +12,7 @@ import numpy as np
 
 from uavcovert import (
     GridSpec, Scenario, SweepSpec, covert_height_bound, error_curve,
-    feasible_interval, maximize_covert_rate, optimal_detection, rate_report,
+    feasible_interval, maximize_covert_rate, optimal_detection,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep,
     secrecy_rate_at_height, security_height_bound, simulate_destination_snr,
 )
@@ -20,8 +20,9 @@ from uavcovert.cli import main
 from uavcovert.experiments import mc_zeta_tolerance
 
 from conftest import (
-    AuxCoefficients, aux_coefficients, draw_scenario, min_error_at_height,
-    snr_destination_expanded, total_error_derivative,
+    AuxCoefficients, aux_coefficients, draw_scenario, expand_rows,
+    min_error_at_height, rate_report, snr_destination_expanded,
+    total_error_derivative,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -38,7 +39,7 @@ def test_c1_detection_closed_form_vs_monte_carlo(fig2):
     n_trials = 100_000
     started = time.perf_counter()
     sweep = SweepSpec(start=0.0, stop=1.0, steps=50, overlay_values=(2.0, 3.0, 4.0))
-    records = run_detection_sweep(fig2, sweep, n_trials=n_trials, seed=1)
+    records = expand_rows(run_detection_sweep(fig2, sweep, n_trials=n_trials, seed=1))
     elapsed = time.perf_counter() - started
     assert len(records) == 150
     worst = 0.0
@@ -155,19 +156,19 @@ def test_c6_constraint_round_trips():
 def test_c7_trend_reproduction(fig3, fig4, fig5):
     sweep3 = SweepSpec(start=0.0, stop=100.0, steps=26,
                        overlay_values=(7.0, 8.0, 9.0))
-    records3 = run_rate_sweep(fig3, sweep3)
+    records3 = expand_rows(run_rate_sweep(fig3, sweep3))
     _assert_trends(records3, y="c_s")
 
     sweep4 = SweepSpec(start=0.0, stop=100.0, steps=26,
                        overlay_values=(2.0, 3.0, 4.0))
-    records4 = run_rate_sweep(fig4, sweep4)
+    records4 = expand_rows(run_rate_sweep(fig4, sweep4))
     _assert_trends(records4, y="r_b")
 
     sweep5 = SweepSpec(start=0.01, stop=0.02, steps=20,
                        overlay_values=(5.0, 10.0, 15.0))
     p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=60,
                                  p_j_steps=1).p_u_values
-    records5 = run_covertness_sweep(fig5, sweep5, p_u_values, seed=7)
+    records5 = expand_rows(run_covertness_sweep(fig5, sweep5, p_u_values, seed=7))
     assert all(r["feasible"] for r in records5)
     by_overlay = {p_j: sorted((r["epsilon"], r["r_b_star"]) for r in records5
                               if r["p_j"] == p_j)

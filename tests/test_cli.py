@@ -11,7 +11,7 @@ import pytest
 import uavcovert.cli
 from uavcovert.cli import main
 
-from conftest import PRESETS, reference_render_csv
+from conftest import PRESETS, expand_rows, reference_render_csv
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -240,6 +240,31 @@ def test_validate_underflowing_destination_snr_exits_four(tmp_path, capsys):
                             "is not positive\n")
 
 
+@pytest.mark.parametrize("preset, key, command", [
+    ("fig3", "d_a2_m2", ["rate-sweep"]),
+    ("fig4", "d_b2_m2", ["rate-sweep"]),
+    ("fig5", "d_a2_m2", ["optimize", "--pu-steps", "5", "--pj-steps", "5"]),
+])
+def test_non_finite_los_gain_exits_two(tmp_path, capsys, preset, key, command):
+    # beta / 5e-324 overflows: these runs once wrote inf/nan cells or exited
+    # 3, after numpy RuntimeWarnings
+    raw = json.loads((SCENARIOS / f"{preset}.json").read_text())
+    raw[key] = 5e-324
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], "--scenario", str(tiny), "--out", str(out),
+                     *command[1:]])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: LOS gain beta / ")
+    assert captured.err.count("\n") == 1 and key[:4] in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_validate_empty_threshold_grid_exits_two(capsys, points):
     code = main(["validate", "--scenario", str(SCENARIOS / "fig2.json"),
@@ -295,4 +320,5 @@ def test_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch, argv):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == (3 if "--pu-max" in argv else 0)
     ((records, columns),) = written
-    assert out.read_bytes() == reference_render_csv(records, columns).encode("ascii")
+    assert out.read_bytes() == reference_render_csv(
+        expand_rows(records), columns).encode("ascii")

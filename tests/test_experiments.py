@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from uavcovert import experiments
 from uavcovert import (
@@ -18,8 +20,9 @@ from uavcovert.cli import main
 from uavcovert.model import _canonical_hashes
 
 from conftest import (
-    SCENARIOS, draw_scenario, json_canonical_hash, monotone_by_overlay,
-    per_row_rate_oracle, reference_render_csv,
+    SCENARIOS, draw_scenario, expand_rows, json_canonical_hash,
+    monotone_by_overlay, per_row_rate_oracle, rate_report, reference_render_csv,
+    traced_peak_bytes,
 )
 
 
@@ -56,8 +59,8 @@ def test_sweepspec_degenerate_single_point():
 # -- detection sweep ---------------------------------------------------------
 
 def test_detection_sweep_records(fig2):
-    records = run_detection_sweep(fig2, detection_sweep_spec(), n_trials=4000,
-                                  seed=3)
+    records = expand_rows(run_detection_sweep(fig2, detection_sweep_spec(),
+                                              n_trials=4000, seed=3))
     assert len(records) == 24
     keys = [(r["p_u"], r["gamma"]) for r in records]
     assert keys == sorted(keys)
@@ -72,8 +75,8 @@ def test_detection_sweep_records(fig2):
 
 
 def test_detection_sweep_single_trial_degenerate(fig2):
-    records = run_detection_sweep(fig2, detection_sweep_spec(steps=6),
-                                  n_trials=1, seed=5)
+    records = expand_rows(run_detection_sweep(fig2, detection_sweep_spec(steps=6),
+                                              n_trials=1, seed=5))
     assert all(r["zeta_mc"] in (0.0, 0.5, 1.0) for r in records)
 
 
@@ -92,7 +95,7 @@ def rate_sweep_spec(overlays=(7.0, 8.0, 9.0), stop=100.0, steps=21):
 
 
 def test_rate_sweep_records(fig3):
-    records = run_rate_sweep(fig3, rate_sweep_spec())
+    records = expand_rows(run_rate_sweep(fig3, rate_sweep_spec()))
     assert len(records) == 63
     flags = monotone_by_overlay(records, y="c_s", group="p_u", x="h")
     assert all(flags.values())
@@ -105,7 +108,7 @@ def test_rate_sweep_records(fig3):
 
 def test_rate_sweep_single_point(fig3):
     spec = SweepSpec(40.0, 40.0, 1, (7.0,))
-    records = run_rate_sweep(fig3, spec)
+    records = expand_rows(run_rate_sweep(fig3, spec))
     assert len(records) == 1
     assert records[0]["h"] == 40.0
 
@@ -131,7 +134,7 @@ def test_rate_sweep_matches_per_row_oracle_on_random_sweeps():
             replace=False))
         spec = SweepSpec(start, stop, steps, overlays)
         seed = int(rng.integers(0, 2**31))
-        records = run_rate_sweep(scenario, spec, seed=seed)
+        records = expand_rows(run_rate_sweep(scenario, spec, seed=seed))
         assert_same_records(records, per_row_rate_oracle(scenario, spec, seed=seed))
         assert all(type(v) is float for r in records for k, v in r.items()
                    if k not in ("seed", "scenario_hash"))
@@ -151,14 +154,14 @@ def test_rate_sweep_matches_per_row_oracle_on_edges(fig3, fig4, start, stop, ste
         spec = SweepSpec(start, stop, steps, overlays)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records = run_rate_sweep(scenario, spec, seed=5)
+            records = expand_rows(run_rate_sweep(scenario, spec, seed=5))
         assert_same_records(records, per_row_rate_oracle(scenario, spec, seed=5))
         if steps == 1:
             assert all(repr(r["h"]) == repr(start) for r in records)
         h_values = spec.points().tolist()
         for p_u in overlays:
             sc = scenario.replace(p_u=p_u, h=h_values[0])
-            assert _canonical_hashes(sc, "h", h_values) == [
+            assert _canonical_hashes(sc, "h", [repr(h) for h in h_values]) == [
                 sc.replace(h=h).canonical_hash() for h in h_values] == [
                 json_canonical_hash(sc.replace(h=h)) for h in h_values]
             if repr(start) == "-0.0" and steps == 1:
@@ -195,8 +198,8 @@ def covertness_sweep_spec(steps=4, overlays=(5.0, 10.0, 15.0)):
 def test_covertness_sweep_records(fig5):
     p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=15,
                                  p_j_steps=1).p_u_values
-    records = run_covertness_sweep(fig5, covertness_sweep_spec(), p_u_values,
-                                   seed=2)
+    records = expand_rows(run_covertness_sweep(fig5, covertness_sweep_spec(),
+                                               p_u_values, seed=2))
     assert len(records) == 12
     assert all(r["feasible"] for r in records)
     for r in records:
@@ -215,7 +218,7 @@ def test_covertness_sweep_records_infeasible_rows(fig4):
     # pinned to the infeasible base forward power: every point reports
     # feasible=false instead of being dropped
     spec = SweepSpec(0.01, 0.02, 3, (fig4.p_j,))
-    records = run_covertness_sweep(fig4, spec, (fig4.p_u,), seed=2)
+    records = expand_rows(run_covertness_sweep(fig4, spec, (fig4.p_u,), seed=2))
     assert len(records) == 3
     assert all(not r["feasible"] for r in records)
     assert all(math.isnan(r["r_b_star"]) for r in records)
@@ -225,7 +228,7 @@ def test_covertness_sweep_tight_epsilon_infeasible(fig5):
     # covertness so tight that the required altitude overshoots the
     # security ceiling even at the power cap
     spec = SweepSpec(0.0005, 0.0006, 2, (5.0,))
-    records = run_covertness_sweep(fig5, spec, (fig5.p_max,))
+    records = expand_rows(run_covertness_sweep(fig5, spec, (fig5.p_max,)))
     assert len(records) == 2
     assert not any(r["feasible"] for r in records)
 
@@ -234,7 +237,7 @@ def test_covertness_sweep_single_epsilon(fig5):
     spec = SweepSpec(0.015, 0.015, 1, (5.0, 10.0))
     p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=8,
                                  p_j_steps=1).p_u_values
-    records = run_covertness_sweep(fig5, spec, p_u_values)
+    records = expand_rows(run_covertness_sweep(fig5, spec, p_u_values))
     assert [(r["p_j"], r["epsilon"]) for r in records] == [
         (5.0, 0.015), (10.0, 0.015)]
 
@@ -254,9 +257,10 @@ def test_covertness_sweep_validates_power_grid(fig5, p_u_values):
 # -- CSV rendering -----------------------------------------------------------
 
 def test_render_csv_round_trips_floats(fig2):
-    records = run_detection_sweep(fig2, detection_sweep_spec(steps=4),
-                                  n_trials=50, seed=1)
-    text = render_csv(records, DETECTION_COLUMNS)
+    blocks = run_detection_sweep(fig2, detection_sweep_spec(steps=4),
+                                 n_trials=50, seed=1)
+    text = render_csv(blocks, DETECTION_COLUMNS)
+    records = expand_rows(blocks)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(DETECTION_COLUMNS)
     cells = lines[1].split(",")
@@ -266,9 +270,10 @@ def test_render_csv_round_trips_floats(fig2):
     assert parsed["scenario_hash"] == records[0]["scenario_hash"]
 
 
-class FreshFloats:
-    """A record whose every lookup returns a new float object, so that a
-    freed cell's id is free for the next column's objects to reuse."""
+class FreshFloats(dict):
+    """A record, holding no list, whose every lookup returns a new float
+    object, so that a freed cell's id is free for the next column's
+    objects to reuse."""
 
     def __init__(self, row):
         self.row = row
@@ -322,7 +327,7 @@ def _render_cases() -> dict:
         "blocks": (
             [{"a": shared, "b": zero if i < 300 else negative_zero, "c": 0.5 * i,
               "d": i % 3 == 0, "e": f"h{i // 50}", "f": 7}
-             for i in range(2 * experiments._BLOCK_ROWS + 3)],
+             for i in range(515)],
             ("a", "b", "c", "d", "e", "f", "c")),
         "str-subclass": (
             [{"a": v, "b": "x", "c": f"r{i}"}
@@ -332,7 +337,7 @@ def _render_cases() -> dict:
         "one-record": ([{"a": -0.0, "b": True, "c": "s", "d": 3}], ("a", "b", "c", "d")),
         "one-record-last-block": (
             [{"a": 0.5 * i, "b": i % 2 == 0, "c": shared, "d": 1}
-             for i in range(experiments._BLOCK_ROWS + 1)],
+             for i in range(257)],
             ("a", "b", "c", "d", "c")),
         "fresh-floats": ([FreshFloats(i) for i in range(20)], ("a", "bb", "ccc")),
         "fresh-floats-with-ints": (
@@ -340,7 +345,7 @@ def _render_cases() -> dict:
             ("a", "bb", "ccc", "a")),
         "fresh-floats-over-blocks": (
             [FreshFloats(i) if i % 100 else {"a": i, "bb": True, "ccc": "s"}
-             for i in range(experiments._BLOCK_ROWS + 120)],
+             for i in range(376)],
             ("a", "bb", "ccc")),
     }
 
@@ -349,6 +354,84 @@ def _render_cases() -> dict:
 def test_render_csv_matches_row_at_a_time_reference(case):
     records, columns = _render_cases()[case]
     assert render_csv(records, columns) == reference_render_csv(records, columns)
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, True,
+                     False, 1, 0, 1.0]),
+    st.integers(),
+    st.floats().map(np.float64),
+    st.floats().map(Tenths),
+    st.text("pq,", max_size=3),
+    st.text("pq", max_size=3).map(Shouting),
+)
+
+
+@st.composite
+def column_blocks(draw):
+    """Blocks over columns a-d, each column a scalar, a fresh list (of
+    mixed cells or of exact floats), or a list the block already holds or
+    the previous block held; the CSV may name a column twice."""
+    names = ("a", "b", "c", "d")
+    columns = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=6)))
+    blocks, previous = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 4))
+        block, held = {}, [v for v in previous if len(v) == n]
+        for name in names:
+            kind = draw(st.sampled_from(("scalar", "cells", "floats", "held")))
+            if kind == "scalar":
+                block[name] = draw(_CELLS)
+            elif kind == "held" and held:
+                block[name] = draw(st.sampled_from(held))
+            else:
+                block[name] = draw(st.lists(
+                    st.floats() if kind == "floats" else _CELLS, min_size=n, max_size=n))
+                held.append(block[name])
+        previous = [v for v in block.values() if type(v) is list]
+        blocks.append(block)
+    return blocks, columns
+
+
+_SHARED = [0.0, -0.0, math.nan, 0.1]
+
+
+@given(column_blocks())
+@example(([{"a": _SHARED, "b": _SHARED, "c": 5e-324, "d": [True, 1, 1.0, -0.0]},
+           {"a": _SHARED, "b": [math.inf, np.float64(0.1), Tenths(0.2), Shouting("q")],
+            "c": Shouting("p"), "d": [1.0, -0.0, 0.0, True]}],
+          ("a", "b", "c", "d", "a")))
+@settings(max_examples=300, deadline=None)
+def test_render_csv_blocks_match_row_at_a_time_reference(case):
+    blocks, columns = case
+    assert render_csv(blocks, columns) == reference_render_csv(expand_rows(blocks), columns)
+
+
+def test_render_csv_rejects_ragged_block():
+    with pytest.raises(ValueError, match="differ in length"):
+        render_csv([{"a": [1.0, 2.0], "b": [3.0], "c": 7}], ("a", "b", "c"))
+
+
+def test_sweep_blocks_share_their_lists(fig2, fig3, fig5):
+    rate = run_rate_sweep(fig3, rate_sweep_spec(steps=4))
+    detection = run_detection_sweep(fig2, detection_sweep_spec(steps=3),
+                                    n_trials=10, seed=1)
+    covertness = run_covertness_sweep(fig5, covertness_sweep_spec(steps=2),
+                                      (fig5.p_max,))
+    for blocks, swept in ((rate, "h"), (detection, "gamma"), (covertness, "epsilon")):
+        assert len(blocks) == 3
+        assert all(b[swept] is blocks[0][swept] for b in blocks)
+    assert all(b["r_b"] is b["c_b"] for b in rate)
+    assert all(b["h_min"] is b["h_star"] for b in covertness)
+
+
+def test_rate_sweep_csv_memory_per_row(fig3):
+    # 1,500 rows of 25 columns: the blocks, one block's cells and the text
+    # peak near 1.1 KB a row; a dict per row took 1.76 KB
+    spec = SweepSpec(0.0, 25.0, 500, (6.25, 7.5, 9.75))
+    peak = traced_peak_bytes(lambda: render_csv(run_rate_sweep(fig3, spec), RATE_COLUMNS))
+    assert peak / 1500 < 1450
 
 
 def test_write_csv_leaves_file_unchanged_when_render_raises(tmp_path, fig3):
@@ -371,11 +454,11 @@ def test_csv_columns_prefixed_by_scenario():
 
 def test_records_recomputable_from_scenario_columns(fig2, fig3):
     # closed-form outputs must follow from the row's own scenario columns
-    from uavcovert import Scenario, error_curve, optimal_detection, rate_report
+    from uavcovert import Scenario, error_curve, optimal_detection
 
     det = run_detection_sweep(fig2, detection_sweep_spec(steps=5),
                               n_trials=100, seed=6)
-    for row in det:
+    for row in expand_rows(det):
         text = render_csv([row], DETECTION_COLUMNS).strip().split("\n")[1]
         parsed = dict(zip(DETECTION_COLUMNS, text.split(",")))
         rebuilt = Scenario(**{k: float(parsed[k]) for k in DETECTION_COLUMNS[:14]})
@@ -383,7 +466,7 @@ def test_records_recomputable_from_scenario_columns(fig2, fig3):
         assert optimal_detection(rebuilt).gamma_star == row["gamma_star"]
 
     rates = run_rate_sweep(fig3, rate_sweep_spec(steps=5))
-    for row in rates:
+    for row in expand_rows(rates):
         text = render_csv([row], RATE_COLUMNS).strip().split("\n")[1]
         parsed = dict(zip(RATE_COLUMNS, text.split(",")))
         rebuilt = Scenario(**{k: float(parsed[k]) for k in RATE_COLUMNS[:14]})

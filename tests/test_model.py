@@ -203,6 +203,14 @@ def test_scenario_invariants(fig3, changes):
         fig3.replace(**changes)
 
 
+@pytest.mark.parametrize("field", ["d_a2", "d_b2", "d_w2"])
+def test_scenario_rejects_non_finite_los_gain(fig3, field):
+    # beta / 5e-324 overflows to inf: the link's LOS gain is not a number
+    with pytest.raises(ConfigError, match=f"LOS gain beta / {field} must be finite"):
+        fig3.replace(**{field: 5e-324})
+    fig3.replace(**{field: 1e-300})  # beta / 1e-300 = 1e301 is finite
+
+
 def test_db_helpers_invert():
     assert db_to_linear(10.0) == 10.0
     assert db_to_linear(-20.0) == pytest.approx(0.01, rel=1e-15)
@@ -220,7 +228,7 @@ def test_scenario_hash_is_the_json_payload_hash(fig2, fig3, fig4, fig5):
     for sc in scenarios:
         assert sc.canonical_hash() == json_canonical_hash(sc)
     hs = [0, -0.0, 0.0, 5e-324, 12.5, 99.99999999999999, 1e200]
-    assert _canonical_hashes(fig3, "h", hs) == [
+    assert _canonical_hashes(fig3, "h", [repr(h) for h in hs]) == [
         json_canonical_hash(fig3.replace(h=h)) for h in hs]
 
 
@@ -228,7 +236,7 @@ def test_spliced_epsilon_hashes_match_replaced_scenarios(fig2, fig5):
     epsilons = [0.01, 0.010526315789473684, 0.5, 1e-300, 5e-324,
                 0.9999999999999999, np.nextafter(0.02, 1.0).item()]
     for sc in (fig2, fig5, fig5.replace(p_j=10.0)):
-        assert _canonical_hashes(sc, "epsilon", epsilons) == [
+        assert _canonical_hashes(sc, "epsilon", [repr(e) for e in epsilons]) == [
             sc.replace(epsilon=e).canonical_hash() for e in epsilons] == [
             json_canonical_hash(sc.replace(epsilon=e)) for e in epsilons]
 

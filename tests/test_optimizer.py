@@ -10,11 +10,12 @@ import uavcovert.optimizer
 from uavcovert import (
     ConfigError, GridSpec, NumericalError,
     OptimizationResult, Scenario, covert_height_bound, feasible_interval,
-    maximize_covert_rate, rate_report, secrecy_rate_at_height,
+    maximize_covert_rate, secrecy_rate_at_height,
 )
 
 from conftest import (
     NoFeasibleHeight, draw_scenario, min_error_at_height, optimal_height_given_powers,
+    rate_report,
 )
 
 

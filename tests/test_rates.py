@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from uavcovert import (
-    ConfigError, RateReport, Scenario, capacity, rate_report, simulate_destination_snr,
-)
+from uavcovert import ConfigError, Scenario, capacity, simulate_destination_snr
 
 from conftest import (
-    PRESETS, SCENARIOS, AuxCoefficients, aux_coefficients, draw_scenario,
-    reference_destination_snr, snr_destination_expanded, traced_peak_bytes,
+    PRESETS, SCENARIOS, AuxCoefficients, RateReport, aux_coefficients, draw_scenario,
+    rate_report, reference_destination_snr, snr_destination_expanded,
+    traced_peak_bytes,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
