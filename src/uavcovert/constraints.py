@@ -6,21 +6,24 @@ requires the secrecy rate C_s(h) to stay at or above the scenario's
 threshold r_s; since C_s falls with altitude over the operating range,
 that yields a maximum altitude found by bisection, bracketed on one fixed
 scan of doubling altitudes up to SEARCH_CEILING_M.  Their intersection is
-the feasible hover interval, possibly empty.
+the feasible hover interval, possibly empty.  Only the covert floor reads
+epsilon.
 
 :func:`feasible_interval` solves one scenario and is the reference.
 :func:`feasibility_grid` gives its emptiness verdict for whole arrays of
-(p_u, p_j) at once, without bisection: it evaluates C_s - r_s on the
-solver's doubling scan and at the covert floor h_min, all with numpy, and
-locates h_min against the bracket where the scan crosses r_s.  A value
-inside a guard band of 0 could be decided differently by the solver
-(np.log2 rounding, the bisection residual), and a scan that re-crosses
-r_s makes the solver raise; such points are flagged uncertain, for the
-caller to hand to :func:`feasible_interval`.
+(epsilon, p_u, p_j) at once, without bisection: it evaluates C_s - r_s on
+the solver's doubling scan once per (p_u, p_j), shared by every epsilon,
+and at each covert floor h_min, all with numpy, and locates h_min against
+the bracket where the scan crosses r_s.  A value inside a guard band of 0
+could be decided differently by the solver (np.log2 rounding, the
+bisection residual), and a scan that re-crosses r_s makes the solver
+raise; such points are flagged uncertain, for the caller to hand to
+:func:`feasible_interval`.
 """
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,19 +58,19 @@ def covert_height_bound(p_u: float, p_j: float, beta: float, epsilon: float,
 
     h_min = sqrt(-P_u beta / (P_J ln(1 - epsilon)) - d_w^2), folded to 0
     when the radicand is non-positive (covert at any height).  When
-    positive, zeta_star(h_min) = 1 - epsilon exactly.
+    positive, zeta_star(h_min) = 1 - epsilon exactly.  When P_J ln(1 -
+    epsilon) underflows to 0 or the quotient overflows, h_min is inf: no
+    altitude is covert enough.
     """
     if not (0.0 < epsilon < 1.0):
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if min(p_u, p_j, beta) <= 0.0:
         raise ConfigError("p_u, p_j, beta must be > 0")
-    radicand = _covert_radicand(p_u, p_j, beta, epsilon, d_w2)
+    denominator = p_j * math.log1p(-epsilon)
+    if denominator == 0.0:
+        return math.inf
+    radicand = -p_u * beta / denominator - d_w2
     return math.sqrt(radicand) if radicand > 0.0 else 0.0
-
-
-def _covert_radicand(p_u, p_j, beta: float, epsilon: float, d_w2: float):
-    """h_min^2 before folding; p_u and p_j may be broadcast arrays."""
-    return -p_u * beta / (p_j * math.log1p(-epsilon)) - d_w2
 
 
 def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
@@ -83,6 +86,12 @@ def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
 _SCAN_HEIGHTS = (0.0, *(2.0 ** k for k in range(
     math.ceil(math.log2(SEARCH_CEILING_M)))), SEARCH_CEILING_M)
 _SCAN = np.array(_SCAN_HEIGHTS)
+# The scan bracket [lo, hi] by the number n of scan heights at or above
+# r_s: heights n - 1 and n, clamped to the scan's first pair.  A scan that
+# never drops under r_s (n = all heights) has no bracket: hi = -inf.
+_PAIR = np.clip(np.arange(_SCAN.size + 1) - 1, 0, _SCAN.size - 2)
+_BRACKET_LO = _SCAN[_PAIR]
+_BRACKET_HI = np.append(_SCAN[_PAIR + 1][:-1], -np.inf)
 
 
 def security_height_bound(scenario: Scenario):
@@ -98,11 +107,12 @@ def security_height_bound(scenario: Scenario):
     def f(h: float) -> float:
         return secrecy_rate_at_height(scenario, h) - r_s
 
-    if f(0.0) < 0.0:
+    ground = f(0.0)
+    if ground < 0.0:
         return None
 
     # Doubling scan to bracket the first crossing.
-    values = [f(x) for x in _SCAN_HEIGHTS]
+    values = [ground, *map(f, _SCAN_HEIGHTS[1:])]
     crossings = [i for i in range(len(_SCAN_HEIGHTS) - 1)
                  if values[i] >= 0.0 > values[i + 1]]
     if not crossings:
@@ -146,62 +156,73 @@ def feasible_interval(scenario: Scenario) -> FeasibleHeightInterval:
 
 @dataclass(frozen=True)
 class GridVerdict:
-    """:func:`feasibility_grid` output, arrays of the broadcast power shape.
+    """:func:`feasibility_grid` output, arrays of shape (epsilons, p_u, p_j).
 
     ``gamma_u`` and ``gamma_b`` are the SNRs at ``h_min``; ``feasible`` is
-    ``not feasible_interval(...).empty`` wherever ``certain`` holds.
+    ``not feasible_interval(...).empty`` wherever ``uncertain`` does not
+    hold.
     """
 
     h_min: np.ndarray
     gamma_u: np.ndarray
     gamma_b: np.ndarray
     feasible: np.ndarray
-    certain: np.ndarray
+    uncertain: np.ndarray
 
 
-def feasibility_grid(scenario: Scenario, p_u: np.ndarray,
-                     p_j: np.ndarray) -> GridVerdict:
-    """Array verdict of :func:`feasible_interval` over broadcast powers.
+def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
+                     epsilons) -> GridVerdict:
+    """Array verdict of :func:`feasible_interval` over every (epsilon, p_u,
+    p_j) of three sequences, as arrays of shape (epsilons, p_u, p_j).
 
-    ``p_u`` and ``p_j`` are arrays of positive powers that broadcast
-    together; the other fields come from ``scenario``.  A point is
-    feasible when C_s(0) >= r_s and h_min lies below the scan bracket
-    where C_s first drops under r_s, or inside it with C_s(h_min) >= r_s,
-    or when the scan never drops under r_s (h_max = inf).  This assumes,
-    as the bisection does, one crossing inside that bracket.  Points whose
-    scan re-crosses r_s, or whose deciding values sit in a guard band of 0,
-    are left uncertain.
+    ``p_u_values`` and ``p_j_values`` hold positive powers, ``epsilons``
+    values in (0, 1); the other fields come from ``scenario``.  A point is
+    feasible when C_s(0) >= r_s and h_min lies below the scan bracket where
+    C_s first drops under r_s, or inside it with C_s(h_min) >= r_s, or when
+    the scan never drops under r_s (h_max = inf).  This assumes, as the
+    bisection does, one crossing inside that bracket.  Points whose scan
+    re-crosses r_s, or whose deciding values sit in a guard band of 0, are
+    left uncertain.  The scan and its flags are computed once per (p_u,
+    p_j) and broadcast against the epsilon axis, with ``math.log1p`` per
+    epsilon so that h_min rounds as in :func:`covert_height_bound`.
     """
     s = scenario
-    h_min = np.sqrt(np.maximum(
-        _covert_radicand(p_u, p_j, s.beta, s.epsilon, s.d_w2), 0.0))
-    margin, scale = _secrecy_margin(
-        *snrs_at(s, p_u[..., None], p_j[..., None], _SCAN), s.r_s)
-    gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
-    margin_min, _ = _secrecy_margin(gamma_u, gamma_b, s.r_s)
-
+    # The powers take a leading epsilon axis of length 1, so that with one
+    # epsilon numpy meets arrays of equal shape throughout.
+    p_u = np.array(p_u_values)[None, :, None]
+    p_j = np.array(p_j_values)[None, None, :]
+    c_u, c_b = (np.log2(1.0 + gamma) for gamma in
+                snrs_at(s, p_u[..., None], p_j[..., None], _SCAN))
+    margin = c_b - c_u - s.r_s  # its rounding scales with c_b + c_u + r_s
+    unsure = np.abs(margin) <= SIGN_GUARD * (c_b + c_u + s.r_s)
     above = margin >= 0.0
     ground_ok = above[..., 0]
     n_above = above.sum(axis=-1)
+    never_below = n_above == _SCAN.size
     one_crossing = (above[..., :-1] >= above[..., 1:]).all(axis=-1)
-    k = np.minimum(np.maximum(n_above - 1, 0), _SCAN.size - 2)
-    lo, hi = _SCAN[k], _SCAN[k + 1]
-    in_bracket = (n_above < _SCAN.size) & (h_min > lo) & (h_min <= hi)
-    feasible = ground_ok & ((n_above == _SCAN.size) | (h_min <= lo)
-                            | (in_bracket & (margin_min >= 0.0)))
+    lo, hi = _BRACKET_LO[n_above], _BRACKET_HI[n_above]
+    scan_uncertain = np.where(ground_ok, ~one_crossing | unsure.any(axis=-1),
+                              unsure[..., 0])
 
-    unsure = np.abs(margin) <= SIGN_GUARD * scale
-    certain = np.where(
-        ground_ok,
-        one_crossing & ~unsure.any(axis=-1)
-        & ~(in_bracket & (np.abs(margin_min) <= RESIDUAL_GUARD)),
-        ~unsure[..., 0])
-    return GridVerdict(h_min=h_min, gamma_u=gamma_u, gamma_b=gamma_b,
-                       feasible=feasible, certain=certain)
-
-
-def _secrecy_margin(gamma_u: np.ndarray, gamma_b: np.ndarray, r_s: float):
-    """C_s - r_s with np.log2, and the magnitude c_b + c_u + r_s it is
-    rounded against."""
+    logs = [math.log1p(-e) for e in epsilons]
+    # h_min = inf where the quotient overflows or its denominator underflows
+    # to 0, as in covert_height_bound.  Rounding is monotone, so the extreme
+    # powers and slacks bound every point, and np.errstate (slow on a cold
+    # path) is entered only when they reach that.
+    least = min(p_j_values, default=0.0) * -max(logs)
+    calm = (least > 0.0 and math.isfinite(max(p_j_values) * min(logs))
+            and math.isfinite(max(p_u_values, default=0.0) * s.beta / least))
+    with (nullcontext() if calm
+          else np.errstate(divide="ignore", over="ignore")):
+        radicand = -p_u * s.beta / (p_j * np.array(logs)[:, None, None]) - s.d_w2
+    h_min = np.sqrt(np.maximum(radicand, 0.0))
+    gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
     c_u, c_b = np.log2(1.0 + gamma_u), np.log2(1.0 + gamma_b)
-    return c_b - c_u - r_s, c_b + c_u + r_s
+    margin_min = c_b - c_u - s.r_s
+    in_bracket = ground_ok & (h_min > lo) & (h_min <= hi)
+    feasible = ground_ok & (never_below | (h_min <= lo)
+                            | (in_bracket & (margin_min >= 0.0)))
+    uncertain = scan_uncertain | (in_bracket
+                                  & (np.abs(margin_min) <= RESIDUAL_GUARD))
+    return GridVerdict(h_min=h_min, gamma_u=gamma_u, gamma_b=gamma_b,
+                       feasible=feasible, uncertain=uncertain)

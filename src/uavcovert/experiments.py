@@ -31,7 +31,7 @@ from .errors import ConfigError, NumericalError
 from .model import Scenario, _canonical_hashes
 from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import simulate_destination_snr, snrs_at
-from .optimizer import GridSpec, maximize_covert_rate
+from .optimizer import GridSpec, _maximize_over_epsilons
 
 _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
 
@@ -246,14 +246,16 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     ``sweep`` runs over ``epsilon``, inside (0, 1); its overlay values are
     jamming powers ``p_j``.  For each (overlay p_j, epsilon) the forward
     power is re-optimized over ``p_u_values`` (ascending, distinct, > 0)
-    with the altitude closed out analytically.  One block per overlay p_j,
-    in ascending order: the ``epsilon`` list (one object shared by every
-    block) and one list per result field, with ``h_min`` the ``h_star``
-    list itself.  Infeasible points are recorded with feasible=false, never
-    dropped.  Relaxing epsilon only enlarges the feasible set, so the
-    runner asserts the optimized rate is nondecreasing along each overlay.
-    The ``scenario_hash`` list splices each epsilon's ``repr`` (taken once
-    per sweep) into one per-overlay template.
+    with the altitude closed out analytically, in one optimizer call per
+    overlay over its whole (epsilon x p_u) grid, on the overlay's scenario
+    validated once.  One block per overlay p_j, in ascending order: the
+    ``epsilon`` list (one object shared by every block) and one list per
+    result field, with ``h_min`` the ``h_star`` list itself.  Infeasible
+    points are recorded with feasible=false, never dropped.  Relaxing
+    epsilon only enlarges the feasible set, so the runner asserts the
+    optimized rate is nondecreasing along each overlay.  The
+    ``scenario_hash`` list splices each epsilon's ``repr`` (taken once per
+    sweep) into one per-overlay template.
     """
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
@@ -261,15 +263,13 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     epsilon_cells = list(map(float.__repr__, epsilons))
     blocks = []
     for p_j in sorted(sweep.overlay_values):
-        point_grid = GridSpec(p_u_values=p_u_values, p_j_values=(p_j,))
-        results = [maximize_covert_rate(scenario.replace(p_j=p_j, epsilon=eps),
-                                        point_grid)
-                   for eps in epsilons]
+        grid = GridSpec(p_u_values=p_u_values, p_j_values=(p_j,))
+        base = scenario.replace(p_j=p_j)
+        results = _maximize_over_epsilons(base, grid, epsilons)
         rates = [r.r_b_star for r in results if r.feasible]
         if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):
             raise NumericalError(
                 f"optimized covert rate not nondecreasing in epsilon at p_j={p_j}")
-        base = scenario.replace(p_j=p_j)
         block = scenario_columns(base)
         block.update({name: [getattr(r, name) for r in results]
                       for name in _RESULT_COLUMNS})

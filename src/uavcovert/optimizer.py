@@ -7,33 +7,43 @@ a grid.  Ties break toward the smallest forward power, then smallest
 jamming power, then lowest altitude, which the ascending scan order yields
 for free.
 
-The grid is evaluated as arrays, in blocks of p_u rows: the covert floor,
-the SNRs there and the feasibility verdict of
-:func:`constraints.feasibility_grid` for every point at once.  Points that
-verdict leaves uncertain (guard band, re-crossing scan) are solved one by
-one with :func:`constraints.feasible_interval`, which still raises
-NumericalError where the feasible set is not an interval.  The capacities
-of feasible points use math.log2, as :func:`rates.capacity` does, never
-np.log2: on an AVX-512 Xeon (numpy 2.4.6) the two differed by one ULP on
-12,102 of 4e6 values of 1 + U(0, 1), enough to move the argmax and the CSV
-bytes.  The scalar solver then runs once, at the argmax, for h_max and the
-active-constraint flags.
+The grid is evaluated as arrays, in blocks of p_u rows, for one or more
+covertness slacks epsilon at once: :func:`constraints.feasibility_grid`
+gives the covert floor, the SNRs there and the feasibility verdict of
+every (epsilon, p_u, p_j), with the epsilon-free security scan computed
+once per point and shared by every epsilon.  Points that verdict leaves
+uncertain (guard band, re-crossing scan) are solved one by one with
+:func:`constraints.feasible_interval`, which still raises NumericalError
+where the feasible set is not an interval.  The capacities of feasible
+points use math.log2, as :func:`rates.capacity` does, never np.log2: on an
+AVX-512 Xeon (numpy 2.4.6) the two differed by one ULP on 12,102 of 4e6
+values of 1 + U(0, 1), enough to move the argmax and the CSV bytes.  At
+each epsilon's argmax the scalar covert floor is solved again, and the
+security ceiling once per distinct argmax (p_u, p_j), since it does not
+depend on epsilon; they give h_max and the active-constraint flags.
+:func:`maximize_covert_rate` is the one-epsilon case.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import Scenario
-from .constraints import feasibility_grid, feasible_interval
+from .constraints import (
+    covert_height_bound, feasibility_grid, feasible_interval,
+    security_height_bound,
+)
 from .rates import capacity
 
 _ACTIVE_TOL = 1e-9
 # Grid points per array pass; bounds the (points x scan heights) temporaries.
 _BLOCK_POINTS = 4096
+# (epsilon, grid point) cells per array pass; bounds the epsilon-axis ones.
+_BLOCK_CELLS = 16 * _BLOCK_POINTS
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,11 @@ class OptimizationResult:
     h_max: float  # security ceiling at the argmax (inf if none, NaN if infeasible)
 
 
+_NO_FEASIBLE_POINT = OptimizationResult(
+    p_u_star=math.nan, p_j_star=math.nan, h_star=math.nan, r_b_star=math.nan,
+    c_s_star=math.nan, feasible=False, active_constraints=(), h_max=math.nan)
+
+
 def maximize_covert_rate(scenario: Scenario, grid: GridSpec) -> OptimizationResult:
     """Exhaustive grid search over (p_u, p_j) with the altitude closed out.
 
@@ -88,57 +103,80 @@ def maximize_covert_rate(scenario: Scenario, grid: GridSpec) -> OptimizationResu
     cap constraint).  Deterministic: the ascending scan with strict
     improvement implements the tie-break order.
     """
+    (result,) = _maximize_over_epsilons(scenario, grid, (scenario.epsilon,))
+    return result
+
+
+def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
+                            epsilons) -> list[OptimizationResult]:
+    """:func:`maximize_covert_rate` of ``scenario.replace(epsilon=e)`` for
+    each ``e`` in the sequence ``epsilons`` (each in (0, 1)).
+
+    A pass shares one security scan of a block of powers among up to
+    ``_BLOCK_CELLS`` (epsilon, point) cells; each epsilon has its own
+    uncertain points, solved in scan order, and its own argmax.
+    """
     s = scenario
     p_u_values = [v for v in grid.p_u_values if v <= s.p_max]
     p_j_values = [v for v in grid.p_j_values if v <= s.p_max]
-    p_j = np.array(p_j_values)[None, :]
     rows = max(1, _BLOCK_POINTS // max(1, len(p_j_values)))
-    best = None  # (r_b, p_u, p_j, h, gamma_u)
+    best = [None] * len(epsilons)  # per epsilon: (r_b, p_u, p_j, h, gamma_u)
     for start in range(0, len(p_u_values), rows):
         p_u_block = p_u_values[start:start + rows]
-        verdict = feasibility_grid(s, np.array(p_u_block)[:, None], p_j)
-        feasible = verdict.feasible.ravel()
-        for flat in np.flatnonzero(~verdict.certain.ravel()).tolist():
-            i, j = divmod(flat, len(p_j_values))
-            feasible[flat] = not feasible_interval(
-                s.replace(p_u=p_u_block[i], p_j=p_j_values[j])).empty
-        points = np.flatnonzero(feasible)
-        if points.size == 0:
+        span = max(1, _BLOCK_CELLS // max(1, len(p_u_block) * len(p_j_values)))
+        for e0 in range(0, len(epsilons), span):
+            chunk = epsilons[e0:e0 + span]
+            verdict = feasibility_grid(s, p_u_block, p_j_values, chunk)
+            feasible = verdict.feasible.ravel()  # cell = epsilon * points + point
+            points = feasible.size // len(chunk)
+            for cell in np.flatnonzero(verdict.uncertain).tolist():
+                e, flat = divmod(cell, points)
+                i, j = divmod(flat, len(p_j_values))
+                feasible[cell] = not feasible_interval(s.replace(
+                    p_u=p_u_block[i], p_j=p_j_values[j], epsilon=chunk[e])).empty
+            cells = np.flatnonzero(feasible)
+            # math.log2, not np.log2: the two differ in the last bit on some
+            # inputs, which would move the argmax and the CSV bytes
+            r_b = list(map(capacity, verdict.gamma_b.ravel()[cells].tolist()))
+            cells = cells.tolist()
+            end = 0
+            for e in range(len(chunk)):
+                begin, end = end, bisect_left(cells, (e + 1) * points, end)
+                if begin == end:
+                    continue
+                k = r_b.index(max(r_b[begin:end]), begin, end)  # first of the ties
+                if best[e0 + e] is None or r_b[k] > best[e0 + e][0]:
+                    i, j = divmod(cells[k] - e * points, len(p_j_values))
+                    best[e0 + e] = (r_b[k], p_u_block[i], p_j_values[j],
+                                    verdict.h_min.item(cells[k]),
+                                    verdict.gamma_u.item(cells[k]))
+
+    h_max_at = {}  # (p_u, p_j) -> security ceiling, shared by every epsilon
+    results = []
+    for epsilon, point in zip(epsilons, best):
+        if point is None:
+            results.append(_NO_FEASIBLE_POINT)
             continue
-        # math.log2, not np.log2: the two differ in the last bit on some
-        # inputs, which would move the argmax and the CSV bytes
-        r_b = [capacity(g) for g in verdict.gamma_b.ravel()[points].tolist()]
-        k = max(range(len(r_b)), key=r_b.__getitem__)  # first of the ties
-        if best is None or r_b[k] > best[0]:
-            flat = int(points[k])
-            i, j = divmod(flat, len(p_j_values))
-            best = (r_b[k], p_u_block[i], p_j_values[j],
-                    float(verdict.h_min.ravel()[flat]),
-                    float(verdict.gamma_u.ravel()[flat]))
-
-    if best is None:
-        return OptimizationResult(
-            p_u_star=math.nan, p_j_star=math.nan, h_star=math.nan,
-            r_b_star=math.nan, c_s_star=math.nan, feasible=False,
-            active_constraints=(), h_max=math.nan)
-
-    r_b, p_u, p_j, h, gamma_u = best
-    interval = feasible_interval(s.replace(p_u=p_u, p_j=p_j))
-    if interval.empty or interval.h_min != h:
-        raise NumericalError(
-            f"grid verdict disagrees with feasible_interval at p_u={p_u!r}, "
-            f"p_j={p_j!r}")
-    h_max = interval.h_max
-    active = []
-    if h > 0.0:
-        active.append("covert")  # altitude pinned by the covertness bound
-    if math.isfinite(h_max) and h >= h_max - _ACTIVE_TOL * max(1.0, h_max):
-        active.append("security")
-    if p_u >= scenario.p_max - _ACTIVE_TOL * scenario.p_max:
-        active.append("p_u_cap")
-    if p_j >= scenario.p_max - _ACTIVE_TOL * scenario.p_max:
-        active.append("p_j_cap")
-    return OptimizationResult(
-        p_u_star=p_u, p_j_star=p_j, h_star=h, r_b_star=r_b,
-        c_s_star=r_b - capacity(gamma_u), feasible=True,
-        active_constraints=tuple(active), h_max=h_max)
+        r_b, p_u, p_j, h, gamma_u = point
+        if (p_u, p_j) not in h_max_at:
+            h_max_at[p_u, p_j] = security_height_bound(s.replace(p_u=p_u, p_j=p_j))
+        h_max = h_max_at[p_u, p_j]
+        if (h_max is None or h > h_max
+                or covert_height_bound(p_u, p_j, s.beta, epsilon, s.d_w2) != h):
+            raise NumericalError(
+                f"grid verdict disagrees with feasible_interval at p_u={p_u!r}, "
+                f"p_j={p_j!r}")
+        active = []
+        if h > 0.0:
+            active.append("covert")  # altitude pinned by the covertness bound
+        if math.isfinite(h_max) and h >= h_max - _ACTIVE_TOL * max(1.0, h_max):
+            active.append("security")
+        if p_u >= s.p_max - _ACTIVE_TOL * s.p_max:
+            active.append("p_u_cap")
+        if p_j >= s.p_max - _ACTIVE_TOL * s.p_max:
+            active.append("p_j_cap")
+        results.append(OptimizationResult(
+            p_u_star=p_u, p_j_star=p_j, h_star=h, r_b_star=r_b,
+            c_s_star=r_b - capacity(gamma_u), feasible=True,
+            active_constraints=tuple(active), h_max=h_max))
+    return results

@@ -13,10 +13,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
-    DestinationSnrEstimate, DetectionPoint, Scenario, capacity,
-    feasible_interval, optimal_detection, relay_scaling,
+    ConfigError, DestinationSnrEstimate, DetectionPoint, GridSpec,
+    NumericalError, Scenario, capacity, feasible_interval,
+    maximize_covert_rate, optimal_detection, relay_scaling,
 )
-from uavcovert.experiments import _render_cell, scenario_columns  # noqa: E402
+from uavcovert.experiments import (  # noqa: E402
+    _MONOTONE_SLACK, _RESULT_COLUMNS, _render_cell, scenario_columns,
+)
+from uavcovert.model import _canonical_hashes  # noqa: E402
 from uavcovert.rates import snrs_at  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
@@ -222,6 +226,35 @@ def per_row_rate_oracle(scenario: Scenario, sweep, seed: int = 0) -> list[dict]:
             )
             records.append(record)
     return records
+
+
+def per_epsilon_covertness_oracle(scenario: Scenario, sweep, p_u_values,
+                                  seed: int = 0) -> list[dict]:
+    """The covertness sweep as first written, one validated scenario and
+    one maximize_covert_rate call per (overlay, epsilon): the reference for
+    the one-kernel-call-per-overlay run_covertness_sweep."""
+    if not (0.0 < sweep.start and sweep.stop < 1.0):
+        raise ConfigError("epsilon sweep must stay inside (0, 1)")
+    epsilons = sweep.points().tolist()
+    epsilon_cells = list(map(float.__repr__, epsilons))
+    blocks = []
+    for p_j in sorted(sweep.overlay_values):
+        point_grid = GridSpec(p_u_values=p_u_values, p_j_values=(p_j,))
+        results = [maximize_covert_rate(scenario.replace(p_j=p_j, epsilon=eps),
+                                        point_grid)
+                   for eps in epsilons]
+        rates = [r.r_b_star for r in results if r.feasible]
+        if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):
+            raise NumericalError(
+                f"optimized covert rate not nondecreasing in epsilon at p_j={p_j}")
+        base = scenario.replace(p_j=p_j)
+        block = scenario_columns(base)
+        block.update({name: [getattr(r, name) for r in results]
+                      for name in _RESULT_COLUMNS})
+        block.update(epsilon=epsilons, h_min=block["h_star"], seed=int(seed),
+                     scenario_hash=_canonical_hashes(base, "epsilon", epsilon_cells))
+        blocks.append(block)
+    return blocks
 
 
 def expand_rows(blocks: list[dict]) -> list[dict]:

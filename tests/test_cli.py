@@ -265,6 +265,30 @@ def test_non_finite_los_gain_exits_two(tmp_path, capsys, preset, key, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, epsilon, code, err", [
+    (["optimize", "--pu-steps", "8", "--pj-steps", "8"], 1e-320, 3,
+     "no feasible grid point\n"),
+    (["covertness-sweep", "--start", "1e-320", "--stop", "0.5"], 0.01, 0, ""),
+    (["covertness-sweep", "--start", "5e-324", "--stop", "0.5", "--steps", "4",
+      "--overlay-values", "0.1,5"], 0.01, 0, ""),
+], ids=["optimize-overflow", "sweep-overflow", "sweep-underflow"])
+def test_infinite_covert_floor_is_silent(tmp_path, capsys, command, epsilon,
+                                         code, err):
+    # h_min^2 = -p_u beta / (p_j log1p(-epsilon)) - d_w^2 overflows, or its
+    # denominator underflows to 0: h_min = inf, with no numpy warning
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw["epsilon"] = epsilon
+    scenario = tmp_path / "tight.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command[0], "--scenario", str(scenario), "--out", str(out),
+                     *command[1:]]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists()
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_validate_empty_threshold_grid_exits_two(capsys, points):
     code = main(["validate", "--scenario", str(SCENARIOS / "fig2.json"),

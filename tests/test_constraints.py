@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from uavcovert import (
     ConfigError, covert_height_bound, feasible_interval,
     secrecy_rate_at_height, security_height_bound,
 )
+from uavcovert.constraints import feasibility_grid
 
 from conftest import draw_scenario, min_error_at_height
 
@@ -79,6 +81,37 @@ def test_covert_bound_monotone_sensitivity():
                                   eps, base["d_w2"])
               for eps in np.linspace(0.005, 0.06, 9)]
     assert all(bounds) and all(b < a for a, b in zip(bounds, bounds[1:]))
+
+
+def test_covert_bound_is_inf_when_its_denominator_underflows(fig5):
+    # p_j * log1p(-epsilon) underflows to -0.0: no altitude is covert
+    # enough, where a ZeroDivisionError escaped before
+    s = fig5.replace(p_j=0.1, epsilon=5e-324)
+    assert s.p_j * math.log1p(-s.epsilon) == 0.0
+    assert covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2) == math.inf
+    interval = feasible_interval(s)
+    assert interval.h_min == math.inf and interval.empty
+    # a quotient that overflows gives the same inf
+    assert covert_height_bound(s.p_u, 10.0, s.beta, 1e-320, s.d_w2) == math.inf
+
+
+@pytest.mark.parametrize("p_u_values, p_j_values, epsilons", [
+    ((10.0, 30.0), (5.0, 15.0), (0.01, 0.02)),
+    # p_j log1p(-epsilon) underflows to 0, or the quotient overflows
+    ((10.0, 30.0), (0.1, 5.0), (5e-324, 1e-320, 0.01)),
+    ((2.0, 1e308), (5.0,), (0.01,)),  # p_u beta overflows
+    ((30.0,), (5.0, 1e308), (0.01, 1.0 - 1e-16)),  # p_j log1p(-epsilon) does
+])
+def test_grid_covert_floor_is_the_scalar_one(fig5, p_u_values, p_j_values,
+                                             epsilons):
+    # every (epsilon, p_u, p_j) of the array pass, extreme ones included,
+    # rounds as covert_height_bound does, and none prints a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
+    for (e, i, j), h_min in np.ndenumerate(verdict.h_min):
+        assert h_min == covert_height_bound(
+            p_u_values[i], p_j_values[j], fig5.beta, epsilons[e], fig5.d_w2)
 
 
 def test_covert_bound_invalid_inputs():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+import uavcovert.constraints
+import uavcovert.optimizer
 from uavcovert import experiments
 from uavcovert import (
-    ConfigError, GridSpec, NumericalError, SweepSpec, render_csv,
-    run_covertness_sweep, run_detection_sweep, run_rate_sweep, run_validation,
-    write_csv,
+    ConfigError, GridSpec, NumericalError, Scenario, SweepSpec,
+    covert_height_bound, render_csv, run_covertness_sweep,
+    run_detection_sweep, run_rate_sweep, run_validation,
+    secrecy_rate_at_height, write_csv,
 )
 from uavcovert.experiments import (
     COVERTNESS_COLUMNS, DETECTION_COLUMNS, RATE_COLUMNS, mc_zeta_tolerance,
@@ -21,8 +25,8 @@ from uavcovert.model import _canonical_hashes
 
 from conftest import (
     SCENARIOS, draw_scenario, expand_rows, json_canonical_hash,
-    monotone_by_overlay, per_row_rate_oracle, rate_report, reference_render_csv,
-    traced_peak_bytes,
+    monotone_by_overlay, per_epsilon_covertness_oracle, per_row_rate_oracle,
+    rate_report, reference_render_csv, traced_peak_bytes,
 )
 
 
@@ -252,6 +256,159 @@ def test_covertness_sweep_rejects_epsilon_outside_unit_interval(fig5, start, sto
 def test_covertness_sweep_validates_power_grid(fig5, p_u_values):
     with pytest.raises(ConfigError, match="p_u_values"):
         run_covertness_sweep(fig5, covertness_sweep_spec(steps=2), p_u_values)
+
+
+def assert_same_blocks(got, want):
+    """Same blocks with the same columns in the same order, and on every
+    column equal ``repr`` and ``==`` cell by cell, NaN matching NaN."""
+    assert len(got) == len(want)
+    for block, reference in zip(got, want):
+        assert list(block) == list(reference)
+        for column, value in reference.items():
+            assert type(block[column]) is type(value), column
+            assert repr(block[column]) == repr(value), column
+            pairs = zip(block[column], value) if type(value) is list else [
+                (block[column], value)]
+            assert all(a == b or (a != a and b != b) for a, b in pairs), column
+
+
+def random_covertness_sweep(rng, kind):
+    """A drawn scenario, epsilon sweep and p_u grid for the per-epsilon
+    oracle.  The grid runs up to 45 W, above the 30 W cap; ``kind`` picks
+    r_s = 0, epsilons so tight their covert floor lies above the search
+    ceiling, a 1-step sweep, or r_s put on C_s(h_min) (or 1e-12 either
+    side) at one (epsilon, p_u, p_j), inside the guard band."""
+    s = draw_scenario(rng, d_w2=float(rng.uniform(5.0, 300.0)),
+                      r_s=float(rng.uniform(0.0, 0.05)))
+    start = float(10.0 ** rng.uniform(-14.0, -10.0) if kind == "tight"
+                  else 10.0 ** rng.uniform(-2.5, -0.5))
+    steps = 1 if kind == "1-step" else int(rng.integers(2, 9))
+    stop = start if steps == 1 else min(start * float(rng.uniform(1.1, 10.0)), 0.99)
+    overlays = tuple(float(v) for v in rng.choice(
+        np.arange(1.0, 30.5, 0.5), size=int(rng.integers(1, 4)), replace=False))
+    sweep = SweepSpec(start, stop, steps, overlays)
+    p_u_values = GridSpec.linear(float(rng.uniform(5.0, 45.0)), 1.0,
+                                 p_u_steps=int(rng.integers(1, 13)),
+                                 p_j_steps=1).p_u_values
+    if kind == "r_s=0":
+        s = s.replace(r_s=0.0)
+    elif kind == "guard":
+        for _ in range(10):  # until C_s(h_min) leaves room for r_s >= 0
+            p_u = float(rng.choice([v for v in p_u_values if v <= s.p_max]
+                                   or [s.p_max]))
+            p_j = float(rng.choice(overlays))
+            epsilon = float(rng.choice(sweep.points()))
+            h = covert_height_bound(p_u, p_j, s.beta, epsilon, s.d_w2)
+            r_s = secrecy_rate_at_height(s.replace(p_u=p_u, p_j=p_j), h) + float(
+                rng.choice([-1e-12, 0.0, 1e-12]))
+            if r_s >= 0.0:
+                return s.replace(r_s=r_s), sweep, p_u_values
+    return s, sweep, p_u_values
+
+
+@pytest.mark.parametrize("log2_skew, blocks", [
+    (0.0, None), (math.inf, None), (-math.inf, None), (0.0, (3, 7))])
+def test_covertness_sweep_matches_per_epsilon_oracle(monkeypatch, log2_skew,
+                                                      blocks):
+    # a skew moves np.log2 results one ULP, alternately up and down, as
+    # another libm may, so that guard-band points reach the scalar solver;
+    # small blocks split the grid into many (epsilon, p_u) passes
+    if blocks:
+        monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_POINTS", blocks[0])
+        monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_CELLS", blocks[1])
+    if log2_skew:
+        log2, turn = np.log2, itertools.count()
+        monkeypatch.setattr(np, "log2", lambda x: np.nextafter(
+            log2(x), log2_skew if next(turn) % 2 else -log2_skew))
+    solve = uavcovert.optimizer.feasible_interval
+    fallbacks = []
+    monkeypatch.setattr(uavcovert.optimizer, "feasible_interval",
+                        lambda scenario: fallbacks.append(1) or solve(scenario))
+    rng, trials = np.random.default_rng(20261018), 200
+    kinds = ("random", "r_s=0", "tight", "1-step", "guard")
+    seen = dict.fromkeys(("feasible", "infeasible", "tight", "above_cap",
+                          "fallbacks"), 0)
+    for trial in range(trials):
+        kind = kinds[trial % len(kinds)]
+        s, sweep, p_u_values = random_covertness_sweep(rng, kind)
+        fallbacks.clear()
+        got = run_covertness_sweep(s, sweep, p_u_values, seed=trial)
+        seen["fallbacks"] += len(fallbacks)
+        want = per_epsilon_covertness_oracle(s, sweep, p_u_values, seed=trial)
+        assert_same_blocks(got, want)
+        assert render_csv(got, COVERTNESS_COLUMNS) == render_csv(
+            want, COVERTNESS_COLUMNS)
+        flags = [f for block in want for f in block["feasible"]]
+        seen["feasible"] += sum(flags)
+        seen["infeasible"] += len(flags) - sum(flags)
+        seen["tight"] += kind == "tight" and not any(flags)
+        seen["above_cap"] += p_u_values[-1] > s.p_max
+    assert seen["feasible"] >= trials and seen["infeasible"] >= trials
+    assert seen["tight"] >= trials // 10 and seen["above_cap"] >= trials // 5
+    assert seen["fallbacks"] >= 10  # the guard band reaches the solver
+
+
+def test_covertness_sweep_keeps_the_solvers_numerical_errors(fig5, monkeypatch):
+    p_u_values = (10.0, 20.0, 30.0)
+    sweep = SweepSpec(0.01, 0.02, 5, (15.0,))
+    epsilon = float(sweep.points()[2])
+    h_min = covert_height_bound(10.0, 15.0, fig5.beta, epsilon, fig5.d_w2)
+    on_guard = fig5.replace(r_s=secrecy_rate_at_height(
+        fig5.replace(p_u=10.0, p_j=15.0), h_min))
+    solve = uavcovert.constraints.security_height_bound
+
+    def not_an_interval(scenario):
+        if scenario.p_u == 10.0:  # an uncertain point, never an argmax
+            raise NumericalError("secrecy rate re-crosses the threshold")
+        return solve(scenario)
+    monkeypatch.setattr(uavcovert.constraints, "security_height_bound",
+                        not_an_interval)
+    for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
+        with pytest.raises(NumericalError, match="re-crosses"):
+            runner(on_guard, sweep, p_u_values)
+
+    def raises_at_argmax(scenario):
+        raise NumericalError("secrecy rate re-crosses the threshold")
+    monkeypatch.setattr(uavcovert.constraints, "security_height_bound", solve)
+    monkeypatch.setattr(uavcovert.optimizer, "security_height_bound",
+                        raises_at_argmax)
+    for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
+        with pytest.raises(NumericalError, match="re-crosses"):
+            runner(fig5, sweep, p_u_values)
+
+    monkeypatch.setattr(uavcovert.optimizer, "security_height_bound", solve)
+    monkeypatch.setattr(uavcovert.optimizer, "covert_height_bound",
+                        lambda *args: covert_height_bound(*args) + 1e-3)
+    for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
+        with pytest.raises(NumericalError, match="grid verdict disagrees"):
+            runner(fig5, sweep, p_u_values)
+
+
+def test_covertness_sweep_solves_security_once_per_argmax(fig5, monkeypatch):
+    # the security ceiling ignores epsilon: one solve per distinct argmax
+    # (p_u, p_j) of an overlay, and no Scenario built per certain row
+    solves, replaces = [], []
+    for module in (uavcovert.constraints, uavcovert.optimizer):
+        def spy(scenario, solve=module.security_height_bound):
+            solves.append((scenario.p_u, scenario.p_j))
+            return solve(scenario)
+        monkeypatch.setattr(module, "security_height_bound", spy)
+    replace = Scenario.replace
+
+    def counted(self, **changes):
+        replaces.append(changes)
+        return replace(self, **changes)
+    monkeypatch.setattr(Scenario, "replace", counted)
+    sweep = SweepSpec(0.01, 0.02, 20, (5.0, 10.0, 15.0))  # the fig5 default
+    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=12,
+                                 p_j_steps=1).p_u_values
+    blocks = run_covertness_sweep(fig5, sweep, p_u_values)
+    argmaxes = {(p_u, block["p_j"]) for block in blocks
+                for p_u, feasible in zip(block["p_u_star"], block["feasible"])
+                if feasible}
+    assert len(argmaxes) <= 10  # of 60 feasible rows
+    assert len(solves) == len(set(solves)) and set(solves) <= argmaxes
+    assert len(replaces) <= len(blocks) + len(argmaxes)
 
 
 # -- CSV rendering -----------------------------------------------------------
