@@ -23,7 +23,6 @@ raise; such points are flagged uncertain, for the caller to hand to
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +85,6 @@ def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
 _SCAN_HEIGHTS = (0.0, *(2.0 ** k for k in range(
     math.ceil(math.log2(SEARCH_CEILING_M)))), SEARCH_CEILING_M)
 _SCAN = np.array(_SCAN_HEIGHTS)
-# The scan bracket [lo, hi] by the number n of scan heights at or above
-# r_s: heights n - 1 and n, clamped to the scan's first pair.  A scan that
-# never drops under r_s (n = all heights) has no bracket: hi = -inf.
-_PAIR = np.clip(np.arange(_SCAN.size + 1) - 1, 0, _SCAN.size - 2)
-_BRACKET_LO = _SCAN[_PAIR]
-_BRACKET_HI = np.append(_SCAN[_PAIR + 1][:-1], -np.inf)
 
 
 def security_height_bound(scenario: Scenario):
@@ -107,12 +100,11 @@ def security_height_bound(scenario: Scenario):
     def f(h: float) -> float:
         return secrecy_rate_at_height(scenario, h) - r_s
 
-    ground = f(0.0)
-    if ground < 0.0:
+    if f(0.0) < 0.0:
         return None
 
     # Doubling scan to bracket the first crossing.
-    values = [ground, *map(f, _SCAN_HEIGHTS[1:])]
+    values = [f(x) for x in _SCAN_HEIGHTS]
     crossings = [i for i in range(len(_SCAN_HEIGHTS) - 1)
                  if values[i] >= 0.0 > values[i + 1]]
     if not crossings:
@@ -200,26 +192,21 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
     n_above = above.sum(axis=-1)
     never_below = n_above == _SCAN.size
     one_crossing = (above[..., :-1] >= above[..., 1:]).all(axis=-1)
-    lo, hi = _BRACKET_LO[n_above], _BRACKET_HI[n_above]
+    k = np.minimum(np.maximum(n_above - 1, 0), _SCAN.size - 2)
+    lo, hi = _SCAN[k], _SCAN[k + 1]
     scan_uncertain = np.where(ground_ok, ~one_crossing | unsure.any(axis=-1),
                               unsure[..., 0])
 
-    logs = [math.log1p(-e) for e in epsilons]
+    logs = np.array([math.log1p(-e) for e in epsilons])[:, None, None]
     # h_min = inf where the quotient overflows or its denominator underflows
-    # to 0, as in covert_height_bound.  Rounding is monotone, so the extreme
-    # powers and slacks bound every point, and np.errstate (slow on a cold
-    # path) is entered only when they reach that.
-    least = min(p_j_values, default=0.0) * -max(logs)
-    calm = (least > 0.0 and math.isfinite(max(p_j_values) * min(logs))
-            and math.isfinite(max(p_u_values, default=0.0) * s.beta / least))
-    with (nullcontext() if calm
-          else np.errstate(divide="ignore", over="ignore")):
-        radicand = -p_u * s.beta / (p_j * np.array(logs)[:, None, None]) - s.d_w2
+    # to 0, as in covert_height_bound.
+    with np.errstate(divide="ignore", over="ignore"):
+        radicand = -p_u * s.beta / (p_j * logs) - s.d_w2
     h_min = np.sqrt(np.maximum(radicand, 0.0))
     gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
     c_u, c_b = np.log2(1.0 + gamma_u), np.log2(1.0 + gamma_b)
     margin_min = c_b - c_u - s.r_s
-    in_bracket = ground_ok & (h_min > lo) & (h_min <= hi)
+    in_bracket = ground_ok & ~never_below & (h_min > lo) & (h_min <= hi)
     feasible = ground_ok & (never_below | (h_min <= lo)
                             | (in_bracket & (margin_min >= 0.0)))
     uncertain = scan_uncertain | (in_bracket
