@@ -3,14 +3,7 @@ untrusted amplify-and-forward UAV, with a power-detecting warden and a
 full-duplex jamming receiver."""
 
 from .errors import ConfigError, NumericalError
-from .model import (
-    Scenario,
-    db_to_linear,
-    linear_to_db,
-    los_gain_squared,
-    relay_scaling,
-    sample_rayleigh_power,
-)
+from .model import Scenario, db_to_linear, linear_to_db
 from .detection import (
     DetectionPoint,
     OptimalDetection,
@@ -64,16 +57,13 @@ __all__ = [
     "error_curve",
     "feasible_interval",
     "linear_to_db",
-    "los_gain_squared",
     "maximize_covert_rate",
     "optimal_detection",
-    "relay_scaling",
     "render_csv",
     "run_covertness_sweep",
     "run_detection_sweep",
     "run_rate_sweep",
     "run_validation",
-    "sample_rayleigh_power",
     "secrecy_rate_at_height",
     "security_height_bound",
     "simulate_destination_snr",

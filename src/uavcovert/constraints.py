@@ -59,17 +59,27 @@ def covert_height_bound(p_u: float, p_j: float, beta: float, epsilon: float,
     when the radicand is non-positive (covert at any height).  When
     positive, zeta_star(h_min) = 1 - epsilon exactly.  When P_J ln(1 -
     epsilon) underflows to 0 or the quotient overflows, h_min is inf: no
-    altitude is covert enough.
+    altitude is covert enough.  When P_u beta and P_J ln(1 - epsilon) both
+    overflow the quotient is undefined and NumericalError is raised.
     """
     if not (0.0 < epsilon < 1.0):
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if min(p_u, p_j, beta) <= 0.0:
         raise ConfigError("p_u, p_j, beta must be > 0")
-    denominator = p_j * math.log1p(-epsilon)
-    if denominator == 0.0:
-        return math.inf
-    radicand = -p_u * beta / denominator - d_w2
-    return math.sqrt(radicand) if radicand > 0.0 else 0.0
+    return _covert_floor(p_u, p_j, beta, (epsilon,), d_w2).item()
+
+
+def _covert_floor(p_u, p_j, beta: float, epsilons, d_w2: float) -> np.ndarray:
+    """:func:`covert_height_bound` over a sequence of ``epsilons`` (axis 0)
+    broadcast against ``p_u`` and ``p_j``, with ``math.log1p`` per epsilon.
+    """
+    logs = np.array([math.log1p(-e) for e in epsilons])[:, None, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        radicand = -p_u * beta / (p_j * logs) - d_w2
+    if np.isnan(radicand).any():
+        raise NumericalError("covert floor undefined: P_u beta and "
+                             "P_J ln(1 - epsilon) both overflow")
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
@@ -136,14 +146,15 @@ def feasible_interval(scenario: Scenario) -> FeasibleHeightInterval:
     """Intersect the covert lower bound with the security upper bound.
 
     The interval is closed at h_max: C_s(h_max) = r_s satisfies the
-    security requirement with equality.
+    security requirement with equality.  It is empty where h_min is inf.
     """
     h_min = covert_height_bound(scenario.p_u, scenario.p_j, scenario.beta,
                                 scenario.epsilon, scenario.d_w2)
     h_max = security_height_bound(scenario)
     if h_max is None:
         return FeasibleHeightInterval(h_min=h_min, h_max=math.nan, empty=True)
-    return FeasibleHeightInterval(h_min=h_min, h_max=h_max, empty=h_min > h_max)
+    return FeasibleHeightInterval(h_min=h_min, h_max=h_max,
+                                  empty=h_min == math.inf or h_min > h_max)
 
 
 @dataclass(frozen=True)
@@ -174,9 +185,9 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
     the scan never drops under r_s (h_max = inf).  This assumes, as the
     bisection does, one crossing inside that bracket.  Points whose scan
     re-crosses r_s, or whose deciding values sit in a guard band of 0, are
-    left uncertain.  The scan and its flags are computed once per (p_u,
-    p_j) and broadcast against the epsilon axis, with ``math.log1p`` per
-    epsilon so that h_min rounds as in :func:`covert_height_bound`.
+    left uncertain, and a point whose h_min is inf is infeasible.  The scan
+    and its flags are computed once per (p_u, p_j) and broadcast against
+    the epsilon axis; h_min is :func:`covert_height_bound`'s array path.
     """
     s = scenario
     # The powers take a leading epsilon axis of length 1, so that with one
@@ -197,18 +208,13 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
     scan_uncertain = np.where(ground_ok, ~one_crossing | unsure.any(axis=-1),
                               unsure[..., 0])
 
-    logs = np.array([math.log1p(-e) for e in epsilons])[:, None, None]
-    # h_min = inf where the quotient overflows or its denominator underflows
-    # to 0, as in covert_height_bound.
-    with np.errstate(divide="ignore", over="ignore"):
-        radicand = -p_u * s.beta / (p_j * logs) - s.d_w2
-    h_min = np.sqrt(np.maximum(radicand, 0.0))
+    h_min = _covert_floor(p_u, p_j, s.beta, epsilons, s.d_w2)
     gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
     c_u, c_b = np.log2(1.0 + gamma_u), np.log2(1.0 + gamma_b)
     margin_min = c_b - c_u - s.r_s
     in_bracket = ground_ok & ~never_below & (h_min > lo) & (h_min <= hi)
-    feasible = ground_ok & (never_below | (h_min <= lo)
-                            | (in_bracket & (margin_min >= 0.0)))
+    feasible = ground_ok & (h_min < math.inf) & (
+        never_below | (h_min <= lo) | (in_bracket & (margin_min >= 0.0)))
     uncertain = scan_uncertain | (in_bracket
                                   & (np.abs(margin_min) <= RESIDUAL_GUARD))
     return GridVerdict(h_min=h_min, gamma_u=gamma_u, gamma_b=gamma_b,

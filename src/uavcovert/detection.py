@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import Scenario, sample_rayleigh_power
+from .model import Scenario
 
 _ZETA_SLACK = 1e-12
 
@@ -128,10 +128,10 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
         raise ConfigError(f"n_trials must be a positive integer, got {n_trials!r}")
     s = scenario
     rng = np.random.default_rng(seed)
-    t = sample_rayleigh_power(rng, int(n_trials))
+    t = rng.standard_exponential(int(n_trials))              # |h_bw|^2
     t *= s.p_j
     t += s.sigma_w2                                          # silent
     p_fa = float(np.count_nonzero(t >= gamma)) / n_trials
-    t += s.p_u * s.gain_uw2()                                # transmitting
+    t += s.p_u * (s.beta / (s.d_w2 + s.h * s.h))             # transmitting
     p_md = float(np.count_nonzero(t < gamma)) / n_trials
     return DetectionPoint(gamma=float(gamma), p_fa=p_fa, p_md=p_md)

@@ -288,9 +288,13 @@ class ValidationCheck:
     detail: str
 
 
-def mc_zeta_tolerance(zeta: float, n_trials: int, floor: float = 0.005) -> float:
+_MC_ZETA_FLOOR = 0.005
+
+
+def mc_zeta_tolerance(zeta: float, n_trials: int) -> float:
     """Binomial three-sigma band around the closed-form zeta, floored."""
-    return max(floor, 3.0 * math.sqrt(max(zeta * (1.0 - zeta), 0.0) / n_trials))
+    return max(_MC_ZETA_FLOOR,
+               3.0 * math.sqrt(max(zeta * (1.0 - zeta), 0.0) / n_trials))
 
 
 def run_validation(scenario: Scenario, n_trials: int = 100_000,

@@ -1,11 +1,12 @@
-"""Scenario parameterization and physical-layer primitives.
+"""Scenario parameterization and its JSON schema.
 
 A source transmits to a full-duplex receiver through an amplify-and-forward
 UAV relay hovering at altitude ``h`` while a ground warden listens.  All
 air-to-ground links are deterministic line-of-sight with squared gain
 ``beta / (d^2 + h^2)``; the ground-to-ground jamming links fade Rayleigh,
 i.e. their squared gains are unit-mean exponential draws, one per
-transmission block.
+transmission block.  :func:`rates.snrs_at` states the gain formula; the
+Monte Carlo kernels write it out the same way.
 
 Everything is stored in linear SI units (watts, square meters).  dB-valued
 config fields are converted exactly once, at JSON parse time.
@@ -17,8 +18,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -79,20 +78,6 @@ class Scenario:
         for name in ("p_a", "p_u", "p_j"):
             if getattr(self, name) > self.p_max:
                 raise ConfigError(f"{name} exceeds p_max ({getattr(self, name)!r} > {self.p_max!r})")
-
-    # -- per-link LOS gains ------------------------------------------------
-
-    def gain_ua2(self) -> float:
-        """Squared LOS gain of the source -> relay link."""
-        return los_gain_squared(self.beta, self.d_a2, self.h)
-
-    def gain_ub2(self) -> float:
-        """Squared LOS gain of the relay -> receiver link."""
-        return los_gain_squared(self.beta, self.d_b2, self.h)
-
-    def gain_uw2(self) -> float:
-        """Squared LOS gain of the relay -> warden link."""
-        return los_gain_squared(self.beta, self.d_w2, self.h)
 
     def replace(self, **changes) -> "Scenario":
         """Return a copy with the given fields replaced (and revalidated)."""
@@ -184,46 +169,3 @@ _JSON_FIELDS = {
     "epsilon": ("epsilon", _identity, _identity),
     "r_s_bpcu": ("r_s", _identity, _identity),
 }
-
-
-def los_gain_squared(beta: float, d_i2: float, h: float) -> float:
-    """Squared air-to-ground LOS gain beta / (d_i^2 + h^2).
-
-    Strictly decreasing in both ``h`` and ``d_i2``.  When ``h > 0`` is so
-    small that ``d_i2 + h*h`` underflows to 0, the gain overflows: the
-    result is ``beta / h / h`` (``inf``), not a zero-range error.
-    """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta!r}")
-    if d_i2 < 0.0 or h < 0.0:
-        raise ValueError("d_i2 and h must be >= 0")
-    denom = d_i2 + h * h
-    if denom <= 0.0:
-        if h > 0.0:
-            return beta / h / h
-        raise ValueError("d_i2 + h^2 must be > 0 (gain undefined at zero range)")
-    return beta / denom
-
-
-def sample_rayleigh_power(rng: np.random.Generator, size=None):
-    """Draw squared Rayleigh-fading gains |h|^2 ~ Exp(1) (unit mean).
-
-    One draw models one quasi-static transmission block.  Deterministic
-    given the generator state; callers own stream management.
-    """
-    return rng.standard_exponential(size)
-
-
-def relay_scaling(p_a: float, p_j: float, gain_ua2: float, gain_ub2: float,
-                  sigma_u2: float) -> float:
-    """Amplify-and-forward scaling G = 1 / sqrt(P_a|h_ua|^2 + P_J|h_ub|^2 + sigma_u^2).
-
-    Normalizes the forwarded waveform to unit average power,
-    G^2 (P_a|h_ua|^2 + P_J|h_ub|^2 + sigma_u^2) = 1.
-    """
-    if min(p_a, p_j, gain_ua2, gain_ub2, sigma_u2) < 0.0:
-        raise ValueError("relay_scaling inputs must be >= 0")
-    denom = p_a * gain_ua2 + p_j * gain_ub2 + sigma_u2
-    if denom <= 0.0:
-        raise ValueError("relay input power is zero; scaling undefined")
-    return 1.0 / math.sqrt(denom)

@@ -17,10 +17,9 @@ uncertain (guard band, re-crossing scan) are solved one by one with
 where the feasible set is not an interval.  The capacities of feasible
 points use math.log2, as :func:`rates.capacity` does, never np.log2: on an
 AVX-512 Xeon (numpy 2.4.6) the two differed by one ULP on 12,102 of 4e6
-values of 1 + U(0, 1), enough to move the argmax and the CSV bytes.  At
-each epsilon's argmax the scalar covert floor is solved again, and the
-security ceiling once per distinct argmax (p_u, p_j), since it does not
-depend on epsilon; they give h_max and the active-constraint flags.
+values of 1 + U(0, 1), enough to move the argmax and the CSV bytes.  The
+security ceiling is solved once per distinct argmax (p_u, p_j), since it
+does not depend on epsilon; it gives h_max and the active-constraint flags.
 :func:`maximize_covert_rate` is the one-epsilon case.
 """
 from __future__ import annotations
@@ -34,8 +33,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .model import Scenario
 from .constraints import (
-    covert_height_bound, feasibility_grid, feasible_interval,
-    security_height_bound,
+    feasibility_grid, feasible_interval, security_height_bound,
 )
 from .rates import capacity
 
@@ -153,7 +151,7 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
 
     h_max_at = {}  # (p_u, p_j) -> security ceiling, shared by every epsilon
     results = []
-    for epsilon, point in zip(epsilons, best):
+    for point in best:
         if point is None:
             results.append(_NO_FEASIBLE_POINT)
             continue
@@ -161,8 +159,7 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
         if (p_u, p_j) not in h_max_at:
             h_max_at[p_u, p_j] = security_height_bound(s.replace(p_u=p_u, p_j=p_j))
         h_max = h_max_at[p_u, p_j]
-        if (h_max is None or h > h_max
-                or covert_height_bound(p_u, p_j, s.beta, epsilon, s.d_w2) != h):
+        if h_max is None or h > h_max:
             raise NumericalError(
                 f"grid verdict disagrees with feasible_interval at p_u={p_u!r}, "
                 f"p_j={p_j!r}")

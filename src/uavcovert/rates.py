@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import Scenario, relay_scaling
+from .model import Scenario
 
 
 def capacity(snr: float) -> float:
@@ -47,8 +47,8 @@ def snrs_at(scenario: Scenario, p_u, p_j, h):
     which is the post-cancellation signal-to-noise ratio after dividing
     out the relay scaling G.
 
-    The LOS gains are those of :func:`model.los_gain_squared` (a scenario's
-    d^2 > 0 keeps their denominators positive).  Only plain arithmetic
+    The LOS gains are |h_ui|^2 = beta / (d_i^2 + h^2) (a scenario's d^2 > 0
+    keeps their denominators positive).  Only plain arithmetic
     operators appear, so floats and broadcast numpy arrays take this one
     path and round identically element by element; ``h`` must be finite
     and >= 0.
@@ -114,10 +114,12 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
     s = scenario
     n = int(n_symbols)
     rng = np.random.default_rng(seed)
-    amp_ua = math.sqrt(s.p_a * s.gain_ua2())
-    amp_jam = math.sqrt(s.p_j * s.gain_ub2())
-    amp_ub = math.sqrt(s.p_u * s.gain_ub2())
-    g = relay_scaling(s.p_a, s.p_j, s.gain_ua2(), s.gain_ub2(), s.sigma_u2)
+    g_ua = s.beta / (s.d_a2 + s.h * s.h)
+    g_ub = s.beta / (s.d_b2 + s.h * s.h)
+    amp_ua = math.sqrt(s.p_a * g_ua)
+    amp_jam = math.sqrt(s.p_j * g_ub)
+    amp_ub = math.sqrt(s.p_u * g_ub)
+    g = 1.0 / math.sqrt(s.p_a * g_ua + s.p_j * g_ub + s.sigma_u2)  # unit |x_u|^2
 
     a = np.empty(n, dtype=complex)
     t = np.empty(n, dtype=complex)

@@ -15,7 +15,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from uavcovert import (  # noqa: E402
     ConfigError, DestinationSnrEstimate, DetectionPoint, GridSpec,
     NumericalError, Scenario, capacity, feasible_interval,
-    maximize_covert_rate, optimal_detection, relay_scaling,
+    maximize_covert_rate, optimal_detection,
 )
 from uavcovert.experiments import (  # noqa: E402
     _MONOTONE_SLACK, _RESULT_COLUMNS, _render_cell, scenario_columns,
@@ -279,6 +279,12 @@ def reference_render_csv(records: list[dict], columns: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def los_gain(scenario: Scenario, d_i2: float) -> float:
+    """Squared LOS gain beta / (d_i^2 + h^2) at the scenario's altitude,
+    associated as the Monte Carlo kernels write it."""
+    return scenario.beta / (d_i2 + scenario.h * scenario.h)
+
+
 def _complex_normal(rng: np.random.Generator, variance: float, n: int) -> np.ndarray:
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -297,15 +303,16 @@ def reference_destination_snr(scenario: Scenario, n_symbols: int,
     n_u = _complex_normal(rng, s.sigma_u2, n)
     n_b = _complex_normal(rng, s.sigma_b2, n)
 
-    amp_ua = math.sqrt(s.p_a * s.gain_ua2())
-    amp_jam = math.sqrt(s.p_j * s.gain_ub2())
+    g_ua, g_ub = los_gain(s, s.d_a2), los_gain(s, s.d_b2)
+    amp_ua = math.sqrt(s.p_a * g_ua)
+    amp_jam = math.sqrt(s.p_j * g_ub)
     y_u = amp_ua * x_a + amp_jam * x_j + n_u
 
-    g = relay_scaling(s.p_a, s.p_j, s.gain_ua2(), s.gain_ub2(), s.sigma_u2)
+    g = 1.0 / math.sqrt(s.p_a * g_ua + s.p_j * g_ub + s.sigma_u2)
     x_u = g * y_u
     forwarded_power = float(np.mean(np.abs(x_u) ** 2))
 
-    amp_ub = math.sqrt(s.p_u * s.gain_ub2())
+    amp_ub = math.sqrt(s.p_u * g_ub)
     signal = amp_ub * g * amp_ua * x_a
     noise = amp_ub * g * n_u + n_b
 
@@ -327,7 +334,7 @@ def reference_detection(scenario: Scenario, gamma: float, n_trials: int,
     rng = np.random.default_rng(seed)
     fade = rng.exponential(1.0, int(n_trials))
     t_silent = s.p_j * fade + s.sigma_w2
-    t_active = t_silent + s.p_u * s.gain_uw2()
+    t_active = t_silent + s.p_u * los_gain(s, s.d_w2)
     p_fa = float(np.count_nonzero(t_silent >= gamma)) / n_trials
     p_md = float(np.count_nonzero(t_active < gamma)) / n_trials
     return DetectionPoint(gamma=float(gamma), p_fa=p_fa, p_md=p_md)

@@ -289,6 +289,25 @@ def test_infinite_covert_floor_is_silent(tmp_path, capsys, command, epsilon,
     assert out.exists()
 
 
+def test_undefined_covert_floor_exits_four(tmp_path, capsys):
+    # at p_u = p_j = 1e308 and epsilon = 1 - 1e-16 both p_u beta and
+    # p_j log1p(-epsilon) overflow: the radicand is inf / inf, once a numpy
+    # RuntimeWarning and exit 3
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw.update(p_max_w=1e308, epsilon=0.9999999999999999)
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["optimize", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out.csv")])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: covert floor undefined")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_validate_empty_threshold_grid_exits_two(capsys, points):
     code = main(["validate", "--scenario", str(SCENARIOS / "fig2.json"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uavcovert import (
-    ConfigError, covert_height_bound, feasible_interval,
+    ConfigError, NumericalError, covert_height_bound, feasible_interval,
     secrecy_rate_at_height, security_height_bound,
 )
 from uavcovert.constraints import feasibility_grid
@@ -93,6 +93,13 @@ def test_covert_bound_is_inf_when_its_denominator_underflows(fig5):
     assert interval.h_min == math.inf and interval.empty
     # a quotient that overflows gives the same inf
     assert covert_height_bound(s.p_u, 10.0, s.beta, 1e-320, s.d_w2) == math.inf
+    # an infinite floor is infeasible even where C_s never drops under r_s
+    s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
+                     d_w2=10.0, r_s=0.0, epsilon=1e-320)
+    interval = feasible_interval(s)
+    assert interval.h_min == interval.h_max == math.inf and interval.empty
+    verdict = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
+    assert verdict.h_min.item() == math.inf and not verdict.feasible.item()
 
 
 @pytest.mark.parametrize("p_u_values, p_j_values, epsilons", [
@@ -101,17 +108,31 @@ def test_covert_bound_is_inf_when_its_denominator_underflows(fig5):
     ((10.0, 30.0), (0.1, 5.0), (5e-324, 1e-320, 0.01)),
     ((2.0, 1e308), (5.0,), (0.01,)),  # p_u beta overflows
     ((30.0,), (5.0, 1e308), (0.01, 1.0 - 1e-16)),  # p_j log1p(-epsilon) does
+    ((1e308,), (1e308,), (1.0 - 1e-16,)),  # both do: inf / inf is undefined
 ])
 def test_grid_covert_floor_is_the_scalar_one(fig5, p_u_values, p_j_values,
                                              epsilons):
     # every (epsilon, p_u, p_j) of the array pass, extreme ones included,
-    # rounds as covert_height_bound does, and none prints a numpy warning
+    # rounds as covert_height_bound does, or both raise NumericalError, and
+    # none prints a numpy warning
+    want, undefined = {}, False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for e, i, j in np.ndindex(len(epsilons), len(p_u_values),
+                                  len(p_j_values)):
+            try:
+                want[e, i, j] = covert_height_bound(
+                    p_u_values[i], p_j_values[j], fig5.beta, epsilons[e],
+                    fig5.d_w2)
+            except NumericalError:
+                undefined = True
+        if undefined:
+            with pytest.raises(NumericalError, match="covert floor undefined"):
+                feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
+            return
         verdict = feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
-    for (e, i, j), h_min in np.ndenumerate(verdict.h_min):
-        assert h_min == covert_height_bound(
-            p_u_values[i], p_j_values[j], fig5.beta, epsilons[e], fig5.d_w2)
+    for index, h_min in want.items():
+        assert type(h_min) is float and verdict.h_min[index] == h_min
 
 
 def test_covert_bound_invalid_inputs():

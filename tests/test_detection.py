@@ -14,8 +14,8 @@ from uavcovert.cli import main
 from uavcovert.detection import p_false_alarm, p_missed_detection
 
 from conftest import (
-    PRESETS, SCENARIOS, draw_scenario, reference_detection, total_error_derivative,
-    traced_peak_bytes,
+    PRESETS, SCENARIOS, draw_scenario, los_gain, reference_detection,
+    total_error_derivative, traced_peak_bytes,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -87,7 +87,7 @@ def test_p_missed_detection_monte_carlo_oracle(fig2):
     s = fig2
     rng = np.random.default_rng(32)
     fades = rng.exponential(1.0, n)
-    statistic = s.p_u * s.gain_uw2() + s.p_j * fades + s.sigma_w2
+    statistic = s.p_u * los_gain(s, s.d_w2) + s.p_j * fades + s.sigma_w2
     empirical = float(np.mean(statistic < 0.1))
     closed = p_missed_detection(0.1, s.p_u, s.p_j, s.beta, s.d_w2, s.h, s.sigma_w2)
     assert abs(empirical - closed) <= max(

@@ -72,8 +72,8 @@ def test_detection_sweep_records(fig2):
         assert all(type(r[c]) is float for c in ("gamma", "p_fa", "p_md", "zeta"))
         assert r["zeta"] == r["p_fa"] + r["p_md"]
         assert r["zeta_mc"] == r["p_fa_mc"] + r["p_md_mc"]
-        assert abs(r["zeta_mc"] - r["zeta"]) <= mc_zeta_tolerance(
-            r["zeta"], r["n_trials"], floor=0.05)
+        assert abs(r["zeta_mc"] - r["zeta"]) <= max(
+            0.05, mc_zeta_tolerance(r["zeta"], r["n_trials"]))
         assert r["n_trials"] == 4000 and r["seed"] == 3
         assert len(r["scenario_hash"]) == 16
 
@@ -376,9 +376,9 @@ def test_covertness_sweep_keeps_the_solvers_numerical_errors(fig5, monkeypatch):
         with pytest.raises(NumericalError, match="re-crosses"):
             runner(fig5, sweep, p_u_values)
 
-    monkeypatch.setattr(uavcovert.optimizer, "security_height_bound", solve)
-    monkeypatch.setattr(uavcovert.optimizer, "covert_height_bound",
-                        lambda *args: covert_height_bound(*args) + 1e-3)
+    # a ceiling that contradicts the grid's verdict at the argmax
+    monkeypatch.setattr(uavcovert.optimizer, "security_height_bound",
+                        lambda scenario: None)
     for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
         with pytest.raises(NumericalError, match="grid verdict disagrees"):
             runner(fig5, sweep, p_u_values)

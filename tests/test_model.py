@@ -4,125 +4,11 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given
-import hypothesis.strategies as st
 
-from uavcovert import (
-    ConfigError, Scenario, db_to_linear, linear_to_db, los_gain_squared,
-    relay_scaling, sample_rayleigh_power,
-)
+from uavcovert import ConfigError, Scenario, db_to_linear, linear_to_db
 from uavcovert.model import _canonical_hashes
 
 from conftest import draw_scenario, json_canonical_hash
-
-finite = dict(allow_nan=False, allow_infinity=False)
-
-
-# -- LOS gains ---------------------------------------------------------------
-
-def test_los_gain_values():
-    # reference geometry of the detection sweeps: d^2 = 300 m^2, h^2 = 1000 m^2
-    assert math.isclose(los_gain_squared(10.0, 300.0, math.sqrt(1000.0)),
-                        10.0 / 1300.0, rel_tol=1e-12)
-    assert los_gain_squared(1.0, 0.0, 1.0) == 1.0
-    assert math.isclose(los_gain_squared(10.0, 3600.0, 0.0), 10.0 / 3600.0,
-                        rel_tol=1e-15)
-
-
-def test_los_gain_domain_errors():
-    with pytest.raises(ValueError):
-        los_gain_squared(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        los_gain_squared(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        los_gain_squared(1.0, -1.0, 1.0)
-
-
-@given(beta=st.floats(1e-3, 1e3, **finite),
-       d2=st.floats(0.0, 1e6, **finite),
-       h=st.floats(0.0, 1e3, **finite),
-       dh=st.floats(1e-3, 1e3, **finite))
-def test_los_gain_strictly_decreasing(beta, d2, h, dh):
-    if d2 == 0.0 and h == 0.0:
-        h = 1.0
-    base = los_gain_squared(beta, d2, h)
-    assert los_gain_squared(beta, d2, h + dh) < base
-    assert los_gain_squared(beta, d2 + dh, h) < base
-
-
-# -- Rayleigh fading ---------------------------------------------------------
-
-def test_rayleigh_unit_mean():
-    rng = np.random.default_rng(12345)
-    draws = sample_rayleigh_power(rng, size=1_000_000)
-    assert abs(float(np.mean(draws)) - 1.0) <= 0.01
-
-
-def test_rayleigh_tail_matches_exponential_cdf():
-    n = 200_000
-    rng = np.random.default_rng(2024)
-    draws = sample_rayleigh_power(rng, size=n)
-    p = math.exp(-1.0)
-    empirical = float(np.mean(draws > 1.0))
-    assert abs(empirical - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
-
-
-def test_rayleigh_kolmogorov_smirnov():
-    # one-sample KS against Exp(1), significance 0.01, asymptotic critical value
-    n = 100_000
-    rng = np.random.default_rng(777)
-    draws = np.sort(sample_rayleigh_power(rng, size=n))
-    cdf = 1.0 - np.exp(-draws)
-    grid = np.arange(1, n + 1) / n
-    d_stat = max(float(np.max(grid - cdf)), float(np.max(cdf - (grid - 1.0 / n))))
-    critical = 1.6276 / math.sqrt(n)
-    assert d_stat < critical
-
-
-def test_rayleigh_deterministic_stream():
-    a = sample_rayleigh_power(np.random.default_rng(99), size=10)
-    b = sample_rayleigh_power(np.random.default_rng(99), size=10)
-    assert np.array_equal(a, b)
-    # k-th draw is a pure function of (seed, k)
-    rng = np.random.default_rng(99)
-    singles = [sample_rayleigh_power(rng) for _ in range(10)]
-    assert np.allclose(singles, a, rtol=0, atol=0)
-
-
-@pytest.mark.parametrize("size", [None, 0, 1, 10**5, (3, 4)])
-def test_rayleigh_is_the_unit_exponential_stream(size):
-    got = sample_rayleigh_power(np.random.default_rng(31), size)
-    want = np.random.default_rng(31).exponential(1.0, size)
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(got, want)
-
-
-# -- relay scaling -----------------------------------------------------------
-
-def test_relay_scaling_values():
-    assert relay_scaling(0.0, 0.0, 0.5, 0.5, 1.0) == 1.0
-    assert relay_scaling(1.0, 0.0, 1.0, 0.7, 0.0) == 1.0
-    # altitude sweep geometry at h = 100 m
-    g_ua = los_gain_squared(10.0, 3600.0, 100.0)
-    g_ub = los_gain_squared(10.0, 2500.0, 100.0)
-    g = relay_scaling(2.0, 10.0, g_ua, g_ub, 0.01)
-    assert math.isclose(g, 7.166555421980228, rel_tol=1e-12)
-
-
-def test_relay_scaling_zero_denominator():
-    with pytest.raises(ValueError):
-        relay_scaling(0.0, 0.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        relay_scaling(-1.0, 0.0, 1.0, 1.0, 1.0)
-
-
-@given(p_a=st.floats(0.0, 100.0, **finite), p_j=st.floats(0.0, 100.0, **finite),
-       g_ua=st.floats(0.0, 10.0, **finite), g_ub=st.floats(0.0, 10.0, **finite),
-       sigma_u2=st.floats(1e-6, 10.0, **finite))
-def test_relay_scaling_normalizes_forward_power(p_a, p_j, g_ua, g_ub, sigma_u2):
-    g = relay_scaling(p_a, p_j, g_ua, g_ub, sigma_u2)
-    assert abs(g * g * (p_a * g_ua + p_j * g_ub + sigma_u2) - 1.0) <= 1e-12
-
 
 # -- scenario validation and JSON schema -------------------------------------
 

@@ -122,6 +122,15 @@ def test_maximize_infeasible_everywhere(fig4):
     assert result.active_constraints == ()
 
 
+def test_maximize_infinite_covert_floor_is_infeasible(fig5):
+    # no altitude is covert enough although C_s never drops under r_s; this
+    # was once reported feasible at h_star = inf with r_b_star = 0
+    s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
+                     d_w2=10.0, r_s=0.0, epsilon=1e-320)
+    result = maximize_covert_rate(s, GridSpec.linear(30.0, 30.0, 3, 3))
+    assert not result.feasible and math.isnan(result.h_star)
+
+
 def test_maximize_skips_grid_points_above_cap(fig5):
     capped = fig5.replace(p_max=10.0, p_u=2.0, p_j=5.0)
     grid = GridSpec(p_u_values=(5.0, 10.0, 25.0), p_j_values=(5.0,))

@@ -9,7 +9,7 @@ from uavcovert import ConfigError, Scenario, capacity, simulate_destination_snr
 
 from conftest import (
     PRESETS, SCENARIOS, AuxCoefficients, RateReport, aux_coefficients, draw_scenario,
-    rate_report, reference_destination_snr, snr_destination_expanded,
+    los_gain, rate_report, reference_destination_snr, snr_destination_expanded,
     traced_peak_bytes,
 )
 
@@ -58,7 +58,8 @@ def test_snr_destination_limits(fig4):
     assert rate_report(fig4.replace(p_u=1e-12)).gamma_b < 1e-10
     assert rate_report(fig4.replace(p_a=1e-12)).gamma_b < 1e-10
     relay_noise_only = fig4.replace(sigma_b2=1e-12, p_j=1e-12, h=50.0)
-    expected = relay_noise_only.p_a * relay_noise_only.gain_ua2() / relay_noise_only.sigma_u2
+    expected = (relay_noise_only.p_a * los_gain(relay_noise_only, relay_noise_only.d_a2)
+                / relay_noise_only.sigma_u2)
     assert math.isclose(rate_report(relay_noise_only).gamma_b, expected, rel_tol=1e-9)
 
 
