@@ -213,6 +213,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a size the machine cannot allocate
+        print("config error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

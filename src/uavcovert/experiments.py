@@ -9,14 +9,17 @@ values.  Each runner is one serial loop over its sorted overlays and
 returns one column block per overlay: a dict in a fixed column order that
 maps a column to a list of one value per swept point, or to one value
 shared by the block's rows.  The swept points are one list object shared
-by every block.  The detection and rate sweeps take each overlay's closed
-forms in one array pass (Monte Carlo stays per point), with capacities by
-``math.log2`` on each element, since ``np.log2`` can round the last bit
-differently and so change the CSV bytes; array values reach the blocks as
-floats via ``.tolist()``.  :func:`render_csv` renders each distinct list
-once and each shared value once per block; floats render with repr, so
-the CSV round-trips exactly and is byte-deterministic for a fixed
-(scenario, seed, trials) on one platform.
+by every block.  The detection sweep takes each overlay's closed forms in
+one array pass (Monte Carlo stays per point); the rate sweep takes one
+array pass per sweep, over the whole (overlay x altitude) grid, and its
+``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block, as the
+swept points are.  Capacities take ``math.log2`` on each element, since
+``np.log2`` can round the last bit differently and so change the CSV
+bytes; array values reach the blocks as floats via ``.tolist()``.
+:func:`render_csv` renders each distinct list once and each shared value
+once per block; floats render with repr, so the CSV round-trips exactly
+and is byte-deterministic for a fixed (scenario, seed, trials) on one
+platform.
 """
 from __future__ import annotations
 
@@ -101,8 +104,11 @@ def _render_cell(value) -> str:
 
 
 def _render_list(values: list) -> list[str]:
-    if set(map(type, values)) <= {float}:
+    types = set(map(type, values))
+    if types <= {float}:
         return list(map(float.__repr__, values))
+    if types == {str}:
+        return values
     return list(map(_render_cell, values))
 
 
@@ -193,20 +199,24 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
 
 
 def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[dict]:
-    """Rate chain over an altitude grid with forward-power overlays.
+    """Rate chain over an altitude grid with forward-power overlays, in one
+    array pass per sweep.
 
     ``sweep`` runs over the altitude ``h``, from ``h >= 0``; its overlay
-    values are forward powers ``p_u``.  One block per overlay p_u, in
-    ascending order, each one array pass: the ``h`` list (one object shared
-    by every block), the SNR and capacity lists, with ``r_b`` the ``c_b``
-    list itself, and a ``scenario_hash`` list that splices each altitude's
-    ``repr`` (taken once per sweep) into one per-overlay template.  Each
-    overlay's scenario is built and validated once, at the first altitude;
-    the other altitudes need no revalidation, since :class:`SweepSpec`
-    keeps every point finite and the start check keeps them >= 0.
-    :func:`rates.snrs_at` gives both SNRs over the whole altitude array.
-    Capacities take ``math.log2`` on each element, not ``np.log2``, which
-    can differ in the last bit.
+    values are forward powers ``p_u``.  Every overlay's scenario is built
+    and validated once, at the first altitude, before any SNR; the other
+    altitudes need no revalidation, since :class:`SweepSpec` keeps every
+    point finite and the start check keeps them >= 0.  One
+    :func:`rates.snrs_at` call takes both SNRs over the whole (overlay x
+    altitude) grid, with ``p_u`` a column.  The relay SNR does not involve
+    ``p_u``, so it comes back as one altitude row: the ``h``, ``gamma_u``
+    and ``c_u`` lists are one object each, shared by every block.  One
+    block per overlay p_u, in ascending order, with its own ``gamma_b``,
+    ``c_b`` (``r_b`` is that list itself) and ``c_s`` lists, and a
+    ``scenario_hash`` list that splices each altitude's ``repr`` (taken
+    once per sweep) into one per-overlay template.  Capacities take
+    ``math.log2`` on each element, not ``np.log2``, which can differ in
+    the last bit.
 
     The destination capacity is provably decreasing in altitude; the runner
     asserts that on each overlay as a numerical self-check.
@@ -216,19 +226,23 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     hs = sweep.points()
     h_values = hs.tolist()
     h_cells = list(map(float.__repr__, h_values))
+    overlays = sorted(sweep.overlay_values)
+    scenarios = [scenario.replace(p_u=p_u, h=h_values[0]) for p_u in overlays]
+    with np.errstate(over="ignore"):  # h*h overflows to inf, as for floats
+        gamma_u, gamma_b = snrs_at(scenario, np.array(overlays)[:, None],
+                                   scenario.p_j, hs)
+    gamma_u_values = gamma_u.tolist()
+    c_u = list(map(math.log2, (1.0 + gamma_u).tolist()))
     blocks = []
-    for p_u in sorted(sweep.overlay_values):
-        sc = scenario.replace(p_u=p_u, h=h_values[0])
-        with np.errstate(over="ignore"):  # h*h overflows to inf, as for floats
-            gamma_u, gamma_b = snrs_at(sc, sc.p_u, sc.p_j, hs)
-        c_u = list(map(math.log2, (1.0 + gamma_u).tolist()))
-        c_b = list(map(math.log2, (1.0 + gamma_b).tolist()))
+    for sc, gamma_b_row, c_b_row in zip(scenarios, gamma_b.tolist(),
+                                        (1.0 + gamma_b).tolist()):
+        c_b = list(map(math.log2, c_b_row))
         if any(b > a + _MONOTONE_SLACK for a, b in zip(c_b, c_b[1:])):
             raise NumericalError(
-                f"destination capacity not decreasing in h at p_u={p_u}")
+                f"destination capacity not decreasing in h at p_u={sc.p_u}")
         block = scenario_columns(sc)
         block.update(
-            h=h_values, gamma_u=gamma_u.tolist(), gamma_b=gamma_b.tolist(),
+            h=h_values, gamma_u=gamma_u_values, gamma_b=gamma_b_row,
             c_u=c_u, c_b=c_b, c_s=list(map(sub, c_b, c_u)), r_b=c_b,
             seed=int(seed), scenario_hash=_canonical_hashes(sc, "h", h_cells))
         blocks.append(block)

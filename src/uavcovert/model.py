@@ -137,15 +137,24 @@ def _canonical_hashes(scenario: Scenario, name: str, cells) -> list[str]:
     The hashed payload is what ``json.dumps({field: repr(value)},
     sort_keys=True)`` writes for the fields.  Every value is the ``repr`` of
     a number, which holds nothing JSON escapes, so the payload is one
-    template per call with each cell spliced in as field ``name``.
+    template per call with each cell spliced in as field ``name``.  The
+    head before the cell is hashed once; each cell resumes from a copy of
+    that state.  The first 8 digest bytes in hex are the first 16 hex
+    digits of the digest.
     """
     reprs = {f.name: repr(getattr(scenario, f.name))
              for f in dataclasses.fields(scenario)}
     reprs[name] = "\0"
     head, tail = ("{" + ", ".join(f'"{k}": "{reprs[k]}"' for k in sorted(reprs))
                   + "}").split("\0")
-    return [hashlib.sha256(f"{head}{cell}{tail}".encode("ascii")).hexdigest()[:16]
-            for cell in cells]
+    prefix, tail = hashlib.sha256(head.encode("ascii")), tail.encode("ascii")
+    digests = []
+    for cell in cells:
+        state = prefix.copy()
+        state.update(cell.encode("ascii"))
+        state.update(tail)
+        digests.append(state.digest()[:8].hex())
+    return digests
 
 
 def _identity(x: float) -> float:

@@ -65,9 +65,13 @@ class GridSpec:
     def linear(cls, p_u_stop: float, p_j_stop: float, p_u_steps: int = 50,
                p_j_steps: int = 50) -> "GridSpec":
         """Evenly spaced grids from stop/steps up to the given stops, so the
-        grid stays strictly positive (one step is the stop alone)."""
+        grid stays strictly positive (one step is the stop alone).  Each
+        stop must be finite and > 0."""
         if p_u_steps < 1 or p_j_steps < 1:
             raise ConfigError("step counts must be positive")
+        for name, stop in (("p_u_stop", p_u_stop), ("p_j_stop", p_j_stop)):
+            if not (math.isfinite(stop) and stop > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {stop!r}")
 
         def axis(stop, steps):
             return tuple(np.linspace(stop / steps, stop, steps).tolist())

@@ -6,9 +6,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import uavcovert.cli
+import uavcovert.experiments
 from uavcovert.cli import main
 
 from conftest import PRESETS, expand_rows, reference_render_csv
@@ -365,3 +367,48 @@ def test_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch, argv):
     ((records, columns),) = written
     assert out.read_bytes() == reference_render_csv(
         expand_rows(records), columns).encode("ascii")
+
+
+@pytest.mark.parametrize("flag, stop", [
+    ("--pu-max", "inf"), ("--pj-max", "inf"), ("--pj-max", "-inf"), ("--pu-max", "nan"),
+    ("--pu-max", "0"),
+])
+def test_optimize_rejects_a_power_stop_outside_its_domain(tmp_path, capsys, flag, stop):
+    out = tmp_path / "opt.csv"
+    code = main(_optimize_argv(out, f"{flag}={stop}"))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = "p_u_stop" if flag == "--pu-max" else "p_j_stop"
+    assert captured.err == f"config error: {name} must be finite and > 0, got {float(stop)!r}\n"
+    assert not out.exists()
+
+
+def _out_of_memory(message):
+    def allocate(*args, **kwargs):
+        raise MemoryError(*message)
+    return allocate
+
+
+@pytest.mark.parametrize("message", [(), ("Unable to allocate 745. GiB",)],
+                         ids=["bare", "numpy"])
+@pytest.mark.parametrize("argv, module, call", [
+    (_optimize_argv("opt.csv", "--pj-steps", "100000000000"), np, "linspace"),
+    (["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"), "--out", "rate.csv",
+      "--steps", "100000000000"], np, "linspace"),
+    (["validate", "--scenario", str(SCENARIOS / "fig4.json"), "--trials", "10",
+      "--symbols", "100000000000"], uavcovert.experiments, "simulate_destination_snr"),
+    (["validate", "--scenario", str(SCENARIOS / "fig4.json"), "--symbols", "10",
+      "--trials", "100000000000"], uavcovert.experiments, "simulate_detection"),
+], ids=["optimize-pj-steps", "rate-sweep-steps", "validate-symbols", "validate-trials"])
+def test_unallocatable_size_exits_two(tmp_path, monkeypatch, capsys, argv, module,
+                                      call, message):
+    # the allocating call raises as numpy does, without allocating anything
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module, call, _out_of_memory(message))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: out of memory" + "".join(
+        f": {m}" for m in message) + "\n"
+    assert list(tmp_path.iterdir()) == []

@@ -154,7 +154,8 @@ def test_rate_sweep_matches_per_row_oracle_on_random_sweeps():
     (0.0, 1e200, 4),
 ])
 def test_rate_sweep_matches_per_row_oracle_on_edges(fig3, fig4, start, stop, steps):
-    for scenario, overlays in ((fig3, (9.0, 7.0, 8.0)), (fig4, (2.0,))):
+    for scenario, overlays in ((fig3, (9.0, 7.0, 8.0)), (fig4, (2.0,)),
+                               (fig4, (3.0, fig4.p_max, 1e-3, 0.5, 7.25))):
         spec = SweepSpec(start, stop, steps, overlays)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -186,6 +187,15 @@ def test_rate_sweep_self_check_catches_rising_capacity(fig3, monkeypatch, tmp_pa
     assert main(["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"),
                  "--out", str(out), "--steps", "5"]) == 4
     assert not out.exists()
+
+
+def test_rate_sweep_validates_every_overlay_before_any_snr(fig3, monkeypatch):
+    def snrs_at(*args):
+        raise AssertionError("SNRs taken before every overlay was validated")
+
+    monkeypatch.setattr(experiments, "snrs_at", snrs_at)
+    with pytest.raises(ConfigError, match="p_u exceeds p_max"):
+        run_rate_sweep(fig3, SweepSpec(0.0, 10.0, 4, (7.0, 2.0 * fig3.p_max)))
 
 
 def test_rate_sweep_rejects_negative_altitude(fig3):
@@ -580,6 +590,8 @@ def test_sweep_blocks_share_their_lists(fig2, fig3, fig5):
         assert len(blocks) == 3
         assert all(b[swept] is blocks[0][swept] for b in blocks)
     assert all(b["r_b"] is b["c_b"] for b in rate)
+    # the relay SNR does not involve p_u: one gamma_u and c_u list per sweep
+    assert all(b[column] is rate[0][column] for b in rate for column in ("gamma_u", "c_u"))
     assert all(b["h_min"] is b["h_star"] for b in covertness)
 
 

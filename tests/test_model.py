@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -125,6 +126,24 @@ def test_spliced_epsilon_hashes_match_replaced_scenarios(fig2, fig5):
         assert _canonical_hashes(sc, "epsilon", [repr(e) for e in epsilons]) == [
             sc.replace(epsilon=e).canonical_hash() for e in epsilons] == [
             json_canonical_hash(sc.replace(epsilon=e)) for e in epsilons]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Scenario)])
+def test_spliced_hashes_match_replaced_scenarios_for_every_field(fig3, name):
+    # the template head before "beta" (first in key order) is shorter than
+    # one 64-byte SHA-256 block, the heads before the last keys are longer
+    rng = np.random.default_rng(15)
+    for sc in (fig3, draw_scenario(rng), draw_scenario(rng)):
+        v = getattr(sc, name)
+        # p_max stays at or above the powers it caps
+        up = name == "p_max"
+        factors = (2.0, 3.0, 1e300) if up else (0.5, 1.0 / 3.0, 1e-300)
+        values = [v, 0.0 * v, np.nextafter(v, math.inf if up else 0.0).item()] + [
+            v * f for f in factors]
+        if name not in ("h", "r_s"):  # the only fields that may be 0
+            values = [x for x in values if x > 0.0]
+        assert _canonical_hashes(sc, name, [repr(x) for x in values]) == [
+            json_canonical_hash(sc.replace(**{name: x})) for x in values]
 
 
 def test_scenario_to_dict_matches_file(fig2):
