@@ -234,9 +234,9 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     gamma_u_values = gamma_u.tolist()
     c_u = list(map(math.log2, (1.0 + gamma_u).tolist()))
     blocks = []
-    for sc, gamma_b_row, c_b_row in zip(scenarios, gamma_b.tolist(),
-                                        (1.0 + gamma_b).tolist()):
-        c_b = list(map(math.log2, c_b_row))
+    for sc, gamma_b_row, one_plus_gamma_b in zip(scenarios, gamma_b.tolist(),
+                                                 (1.0 + gamma_b).tolist()):
+        c_b = list(map(math.log2, one_plus_gamma_b))
         if any(b > a + _MONOTONE_SLACK for a, b in zip(c_b, c_b[1:])):
             raise NumericalError(
                 f"destination capacity not decreasing in h at p_u={sc.p_u}")

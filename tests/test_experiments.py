@@ -569,6 +569,8 @@ _SHARED = [0.0, -0.0, math.nan, 0.1]
            {"a": _SHARED, "b": [math.inf, np.float64(0.1), Tenths(0.2), Shouting("q")],
             "c": Shouting("p"), "d": [1.0, -0.0, 0.0, True]}],
           ("a", "b", "c", "d", "a")))
+@example(([{"a": ["p", "q,"], "b": [Shouting("p"), Shouting("q")], "c": "p",
+            "d": ["p", Shouting("q")]}], ("a", "b", "c", "d")))
 @settings(max_examples=300, deadline=None)
 def test_render_csv_blocks_match_row_at_a_time_reference(case):
     blocks, columns = case
