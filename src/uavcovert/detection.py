@@ -51,14 +51,29 @@ class OptimalDetection:
     zeta_star: float
 
 
+def _exp_of_exponent(numerator: np.ndarray, p_j: float) -> np.ndarray:
+    """exp(numerator / P_J) per element, for numerator <= 0.
+
+    A quotient that overflows to -inf is the defined limit, exp -> 0, so
+    it is not warned about.  The exponentials are ``math.exp``, not
+    ``np.exp``: numpy picks its exp kernel by CPU, and its AVX-512 kernel
+    is not correctly rounded on every fig2 threshold, so the CSV bytes
+    would depend on the host's SIMD dispatch.
+    """
+    with np.errstate(over="ignore"):
+        exponent = numerator / p_j
+    return np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
+                       exponent.size).reshape(exponent.shape)
+
+
 def p_false_alarm(gamma, p_j: float, sigma_w2: float) -> np.ndarray:
     """P(decide transmission | relay silent) at each threshold in ``gamma``.
 
     exp((sigma_w^2 - gamma) / P_J) for gamma >= sigma_w^2, else 1.
     """
     g = np.asarray(gamma, dtype=float)
-    exponent = np.minimum(sigma_w2 - g, 0.0) / p_j
-    return np.where(g >= sigma_w2, np.exp(exponent), 1.0)
+    p_fa = _exp_of_exponent(np.minimum(sigma_w2 - g, 0.0), p_j)
+    return np.where(g >= sigma_w2, p_fa, 1.0)
 
 
 def p_missed_detection(gamma, p_u: float, p_j: float, beta: float,
@@ -72,8 +87,8 @@ def p_missed_detection(gamma, p_u: float, p_j: float, beta: float,
     """
     g = np.asarray(gamma, dtype=float)
     floor = sigma_w2 + p_u * beta / (d_w2 + h * h)
-    tau = np.minimum(floor - g, 0.0) / p_j
-    return np.where(g >= floor, 1.0 - np.exp(tau), 0.0)
+    p_md = 1.0 - _exp_of_exponent(np.minimum(floor - g, 0.0), p_j)
+    return np.where(g >= floor, p_md, 0.0)
 
 
 def error_curve(scenario: Scenario, gammas):

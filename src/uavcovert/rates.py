@@ -9,8 +9,8 @@ own jamming cancelled (full-duplex self-interference cancellation).
 
 The signal-level oracle :func:`simulate_destination_snr` draws the source
 symbols, the jamming, the relay noise and the receiver noise in that order,
-and pushes them through the chain in place in three reused buffers, about
-40 bytes per symbol.
+and pushes them through the chain in place in three length-n float arrays
+and two chunk-sized scratch buffers, about 24 bytes per symbol.
 """
 from __future__ import annotations
 
@@ -74,22 +74,19 @@ class DestinationSnrEstimate:
     noise_power: float
 
 
-def _draw_complex_normal(rng: np.random.Generator, variance: float,
-                         z: np.ndarray, buf: np.ndarray) -> None:
-    """Fill ``z`` with CN(0, variance) draws: ``len(z)`` standard normals
-    scaled into the real parts, then as many into the imaginary parts."""
-    scale = math.sqrt(variance / 2.0)
-    rng.standard_normal(out=buf)
-    np.multiply(buf, scale, out=z.real)
-    rng.standard_normal(out=buf)
-    np.multiply(buf, scale, out=z.imag)
+# Symbols per chunk of the simulator's scratch buffers.  Complex abs needs
+# complex storage, and 2^14 symbols (256 KiB complex, 128 KiB real) keep
+# that scratch in cache at a negligible share of the length-n arrays.  No
+# element's operations depend on it, so the results do not either.
+_CHUNK = 1 << 14
 
 
-def _mean_power(z: np.ndarray, buf: np.ndarray) -> float:
-    """mean |z|^2 through ``buf``; bit-equal to ``np.mean(np.abs(z) ** 2)``."""
-    np.abs(z, out=buf)
-    buf *= buf
-    return float(np.mean(buf))
+def _chunks(n: int, *scratch: np.ndarray):
+    """Each slice of at most ``_CHUNK`` symbols of the length-n arrays, in
+    order, with a view of as many symbols of each scratch buffer."""
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        yield (slice(lo, hi), *(b[:hi - lo] for b in scratch))
 
 
 def simulate_destination_snr(scenario: Scenario, n_symbols: int,
@@ -105,8 +102,20 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
     The stream is consumed in a fixed order, each complex stream as
     ``n_symbols`` real parts then ``n_symbols`` imaginary parts: the source
     symbols x_a, the jamming x_j, the relay noise n_u, the receiver noise
-    n_b.  The chain runs in place in two complex buffers and one real one,
-    about 40 bytes per symbol (40 MB at 1e6 symbols).
+    n_b.  A segment is drawn straight into a length-n array or chunk by
+    chunk into a scratch buffer; both give the values of one draw.
+
+    The chain runs in place in three length-n float arrays, about 24 bytes
+    per symbol (24 MB at 1e6 symbols): the real and imaginary parts of the
+    running sum, and one more.  x_a is held whole while |c x_a|^2 fills the
+    third array, since each power is one ``np.mean`` over a full-length
+    array: its pairwise sum depends on the whole array, so a chunked mean
+    would round differently.  Each |z| is numpy's complex ``abs`` over a
+    chunk copied into complex scratch; ``np.hypot`` differs from it in the
+    last bit.  When the imaginary part of n_u completes y_u, |G y_u|^2
+    overwrites y_u's real part and n_u's imaginary part is kept in its
+    place.  Every element sees the operations of the one-array-per-
+    expression form, in its association, so the result is bit-equal to it.
     """
     if (isinstance(n_symbols, bool) or not isinstance(n_symbols, (int, np.integer))
             or n_symbols < 1):
@@ -121,24 +130,57 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
     amp_ub = math.sqrt(s.p_u * g_ub)
     g = 1.0 / math.sqrt(s.p_a * g_ua + s.p_j * g_ub + s.sigma_u2)  # unit |x_u|^2
 
-    a = np.empty(n, dtype=complex)
-    t = np.empty(n, dtype=complex)
-    buf = np.empty(n)
-    _draw_complex_normal(rng, 1.0, a, buf)                  # x_a
-    np.multiply(a, amp_ub * g * amp_ua, out=t)              # received signal
-    signal_power = _mean_power(t, buf)
-    a *= amp_ua
-    _draw_complex_normal(rng, 1.0, t, buf)                  # x_j
-    t *= amp_jam
-    a += t
-    _draw_complex_normal(rng, s.sigma_u2, t, buf)           # n_u
-    a += t                                                  # y_u
-    a *= g                                                  # x_u = G y_u
-    forwarded_power = _mean_power(a, buf)
-    t *= amp_ub * g
-    _draw_complex_normal(rng, s.sigma_b2, a, buf)           # n_b
-    t += a                                                  # received noise
-    noise_power = _mean_power(t, buf)
+    re, im, w = np.empty(n), np.empty(n), np.empty(n)
+    z = np.empty(min(n, _CHUNK), dtype=complex)
+    r = np.empty(len(z))
+    unit = math.sqrt(1.0 / 2.0)
+
+    rng.standard_normal(out=re)                             # x_a
+    rng.standard_normal(out=im)
+    re *= unit
+    im *= unit
+    c = amp_ub * g * amp_ua
+    for k, zk in _chunks(n, z):                             # received signal
+        np.multiply(re[k], c, out=zk.real)
+        np.multiply(im[k], c, out=zk.imag)
+        np.abs(zk, out=w[k])
+    w *= w
+    signal_power = float(np.mean(w))
+    re *= amp_ua
+    im *= amp_ua
+    for part in (re, im):                                   # + x_j
+        rng.standard_normal(out=w)
+        w *= unit
+        w *= amp_jam
+        part += w
+    scale = math.sqrt(s.sigma_u2 / 2.0)
+    rng.standard_normal(out=w)                              # n_u, real
+    w *= scale
+    re += w                                                 # y_u, real
+    for k, zk, rk in _chunks(n, z, r):
+        rng.standard_normal(out=rk)                         # n_u, imaginary
+        rk *= scale
+        zr, zi = zk.real, zk.imag
+        np.add(im[k], rk, out=zi)                           # y_u, imaginary
+        np.multiply(zi, g, out=zi)                          # x_u = G y_u
+        np.multiply(re[k], g, out=zr)
+        np.abs(zk, out=re[k])
+        im[k] = rk
+    re *= re
+    forwarded_power = float(np.mean(re))
+    c = amp_ub * g
+    w *= c
+    im *= c
+    scale = math.sqrt(s.sigma_b2 / 2.0)
+    for part in (w, im):                                    # + n_b
+        rng.standard_normal(out=re)
+        re *= scale
+        part += re                                          # received noise
+    for k, zk in _chunks(n, z):
+        zk.real, zk.imag = w[k], im[k]
+        np.abs(zk, out=re[k])
+    re *= re
+    noise_power = float(np.mean(re))
     return DestinationSnrEstimate(
         snr=signal_power / noise_power,
         forwarded_power=forwarded_power,

@@ -242,6 +242,23 @@ def test_validate_underflowing_destination_snr_exits_four(tmp_path, capsys):
                             "is not positive\n")
 
 
+def test_vanishing_jamming_power_is_silent(tmp_path, capsys):
+    # at p_j = 5e-324 the detection exponents (gamma_0 - gamma) / p_j
+    # overflow to -inf, whose exponential is the defined limit 0: numpy
+    # once printed an overflow RuntimeWarning for each
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw["p_j_w"] = 5e-324
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--scenario", str(tiny), "--trials", "2000",
+                     "--symbols", "2000"]) == 0
+        assert main(["detect-sweep", "--scenario", str(tiny), "--out",
+                     str(tmp_path / "out.csv"), "--trials", "200", "--steps", "5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("preset, key, command", [
     ("fig3", "d_a2_m2", ["rate-sweep"]),
     ("fig4", "d_b2_m2", ["rate-sweep"]),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from uavcovert import ConfigError, Scenario, capacity, simulate_destination_snr
+from uavcovert.rates import _CHUNK
 
 from conftest import (
     PRESETS, SCENARIOS, AuxCoefficients, RateReport, aux_coefficients, draw_scenario,
@@ -197,10 +198,11 @@ def test_simulate_destination_snr_rejects_bool(fig4):
 @pytest.mark.parametrize("preset", PRESETS)
 def test_simulate_destination_snr_matches_reference(preset):
     # the in-place kernel consumes the stream in the reference's order and
-    # rounds every operation alike, so each field is equal, not close
+    # rounds every operation alike, so each field is equal, not close; the
+    # sizes around the scratch chunk keep an error at a chunk edge in sight
     s = Scenario.from_file(SCENARIOS / f"{preset}.json")
     for entropy in (0, 4, 11):
-        for n in (1, 2, 7, 1000):
+        for n in (1, 2, 7, 1000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7):
             seed = [entropy, 1]
             got = simulate_destination_snr(s, n, np.random.SeedSequence(seed))
             want = reference_destination_snr(s, n, np.random.SeedSequence(seed))
@@ -214,7 +216,7 @@ def test_simulate_destination_snr_matches_reference_at_1e6(fig4):
 
 
 def test_simulate_destination_snr_footprint(fig4):
-    # two complex buffers and one real one: 40 bytes per symbol
+    # three float arrays, 24 bytes per symbol, and chunk-sized scratch
     n = 1_000_000
     peak = traced_peak_bytes(simulate_destination_snr, fig4, n, 3)
-    assert peak <= 48 * n
+    assert peak <= 28 * n
