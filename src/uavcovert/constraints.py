@@ -3,21 +3,35 @@
 Covertness requires the warden's minimum error zeta_star(h) to stay at or
 above 1 - epsilon, which translates into a minimum altitude.  Security
 requires the secrecy rate C_s(h) to stay at or above the scenario's
-threshold r_s; since C_s falls with altitude over the operating range,
-that yields a maximum altitude found by bisection, bracketed on one fixed
-scan of doubling altitudes up to SEARCH_CEILING_M.  Their intersection is
-the feasible hover interval, possibly empty.  Only the covert floor reads
-epsilon.
+threshold r_s, which above secure ground yields one maximum altitude,
+found by bisection.  Their intersection is the feasible hover interval,
+possibly empty.  Only the covert floor reads epsilon.
+
+The security set.  With x = h^2, a = d_a^2, b = d_b^2, m = sigma_b^2
+sigma_u^2, t = 2^r_s >= 1 and Q = P_u P_a beta^2, :func:`rates.snrs_at`
+gives 1 + gamma_u = N_u / D_u and 1 + gamma_b = N_b / D_b, where
+D_u = u0 + u1 x + sigma_u^2 x^2 with u1 = P_J beta + sigma_u^2 (a + b),
+D_b = v0 + v1 x + m x^2 with v1 = (P_u sigma_u^2 + P_J sigma_b^2) beta
++ P_a beta sigma_b^2 + m (a + b), N_u = D_u + P_a beta (b + x) and
+N_b = D_b + Q.  So C_s >= r_s is P(x) >= 0 for the quartic
+
+    P = N_b D_u - t N_u D_b = Q D_u - (t - 1) D_b D_u - t P_a beta (b + x) D_b,
+
+whose x^4, x^3, x^2 coefficients are -(t - 1) sigma_u^2 m <= 0,
+-(t - 1)(u1 m + sigma_u^2 v1) - t P_a beta m < 0 and
+Q sigma_u^2 - (t - 1)(...) - t P_a beta (b m + v1) < 0 (since
+P_a beta v1 > P_a beta P_u sigma_u^2 beta = Q sigma_u^2).  Where P(0) > 0
+the signs change once, so P has one positive root (Descartes' rule) and
+the secure set is [0, h'].  Where C_s(0) < r_s a secure band may still lie
+above the ground; :func:`feasible_interval` reports such points empty.
 
 :func:`feasible_interval` solves one scenario and is the reference.
 :func:`feasibility_grid` gives its emptiness verdict for whole arrays of
-(epsilon, p_u, p_j) at once, without bisection: it evaluates C_s - r_s on
-the solver's doubling scan once per (p_u, p_j), shared by every epsilon,
-and at each covert floor h_min, all with numpy, and locates h_min against
-the bracket where the scan crosses r_s.  A value inside a guard band of 0
-could be decided differently by the solver (np.log2 rounding, the
-bisection residual), and a scan that re-crosses r_s makes the solver
-raise; such points are flagged uncertain, for the caller to hand to
+(epsilon, p_u, p_j) at once, without bisection: by the one crossing,
+C_s - r_s on the ground, at SEARCH_CEILING_M and at each covert floor
+h_min decides a point.  A value inside a guard band of 0 could be decided
+differently by the solver (np.log2 rounding, the bisection residual);
+such points are flagged uncertain, for the caller to hand to
 :func:`feasible_interval`.
 """
 from __future__ import annotations
@@ -34,10 +48,11 @@ from .rates import capacity, snrs_at
 SEARCH_CEILING_M = 1e6     # far beyond any physical hover height
 BISECT_MAX_ITER = 200
 BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at the returned height
-# Guard bands of feasibility_grid.  A scan sign is unsure within
-# SIGN_GUARD * (c_b + c_u + r_s) of 0, thousands of times the few-ULP gap
-# between np.log2 and math.log2; C_s(h_min) - r_s is unsure within
-# RESIDUAL_GUARD, where the bisection may stop on either side of h_min.
+# Guard bands of feasibility_grid.  The sign of C_s - r_s on the ground or
+# at the ceiling is unsure within SIGN_GUARD * (c_b + c_u + r_s) of 0,
+# thousands of times the few-ULP gap between np.log2 and math.log2;
+# C_s(h_min) - r_s is unsure within RESIDUAL_GUARD, where the bisection may
+# stop on either side of h_min.
 SIGN_GUARD = 1e-12
 RESIDUAL_GUARD = 2.0 * BISECT_RESIDUAL
 
@@ -94,7 +109,6 @@ def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
 # search ceiling itself.
 _SCAN_HEIGHTS = (0.0, *(2.0 ** k for k in range(
     math.ceil(math.log2(SEARCH_CEILING_M)))), SEARCH_CEILING_M)
-_SCAN = np.array(_SCAN_HEIGHTS)
 
 
 def security_height_bound(scenario: Scenario):
@@ -102,8 +116,9 @@ def security_height_bound(scenario: Scenario):
 
     Returns None when C_s(0) < r_s (infeasible even on the ground) and
     math.inf when C_s stays above r_s all the way to the search ceiling.
-    Bracketing scans doubling altitudes; a second sign change there means
-    the feasible set is not an interval and raises NumericalError.
+    Otherwise C_s crosses r_s once (module docstring); the bisection
+    brackets it between the first doubling altitude where C_s drops under
+    r_s and the one before.
     """
     r_s = scenario.r_s
 
@@ -112,23 +127,14 @@ def security_height_bound(scenario: Scenario):
 
     if f(0.0) < 0.0:
         return None
-
-    # Doubling scan to bracket the first crossing.
-    values = [f(x) for x in _SCAN_HEIGHTS]
-    crossings = [i for i in range(len(_SCAN_HEIGHTS) - 1)
-                 if values[i] >= 0.0 > values[i + 1]]
-    if not crossings:
-        if any(v < 0.0 for v in values):
-            raise NumericalError(
-                "secrecy rate is not monotone across the bracketing scan; "
-                "the feasible height set is not an interval")
+    lo = 0.0
+    for hi in _SCAN_HEIGHTS[1:]:
+        if f(hi) < 0.0:
+            break
+        lo = hi
+    else:
         return math.inf
-    if any(v >= 0.0 for v in values[crossings[0] + 1:]):
-        raise NumericalError(
-            "secrecy rate re-crosses the threshold above the first "
-            "crossing; the feasible height set is not an interval")
 
-    lo, hi = _SCAN_HEIGHTS[crossings[0]], _SCAN_HEIGHTS[crossings[0] + 1]
     mid = 0.5 * (lo + hi)
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -180,42 +186,33 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
 
     ``p_u_values`` and ``p_j_values`` hold positive powers, ``epsilons``
     values in (0, 1); the other fields come from ``scenario``.  A point is
-    feasible when C_s(0) >= r_s and h_min lies below the scan bracket where
-    C_s first drops under r_s, or inside it with C_s(h_min) >= r_s, or when
-    the scan never drops under r_s (h_max = inf).  This assumes, as the
-    bisection does, one crossing inside that bracket.  Points whose scan
-    re-crosses r_s, or whose deciding values sit in a guard band of 0, are
-    left uncertain, and a point whose h_min is inf is infeasible.  The scan
-    and its flags are computed once per (p_u, p_j) and broadcast against
-    the epsilon axis; h_min is :func:`covert_height_bound`'s array path.
+    feasible when C_s(0) >= r_s, h_min is finite, and C_s(h_min) >= r_s or
+    C_s stays at or above r_s at the search ceiling (h_max = inf): above
+    secure ground C_s crosses r_s once.  Points whose deciding values sit
+    in a guard band of 0 are left uncertain.  The ground and ceiling values
+    are computed once per (p_u, p_j) and broadcast against the epsilon
+    axis; h_min is :func:`covert_height_bound`'s array path.
     """
     s = scenario
     # The powers take a leading epsilon axis of length 1, so that with one
     # epsilon numpy meets arrays of equal shape throughout.
     p_u = np.array(p_u_values)[None, :, None]
     p_j = np.array(p_j_values)[None, None, :]
-    c_u, c_b = (np.log2(1.0 + gamma) for gamma in
-                snrs_at(s, p_u[..., None], p_j[..., None], _SCAN))
+    # C_s - r_s on the ground and at the search ceiling, along axis 0
+    ends = np.array([0.0, SEARCH_CEILING_M])[:, None, None, None]
+    c_u, c_b = (np.log2(1.0 + gamma) for gamma in snrs_at(s, p_u, p_j, ends))
     margin = c_b - c_u - s.r_s  # its rounding scales with c_b + c_u + r_s
-    unsure = np.abs(margin) <= SIGN_GUARD * (c_b + c_u + s.r_s)
-    above = margin >= 0.0
-    ground_ok = above[..., 0]
-    n_above = above.sum(axis=-1)
-    never_below = n_above == _SCAN.size
-    one_crossing = (above[..., :-1] >= above[..., 1:]).all(axis=-1)
-    k = np.minimum(np.maximum(n_above - 1, 0), _SCAN.size - 2)
-    lo, hi = _SCAN[k], _SCAN[k + 1]
-    scan_uncertain = np.where(ground_ok, ~one_crossing | unsure.any(axis=-1),
-                              unsure[..., 0])
+    ground_ok, never_below = margin >= 0.0
+    ground_unsure, ceiling_unsure = (
+        np.abs(margin) <= SIGN_GUARD * (c_b + c_u + s.r_s))
 
     h_min = _covert_floor(p_u, p_j, s.beta, epsilons, s.d_w2)
     gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
     c_u, c_b = np.log2(1.0 + gamma_u), np.log2(1.0 + gamma_b)
     margin_min = c_b - c_u - s.r_s
-    in_bracket = ground_ok & ~never_below & (h_min > lo) & (h_min <= hi)
     feasible = ground_ok & (h_min < math.inf) & (
-        never_below | (h_min <= lo) | (in_bracket & (margin_min >= 0.0)))
-    uncertain = scan_uncertain | (in_bracket
-                                  & (np.abs(margin_min) <= RESIDUAL_GUARD))
+        never_below | (margin_min >= 0.0))
+    uncertain = ground_unsure | (ground_ok & (ceiling_unsure | (
+        ~never_below & (np.abs(margin_min) <= RESIDUAL_GUARD))))
     return GridVerdict(h_min=h_min, gamma_u=gamma_u, gamma_b=gamma_b,
                        feasible=feasible, uncertain=uncertain)

@@ -10,16 +10,16 @@ for free.
 The grid is evaluated as arrays, in blocks of p_u rows, for one or more
 covertness slacks epsilon at once: :func:`constraints.feasibility_grid`
 gives the covert floor, the SNRs there and the feasibility verdict of
-every (epsilon, p_u, p_j), with the epsilon-free security scan computed
-once per point and shared by every epsilon.  Points that verdict leaves
-uncertain (guard band, re-crossing scan) are solved one by one with
-:func:`constraints.feasible_interval`, which still raises NumericalError
-where the feasible set is not an interval.  The capacities of feasible
-points use math.log2, as :func:`rates.capacity` does, never np.log2: on an
-AVX-512 Xeon (numpy 2.4.6) the two differed by one ULP on 12,102 of 4e6
-values of 1 + U(0, 1), enough to move the argmax and the CSV bytes.  The
-security ceiling is solved once per distinct argmax (p_u, p_j), since it
-does not depend on epsilon; it gives h_max and the active-constraint flags.
+every (epsilon, p_u, p_j), from C_s - r_s on the ground and at the search
+ceiling, computed once per point and shared by every epsilon, and at
+h_min.  Points that verdict leaves uncertain (guard band) are solved one
+by one with :func:`constraints.feasible_interval`.  The capacities of
+feasible points use math.log2, as :func:`rates.capacity` does, never
+np.log2: on an AVX-512 Xeon (numpy 2.4.6) the two differed by one ULP on
+12,102 of 4e6 values of 1 + U(0, 1), enough to move the argmax and the CSV
+bytes.  The security ceiling is solved once per distinct argmax (p_u, p_j),
+since it does not depend on epsilon; it gives h_max and the
+active-constraint flags.
 :func:`maximize_covert_rate` is the one-epsilon case.
 """
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .constraints import (
 from .rates import capacity
 
 _ACTIVE_TOL = 1e-9
-# Grid points per array pass; bounds the (points x scan heights) temporaries.
+# Grid points per array pass; bounds the (2 heights x points) temporaries.
 _BLOCK_POINTS = 4096
 # (epsilon, grid point) cells per array pass; bounds the epsilon-axis ones.
 _BLOCK_CELLS = 16 * _BLOCK_POINTS
@@ -114,8 +114,8 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
     """:func:`maximize_covert_rate` of ``scenario.replace(epsilon=e)`` for
     each ``e`` in the sequence ``epsilons`` (each in (0, 1)).
 
-    A pass shares one security scan of a block of powers among up to
-    ``_BLOCK_CELLS`` (epsilon, point) cells; each epsilon has its own
+    A pass shares the ground and ceiling values of a block of powers among
+    up to ``_BLOCK_CELLS`` (epsilon, point) cells; each epsilon has its own
     uncertain points, solved in scan order, and its own argmax.
     """
     s = scenario

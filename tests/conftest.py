@@ -69,6 +69,24 @@ def draw_scenario(rng: np.random.Generator, **overrides) -> Scenario:
     return Scenario(**fields)
 
 
+def draw_log_uniform_scenario(rng: np.random.Generator, **overrides) -> Scenario:
+    """Random scenario with every positive field log-uniform over decades,
+    well beyond the physical ranges of :func:`draw_scenario`, and r_s = 0
+    in one draw of five: for claims that hold for any positive fields."""
+    def decades(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+    fields = dict(
+        d_a2=decades(0, 6), d_b2=decades(0, 6), d_w2=decades(0, 6),
+        h=decades(-1, 4), beta=decades(-2, 3), p_a=decades(-3, 3),
+        p_u=decades(-3, 3), p_j=decades(-3, 3), p_max=1e3,
+        sigma_u2=decades(-12, 1), sigma_b2=decades(-12, 1),
+        sigma_w2=decades(-12, 1), epsilon=decades(-4, math.log10(0.5)),
+        r_s=0.0 if rng.random() < 0.2 else decades(-4, 1),
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
 @dataclasses.dataclass(frozen=True)
 class RateReport:
     """SNRs and capacities for one scenario; c_s and r_b are derived."""
@@ -324,6 +342,29 @@ def reference_destination_snr(scenario: Scenario, n_symbols: int,
         signal_power=signal_power,
         noise_power=noise_power,
     )
+
+
+def reference_relay_snr(scenario: Scenario, n_symbols: int,
+                        seed) -> tuple[float, float]:
+    """Signal-level estimate of the relay SNR gamma_u, and its standard
+    error, on a stream of its own: the power of the source term of
+    y_u = amp_ua x_a + amp_jam x_j + n_u over the power of the other two.
+    The oracle for the closed form of ``rates.snrs_at``; the two means are
+    independent, so the error is the delta method's."""
+    s = scenario
+    n = int(n_symbols)
+    rng = np.random.default_rng(seed)
+    x_a = _complex_normal(rng, 1.0, n)
+    x_j = _complex_normal(rng, 1.0, n)
+    n_u = _complex_normal(rng, s.sigma_u2, n)
+    amp_ua = math.sqrt(s.p_a * los_gain(s, s.d_a2))
+    amp_jam = math.sqrt(s.p_j * los_gain(s, s.d_b2))
+    signal = np.abs(amp_ua * x_a) ** 2
+    rest = np.abs(amp_jam * x_j + n_u) ** 2
+    snr = float(signal.mean() / rest.mean())
+    relative_variance = (signal.var() / signal.mean() ** 2
+                         + rest.var() / rest.mean() ** 2)
+    return snr, snr * math.sqrt(relative_variance / n)
 
 
 def reference_detection(scenario: Scenario, gamma: float, n_trials: int,

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from uavcovert import (
     ConfigError, NumericalError, covert_height_bound, feasible_interval,
     secrecy_rate_at_height, security_height_bound,
 )
-from uavcovert.constraints import feasibility_grid
+from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid
+from uavcovert.rates import snrs_at
 
-from conftest import draw_scenario, min_error_at_height
+from conftest import (
+    draw_log_uniform_scenario, draw_scenario, min_error_at_height,
+)
 
 
 def bisect_covert_bound(scenario, lo=0.0, hi=5e4, iters=200):
@@ -173,6 +177,99 @@ def test_security_bound_unbounded_marker(fig3):
                      d_w2=10.0, p_a=1.0, p_u=2.0, p_j=1.0, r_s=0.0)
     assert secrecy_rate_at_height(s, 1e6) > 0.0
     assert security_height_bound(s) == math.inf
+
+
+# -- the one crossing above secure ground ------------------------------------
+
+def poly_mul(p, q):
+    """Product of two polynomials given as coefficient lists, low first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+            for i in range(n)]
+
+
+def poly_at(p, x):
+    return sum(c * x ** k for k, c in enumerate(p))
+
+
+def security_polynomials(s):
+    """Exact (N_u, D_u, N_b, D_b) in x = h^2, with 1 + gamma = N / D, from
+    the per-link SNRs of ``rates.snrs_at`` multiplied out over (d_a^2 + x)
+    and (d_b^2 + x), in Fractions of the scenario's float fields."""
+    a, b, beta, p_a, p_u, p_j, s_u, s_b = map(Fraction, (
+        s.d_a2, s.d_b2, s.beta, s.p_a, s.p_u, s.p_j, s.sigma_u2, s.sigma_b2))
+    ax, bx = [a, 1], [b, 1]
+    d_u = poly_mul(ax, [p_j * beta + s_u * b, s_u])
+    n_u = poly_add(d_u, [p_a * beta * b, p_a * beta])
+    d_b = poly_add(poly_add([(p_u * s_u + p_j * s_b) * beta * a,
+                             (p_u * s_u + p_j * s_b) * beta],
+                            [p_a * beta * s_b * b, p_a * beta * s_b]),
+                   [s_b * s_u * c for c in poly_mul(ax, bx)])
+    n_b = poly_add(d_b, [p_u * p_a * beta * beta])
+    return n_u, d_u, n_b, d_b
+
+
+def security_quartic(s):
+    """Exact coefficients, low first, of P = N_b D_u - 2^r_s N_u D_b, whose
+    sign at x = h^2 is that of C_s(h) - r_s."""
+    n_u, d_u, n_b, d_b = security_polynomials(s)
+    t = Fraction(2.0 ** s.r_s)
+    return poly_add(poly_mul(n_b, d_u), [-t * c for c in poly_mul(n_u, d_b)])
+
+
+def test_security_polynomials_are_the_snrs():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        s = draw_log_uniform_scenario(rng)
+        x = Fraction(s.h * s.h)
+        n_u, d_u, n_b, d_b = security_polynomials(s)
+        gamma_u, gamma_b = snrs_at(s, s.p_u, s.p_j, s.h)
+        for n, d, gamma in ((n_u, d_u, gamma_u), (n_b, d_b, gamma_b)):
+            ratio = poly_at(n, x) / poly_at(d, x)
+            assert math.isclose(float(ratio), 1.0 + gamma, rel_tol=1e-12)
+
+
+def test_security_quartic_top_coefficients_are_never_positive():
+    # c2, c3 < 0 and c4 <= 0, so where P(0) > 0 the coefficients change
+    # sign once and P has one positive root (Descartes' rule of signs)
+    rng = np.random.default_rng(20261019)
+    zero_threshold = 0
+    for _ in range(2000):
+        s = draw_log_uniform_scenario(rng)
+        _, _, c2, c3, c4 = security_quartic(s)
+        assert c2 < 0 and c3 < 0 and c4 <= 0
+        assert (c4 == 0) == (s.r_s == 0.0)
+        zero_threshold += s.r_s == 0.0
+    assert zero_threshold >= 300
+
+
+@pytest.mark.parametrize("draw", [draw_scenario, draw_log_uniform_scenario])
+def test_secrecy_margin_crosses_the_threshold_once_above_secure_ground(draw):
+    # a dense altitude scan: C_s - r_s starts at or above 0, and once it is
+    # below 0 (outside a rounding guard) it never comes back
+    heights = np.concatenate(([0.0], np.geomspace(1e-2, SEARCH_CEILING_M, 4000)))
+    rng = np.random.default_rng(64)
+    secure = crossing = 0
+    for _ in range(1500):
+        s = draw(rng)
+        c_u, c_b = (np.log2(1.0 + g) for g in snrs_at(s, s.p_u, s.p_j, heights))
+        margin = c_b - c_u - s.r_s
+        sure = np.abs(margin) > 1e-12 * (c_b + c_u + s.r_s) + 1e-14
+        signs = margin[sure] >= 0.0
+        if not (sure[0] and signs[0]):
+            continue
+        secure += 1
+        assert (signs[:-1] >= signs[1:]).all(), s
+        crossing += not signs[-1]
+    assert secure >= 100 and crossing >= 50
 
 
 # -- feasible interval -------------------------------------------------------

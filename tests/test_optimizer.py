@@ -7,6 +7,7 @@ import pytest
 
 import uavcovert.constraints
 import uavcovert.optimizer
+from uavcovert.constraints import SEARCH_CEILING_M
 from uavcovert import (
     ConfigError, GridSpec, NumericalError,
     OptimizationResult, Scenario, covert_height_bound, feasible_interval,
@@ -14,8 +15,8 @@ from uavcovert import (
 )
 
 from conftest import (
-    NoFeasibleHeight, draw_scenario, min_error_at_height, optimal_height_given_powers,
-    rate_report,
+    NoFeasibleHeight, draw_log_uniform_scenario, draw_scenario,
+    min_error_at_height, optimal_height_given_powers, rate_report,
 )
 
 
@@ -300,6 +301,19 @@ def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
         kinds[kind] += 1
         kinds["feasible"] += want.feasible
         fallbacks[kind] += len(calls)
+    # fields log-uniform over decades, far outside the ranges above, on a
+    # stream of their own
+    rng = np.random.default_rng(20261019)
+    wide_feasible = 0
+    for _ in range(60):
+        s = draw_log_uniform_scenario(rng)
+        grid = GridSpec.linear(
+            float(10.0 ** rng.uniform(-2, 3)), float(10.0 ** rng.uniform(-2, 3)),
+            p_u_steps=int(rng.integers(1, 8)), p_j_steps=int(rng.integers(1, 8)))
+        want = per_point_oracle(s, grid)
+        assert_same_result(maximize_covert_rate(s, grid), want)
+        wide_feasible += want.feasible
+    assert wide_feasible >= 10
     assert kinds["feasible"] >= 50
     assert fallbacks["guard"] >= 10      # the guard band routes to the solver
     assert fallbacks["random"] == fallbacks["r_s=0"] == 0
@@ -331,6 +345,37 @@ def test_grid_pass_decides_a_crossing_in_the_last_scan_bracket(fig5):
     want = per_point_oracle(s, grid)
     assert want.feasible and 2.0 ** 19 < want.h_star < want.h_max < 1e6
     assert_same_result(maximize_covert_rate(s, grid), want)
+
+
+@pytest.mark.parametrize("offset", [-1e-6, -1e-8, 1e-8, 1e-6])
+def test_grid_pass_decides_a_margin_just_outside_the_guard(fig5, monkeypatch,
+                                                           offset):
+    # r_s a little off C_s(h_min), beyond RESIDUAL_GUARD: the grid pass
+    # decides the point itself, and as the solver does
+    h_min = covert_height_bound(10.0, 15.0, fig5.beta, fig5.epsilon, fig5.d_w2)
+    s = fig5.replace(r_s=secrecy_rate_at_height(
+        fig5.replace(p_u=10.0, p_j=15.0), h_min) + offset)
+    grid = GridSpec(p_u_values=(10.0,), p_j_values=(15.0,))
+    calls = count_scalar_solves(monkeypatch)
+    want = per_point_oracle(s, grid)
+    assert want.feasible == (offset < 0.0)
+    assert_same_result(maximize_covert_rate(s, grid), want)
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-13, 1.0, 1.0 + 1e-13])
+def test_ceiling_on_the_threshold_goes_to_the_solver(fig5, monkeypatch, scale):
+    # near-noiseless receivers keep C_s near 2.5 at the search ceiling; an
+    # r_s within the sign guard of that value leaves h_max = inf unsure
+    s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
+                     d_w2=10.0, epsilon=0.3)
+    s = s.replace(r_s=scale * secrecy_rate_at_height(
+        s.replace(p_u=30.0, p_j=30.0), SEARCH_CEILING_M))
+    grid = GridSpec(p_u_values=(30.0,), p_j_values=(30.0,))
+    calls = count_scalar_solves(monkeypatch)
+    got = maximize_covert_rate(s, grid)
+    assert calls == [(30.0, 30.0)]
+    assert_same_result(got, per_point_oracle(s, grid))
 
 
 def test_uncertain_point_keeps_its_numerical_error(fig5, monkeypatch):
@@ -387,9 +432,11 @@ def test_ties_break_toward_first_point_in_scan_order(fig5, monkeypatch):
     assert (result.p_u_star, result.p_j_star) == first
 
 
-def test_noise_level_recrossing_raises_like_the_solver():
+def test_noise_level_far_scan_follows_the_solver(monkeypatch):
     # found by random search: at r_s = 0 the far end of the scan hovers
-    # around 0 at rounding level and re-crosses it for p_u near 5.8e4
+    # around 0 at rounding level and comes back to 0 after a drop for p_u
+    # near 5.8e4; the solver brackets the first drop, and the grid pass
+    # decides every point as the solver does, without it
     s = Scenario(d_a2=2.0720582959461726, d_b2=254.2324082263717, d_w2=1.0,
                  h=0.0, beta=176.32932143498837, p_a=0.009886590725721985,
                  p_u=1.0, p_j=1.0, p_max=1e6, sigma_u2=1.3142905344791695,
@@ -397,44 +444,7 @@ def test_noise_level_recrossing_raises_like_the_solver():
                  r_s=0.0)
     grid = GridSpec(p_u_values=(5e4, 57951.730594944325, 6e4),
                     p_j_values=(2505.31356725798,))
-    with pytest.raises(NumericalError, match="re-crosses"):
-        per_point_oracle(s, grid)
-    with pytest.raises(NumericalError, match="re-crosses"):
-        maximize_covert_rate(s, grid)
-
-
-def bump_secrecy_rate(monkeypatch, center, p_u):
-    """Lift C_s far over r_s within ~1 m of altitude ``center``, at forward
-    power ``p_u`` only; the solver and the grid pass both see it."""
-    snrs_at = uavcovert.constraints.snrs_at
-
-    def bumped(scenario, p_u_, p_j, h):
-        gamma_u, gamma_b = snrs_at(scenario, p_u_, p_j, h)
-        bump = np.where(p_u_ == p_u, 1e6 * np.exp(-(h - center) ** 2), 0.0)
-        return gamma_u, gamma_b * (1.0 + bump)
-    monkeypatch.setattr(uavcovert.constraints, "snrs_at", bumped)
-
-
-def test_scan_recrossing_goes_to_the_solver(fig5, monkeypatch):
-    # the bump sits on the 1024 m scan point, far above h_max: the scan
-    # re-crosses r_s at p_u = 10, which is not the argmax
-    bump_secrecy_rate(monkeypatch, 1024.0, p_u=10.0)
-    grid = GridSpec(p_u_values=(10.0, 20.0), p_j_values=(5.0, 15.0))
-    with pytest.raises(NumericalError, match="re-crosses"):
-        per_point_oracle(fig5, grid)
-    with pytest.raises(NumericalError, match="re-crosses"):
-        maximize_covert_rate(fig5, grid)
-
-
-def test_bump_between_scan_points_follows_the_solver(fig5, monkeypatch):
-    # C_s(h_min) >= r_s only through a bump the scan steps over, above the
-    # bracket of its first crossing: the solver's h_max lies below h_min
-    s = fig5.replace(epsilon=1e-4)
-    h_min = covert_height_bound(10.0, 5.0, s.beta, s.epsilon, s.d_w2)
-    assert 256.0 < h_min < 512.0
-    bump_secrecy_rate(monkeypatch, h_min, p_u=10.0)
-    assert secrecy_rate_at_height(s.replace(p_u=10.0, p_j=5.0), h_min) > s.r_s
-    grid = GridSpec(p_u_values=(10.0,), p_j_values=(5.0,))
-    want = per_point_oracle(s, grid)
-    assert not want.feasible
-    assert_same_result(maximize_covert_rate(s, grid), want)
+    calls = count_scalar_solves(monkeypatch)
+    got = maximize_covert_rate(s, grid)
+    assert got.feasible and calls == []
+    assert_same_result(got, per_point_oracle(s, grid))

@@ -10,8 +10,8 @@ from uavcovert.rates import _CHUNK
 
 from conftest import (
     PRESETS, SCENARIOS, AuxCoefficients, RateReport, aux_coefficients, draw_scenario,
-    los_gain, rate_report, reference_destination_snr, snr_destination_expanded,
-    traced_peak_bytes,
+    los_gain, rate_report, reference_destination_snr, reference_relay_snr,
+    snr_destination_expanded, traced_peak_bytes,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -46,6 +46,17 @@ def test_snr_relay_limits(fig3):
     no_jamming = fig3.replace(p_j=1e-12, h=100.0)
     expected = no_jamming.p_a * no_jamming.beta / (13_600.0 * no_jamming.sigma_u2)
     assert math.isclose(rate_report(no_jamming).gamma_u, expected, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_snr_relay_matches_signal_level_estimate(preset):
+    # the relay's source-signal power over its jamming-plus-noise power,
+    # measured on drawn symbols, not derived from the closed form
+    s = Scenario.from_file(SCENARIOS / f"{preset}.json")
+    gamma_u = rate_report(s).gamma_u
+    estimate, standard_error = reference_relay_snr(s, 500_000, seed=[7, 2])
+    assert 3.0 * standard_error <= 0.01 * gamma_u  # a 1% bias shows
+    assert abs(estimate - gamma_u) <= 3.0 * standard_error
 
 
 # -- destination SNR ---------------------------------------------------------
