@@ -5,7 +5,7 @@ and decides "relay transmitting" above it.  Under jamming with a unit-mean
 exponential fade the false-alarm and missed-detection probabilities have
 simple exponential closed forms; their sum ``zeta`` is the total error
 probability, minimized at a threshold ``gamma_star`` with floor
-``zeta_star``.  The closed forms are one array path, :func:`error_curve`;
+``zeta_star``.  The closed forms are one list pass, :func:`error_curve`;
 a vectorized Monte Carlo mirror reproduces them, one threshold per call.
 The mirror draws its fades first and then works in place in one float
 array, about 9 bytes per trial.
@@ -51,60 +51,35 @@ class OptimalDetection:
     zeta_star: float
 
 
-def _exp_of_exponent(numerator: np.ndarray, p_j: float) -> np.ndarray:
-    """exp(numerator / P_J) per element, for numerator <= 0.
-
-    A quotient that overflows to -inf is the defined limit, exp -> 0, so
-    it is not warned about.  The exponentials are ``math.exp``, not
-    ``np.exp``: numpy picks its exp kernel by CPU, and its AVX-512 kernel
-    is not correctly rounded on every fig2 threshold, so the CSV bytes
-    would depend on the host's SIMD dispatch.
-    """
-    with np.errstate(over="ignore"):
-        exponent = numerator / p_j
-    return np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
-                       exponent.size).reshape(exponent.shape)
-
-
-def p_false_alarm(gamma, p_j: float, sigma_w2: float) -> np.ndarray:
-    """P(decide transmission | relay silent) at each threshold in ``gamma``.
-
-    exp((sigma_w^2 - gamma) / P_J) for gamma >= sigma_w^2, else 1.
-    """
-    g = np.asarray(gamma, dtype=float)
-    p_fa = _exp_of_exponent(np.minimum(sigma_w2 - g, 0.0), p_j)
-    return np.where(g >= sigma_w2, p_fa, 1.0)
-
-
-def p_missed_detection(gamma, p_u: float, p_j: float, beta: float,
-                       d_w2: float, h: float, sigma_w2: float) -> np.ndarray:
-    """P(decide silence | relay transmitting) at each threshold in ``gamma``.
-
-    The warden's signal term P_u |h_uw|^2 is deterministic LOS, so only the
-    jamming fade is random: 1 - exp(tau) with
-    tau = (sigma_w^2 + P_u beta / (d_w^2 + h^2) - gamma) / P_J,
-    applied for gamma at or above the signal-plus-noise floor, else 0.
-    """
-    g = np.asarray(gamma, dtype=float)
-    floor = sigma_w2 + p_u * beta / (d_w2 + h * h)
-    p_md = 1.0 - _exp_of_exponent(np.minimum(floor - g, 0.0), p_j)
-    return np.where(g >= floor, p_md, 0.0)
-
-
 def error_curve(scenario: Scenario, gammas):
-    """Closed-form ``(p_fa, p_md, zeta)`` arrays over the thresholds
-    ``gammas``, zeta = P_FA + P_MD, each element rounded as in a one-element
-    call.  Raises :class:`NumericalError` if a probability leaves [0, 1].
+    """Closed-form ``(p_fa, p_md, zeta)`` lists over the thresholds
+    ``gammas``, in one pass of Python floats, so each element rounds as in
+    a one-element call:
+
+        P_FA = exp((sigma_w^2 - gamma) / P_J) for gamma >= sigma_w^2, else 1
+        P_MD = 1 - exp((gamma_star - gamma) / P_J) for gamma >= gamma_star, else 0
+
+    and zeta = P_FA + P_MD.  gamma_star is the signal-plus-noise floor of
+    :func:`optimal_detection`; the warden's signal term P_u |h_uw|^2 is
+    deterministic LOS, so only the jamming fade is random.  A quotient that
+    overflows to -inf is the defined limit, exp -> 0.  The exponentials are
+    ``math.exp``, not ``np.exp``, whose AVX-512 kernel is not correctly
+    rounded on every fig2 threshold: the CSV bytes would depend on the
+    host's SIMD dispatch.  Raises :class:`NumericalError` if zeta leaves
+    [0, 1].
     """
     s = scenario
-    g = np.asarray(gammas, dtype=float)
-    p_fa = p_false_alarm(g, s.p_j, s.sigma_w2)
-    p_md = p_missed_detection(g, s.p_u, s.p_j, s.beta, s.d_w2, s.h, s.sigma_w2)
-    zeta = p_fa + p_md
-    in_range = ((0.0 <= p_fa) & (p_fa <= 1.0) & (0.0 <= p_md) & (p_md <= 1.0)
-                & (zeta <= 1.0 + _ZETA_SLACK))
-    if not np.all(in_range):
-        raise NumericalError("detection error probabilities out of range")
+    gamma_star = optimal_detection(s).gamma_star
+    p_fa, p_md, zeta = [], [], []
+    for g in map(float, gammas):
+        fa = math.exp((s.sigma_w2 - g) / s.p_j) if g >= s.sigma_w2 else 1.0
+        md = 1.0 - math.exp((gamma_star - g) / s.p_j) if g >= gamma_star else 0.0
+        z = fa + md
+        if not 0.0 <= z <= 1.0 + _ZETA_SLACK:
+            raise NumericalError("detection error probabilities out of range")
+        p_fa.append(fa)
+        p_md.append(md)
+        zeta.append(z)
     return p_fa, p_md, zeta
 
 

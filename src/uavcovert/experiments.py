@@ -10,7 +10,7 @@ returns one column block per overlay: a dict in a fixed column order that
 maps a column to a list of one value per swept point, or to one value
 shared by the block's rows.  The swept points are one list object shared
 by every block.  The detection sweep takes each overlay's closed forms in
-one array pass (Monte Carlo stays per point); the rate sweep takes one
+one list pass (Monte Carlo stays per point); the rate sweep takes one
 array pass per sweep, over the whole (overlay x altitude) grid, and its
 ``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block, as the
 swept points are.  Capacities take ``math.log2`` on each element, since
@@ -175,13 +175,12 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
     point derives from (seed, overlay index, point index), so a point's
     draws do not depend on the other points.
     """
-    gammas = sweep.points()
-    gamma_values = gammas.tolist()
+    gamma_values = sweep.points().tolist()
     blocks = []
     for oi, p_u in enumerate(sorted(sweep.overlay_values)):
         sc = scenario.replace(p_u=p_u)
         optimum = optimal_detection(sc)
-        p_fa, p_md, zeta = (column.tolist() for column in error_curve(sc, gammas))
+        p_fa, p_md, zeta = error_curve(sc, gamma_values)
         points = [simulate_detection(
                       sc, gamma, n_trials,
                       seed=np.random.SeedSequence(entropy=[int(seed), oi, gi]))
@@ -335,11 +334,11 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     checks = []
 
     opt = optimal_detection(scenario)
-    gammas = np.linspace(0.0, 10.0 * opt.gamma_star, gamma_points)
-    zeta = error_curve(scenario, gammas)[2].tolist()
+    gammas = np.linspace(0.0, 10.0 * opt.gamma_star, gamma_points).tolist()
+    zeta = error_curve(scenario, gammas)[2]
     worst = 0.0
     ok = True
-    for gi, (gamma, closed) in enumerate(zip(gammas.tolist(), zeta)):
+    for gi, (gamma, closed) in enumerate(zip(gammas, zeta)):
         mc = simulate_detection(scenario, gamma, n_trials,
                                 seed=np.random.SeedSequence(entropy=[int(seed), 0, gi]))
         gap = abs(mc.zeta - closed)

@@ -78,6 +78,15 @@ class Scenario:
         for name in ("p_a", "p_u", "p_j"):
             if getattr(self, name) > self.p_max:
                 raise ConfigError(f"{name} exceeds p_max ({getattr(self, name)!r} > {self.p_max!r})")
+        from .rates import snrs_at  # rates imports this module
+        try:
+            snrs = snrs_at(self, self.p_u, self.p_j, 0.0)
+        except ZeroDivisionError:
+            raise ConfigError("gamma_b at h = 0 must be finite, but every term "
+                              "of its denominator underflows to 0") from None
+        if not all(map(math.isfinite, snrs)):
+            raise ConfigError(f"SNRs (gamma_u, gamma_b) at h = 0 must be finite, "
+                              f"got {snrs!r}")
 
     def replace(self, **changes) -> "Scenario":
         """Return a copy with the given fields replaced (and revalidated)."""

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import hashlib
 import json
 import math
@@ -110,6 +111,63 @@ def rate_report(scenario: Scenario) -> RateReport:
     g_u, g_b = snrs_at(s, s.p_u, s.p_j, s.h)
     return RateReport(gamma_u=g_u, gamma_b=g_b,
                       c_u=capacity(g_u), c_b=capacity(g_b))
+
+
+_EXACT = decimal.Context(prec=60)
+
+
+def exact_exp(x: float) -> decimal.Decimal:
+    """e**x of the float ``x`` to 60 significant digits, correctly rounded
+    (decimal's exp is): the truth the detection closed forms' ``math.exp``
+    is measured against.  ``float()`` of it is the correctly rounded
+    double, since the two roundings could disagree only if e**x lay within
+    1e-59 relative of a half-way point between two doubles."""
+    return _EXACT.exp(decimal.Decimal(x))
+
+
+# Heights above an edge point's covert floor that cap_edge_supremum scans
+# when the floor itself is insecure: 1 cm up to the 1e6 m search ceiling.
+_EDGE_SCAN_OFFSETS = np.geomspace(1e-2, 1e6, 64)
+
+
+def cap_edge_supremum(scenario: Scenario, steps: int = 500) -> float:
+    """Best covert rate R_b = C_b on the power-cap edges p_u = p_max and
+    p_j = p_max, each sampled at p_max k / steps for k = 1..steps: the
+    upper oracle for the optimizer's grid argmax; -inf if no sampled edge
+    point has a secure altitude above its covert floor.
+
+    Scaling both powers by t >= 1 keeps the covert floor, a function of
+    p_u / p_j, and raises gamma_b and lowers gamma_u at every altitude.  So
+    a feasible point stays feasible at its altitude with a higher rate,
+    and the best rate over [0, p_max]^2 lies on the two cap edges.  Each
+    edge point's covert floor h_min is written out here; its best altitude
+    is h_min where C_s(h_min) >= r_s, and otherwise the lowest secure
+    height of a dense scan above h_min.  Neither the one-crossing lemma
+    nor feasibility_grid nor feasible_interval is used.
+    """
+    s = scenario
+    other = np.arange(1, steps + 1) * (s.p_max / steps)
+    cap = np.full(steps, s.p_max)
+    p_u, p_j = np.concatenate([cap, other]), np.concatenate([other, cap])
+    with np.errstate(over="ignore", divide="ignore"):
+        radicand = -p_u * s.beta / (p_j * math.log1p(-s.epsilon)) - s.d_w2
+    h_min = np.sqrt(np.maximum(radicand, 0.0))
+    covert = np.isfinite(h_min)
+    p_u, p_j, h_min = p_u[covert], p_j[covert], h_min[covert]
+
+    def margin_and_gamma_b(p_u, p_j, h):
+        gamma_u, gamma_b = snrs_at(s, p_u, p_j, h)
+        return np.log2(1.0 + gamma_b) - np.log2(1.0 + gamma_u) - s.r_s, gamma_b
+
+    margin, gamma_b = margin_and_gamma_b(p_u, p_j, h_min)
+    best = gamma_b[margin >= 0.0].tolist()
+    low = margin < 0.0
+    margin, gamma_b = margin_and_gamma_b(p_u[low, None], p_j[low, None],
+                                         h_min[low, None] + _EDGE_SCAN_OFFSETS)
+    secure = margin >= 0.0
+    rows = np.flatnonzero(secure.any(axis=1))
+    best += gamma_b[rows, secure[rows].argmax(axis=1)].tolist()
+    return max(map(capacity, best), default=-math.inf)
 
 
 def min_error_at_height(scenario: Scenario, h: float) -> float:

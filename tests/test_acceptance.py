@@ -65,7 +65,7 @@ def test_c2_optimal_threshold_grid_search_oracle():
         best = int(np.argmin(zeta))
         step = grid[1] - grid[0]
         assert abs(grid[best] - opt.gamma_star) <= step + 1e-15
-        zeta_at_star = float(error_curve(s, np.asarray([opt.gamma_star]))[2][0])
+        zeta_at_star = error_curve(s, [opt.gamma_star])[2][0]
         assert abs(zeta_at_star - opt.zeta_star) <= 1e-9
     _ok(2, "grid argmin within one step of gamma_star and error floor "
            "within 1e-9 on 100 randomized scenarios")
@@ -77,7 +77,7 @@ def test_c3_piecewise_structure(fig2):
     rng = np.random.default_rng(1002)
     for s in [fig2] + [draw_scenario(rng) for _ in range(10)]:
         below = np.linspace(0.0, s.sigma_w2, 2_000)
-        assert np.all(error_curve(s, below)[2] == 1.0)
+        assert all(z == 1.0 for z in error_curve(s, below)[2])
         gamma_star = optimal_detection(s).gamma_star
         above = np.linspace(gamma_star, 20.0 * gamma_star, 10_002)[1:]
         derivative = total_error_derivative(above, s)

@@ -21,13 +21,13 @@ REMOVED = {
     "total_error_derivative", "snr_destination_expanded", "aux_coefficients",
     "AuxCoefficients", "default_power_grid", "SWEEPABLE", "_scan_heights",
     "RateReport", "rate_report", "los_gain_squared", "relay_scaling",
-    "sample_rayleigh_power",
+    "sample_rayleigh_power", "p_false_alarm", "p_missed_detection",
+    "_exp_of_exponent",
 }
 
 # names kept inside their modules but not exported
 MODULE_ONLY = {
     "constraints": ("FeasibleHeightInterval",),
-    "detection": ("p_false_alarm", "p_missed_detection"),
     "experiments": ("mc_zeta_tolerance",),
 }
 

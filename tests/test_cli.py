@@ -284,6 +284,34 @@ def test_non_finite_los_gain_exits_two(tmp_path, capsys, preset, key, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields, err", [
+    ({"beta_db": 3000.0},
+     "SNRs (gamma_u, gamma_b) at h = 0 must be finite, "
+     "got (0.1388888888888889, inf)"),
+    ({"beta_db": -3000.0, "sigma_u2_dbw": -3000.0, "sigma_b2_dbw": -3000.0},
+     "gamma_b at h = 0 must be finite, but every term of its denominator "
+     "underflows to 0"),
+], ids=["overflow", "underflow"])
+def test_non_finite_ground_snr_exits_two(tmp_path, capsys, fields, err):
+    # beta = 1e300 overflows gamma_b: the rate sweep once wrote inf in
+    # gamma_b, c_b, c_s and r_b on every row and exited 0.  With beta and
+    # both noises at 1e-300 gamma_b is 0/0: nan cells after a numpy
+    # warning, and a ZeroDivisionError out of validate
+    raw = json.loads((SCENARIOS / "fig3.json").read_text())
+    raw.update(fields)
+    scenario = tmp_path / "extreme.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["rate-sweep", "--scenario", str(scenario), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {err}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, epsilon, code, err", [
     (["optimize", "--pu-steps", "8", "--pj-steps", "8"], 1e-320, 3,
      "no feasible grid point\n"),

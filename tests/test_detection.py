@@ -7,11 +7,11 @@ import hypothesis.strategies as st
 
 import uavcovert.detection
 from uavcovert import (
-    ConfigError, DetectionPoint, NumericalError, Scenario, SweepSpec, error_curve,
-    optimal_detection, run_detection_sweep, simulate_detection,
+    ConfigError, DetectionPoint, NumericalError, OptimalDetection, Scenario,
+    SweepSpec, error_curve, optimal_detection, run_detection_sweep,
+    simulate_detection,
 )
 from uavcovert.cli import main
-from uavcovert.detection import p_false_alarm, p_missed_detection
 
 from conftest import (
     PRESETS, SCENARIOS, draw_scenario, los_gain, reference_detection,
@@ -40,46 +40,60 @@ def piecewise_columns(gamma, s):
     return p_fa, p_md
 
 
+def p_false_alarm(scenario, gamma):
+    return error_curve(scenario, [gamma])[0][0]
+
+
+def p_missed_detection(scenario, gamma):
+    return error_curve(scenario, [gamma])[1][0]
+
+
 # -- false alarm -------------------------------------------------------------
 
-def test_p_false_alarm_boundary_and_tail():
-    assert p_false_alarm(0.01, 5.0, 0.01) == 1.0
-    assert p_false_alarm(0.005, 5.0, 0.01) == 1.0
-    assert p_false_alarm(1e6, 5.0, 0.01) < 1e-12
+@pytest.fixture
+def warden(fig2):
+    # P_J = 5, sigma_w^2 = 0.01, and for P_MD P_u = 2, beta = 10,
+    # d_w^2 = 300, h^2 = 1000
+    return fig2.replace(p_u=2.0, p_j=5.0, beta=10.0, d_w2=300.0,
+                        h=math.sqrt(1000.0), sigma_w2=0.01)
 
 
-def test_p_false_alarm_value():
+def test_p_false_alarm_boundary_and_tail(warden):
+    assert p_false_alarm(warden, 0.01) == 1.0
+    assert p_false_alarm(warden, 0.005) == 1.0
+    assert p_false_alarm(warden, 1e6) < 1e-12
+
+
+def test_p_false_alarm_value(warden):
     # exp((0.01 - 0.5) / 5) = exp(-0.098)
-    assert math.isclose(p_false_alarm(0.5, 5.0, 0.01), 0.9066489037539209,
+    assert math.isclose(p_false_alarm(warden, 0.5), 0.9066489037539209,
                         rel_tol=1e-14)
 
 
-def test_p_false_alarm_monte_carlo_oracle():
+def test_p_false_alarm_monte_carlo_oracle(warden):
     # empirical frequency of P_J |h_bw|^2 + sigma_w^2 > gamma
     n = 100_000
     rng = np.random.default_rng(31)
     fades = rng.exponential(1.0, n)
     empirical = float(np.mean(5.0 * fades + 0.01 > 0.5))
-    closed = p_false_alarm(0.5, 5.0, 0.01)
+    closed = p_false_alarm(warden, 0.5)
     assert abs(empirical - closed) <= 3.0 * math.sqrt(closed * (1 - closed) / n)
 
 
-def test_p_false_alarm_vectorized_matches_scalar():
+def test_p_false_alarm_vectorized_matches_scalar(warden):
     gammas = np.linspace(0.0, 1.0, 17)
-    curve = p_false_alarm(gammas, 5.0, 0.01)
-    assert np.array_equal(curve, [p_false_alarm(float(g), 5.0, 0.01) for g in gammas])
+    curve = error_curve(warden, gammas)[0]
+    assert curve == [p_false_alarm(warden, float(g)) for g in gammas]
 
 
 # -- missed detection --------------------------------------------------------
 
-def test_p_missed_detection_branches():
-    h = math.sqrt(1000.0)
+def test_p_missed_detection_branches(warden):
     peak = 0.01 + 2.0 * 10.0 / (300.0 + 1000.0)
-    assert p_missed_detection(peak, 2.0, 5.0, 10.0, 300.0, h, 0.01) == 0.0
-    assert p_missed_detection(0.005, 2.0, 5.0, 10.0, 300.0, h, 0.01) == 0.0
-    assert math.isclose(
-        p_missed_detection(0.1, 2.0, 5.0, 10.0, 300.0, h, 0.01),
-        0.014812279640822323, rel_tol=1e-13)
+    assert p_missed_detection(warden, peak) == 0.0
+    assert p_missed_detection(warden, 0.005) == 0.0
+    assert math.isclose(p_missed_detection(warden, 0.1), 0.014812279640822323,
+                        rel_tol=1e-13)
 
 
 def test_p_missed_detection_monte_carlo_oracle(fig2):
@@ -89,7 +103,7 @@ def test_p_missed_detection_monte_carlo_oracle(fig2):
     fades = rng.exponential(1.0, n)
     statistic = s.p_u * los_gain(s, s.d_w2) + s.p_j * fades + s.sigma_w2
     empirical = float(np.mean(statistic < 0.1))
-    closed = p_missed_detection(0.1, s.p_u, s.p_j, s.beta, s.d_w2, s.h, s.sigma_w2)
+    closed = p_missed_detection(s, 0.1)
     assert abs(empirical - closed) <= max(
         0.002, 3.0 * math.sqrt(closed * (1 - closed) / n))
 
@@ -119,7 +133,7 @@ def test_total_error_trivial_points(fig2):
 def test_total_error_curve_matches_pointwise(fig2):
     gammas = np.linspace(0.0, 0.5, 101)
     curve = error_curve(fig2, gammas)[2]
-    assert np.array_equal(curve, [error_curve(fig2, [float(g)])[2][0] for g in gammas])
+    assert curve == [error_curve(fig2, [float(g)])[2][0] for g in gammas]
 
 
 def exactness_cases():
@@ -142,11 +156,12 @@ def exactness_cases():
 
 def test_error_curve_is_per_element_exact():
     # the detection CSV's bytes rely on one-element and whole-grid calls
-    # rounding alike; the oracle's math.exp may differ from np.exp by 1 ULP,
-    # so columns in [0, 1] may differ from it by a few 1e-16
+    # rounding alike; the columns are lists of floats, and sit within a few
+    # 1e-16 of the branch-by-branch oracle
     for s, gammas in exactness_cases():
         whole = error_curve(s, gammas)
-        assert all(type(c) is np.ndarray and c.shape == gammas.shape for c in whole)
+        assert all(type(c) is list and len(c) == gammas.size
+                   and all(type(v) is float for v in c) for c in whole)
         for i, gamma in enumerate(gammas.tolist()):
             single = error_curve(s, np.asarray([gamma]))
             for column, one in zip(whole, single):
@@ -161,10 +176,10 @@ def test_error_curve_is_per_element_exact():
 
 def test_error_curve_out_of_range_is_numerical_error(fig2, tmp_path, monkeypatch,
                                                      capsys):
-    monkeypatch.setattr(uavcovert.detection, "p_false_alarm",
-                        lambda g, p_j, sigma_w2: np.full(np.shape(g), 0.9))
-    monkeypatch.setattr(uavcovert.detection, "p_missed_detection",
-                        lambda g, *args: np.full(np.shape(g), 0.9))
+    # a gamma_star below the noise floor puts P_FA = 1 and P_MD > 0 on the
+    # thresholds between them, so zeta exceeds 1
+    monkeypatch.setattr(uavcovert.detection, "optimal_detection",
+                        lambda s: OptimalDetection(gamma_star=-1.0, zeta_star=1.0))
     with pytest.raises(NumericalError):
         error_curve(fig2, [0.1, 0.2])
     sweep = SweepSpec(0.0, 1.0, 3, (2.0,))
@@ -181,7 +196,7 @@ def test_error_curve_out_of_range_is_numerical_error(fig2, tmp_path, monkeypatch
 def test_total_error_decomposition_random(seed, frac):
     s = draw_scenario(np.random.default_rng(seed))
     gamma = frac * optimal_detection(s).gamma_star
-    p_fa, p_md, zeta = (float(c[0]) for c in error_curve(s, [gamma]))
+    p_fa, p_md, zeta = (c[0] for c in error_curve(s, [gamma]))
     assert zeta == p_fa + p_md
     assert 0.0 <= zeta <= 1.0 + 1e-12
     assert zeta == pytest.approx(piecewise_zeta(gamma, s), rel=1e-12)
@@ -202,13 +217,13 @@ def test_optimal_detection_grid_search_oracle(fig2):
     best = int(np.argmin(zeta))
     step = grid[1] - grid[0]
     assert abs(grid[best] - opt.gamma_star) <= step + 1e-15
-    assert abs(float(zeta[best]) - opt.zeta_star) <= 1e-9
+    assert abs(zeta[best] - opt.zeta_star) <= 1e-9
 
 
 def test_error_curve_has_unique_minimum_on_threshold_grid(fig2):
     grid = np.linspace(0.0, 1.0, 2_000)
     zeta = error_curve(fig2, grid)[2]
-    assert int(np.count_nonzero(zeta == zeta.min())) == 1
+    assert zeta.count(min(zeta)) == 1
 
 
 def test_optimal_detection_limits(fig2):
@@ -260,7 +275,7 @@ def test_simulate_detection_deterministic(fig2):
 def test_simulate_detection_tracks_closed_form(fig2):
     n = 100_000
     for gamma, seed in ((0.02, 1), (0.05, 2), (0.3, 3)):
-        p_fa, p_md, zeta = (float(c[0]) for c in error_curve(fig2, [gamma]))
+        p_fa, p_md, zeta = (c[0] for c in error_curve(fig2, [gamma]))
         mc = simulate_detection(fig2, gamma, n, seed=seed)
         tol = max(0.005, 3.0 * math.sqrt(zeta * (1 - zeta) / n))
         assert abs(mc.zeta - zeta) <= tol

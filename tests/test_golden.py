@@ -10,8 +10,11 @@ import importlib.util
 import io
 import math
 import pathlib
+from decimal import Decimal
 
 from uavcovert.cli import main
+
+from conftest import exact_exp
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -70,6 +73,32 @@ def test_fig4_rate_sweep_matches_tracked_csv(tmp_path):
 
 def test_fig5_covertness_sweep_matches_tracked_csv(tmp_path):
     assert_matches_tracked("fig5_optimized_rate.csv", tmp_path)
+
+
+def test_fig2_closed_forms_sit_near_correctly_rounded_exp():
+    # against e**x of each cell's own float exponent, taken from the row:
+    # p_fa = exp((sigma_w^2 - gamma) / P_J) is within 1 ULP (measured: 0 on
+    # all 147 exp cells).  p_md = 1 - exp(tau) cancels near gamma_star
+    # (measured up to 18,730 ULP), so its bound is absolute: where
+    # exp(tau) >= 1/2 the subtraction is exact and the error is exp's
+    # rounding, at most 2^-54 (measured 0.4996 * 2^-53).  zeta = p_fa + p_md
+    # is within 1 ULP (measured 1) and 2^-53 (measured 0.89 * 2^-53).
+    header, rows = read_csv(ROOT / "out" / "fig2_detection.csv")
+    exp_cells = 0
+    for row in rows:
+        r = {name: float(cell) for name, cell in zip(header, row)
+             if name != "scenario_hash"}
+        gamma, sigma_w2, p_j = r["gamma"], r["sigma_w2"], r["p_j"]
+        p_fa = exact_exp((sigma_w2 - gamma) / p_j) if gamma >= sigma_w2 else 1
+        p_md = (1 - exact_exp((r["gamma_star"] - gamma) / p_j)
+                if gamma >= r["gamma_star"] else 0)
+        exp_cells += gamma >= sigma_w2
+        assert ulp_distance(r["p_fa"], float(p_fa)) <= 1, row
+        assert abs(Decimal(r["p_md"]) - p_md) <= Decimal(2.0 ** -54), row
+        zeta = p_fa + p_md
+        assert ulp_distance(r["zeta"], float(zeta)) <= 1, row
+        assert abs(Decimal(r["zeta"]) - zeta) <= Decimal(2.0 ** -53), row
+    assert exp_cells == 147
 
 
 def test_fig5_optimize_50x50_argmax(tmp_path):

@@ -9,7 +9,10 @@ import pytest
 from uavcovert import ConfigError, Scenario, db_to_linear, linear_to_db
 from uavcovert.model import _canonical_hashes
 
-from conftest import draw_scenario, json_canonical_hash
+from conftest import (
+    PRESETS, SCENARIOS, draw_log_uniform_scenario, draw_scenario,
+    json_canonical_hash,
+)
 
 # -- scenario validation and JSON schema -------------------------------------
 
@@ -96,6 +99,16 @@ def test_scenario_rejects_non_finite_los_gain(fig3, field):
     with pytest.raises(ConfigError, match=f"LOS gain beta / {field} must be finite"):
         fig3.replace(**{field: 5e-324})
     fig3.replace(**{field: 1e-300})  # beta / 1e-300 = 1e301 is finite
+
+
+def test_every_preset_and_drawn_scenario_constructs():
+    # the ground-SNR check rejects no physical scenario
+    for preset in PRESETS:
+        Scenario.from_file(SCENARIOS / f"{preset}.json")
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        draw_scenario(rng)
+        draw_log_uniform_scenario(rng)
 
 
 def test_db_helpers_invert():

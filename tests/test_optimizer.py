@@ -15,8 +15,9 @@ from uavcovert import (
 )
 
 from conftest import (
-    NoFeasibleHeight, draw_log_uniform_scenario, draw_scenario,
-    min_error_at_height, optimal_height_given_powers, rate_report,
+    NoFeasibleHeight, cap_edge_supremum, draw_log_uniform_scenario,
+    draw_scenario, min_error_at_height, optimal_height_given_powers,
+    rate_report,
 )
 
 
@@ -192,6 +193,28 @@ def test_endpoint_optimality_randomized():
         for h in np.linspace(interval.h_min, top, 25):
             assert rate_report(s.replace(h=float(h))).r_b <= r_b + 1e-12
         done += 1
+
+
+# -- grid argmax vs the cap-edge oracle ---------------------------------------
+
+def test_grid_argmax_is_at_most_the_cap_edge_supremum(fig5):
+    # the best rate lies on a power-cap edge, so no grid point beats the
+    # edge supremum.  The oracle samples each edge at 500 steps, a multiple
+    # of the grids' 50 and 20, so it holds their cap-edge points up to
+    # rounding (the corner exactly); the slack is for that rounding.
+    # Measured: fig5 0.15706492 against 0.15707184, and the 74 feasible
+    # draws of 300 sit 0 ULP (2 of them) or more below their supremum.
+    def assert_bounded(s, steps):
+        result = maximize_covert_rate(s, GridSpec.linear(s.p_max, s.p_max,
+                                                         steps, steps))
+        if result.feasible:
+            assert result.r_b_star <= (cap_edge_supremum(s)
+                                       + 4 * math.ulp(result.r_b_star))
+        return result.feasible
+
+    assert assert_bounded(fig5, 50)
+    rng = np.random.default_rng(0)
+    assert sum(assert_bounded(draw_scenario(rng), 20) for _ in range(300)) >= 70
 
 
 # -- array grid pass vs the per-point scalar solver --------------------------
