@@ -128,13 +128,10 @@ def render_csv(blocks: list[dict], columns: tuple[str, ...]) -> str:
     lines = [",".join(columns)]
     rendered = {}  # id(list) -> (list, its cells), for the previous block's lists
     for block in blocks:
-        if list not in map(type, block.values()):
-            lines.append(",".join([_render_cell(block[column]) for column in columns]))
-            continue
         lengths = {len(value) for value in block.values() if type(value) is list}
         if len(lengths) > 1:
             raise ValueError(f"a block's lists differ in length: {sorted(lengths)}")
-        (rows,) = lengths
+        (rows,) = lengths or {1}
         held, table, shared = {}, [], []
         for column in columns:
             value = block[column]

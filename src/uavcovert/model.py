@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .rates import snrs_at
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
@@ -78,12 +79,10 @@ class Scenario:
         for name in ("p_a", "p_u", "p_j"):
             if getattr(self, name) > self.p_max:
                 raise ConfigError(f"{name} exceeds p_max ({getattr(self, name)!r} > {self.p_max!r})")
-        from .rates import snrs_at  # rates imports this module
-        try:
-            snrs = snrs_at(self, self.p_u, self.p_j, 0.0)
-        except ZeroDivisionError:
-            raise ConfigError("gamma_b at h = 0 must be finite, but every term "
-                              "of its denominator underflows to 0") from None
+        if not self.sigma_b2 * self.sigma_u2 > 0.0:  # gamma_b's denominator floor
+            raise ConfigError(f"sigma_b2 * sigma_u2 must be > 0, but "
+                              f"{self.sigma_b2!r} * {self.sigma_u2!r} underflows to 0")
+        snrs = snrs_at(self, self.p_u, self.p_j, 0.0)
         if not all(map(math.isfinite, snrs)):
             raise ConfigError(f"SNRs (gamma_u, gamma_b) at h = 0 must be finite, "
                               f"got {snrs!r}")

@@ -25,7 +25,6 @@ active-constraint flags.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,29 +128,22 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
         for e0 in range(0, len(epsilons), span):
             chunk = epsilons[e0:e0 + span]
             verdict = feasibility_grid(s, p_u_block, p_j_values, chunk)
-            feasible = verdict.feasible.ravel()  # cell = epsilon * points + point
-            points = feasible.size // len(chunk)
-            for cell in np.flatnonzero(verdict.uncertain).tolist():
-                e, flat = divmod(cell, points)
-                i, j = divmod(flat, len(p_j_values))
-                feasible[cell] = not feasible_interval(s.replace(
+            for e, i, j in np.argwhere(verdict.uncertain).tolist():
+                verdict.feasible[e, i, j] = not feasible_interval(s.replace(
                     p_u=p_u_block[i], p_j=p_j_values[j], epsilon=chunk[e])).empty
-            cells = np.flatnonzero(feasible)
-            # math.log2, not np.log2: the two differ in the last bit on some
-            # inputs, which would move the argmax and the CSV bytes
-            r_b = list(map(capacity, verdict.gamma_b.ravel()[cells].tolist()))
-            cells = cells.tolist()
-            end = 0
             for e in range(len(chunk)):
-                begin, end = end, bisect_left(cells, (e + 1) * points, end)
-                if begin == end:
+                cells = np.flatnonzero(verdict.feasible[e])
+                if not cells.size:
                     continue
-                k = r_b.index(max(r_b[begin:end]), begin, end)  # first of the ties
+                # math.log2, not np.log2: the two differ in the last bit on
+                # some inputs, which would move the argmax and the CSV bytes
+                r_b = list(map(capacity, verdict.gamma_b[e].ravel()[cells].tolist()))
+                k = r_b.index(max(r_b))  # first of the ties
                 if best[e0 + e] is None or r_b[k] > best[e0 + e][0]:
-                    i, j = divmod(cells[k] - e * points, len(p_j_values))
+                    i, j = divmod(cells.item(k), len(p_j_values))
                     best[e0 + e] = (r_b[k], p_u_block[i], p_j_values[j],
-                                    verdict.h_min.item(cells[k]),
-                                    verdict.gamma_u.item(cells[k]))
+                                    verdict.h_min.item(e, i, j),
+                                    verdict.gamma_u.item(e, i, j))
 
     h_max_at = {}  # (p_u, p_j) -> security ceiling, shared by every epsilon
     results = []

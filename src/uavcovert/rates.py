@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import Scenario
+if TYPE_CHECKING:
+    from .model import Scenario
 
 
 def capacity(snr: float) -> float:

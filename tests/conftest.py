@@ -125,6 +125,16 @@ def exact_exp(x: float) -> decimal.Decimal:
     return _EXACT.exp(decimal.Decimal(x))
 
 
+def exact_log2(x: float) -> decimal.Decimal:
+    """log2 of the float ``x`` > 0 as ln(x) / ln(2) in 60-digit
+    ``decimal``: the truth the capacities' ``math.log2`` is measured
+    against.  Both logarithms and the quotient carry a relative error near
+    1e-59, so ``float()`` of it is the correctly rounded double but where
+    log2(x) lies that close to a half-way point between two doubles."""
+    return _EXACT.divide(_EXACT.ln(decimal.Decimal(x)),
+                         _EXACT.ln(decimal.Decimal(2)))
+
+
 # Heights above an edge point's covert floor that cap_edge_supremum scans
 # when the floor itself is insecure: 1 cm up to the 1e6 m search ceiling.
 _EDGE_SCAN_OFFSETS = np.geomspace(1e-2, 1e6, 64)

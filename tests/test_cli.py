@@ -289,8 +289,7 @@ def test_non_finite_los_gain_exits_two(tmp_path, capsys, preset, key, command):
      "SNRs (gamma_u, gamma_b) at h = 0 must be finite, "
      "got (0.1388888888888889, inf)"),
     ({"beta_db": -3000.0, "sigma_u2_dbw": -3000.0, "sigma_b2_dbw": -3000.0},
-     "gamma_b at h = 0 must be finite, but every term of its denominator "
-     "underflows to 0"),
+     "sigma_b2 * sigma_u2 must be > 0, but 1e-300 * 1e-300 underflows to 0"),
 ], ids=["overflow", "underflow"])
 def test_non_finite_ground_snr_exits_two(tmp_path, capsys, fields, err):
     # beta = 1e300 overflows gamma_b: the rate sweep once wrote inf in
@@ -309,6 +308,35 @@ def test_non_finite_ground_snr_exits_two(tmp_path, capsys, fields, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--pu-steps", "4", "--pj-steps", "4"],
+    ["rate-sweep", "--stop", "2000000"],
+    ["validate"],
+], ids=["optimize", "rate-sweep", "validate"])
+def test_underflowing_noise_product_exits_two(tmp_path, capsys, command):
+    # sigma_b2 sigma_u2 = 1e-340 underflows to 0, and with it the floor of
+    # gamma_b's denominator: optimize raised ZeroDivisionError out of the
+    # bisection at h >= 1e3 m, rate-sweep exited 4 after two numpy
+    # warnings and validate exited 0
+    raw = json.loads((SCENARIOS / "fig3.json").read_text())
+    raw.update(beta_db=-1500.0, sigma_u2_dbw=-1700.0, sigma_b2_dbw=-1700.0)
+    scenario = tmp_path / "faint.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    argv = [command[0], "--scenario", str(scenario), *command[1:]]
+    if command[0] != "validate":
+        argv += ["--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: sigma_b2 * sigma_u2 must be > 0, "
+                            "but 1e-170 * 1e-170 underflows to 0\n")
     assert not out.exists()
 
 
