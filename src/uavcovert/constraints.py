@@ -27,12 +27,11 @@ above the ground; :func:`feasible_interval` reports such points empty.
 
 :func:`feasible_interval` solves one scenario and is the reference.
 :func:`feasibility_grid` gives its emptiness verdict for whole arrays of
-(epsilon, p_u, p_j) at once, without bisection: by the one crossing,
-C_s - r_s on the ground, at SEARCH_CEILING_M and at each covert floor
-h_min decides a point.  A value inside a guard band of 0 could be decided
-differently by the solver (np.log2 rounding, the bisection residual);
-such points are flagged uncertain, for the caller to hand to
-:func:`feasible_interval`.
+(epsilon, p_u, p_j) at once, without bisection: by the one crossing, the
+security predicate N_b / D_b >= t N_u / D_u, as (1 + gamma_b) /
+(1 + gamma_u) >= t, on the ground, at SEARCH_CEILING_M and at each covert
+floor h_min decides a point.  Floats and arrays round its plain arithmetic
+alike, so the grid and the solver decide every point alike.
 """
 from __future__ import annotations
 
@@ -48,18 +47,12 @@ from .rates import capacity, snrs_at
 SEARCH_CEILING_M = 1e6     # far beyond any physical hover height
 BISECT_MAX_ITER = 200
 BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at the returned height
-# Guard bands of feasibility_grid.  The sign of C_s - r_s on the ground or
-# at the ceiling is unsure within SIGN_GUARD * (c_b + c_u + r_s) of 0,
-# thousands of times the few-ULP gap between np.log2 and math.log2;
-# C_s(h_min) - r_s is unsure within RESIDUAL_GUARD, where the bisection may
-# stop on either side of h_min.
-SIGN_GUARD = 1e-12
-RESIDUAL_GUARD = 2.0 * BISECT_RESIDUAL
 
 
 @dataclass(frozen=True)
 class FeasibleHeightInterval:
-    """[h_min, h_max] altitude window; h_max may be +inf, NaN when empty."""
+    """[h_min, h_max] altitude window; h_max may be +inf, NaN when empty,
+    or a bisection residual's altitude below a secure h_min."""
 
     h_min: float
     h_max: float
@@ -97,6 +90,18 @@ def _covert_floor(p_u, p_j, beta: float, epsilons, d_w2: float) -> np.ndarray:
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
+def _threshold(r_s: float) -> float:
+    """t = 2^r_s, inf where it overflows (r_s >= 1024): no C_s reaches it."""
+    return 2.0 ** r_s if r_s < 1024.0 else math.inf
+
+
+def _secure(snrs, t):
+    """C_s >= r_s for ``snrs = (gamma_u, gamma_b)`` and t = 2^r_s, as
+    (1 + gamma_b) / (1 + gamma_u) >= t (module docstring)."""
+    gamma_u, gamma_b = snrs
+    return (1.0 + gamma_b) / (1.0 + gamma_u) >= t
+
+
 def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
     """C_s as a function of altitude, other fields fixed."""
     if not (math.isfinite(h) and h >= 0.0):
@@ -107,38 +112,34 @@ def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
 
 # The security bracket scan: 0, then doubling altitudes from 1 m, then the
 # search ceiling itself.
-_SCAN_HEIGHTS = (0.0, *(2.0 ** k for k in range(
-    math.ceil(math.log2(SEARCH_CEILING_M)))), SEARCH_CEILING_M)
+_SCAN_HEIGHTS = np.array([0.0, *(2.0 ** k for k in range(
+    math.ceil(math.log2(SEARCH_CEILING_M)))), SEARCH_CEILING_M])
 
 
 def security_height_bound(scenario: Scenario):
     """Altitude h_max where C_s(h_max) == scenario.r_s, by bisection.
 
     Returns None when C_s(0) < r_s (infeasible even on the ground) and
-    math.inf when C_s stays above r_s all the way to the search ceiling.
-    Otherwise C_s crosses r_s once (module docstring); the bisection
-    brackets it between the first doubling altitude where C_s drops under
-    r_s and the one before.
+    math.inf when C_s >= r_s at the search ceiling, by the security
+    predicate, which one array pass takes at every scan height.  Otherwise
+    C_s crosses r_s once (module docstring); the bisection brackets it
+    between the first doubling altitude where the predicate fails and the
+    one before.
     """
-    r_s = scenario.r_s
-
-    def f(h: float) -> float:
-        return secrecy_rate_at_height(scenario, h) - r_s
-
-    if f(0.0) < 0.0:
+    s = scenario
+    secure = _secure(snrs_at(s, s.p_u, s.p_j, _SCAN_HEIGHTS),
+                     _threshold(s.r_s)).tolist()
+    if not secure[0]:
         return None
-    lo = 0.0
-    for hi in _SCAN_HEIGHTS[1:]:
-        if f(hi) < 0.0:
-            break
-        lo = hi
-    else:
+    if secure[-1]:
         return math.inf
+    k = secure.index(False)
+    lo, hi = _SCAN_HEIGHTS[k - 1].item(), _SCAN_HEIGHTS[k].item()
 
     mid = 0.5 * (lo + hi)
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = secrecy_rate_at_height(s, mid) - s.r_s
         if abs(fm) <= BISECT_RESIDUAL:
             return mid
         if fm > 0.0:
@@ -151,16 +152,17 @@ def security_height_bound(scenario: Scenario):
 def feasible_interval(scenario: Scenario) -> FeasibleHeightInterval:
     """Intersect the covert lower bound with the security upper bound.
 
-    The interval is closed at h_max: C_s(h_max) = r_s satisfies the
-    security requirement with equality.  It is empty where h_min is inf.
+    The interval is empty where h_min is inf or where, below a finite
+    h_max, the security predicate fails at h_min.
     """
-    h_min = covert_height_bound(scenario.p_u, scenario.p_j, scenario.beta,
-                                scenario.epsilon, scenario.d_w2)
-    h_max = security_height_bound(scenario)
+    s = scenario
+    h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+    h_max = security_height_bound(s)
     if h_max is None:
         return FeasibleHeightInterval(h_min=h_min, h_max=math.nan, empty=True)
-    return FeasibleHeightInterval(h_min=h_min, h_max=h_max,
-                                  empty=h_min == math.inf or h_min > h_max)
+    return FeasibleHeightInterval(h_min=h_min, h_max=h_max, empty=(
+        h_min == math.inf or not (h_max == math.inf or _secure(
+            snrs_at(s, s.p_u, s.p_j, h_min), _threshold(s.r_s)))))
 
 
 @dataclass(frozen=True)
@@ -168,15 +170,13 @@ class GridVerdict:
     """:func:`feasibility_grid` output, arrays of shape (epsilons, p_u, p_j).
 
     ``gamma_u`` and ``gamma_b`` are the SNRs at ``h_min``; ``feasible`` is
-    ``not feasible_interval(...).empty`` wherever ``uncertain`` does not
-    hold.
+    ``not feasible_interval(...).empty`` at every point.
     """
 
     h_min: np.ndarray
     gamma_u: np.ndarray
     gamma_b: np.ndarray
     feasible: np.ndarray
-    uncertain: np.ndarray
 
 
 def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
@@ -186,33 +186,25 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
 
     ``p_u_values`` and ``p_j_values`` hold positive powers, ``epsilons``
     values in (0, 1); the other fields come from ``scenario``.  A point is
-    feasible when C_s(0) >= r_s, h_min is finite, and C_s(h_min) >= r_s or
-    C_s stays at or above r_s at the search ceiling (h_max = inf): above
-    secure ground C_s crosses r_s once.  Points whose deciding values sit
-    in a guard band of 0 are left uncertain.  The ground and ceiling values
-    are computed once per (p_u, p_j) and broadcast against the epsilon
-    axis; h_min is :func:`covert_height_bound`'s array path.
+    feasible when the security predicate holds on the ground, h_min is
+    finite, and the predicate holds at h_min or at the search ceiling
+    (h_max = inf): above secure ground C_s crosses r_s once.  The ground
+    and ceiling verdicts are computed once per (p_u, p_j) and broadcast
+    against the epsilon axis; h_min is :func:`covert_height_bound`'s array
+    path.
     """
     s = scenario
+    t = _threshold(s.r_s)
     # The powers take a leading epsilon axis of length 1, so that with one
     # epsilon numpy meets arrays of equal shape throughout.
     p_u = np.array(p_u_values)[None, :, None]
     p_j = np.array(p_j_values)[None, None, :]
-    # C_s - r_s on the ground and at the search ceiling, along axis 0
     ends = np.array([0.0, SEARCH_CEILING_M])[:, None, None, None]
-    c_u, c_b = (np.log2(1.0 + gamma) for gamma in snrs_at(s, p_u, p_j, ends))
-    margin = c_b - c_u - s.r_s  # its rounding scales with c_b + c_u + r_s
-    ground_ok, never_below = margin >= 0.0
-    ground_unsure, ceiling_unsure = (
-        np.abs(margin) <= SIGN_GUARD * (c_b + c_u + s.r_s))
+    ground_ok, never_below = _secure(snrs_at(s, p_u, p_j, ends), t)
 
     h_min = _covert_floor(p_u, p_j, s.beta, epsilons, s.d_w2)
     gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
-    c_u, c_b = np.log2(1.0 + gamma_u), np.log2(1.0 + gamma_b)
-    margin_min = c_b - c_u - s.r_s
     feasible = ground_ok & (h_min < math.inf) & (
-        never_below | (margin_min >= 0.0))
-    uncertain = ground_unsure | (ground_ok & (ceiling_unsure | (
-        ~never_below & (np.abs(margin_min) <= RESIDUAL_GUARD))))
+        never_below | _secure((gamma_u, gamma_b), t))
     return GridVerdict(h_min=h_min, gamma_u=gamma_u, gamma_b=gamma_b,
-                       feasible=feasible, uncertain=uncertain)
+                       feasible=feasible)

@@ -119,7 +119,8 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
     s = scenario
     rng = np.random.default_rng(seed)
     t = rng.standard_exponential(int(n_trials))              # |h_bw|^2
-    t *= s.p_j
+    with np.errstate(over="ignore"):  # inf is the limit: above any gamma
+        t *= s.p_j
     t += s.sigma_w2                                          # silent
     p_fa = float(np.count_nonzero(t >= gamma)) / n_trials
     t += s.p_u * (s.beta / (s.d_w2 + s.h * s.h))             # transmitting

@@ -9,11 +9,9 @@ for free.
 
 The grid is evaluated as arrays, in blocks of p_u rows, for one or more
 covertness slacks epsilon at once: :func:`constraints.feasibility_grid`
-gives the covert floor, the SNRs there and the feasibility verdict of
-every (epsilon, p_u, p_j), from C_s - r_s on the ground and at the search
-ceiling, computed once per point and shared by every epsilon, and at
-h_min.  Points that verdict leaves uncertain (guard band) are solved one
-by one with :func:`constraints.feasible_interval`.  The capacities of
+gives the covert floor, the SNRs there and the verdict of
+:func:`constraints.feasible_interval` at every (epsilon, p_u, p_j), its
+ground and ceiling checks shared by every epsilon.  The capacities of
 feasible points use math.log2, as :func:`rates.capacity` does, never
 np.log2: on an AVX-512 Xeon (numpy 2.4.6) the two differed by one ULP on
 12,102 of 4e6 values of 1 + U(0, 1), enough to move the argmax and the CSV
@@ -31,9 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import Scenario
-from .constraints import (
-    feasibility_grid, feasible_interval, security_height_bound,
-)
+from .constraints import feasibility_grid, security_height_bound
 from .rates import capacity
 
 _ACTIVE_TOL = 1e-9
@@ -89,7 +85,9 @@ class OptimizationResult:
     c_s_star: float
     feasible: bool
     active_constraints: tuple[str, ...]
-    h_max: float  # security ceiling at the argmax (inf if none, NaN if infeasible)
+    # security ceiling at the argmax (inf if none, NaN if infeasible); as a
+    # bisection midpoint it may sit just below h_star, "security" then active
+    h_max: float
 
 
 _NO_FEASIBLE_POINT = OptimizationResult(
@@ -113,9 +111,9 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
     """:func:`maximize_covert_rate` of ``scenario.replace(epsilon=e)`` for
     each ``e`` in the sequence ``epsilons`` (each in (0, 1)).
 
-    A pass shares the ground and ceiling values of a block of powers among
+    A pass shares the ground and ceiling verdicts of a block of powers among
     up to ``_BLOCK_CELLS`` (epsilon, point) cells; each epsilon has its own
-    uncertain points, solved in scan order, and its own argmax.
+    argmax.
     """
     s = scenario
     p_u_values = [v for v in grid.p_u_values if v <= s.p_max]
@@ -128,9 +126,6 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
         for e0 in range(0, len(epsilons), span):
             chunk = epsilons[e0:e0 + span]
             verdict = feasibility_grid(s, p_u_block, p_j_values, chunk)
-            for e, i, j in np.argwhere(verdict.uncertain).tolist():
-                verdict.feasible[e, i, j] = not feasible_interval(s.replace(
-                    p_u=p_u_block[i], p_j=p_j_values[j], epsilon=chunk[e])).empty
             for e in range(len(chunk)):
                 cells = np.flatnonzero(verdict.feasible[e])
                 if not cells.size:
@@ -155,7 +150,7 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
         if (p_u, p_j) not in h_max_at:
             h_max_at[p_u, p_j] = security_height_bound(s.replace(p_u=p_u, p_j=p_j))
         h_max = h_max_at[p_u, p_j]
-        if h_max is None or h > h_max:
+        if h_max is None:
             raise NumericalError(
                 f"grid verdict disagrees with feasible_interval at p_u={p_u!r}, "
                 f"p_j={p_j!r}")

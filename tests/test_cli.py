@@ -259,6 +259,40 @@ def test_vanishing_jamming_power_is_silent(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_overflowing_jamming_power_is_silent(tmp_path, capsys):
+    # at p_j = 1.7e308 the Monte Carlo's jammed statistic p_j |h_bw|^2
+    # overflows to inf, the defined limit that exceeds every threshold:
+    # numpy once printed an overflow RuntimeWarning for it
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw.update(p_j_w=1.7e308, p_max_w=1.7e308, p_u_w=1.0, p_a_w=1.0)
+    loud = tmp_path / "loud.json"
+    loud.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["detect-sweep", "--scenario", str(loud), "--out",
+                     str(tmp_path / "out.csv"), "--trials", "1000",
+                     "--steps", "3"]) == 0
+        assert main(["validate", "--scenario", str(loud), "--trials", "1000",
+                     "--symbols", "1000", "--gamma-points", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("r_s", [1024, 1e300])
+def test_unreachable_secrecy_threshold_exits_three(tmp_path, capsys, r_s):
+    # 2^r_s overflows a float from r_s = 1024: no grid point is secure
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw["r_s_bpcu"] = r_s
+    strict = tmp_path / "strict.json"
+    strict.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["optimize", "--scenario", str(strict), "--out",
+                     str(tmp_path / "out.csv"), "--pu-steps", "4",
+                     "--pj-steps", "4"])
+    assert code == 3
+    assert capsys.readouterr().err == "no feasible grid point\n"
+
+
 @pytest.mark.parametrize("preset, key, command", [
     ("fig3", "d_a2_m2", ["rate-sweep"]),
     ("fig4", "d_b2_m2", ["rate-sweep"]),

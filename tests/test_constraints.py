@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 from fractions import Fraction
@@ -9,7 +10,9 @@ from uavcovert import (
     ConfigError, NumericalError, covert_height_bound, feasible_interval,
     secrecy_rate_at_height, security_height_bound,
 )
-from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid
+from uavcovert.constraints import (
+    SEARCH_CEILING_M, _secure, _threshold, feasibility_grid,
+)
 from uavcovert.rates import snrs_at
 
 from conftest import (
@@ -249,6 +252,50 @@ def test_security_quartic_top_coefficients_are_never_positive():
         assert (c4 == 0) == (s.r_s == 0.0)
         zero_threshold += s.r_s == 0.0
     assert zero_threshold >= 300
+
+
+def test_security_predicate_agrees_with_the_exact_sign():
+    # _secure's float verdict against the exact sign of
+    # (1 + gamma_b) / (1 + gamma_u) - 2^r_s, with 1 + gamma in Fractions of
+    # the float inputs and 2^r_s in 60-digit decimal, at random heights and
+    # at +-200 nextafter steps around each height where the float verdict
+    # flips: they agree wherever the exact relative margin exceeds 1e-13
+    context = decimal.Context(prec=60)
+    rng = np.random.default_rng(2403)
+    counts = {"random": 0, "near_root": 0}
+    worst = 0.0  # largest exact |margin| where the two disagree
+    k = 0
+    while counts["near_root"] < 16 * 401:  # 16 flip heights
+        s = (draw_scenario, draw_log_uniform_scenario)[k % 2](rng)
+        k += 1
+        polys = security_polynomials(s)
+        t = Fraction(context.power(2, decimal.Decimal(s.r_s)))
+
+        def secure(h):
+            return bool(_secure(snrs_at(s, s.p_u, s.p_j, h), _threshold(s.r_s)))
+
+        heights = {"random": [0.0, *(10.0 ** rng.uniform(-2.0, 6.0, 24))],
+                   "near_root": []}
+        if secure(0.0) and not secure(SEARCH_CEILING_M):
+            lo, hi = 0.0, SEARCH_CEILING_M  # bisect to adjacent floats
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if secure(mid) else (lo, mid)
+            below, above = [lo], [lo]
+            for _ in range(200):
+                below.append(math.nextafter(below[-1], 0.0))
+                above.append(math.nextafter(above[-1], math.inf))
+            heights["near_root"] = below + above[1:]
+        for kind, hs in heights.items():
+            for h in hs:
+                x = Fraction(float(h)) ** 2
+                n_u, d_u, n_b, d_b = (poly_at(p, x) for p in polys)
+                margin = n_b * d_u / (t * n_u * d_b) - 1
+                if secure(float(h)) != (margin >= 0):
+                    worst = max(worst, abs(float(margin)))
+                counts[kind] += 1
+    print(f"largest exact margin of a disagreement: {worst:.3g}", counts)
+    assert worst <= 1e-13
+    assert counts["random"] >= 1000
 
 
 @pytest.mark.parametrize("draw", [draw_scenario, draw_log_uniform_scenario])

@@ -321,8 +321,8 @@ def random_covertness_sweep(rng, kind):
 def test_covertness_sweep_matches_per_epsilon_oracle(monkeypatch, log2_skew,
                                                       blocks):
     # a skew moves np.log2 results one ULP, alternately up and down, as
-    # another libm may, so that guard-band points reach the scalar solver;
-    # small blocks split the grid into many (epsilon, p_u) passes
+    # another libm may, and no verdict reads np.log2; small blocks split
+    # the grid into many (epsilon, p_u) passes
     if blocks:
         monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_POINTS", blocks[0])
         monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_CELLS", blocks[1])
@@ -330,20 +330,13 @@ def test_covertness_sweep_matches_per_epsilon_oracle(monkeypatch, log2_skew,
         log2, turn = np.log2, itertools.count()
         monkeypatch.setattr(np, "log2", lambda x: np.nextafter(
             log2(x), log2_skew if next(turn) % 2 else -log2_skew))
-    solve = uavcovert.optimizer.feasible_interval
-    fallbacks = []
-    monkeypatch.setattr(uavcovert.optimizer, "feasible_interval",
-                        lambda scenario: fallbacks.append(1) or solve(scenario))
     rng, trials = np.random.default_rng(20261018), 200
     kinds = ("random", "r_s=0", "tight", "1-step", "guard")
-    seen = dict.fromkeys(("feasible", "infeasible", "tight", "above_cap",
-                          "fallbacks"), 0)
+    seen = dict.fromkeys(("feasible", "infeasible", "tight", "above_cap"), 0)
     for trial in range(trials):
         kind = kinds[trial % len(kinds)]
         s, sweep, p_u_values = random_covertness_sweep(rng, kind)
-        fallbacks.clear()
         got = run_covertness_sweep(s, sweep, p_u_values, seed=trial)
-        seen["fallbacks"] += len(fallbacks)
         want = per_epsilon_covertness_oracle(s, sweep, p_u_values, seed=trial)
         assert_same_blocks(got, want)
         assert render_csv(got, COVERTNESS_COLUMNS) == render_csv(
@@ -355,31 +348,14 @@ def test_covertness_sweep_matches_per_epsilon_oracle(monkeypatch, log2_skew,
         seen["above_cap"] += p_u_values[-1] > s.p_max
     assert seen["feasible"] >= trials and seen["infeasible"] >= trials
     assert seen["tight"] >= trials // 10 and seen["above_cap"] >= trials // 5
-    assert seen["fallbacks"] >= 10  # the guard band reaches the solver
 
 
 def test_covertness_sweep_keeps_the_solvers_numerical_errors(fig5, monkeypatch):
     p_u_values = (10.0, 20.0, 30.0)
     sweep = SweepSpec(0.01, 0.02, 5, (15.0,))
-    epsilon = float(sweep.points()[2])
-    h_min = covert_height_bound(10.0, 15.0, fig5.beta, epsilon, fig5.d_w2)
-    on_guard = fig5.replace(r_s=secrecy_rate_at_height(
-        fig5.replace(p_u=10.0, p_j=15.0), h_min))
-    solve = uavcovert.constraints.security_height_bound
-
-    def not_an_interval(scenario):
-        if scenario.p_u == 10.0:  # an uncertain point, never an argmax
-            raise NumericalError("secrecy rate re-crosses the threshold")
-        return solve(scenario)
-    monkeypatch.setattr(uavcovert.constraints, "security_height_bound",
-                        not_an_interval)
-    for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
-        with pytest.raises(NumericalError, match="re-crosses"):
-            runner(on_guard, sweep, p_u_values)
 
     def raises_at_argmax(scenario):
         raise NumericalError("secrecy rate re-crosses the threshold")
-    monkeypatch.setattr(uavcovert.constraints, "security_height_bound", solve)
     monkeypatch.setattr(uavcovert.optimizer, "security_height_bound",
                         raises_at_argmax)
     for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
