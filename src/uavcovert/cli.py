@@ -53,6 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("detect-sweep",
                         help="detection error vs threshold, closed form and Monte Carlo")
+    p.set_defaults(run=_cmd_detect_sweep)
     _add_common(p, "detect_sweep.csv")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--start", type=float, default=0.0, help="threshold sweep start, W")
@@ -62,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated forward powers p_u, W")
 
     p = subs.add_parser("rate-sweep", help="rate chain vs hover altitude")
+    p.set_defaults(run=_cmd_rate_sweep)
     _add_common(p, "rate_sweep.csv")
     p.add_argument("--start", type=float, default=0.0, help="altitude sweep start, m")
     p.add_argument("--stop", type=float, default=100.0, help="altitude sweep stop, m")
@@ -71,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("covertness-sweep",
                         help="optimized covert rate vs covertness slack")
+    p.set_defaults(run=_cmd_covertness_sweep)
     _add_common(p, "covertness_sweep.csv")
     p.add_argument("--start", type=float, default=0.01, help="epsilon sweep start")
     p.add_argument("--stop", type=float, default=0.02, help="epsilon sweep stop")
@@ -81,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forward-power grid resolution for the optimizer")
 
     p = subs.add_parser("optimize", help="single covert-rate grid search")
+    p.set_defaults(run=_cmd_optimize)
     _add_common(p, "optimize.csv")
     p.add_argument("--pu-steps", type=int, default=50)
     p.add_argument("--pj-steps", type=int, default=50)
@@ -91,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate",
                         help="closed-form vs Monte Carlo validation suite")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100_000)
@@ -100,16 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_seed(seed: int) -> int:
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
-def _scenario_and_sweep(args) -> tuple[Scenario, SweepSpec]:
-    scenario = Scenario.from_file(args.scenario)
-    return scenario, SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
-                               overlay_values=_parse_values(args.overlay_values))
+def _sweep(args) -> SweepSpec:
+    return SweepSpec(start=args.start, stop=args.stop, steps=args.steps,
+                     overlay_values=_parse_values(args.overlay_values))
 
 
 def _rows(sweep: SweepSpec) -> int:
@@ -117,38 +115,34 @@ def _rows(sweep: SweepSpec) -> int:
     return sweep.steps * len(sweep.overlay_values)
 
 
-def _cmd_detect_sweep(args) -> int:
-    scenario, sweep = _scenario_and_sweep(args)
-    blocks = run_detection_sweep(scenario, sweep, n_trials=args.trials,
-                                 seed=_check_seed(args.seed))
+def _cmd_detect_sweep(scenario: Scenario, args) -> int:
+    sweep = _sweep(args)
+    blocks = run_detection_sweep(scenario, sweep, n_trials=args.trials, seed=args.seed)
     write_csv(args.out, blocks, DETECTION_COLUMNS)
     print(f"wrote {_rows(sweep)} rows to {args.out}")
     return EXIT_OK
 
 
-def _cmd_rate_sweep(args) -> int:
-    scenario, sweep = _scenario_and_sweep(args)
-    blocks = run_rate_sweep(scenario, sweep, seed=_check_seed(args.seed))
+def _cmd_rate_sweep(scenario: Scenario, args) -> int:
+    sweep = _sweep(args)
+    blocks = run_rate_sweep(scenario, sweep, seed=args.seed)
     write_csv(args.out, blocks, RATE_COLUMNS)
     print(f"wrote {_rows(sweep)} rows to {args.out}")
     return EXIT_OK
 
 
-def _cmd_covertness_sweep(args) -> int:
-    scenario, sweep = _scenario_and_sweep(args)
+def _cmd_covertness_sweep(scenario: Scenario, args) -> int:
+    sweep = _sweep(args)
     p_u_values = GridSpec.linear(scenario.p_max, scenario.p_max,
                                  p_u_steps=args.pu_steps, p_j_steps=1).p_u_values
-    blocks = run_covertness_sweep(scenario, sweep, p_u_values,
-                                  seed=_check_seed(args.seed))
+    blocks = run_covertness_sweep(scenario, sweep, p_u_values, seed=args.seed)
     write_csv(args.out, blocks, COVERTNESS_COLUMNS)
     n_infeasible = sum(not f for block in blocks for f in block["feasible"])
     print(f"wrote {_rows(sweep)} rows to {args.out} ({n_infeasible} infeasible)")
     return EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    scenario = Scenario.from_file(args.scenario)
-    seed = _check_seed(args.seed)
+def _cmd_optimize(scenario: Scenario, args) -> int:
     grid = GridSpec.linear(
         p_u_stop=args.pu_max if args.pu_max is not None else scenario.p_max,
         p_j_stop=args.pj_max if args.pj_max is not None else scenario.p_max,
@@ -160,7 +154,7 @@ def _cmd_optimize(args) -> int:
         p_j_star=result.p_j_star, h_star=result.h_star,
         r_b_star=result.r_b_star, c_s_star=result.c_s_star,
         active_constraints=";".join(result.active_constraints),
-        seed=seed, scenario_hash=scenario.canonical_hash(),
+        seed=args.seed, scenario_hash=scenario.canonical_hash(),
     )
     write_csv(args.out, [record], OPTIMIZE_COLUMNS)
     if not result.feasible:
@@ -172,27 +166,12 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    scenario = Scenario.from_file(args.scenario)
-    checks = run_validation(scenario, n_trials=args.trials,
-                            n_symbols=args.symbols,
-                            seed=_check_seed(args.seed),
-                            gamma_points=args.gamma_points)
-    failed = [c for c in checks if not c.passed]
+def _cmd_validate(scenario: Scenario, args) -> int:
+    checks = run_validation(scenario, n_trials=args.trials, n_symbols=args.symbols,
+                            seed=args.seed, gamma_points=args.gamma_points)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
-    if failed:
-        return EXIT_NUMERICAL
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "detect-sweep": _cmd_detect_sweep,
-    "rate-sweep": _cmd_rate_sweep,
-    "covertness-sweep": _cmd_covertness_sweep,
-    "optimize": _cmd_optimize,
-    "validate": _cmd_validate,
-}
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:
@@ -203,7 +182,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        scenario = Scenario.from_file(args.scenario)
+        if args.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
+        return args.run(scenario, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -66,7 +66,7 @@ class SweepSpec:
             raise ConfigError("overlay_values must be distinct")
 
     def points(self) -> np.ndarray:
-        if self.steps == 1:
+        if self.steps == 1:  # linspace(-0.0, -0.0, 1) is [0.0], not [-0.0]
             return np.asarray([self.start], dtype=float)
         return np.linspace(self.start, self.stop, self.steps)
 
@@ -320,7 +320,8 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     the SNR is a ratio of two independent exponential means, sqrt(2/n).
     Raises :class:`NumericalError`, before any Monte Carlo, if the
     closed-form destination SNR is not positive (it underflows to 0 at
-    extreme powers), since the SNR gap is relative to it.
+    extreme powers), since the SNR gap is relative to it, or if the
+    threshold grid's stop 10 * gamma_star overflows.
     """
     if gamma_points < 1:
         raise ConfigError(f"gamma_points must be >= 1, got {gamma_points}")
@@ -331,6 +332,8 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     checks = []
 
     opt = optimal_detection(scenario)
+    if not math.isfinite(10.0 * opt.gamma_star):
+        raise NumericalError(f"threshold grid stop 10 * {opt.gamma_star!r} overflows")
     gammas = np.linspace(0.0, 10.0 * opt.gamma_star, gamma_points).tolist()
     zeta = error_curve(scenario, gammas)[2]
     worst = 0.0

@@ -12,6 +12,7 @@ import pytest
 import uavcovert.cli
 import uavcovert.experiments
 from uavcovert.cli import main
+from uavcovert.experiments import ValidationCheck
 
 from conftest import PRESETS, expand_rows, reference_render_csv
 
@@ -86,6 +87,97 @@ def test_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "0\n"
+
+
+# every subcommand's options as (option strings, default, type), without -h
+_OPTIONS = {
+    "detect-sweep": [
+        (("--scenario",), None, None), (("--out",), "detect_sweep.csv", None),
+        (("--seed",), 0, int), (("--trials",), 100_000, int),
+        (("--start",), 0.0, float), (("--stop",), 1.0, float), (("--steps",), 50, int),
+        (("--overlay-values",), "2,3,4", None),
+    ],
+    "rate-sweep": [
+        (("--scenario",), None, None), (("--out",), "rate_sweep.csv", None),
+        (("--seed",), 0, int),
+        (("--start",), 0.0, float), (("--stop",), 100.0, float), (("--steps",), 26, int),
+        (("--overlay-values",), "7,8,9", None),
+    ],
+    "covertness-sweep": [
+        (("--scenario",), None, None), (("--out",), "covertness_sweep.csv", None),
+        (("--seed",), 0, int),
+        (("--start",), 0.01, float), (("--stop",), 0.02, float), (("--steps",), 20, int),
+        (("--overlay-values",), "5,10,15", None), (("--pu-steps",), 60, int),
+    ],
+    "optimize": [
+        (("--scenario",), None, None), (("--out",), "optimize.csv", None),
+        (("--seed",), 0, int), (("--pu-steps",), 50, int), (("--pj-steps",), 50, int),
+        (("--pu-max",), None, float), (("--pj-max",), None, float),
+    ],
+    "validate": [
+        (("--scenario",), None, None), (("--seed",), 0, int),
+        (("--trials",), 100_000, int), (("--symbols",), 1_000_000, int),
+        (("--gamma-points",), 20, int),
+    ],
+}
+
+
+def test_option_table_is_pinned():
+    (subs,) = [action for action in uavcovert.cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    assert {name: [(tuple(a.option_strings), a.default, a.type) for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction)]
+            for name, sub in subs.choices.items()} == _OPTIONS
+
+
+# each subcommand with one bad size of its own
+_BAD_SIZES = [
+    ["detect-sweep", "--steps", "0"], ["rate-sweep", "--steps", "0"],
+    ["covertness-sweep", "--pu-steps", "0"], ["optimize", "--pu-steps", "0"],
+    ["validate", "--gamma-points", "0"],
+]
+
+
+@pytest.mark.parametrize("command", _BAD_SIZES, ids=lambda argv: argv[0])
+def test_checks_scenario_then_seed_then_sizes(tmp_path, capsys, command):
+    # of two bad inputs, the one checked first is reported
+    out = tmp_path / "out.csv"
+    missing = tmp_path / "nope.json"
+    for scenario, err in [
+        (missing, f"config error: cannot read scenario file {missing}: "
+                  f"[Errno 2] No such file or directory: {str(missing)!r}\n"),
+        (SCENARIOS / "fig5.json", "config error: seed must be non-negative, got -1\n"),
+    ]:
+        argv = [command[0], "--scenario", str(scenario), "--seed", "-1", *command[1:]]
+        if command[0] != "validate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect-sweep", "rate-sweep", "covertness-sweep"])
+def test_unparsable_overlay_values_exit_two(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", str(SCENARIOS / "fig5.json"), "--out", str(out),
+                 "--overlay-values", "7,a"]) == 2
+    assert capsys.readouterr() == ("", "config error: cannot parse value list '7,a'\n")
+    assert not out.exists()
+
+
+def test_out_in_a_missing_directory_exits_two(tmp_path, capsys):
+    assert main(_optimize_argv(tmp_path / "missing" / "opt.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failing_validation_check_exits_four(monkeypatch, capsys):
+    checks = [ValidationCheck("closed", True, "ok"), ValidationCheck("mc", False, "2x off")]
+    monkeypatch.setattr(uavcovert.cli, "run_validation", lambda *args, **kwargs: checks)
+    assert main(["validate", "--scenario", str(SCENARIOS / "fig2.json")]) == 4
+    assert capsys.readouterr() == ("PASS closed: ok\nFAIL mc: 2x off\n", "")
 
 
 def test_missing_scenario_file_exits_two(tmp_path, capsys):
@@ -240,6 +332,25 @@ def test_validate_underflowing_destination_snr_exits_four(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("numerical failure: closed-form destination SNR 0.0 "
                             "is not positive\n")
+
+
+def test_validate_overflowing_threshold_grid_exits_four(tmp_path, capsys):
+    # at sigma_w2 = 3075 dBW gamma_star is about 3.2e307, so the grid stop
+    # 10 * gamma_star overflows: numpy's linspace once warned, and the
+    # Monte Carlo then blamed the closed form with a FAIL line
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw["sigma_w2_dbw"] = 3075
+    loud = tmp_path / "loud.json"
+    loud.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["validate", "--scenario", str(loud), "--trials", "1000",
+                     "--symbols", "1000"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: threshold grid stop 10 * ")
+    assert captured.err.endswith(" overflows\n") and captured.err.count("\n") == 1
 
 
 def test_vanishing_jamming_power_is_silent(tmp_path, capsys):
