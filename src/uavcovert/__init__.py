@@ -3,7 +3,7 @@ untrusted amplify-and-forward UAV, with a power-detecting warden and a
 full-duplex jamming receiver."""
 
 from .errors import ConfigError, NumericalError
-from .model import Scenario, db_to_linear, linear_to_db
+from .model import Scenario, db_to_linear
 from .detection import (
     DetectionPoint,
     OptimalDetection,
@@ -56,7 +56,6 @@ __all__ = [
     "db_to_linear",
     "error_curve",
     "feasible_interval",
-    "linear_to_db",
     "maximize_covert_rate",
     "optimal_detection",
     "render_csv",

@@ -191,7 +191,8 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
     (h_max = inf): above secure ground C_s crosses r_s once.  The ground
     and ceiling verdicts are computed once per (p_u, p_j) and broadcast
     against the epsilon axis; h_min is :func:`covert_height_bound`'s array
-    path.
+    path.  Raises :class:`NumericalError` where an SNR's arithmetic
+    overflows at some grid power, since its inf would decide the point.
     """
     s = scenario
     t = _threshold(s.r_s)
@@ -200,10 +201,13 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
     p_u = np.array(p_u_values)[None, :, None]
     p_j = np.array(p_j_values)[None, None, :]
     ends = np.array([0.0, SEARCH_CEILING_M])[:, None, None, None]
-    ground_ok, never_below = _secure(snrs_at(s, p_u, p_j, ends), t)
-
     h_min = _covert_floor(p_u, p_j, s.beta, epsilons, s.d_w2)
-    gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
+    try:
+        with np.errstate(over="raise"):
+            ground_ok, never_below = _secure(snrs_at(s, p_u, p_j, ends), t)
+            gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
+    except FloatingPointError as exc:
+        raise NumericalError(f"SNRs on the power grid overflow: {exc}") from exc
     feasible = ground_ok & (h_min < math.inf) & (
         never_below | _secure((gamma_u, gamma_b), t))
     return GridVerdict(h_min=h_min, gamma_u=gamma_u, gamma_b=gamma_b,

@@ -8,8 +8,9 @@ i.e. their squared gains are unit-mean exponential draws, one per
 transmission block.  :func:`rates.snrs_at` states the gain formula; the
 Monte Carlo kernels write it out the same way.
 
-Everything is stored in linear SI units (watts, square meters).  dB-valued
-config fields are converted exactly once, at JSON parse time.
+Everything is stored as linear SI floats (watts, square meters).  dB-valued
+config fields are converted exactly once, at JSON parse time.  The schema is
+one-way: a scenario is read from JSON and never written back.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -24,10 +26,6 @@ from .rates import snrs_at
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -55,16 +53,17 @@ class Scenario:
     r_s: float       # secrecy-rate threshold, bits per channel use
 
     def __post_init__(self) -> None:
-        positive = {
-            "d_a2": self.d_a2, "d_b2": self.d_b2, "d_w2": self.d_w2,
-            "beta": self.beta,
-            "p_a": self.p_a, "p_u": self.p_u, "p_j": self.p_j,
-            "p_max": self.p_max,
-            "sigma_u2": self.sigma_u2, "sigma_b2": self.sigma_b2,
-            "sigma_w2": self.sigma_w2,
-        }
-        for name, value in positive.items():
-            if not (math.isfinite(value) and value > 0.0):
+        # one pass stores every field as a float and checks the ones that
+        # must be positive: distances, beta, powers and noises
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if type(value) is not float:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ConfigError(f"{name} must be a real number, got {value!r}")
+                value = float(value)
+                object.__setattr__(self, name, value)
+            if name not in ("h", "epsilon", "r_s") and not (
+                    math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("d_a2", "d_b2", "d_w2"):
             if not math.isfinite(self.beta / getattr(self, name)):
@@ -103,12 +102,12 @@ class Scenario:
         if missing:
             raise ConfigError(f"missing scenario fields: {sorted(missing)}")
         kwargs = {}
-        for key, (attr, decode, _encode) in _JSON_FIELDS.items():
+        for key, (attr, decode) in _JSON_FIELDS.items():
             value = raw[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"scenario field {key} must be a number, got {value!r}")
             try:
-                kwargs[attr] = decode(float(value))
+                kwargs[attr] = decode(value)
             except OverflowError as exc:
                 raise ConfigError(f"scenario field {key} overflows a float") from exc
         return cls(**kwargs)
@@ -125,11 +124,6 @@ class Scenario:
         if not isinstance(raw, dict):
             raise ConfigError(f"scenario file {path} must hold a JSON object")
         return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        """Inverse of :meth:`from_dict` (dB fields re-encoded)."""
-        return {key: encode(getattr(self, attr))
-                for key, (attr, _decode, encode) in _JSON_FIELDS.items()}
 
     def canonical_hash(self) -> str:
         """Stable short hash of the linear field values, for CSV provenance."""
@@ -165,24 +159,20 @@ def _canonical_hashes(scenario: Scenario, name: str, cells) -> list[str]:
     return digests
 
 
-def _identity(x: float) -> float:
-    return x
-
-
-# JSON key -> (attribute, decode from file value, encode back to file value)
+# JSON key -> (attribute, decode from file value to linear float)
 _JSON_FIELDS = {
-    "d_a2_m2": ("d_a2", _identity, _identity),
-    "d_b2_m2": ("d_b2", _identity, _identity),
-    "d_w2_m2": ("d_w2", _identity, _identity),
-    "h_m": ("h", _identity, _identity),
-    "beta_db": ("beta", db_to_linear, linear_to_db),
-    "p_a_w": ("p_a", _identity, _identity),
-    "p_u_w": ("p_u", _identity, _identity),
-    "p_j_w": ("p_j", _identity, _identity),
-    "p_max_w": ("p_max", _identity, _identity),
-    "sigma_u2_dbw": ("sigma_u2", db_to_linear, linear_to_db),
-    "sigma_b2_dbw": ("sigma_b2", db_to_linear, linear_to_db),
-    "sigma_w2_dbw": ("sigma_w2", db_to_linear, linear_to_db),
-    "epsilon": ("epsilon", _identity, _identity),
-    "r_s_bpcu": ("r_s", _identity, _identity),
+    "d_a2_m2": ("d_a2", float),
+    "d_b2_m2": ("d_b2", float),
+    "d_w2_m2": ("d_w2", float),
+    "h_m": ("h", float),
+    "beta_db": ("beta", db_to_linear),
+    "p_a_w": ("p_a", float),
+    "p_u_w": ("p_u", float),
+    "p_j_w": ("p_j", float),
+    "p_max_w": ("p_max", float),
+    "sigma_u2_dbw": ("sigma_u2", db_to_linear),
+    "sigma_b2_dbw": ("sigma_b2", db_to_linear),
+    "sigma_w2_dbw": ("sigma_w2", db_to_linear),
+    "epsilon": ("epsilon", float),
+    "r_s_bpcu": ("r_s", float),
 }

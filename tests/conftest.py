@@ -135,6 +135,13 @@ def exact_log2(x: float) -> decimal.Decimal:
                          _EXACT.ln(decimal.Decimal(2)))
 
 
+def exact_pow10(q: float) -> decimal.Decimal:
+    """10**q of the float ``q`` to 60 significant digits: the truth
+    ``db_to_linear(x)`` is measured against, with ``q`` the float quotient
+    x / 10.0 that it raises 10 to."""
+    return _EXACT.power(decimal.Decimal(10), decimal.Decimal(q))
+
+
 # Heights above an edge point's covert floor that cap_edge_supremum scans
 # when the floor itself is insecure: 1 cm up to the 1e6 m search ceiling.
 _EDGE_SCAN_OFFSETS = np.geomspace(1e-2, 1e6, 64)

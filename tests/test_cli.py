@@ -388,6 +388,33 @@ def test_overflowing_jamming_power_is_silent(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["optimize", "--pu-steps", "4", "--pj-steps", "4"],
+    ["covertness-sweep", "--steps", "3", "--pu-steps", "4"],
+], ids=["optimize", "covertness-sweep"])
+def test_overflowing_grid_snrs_exit_four(tmp_path, capsys, command):
+    # at p_max = 1e300 and sigma_u2 = 1e30 the grid's p_u sigma_u2 overflows
+    # in gamma_b's denominator: numpy once warned, and the inf made every
+    # point infeasible (optimize exited 3, covertness-sweep 0)
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw.update(p_max_w=1e300, sigma_u2_dbw=300)
+    loud = tmp_path / "loud.json"
+    loud.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], "--scenario", str(loud), "--out", str(out),
+                     *command[1:]])
+        # the scenario itself is valid: the rate sweep takes no grid power
+        assert main(["rate-sweep", "--scenario", str(loud), "--out",
+                     str(tmp_path / "rates.csv")]) == 0
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: SNRs on the power grid overflow: "
+                            "overflow encountered in multiply\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r_s", [1024, 1e300])
 def test_unreachable_secrecy_threshold_exits_three(tmp_path, capsys, r_s):
     # 2^r_s overflows a float from r_s = 1024: no grid point is secure

@@ -182,6 +182,12 @@ def test_security_bound_unbounded_marker(fig3):
     assert security_height_bound(s) == math.inf
 
 
+@pytest.mark.parametrize("h", [math.nan, -1.0, math.inf])
+def test_secrecy_rate_rejects_heights_outside_its_domain(fig3, h):
+    with pytest.raises(ConfigError, match=rf"^h must be finite and >= 0, got {h!r}$"):
+        secrecy_rate_at_height(fig3, h)
+
+
 # -- the one crossing above secure ground ------------------------------------
 
 def poly_mul(p, q):

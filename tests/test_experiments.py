@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -12,7 +13,8 @@ import uavcovert.optimizer
 from uavcovert import experiments
 from uavcovert import (
     ConfigError, GridSpec, NumericalError, Scenario, SweepSpec,
-    covert_height_bound, render_csv, run_covertness_sweep,
+    covert_height_bound, error_curve, optimal_detection, render_csv,
+    run_covertness_sweep,
     run_detection_sweep, run_rate_sweep, run_validation,
     secrecy_rate_at_height, write_csv,
 )
@@ -370,6 +372,25 @@ def test_covertness_sweep_keeps_the_solvers_numerical_errors(fig5, monkeypatch):
             runner(fig5, sweep, p_u_values)
 
 
+def test_covertness_sweep_self_check_catches_falling_rate(monkeypatch, tmp_path,
+                                                         capsys):
+    real = experiments._maximize_over_epsilons
+
+    def falling(scenario, grid, epsilons):
+        return [dataclasses.replace(r, r_b_star=r.r_b_star - k)
+                for k, r in enumerate(real(scenario, grid, epsilons))]
+
+    monkeypatch.setattr(experiments, "_maximize_over_epsilons", falling)
+    out = tmp_path / "covert.csv"
+    assert main(["covertness-sweep", "--scenario", str(SCENARIOS / "fig5.json"),
+                 "--out", str(out), "--steps", "3", "--pu-steps", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: optimized covert rate not "
+                            "nondecreasing in epsilon at p_j=5.0\n")
+    assert not out.exists()
+
+
 def test_covertness_sweep_solves_security_once_per_argmax(fig5, monkeypatch):
     # the security ceiling ignores epsilon: one solve per distinct argmax
     # (p_u, p_j) of an overlay, and no Scenario built per certain row
@@ -395,6 +416,71 @@ def test_covertness_sweep_solves_security_once_per_argmax(fig5, monkeypatch):
     assert len(argmaxes) <= 10  # of 60 feasible rows
     assert len(solves) == len(set(solves)) and set(solves) <= argmaxes
     assert len(replaces) <= len(blocks) + len(argmaxes)
+
+
+# -- power-of-two scaling of every power -------------------------------------
+
+_POWER_FIELDS = ("p_a", "p_u", "p_j", "p_max", "sigma_u2", "sigma_b2", "sigma_w2")
+
+
+def assert_blocks_scale(got, want, scale, scaled_columns):
+    """Every column but ``scenario_hash`` of ``got`` is bit-equal to
+    ``want``'s, or to ``want``'s times ``scale`` in ``scaled_columns``."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert set(g) == set(w)
+        for column in set(w) - {"scenario_hash"}:
+            value = w[column]
+            if column in scaled_columns:
+                value = ([v * scale for v in value] if type(value) is list
+                         else value * scale)
+            assert repr(g[column]) == repr(value), column
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(-300, 300),
+       r_s=st.sampled_from([0.0, 0.01]))
+@example(seed=0, m=-300, r_s=0.0)
+@example(seed=0, m=300, r_s=0.01)
+@settings(max_examples=40, deadline=None)
+def test_runners_are_bit_equal_under_power_of_two_power_scaling(seed, m, r_s):
+    # Scaling every power and noise by 2^m is exact in binary floating point
+    # while no intermediate leaves the normal range, and every SNR, covert
+    # floor, capacity and detection error is a ratio of terms that each
+    # scale alike, so those cells are bit-equal and the power and threshold
+    # cells scale by exactly 2^m.  The metre constants stay put: the SNRs
+    # reach down to SEARCH_CEILING_M, the security scan doubles up from 1 m
+    # and _ACTIVE_TOL is floored at 1 m of altitude.  At draw_scenario's
+    # ranges the smallest intermediate, P_u P_a g^2 at the search ceiling,
+    # is above 2^-81 and the largest, P_u P_a, below 2^8, each times 2^2m,
+    # so |m| <= 300 keeps every one normal.  A low r_s leaves about 45% of
+    # the covertness cells feasible.
+    scale = 2.0 ** m
+    s = draw_scenario(np.random.default_rng(seed), r_s=r_s)
+    scaled = s.replace(**{f: getattr(s, f) * scale for f in _POWER_FIELDS})
+
+    overlays = (s.p_u, s.p_max)
+    rates = SweepSpec(0.0, 300.0, 7, overlays)
+    assert_blocks_scale(
+        run_rate_sweep(scaled, dataclasses.replace(
+            rates, overlay_values=tuple(v * scale for v in overlays))),
+        run_rate_sweep(s, rates), scale, _POWER_FIELDS)
+
+    p_u_values = GridSpec.linear(s.p_max, s.p_max, 6, 1).p_u_values
+    overlays = (s.p_j, s.p_max)
+    epsilons = SweepSpec(0.01, 0.5, 6, overlays)
+    assert_blocks_scale(
+        run_covertness_sweep(
+            scaled, dataclasses.replace(
+                epsilons, overlay_values=tuple(v * scale for v in overlays)),
+            tuple(v * scale for v in p_u_values)),
+        run_covertness_sweep(s, epsilons, p_u_values), scale,
+        _POWER_FIELDS + ("p_u_star", "p_j_star"))
+
+    want = optimal_detection(s)
+    got = optimal_detection(scaled)
+    assert (got.gamma_star, got.zeta_star) == (want.gamma_star * scale, want.zeta_star)
+    gammas = [want.gamma_star * k / 8.0 for k in range(17)] + [s.sigma_w2]
+    assert error_curve(scaled, [g * scale for g in gammas]) == error_curve(s, gammas)
 
 
 # -- CSV rendering -----------------------------------------------------------

@@ -1,17 +1,17 @@
 import dataclasses
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
 
-from uavcovert import ConfigError, Scenario, db_to_linear, linear_to_db
-from uavcovert.model import _canonical_hashes
+from uavcovert import ConfigError, Scenario, db_to_linear
+from uavcovert.experiments import RATE_COLUMNS, SweepSpec, render_csv, run_rate_sweep
+from uavcovert.model import _JSON_FIELDS, _canonical_hashes
 
 from conftest import (
     PRESETS, SCENARIOS, draw_log_uniform_scenario, draw_scenario,
-    json_canonical_hash,
+    exact_pow10, json_canonical_hash,
 )
 
 # -- scenario validation and JSON schema -------------------------------------
@@ -31,14 +31,6 @@ def test_scenario_from_dict_converts_db_once():
     assert s.beta == 10.0
     assert s.sigma_u2 == pytest.approx(0.01, rel=1e-15)
     assert s.h == 100.0 and s.d_a2 == 3600.0
-
-
-def test_scenario_round_trip(fig2):
-    again = Scenario.from_dict(fig2.to_dict())
-    for name in ("d_a2", "h", "p_u", "epsilon", "r_s"):
-        assert getattr(again, name) == getattr(fig2, name)
-    assert math.isclose(again.beta, fig2.beta, rel_tol=1e-14)
-    assert again.canonical_hash() == fig2.canonical_hash()
 
 
 def test_scenario_rejects_unknown_and_missing_fields():
@@ -114,7 +106,41 @@ def test_every_preset_and_drawn_scenario_constructs():
 def test_db_helpers_invert():
     assert db_to_linear(10.0) == 10.0
     assert db_to_linear(-20.0) == pytest.approx(0.01, rel=1e-15)
-    assert math.isclose(linear_to_db(db_to_linear(-20.0)), -20.0, abs_tol=1e-12)
+
+
+def test_db_to_linear_is_within_one_ulp_of_the_exact_power():
+    db_keys = [key for key, (_, decode) in _JSON_FIELDS.items()
+               if decode is db_to_linear]
+    values = [json.loads((SCENARIOS / f"{preset}.json").read_text())[key]
+              for preset in PRESETS for key in db_keys]
+    values += [k / 10.0 for k in range(-3000, 3001)]  # -300..300 dB by 0.1 dB
+    assert len(values) == 6017
+    for x in values:
+        truth = float(exact_pow10(x / 10.0))
+        assert db_to_linear(x) in (math.nextafter(truth, -math.inf), truth,
+                                   math.nextafter(truth, math.inf)), x
+
+
+@pytest.mark.parametrize("value", [1, np.float64(1.0), np.int64(1), np.float32(1.0)],
+                         ids=["int", "float64", "int64", "float32"])
+def test_scenario_stores_every_field_as_a_float(fig3, value):
+    # an int or numpy scalar once kept its type, so an equal value rendered
+    # as 1, np.float64(1.0) or true in the CSV and hashed differently
+    sweep = SweepSpec(start=0.0, stop=100.0, steps=5, overlay_values=(7.0, 8.0))
+    want = fig3.replace(p_a=1.0)
+    got = fig3.replace(p_a=value)
+    assert all(type(getattr(got, f.name)) is float
+               for f in dataclasses.fields(got))
+    assert got.canonical_hash() == want.canonical_hash()
+    assert (render_csv(run_rate_sweep(got, sweep), RATE_COLUMNS)
+            == render_csv(run_rate_sweep(want, sweep), RATE_COLUMNS))
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "1.0", 1 + 0j, None],
+                         ids=["true", "false", "numpy-bool", "str", "complex", "none"])
+def test_scenario_rejects_bool_and_non_real_fields(fig3, value):
+    with pytest.raises(ConfigError, match=r"^p_a must be a real number, got "):
+        fig3.replace(p_a=value)
 
 
 def test_scenario_hash_tracks_fields(fig2):
@@ -128,7 +154,8 @@ def test_scenario_hash_is_the_json_payload_hash(fig2, fig3, fig4, fig5):
     for sc in scenarios:
         assert sc.canonical_hash() == json_canonical_hash(sc)
     hs = [0, -0.0, 0.0, 5e-324, 12.5, 99.99999999999999, 1e200]
-    assert _canonical_hashes(fig3, "h", [repr(h) for h in hs]) == [
+    # a scenario stores the int 0 as 0.0, so its hash splices in "0.0"
+    assert _canonical_hashes(fig3, "h", [repr(float(h)) for h in hs]) == [
         json_canonical_hash(fig3.replace(h=h)) for h in hs]
 
 
@@ -157,12 +184,3 @@ def test_spliced_hashes_match_replaced_scenarios_for_every_field(fig3, name):
             values = [x for x in values if x > 0.0]
         assert _canonical_hashes(sc, name, [repr(x) for x in values]) == [
             json_canonical_hash(sc.replace(**{name: x})) for x in values]
-
-
-def test_scenario_to_dict_matches_file(fig2):
-    on_disk = json.loads((pathlib.Path(__file__).resolve()
-                          .parents[1] / "scenarios" / "fig2.json").read_text())
-    enc = fig2.to_dict()
-    assert set(enc) == set(on_disk)
-    for key, value in on_disk.items():
-        assert math.isclose(enc[key], value, rel_tol=1e-12, abs_tol=1e-12)
