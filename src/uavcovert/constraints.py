@@ -45,7 +45,6 @@ from .model import Scenario
 from .rates import capacity, snrs_at
 
 SEARCH_CEILING_M = 1e6     # far beyond any physical hover height
-BISECT_MAX_ITER = 200
 BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at the returned height
 
 
@@ -124,7 +123,9 @@ def security_height_bound(scenario: Scenario):
     predicate, which one array pass takes at every scan height.  Otherwise
     C_s crosses r_s once (module docstring); the bisection brackets it
     between the first doubling altitude where the predicate fails and the
-    one before.
+    one before.  It returns the first midpoint within BISECT_RESIDUAL of
+    r_s, or the one that no longer lies strictly inside its bracket: every
+    other step narrows the bracket, so the loop ends.
     """
     s = scenario
     secure = _secure(snrs_at(s, s.p_u, s.p_j, _SCAN_HEIGHTS),
@@ -135,18 +136,15 @@ def security_height_bound(scenario: Scenario):
         return math.inf
     k = secure.index(False)
     lo, hi = _SCAN_HEIGHTS[k - 1].item(), _SCAN_HEIGHTS[k].item()
-
-    mid = 0.5 * (lo + hi)
-    for _ in range(BISECT_MAX_ITER):
+    while True:
         mid = 0.5 * (lo + hi)
         fm = secrecy_rate_at_height(s, mid) - s.r_s
-        if abs(fm) <= BISECT_RESIDUAL:
+        if abs(fm) <= BISECT_RESIDUAL or not lo < mid < hi:
             return mid
         if fm > 0.0:
             lo = mid
         else:
             hi = mid
-    return mid
 
 
 def feasible_interval(scenario: Scenario) -> FeasibleHeightInterval:
@@ -165,24 +163,11 @@ def feasible_interval(scenario: Scenario) -> FeasibleHeightInterval:
             snrs_at(s, s.p_u, s.p_j, h_min), _threshold(s.r_s)))))
 
 
-@dataclass(frozen=True)
-class GridVerdict:
-    """:func:`feasibility_grid` output, arrays of shape (epsilons, p_u, p_j).
-
-    ``gamma_u`` and ``gamma_b`` are the SNRs at ``h_min``; ``feasible`` is
-    ``not feasible_interval(...).empty`` at every point.
-    """
-
-    h_min: np.ndarray
-    gamma_u: np.ndarray
-    gamma_b: np.ndarray
-    feasible: np.ndarray
-
-
-def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
-                     epsilons) -> GridVerdict:
+def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     """Array verdict of :func:`feasible_interval` over every (epsilon, p_u,
-    p_j) of three sequences, as arrays of shape (epsilons, p_u, p_j).
+    p_j) of three sequences: ``(h_min, gamma_u, gamma_b, feasible)``,
+    arrays of shape (epsilons, p_u, p_j), with the SNRs at h_min and
+    ``feasible`` equal to ``not feasible_interval(...).empty``.
 
     ``p_u_values`` and ``p_j_values`` hold positive powers, ``epsilons``
     values in (0, 1); the other fields come from ``scenario``.  A point is
@@ -210,5 +195,4 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values,
         raise NumericalError(f"SNRs on the power grid overflow: {exc}") from exc
     feasible = ground_ok & (h_min < math.inf) & (
         never_below | _secure((gamma_u, gamma_b), t))
-    return GridVerdict(h_min=h_min, gamma_u=gamma_u, gamma_b=gamma_b,
-                       feasible=feasible)
+    return h_min, gamma_u, gamma_b, feasible

@@ -33,10 +33,8 @@ from .constraints import feasibility_grid, security_height_bound
 from .rates import capacity
 
 _ACTIVE_TOL = 1e-9
-# Grid points per array pass; bounds the (2 heights x points) temporaries.
-_BLOCK_POINTS = 4096
-# (epsilon, grid point) cells per array pass; bounds the epsilon-axis ones.
-_BLOCK_CELLS = 16 * _BLOCK_POINTS
+# (epsilon, grid point) cells per array pass; bounds its temporaries.
+_BLOCK_CELLS = 65536
 
 
 @dataclass(frozen=True)
@@ -118,27 +116,27 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
     s = scenario
     p_u_values = [v for v in grid.p_u_values if v <= s.p_max]
     p_j_values = [v for v in grid.p_j_values if v <= s.p_max]
-    rows = max(1, _BLOCK_POINTS // max(1, len(p_j_values)))
+    rows = max(1, _BLOCK_CELLS // max(1, len(p_j_values)))
     best = [None] * len(epsilons)  # per epsilon: (r_b, p_u, p_j, h, gamma_u)
     for start in range(0, len(p_u_values), rows):
         p_u_block = p_u_values[start:start + rows]
         span = max(1, _BLOCK_CELLS // max(1, len(p_u_block) * len(p_j_values)))
         for e0 in range(0, len(epsilons), span):
             chunk = epsilons[e0:e0 + span]
-            verdict = feasibility_grid(s, p_u_block, p_j_values, chunk)
+            h_min, gamma_u, gamma_b, feasible = feasibility_grid(
+                s, p_u_block, p_j_values, chunk)
             for e in range(len(chunk)):
-                cells = np.flatnonzero(verdict.feasible[e])
+                cells = np.flatnonzero(feasible[e])
                 if not cells.size:
                     continue
                 # math.log2, not np.log2: the two differ in the last bit on
                 # some inputs, which would move the argmax and the CSV bytes
-                r_b = list(map(capacity, verdict.gamma_b[e].ravel()[cells].tolist()))
+                r_b = list(map(capacity, gamma_b[e].ravel()[cells].tolist()))
                 k = r_b.index(max(r_b))  # first of the ties
                 if best[e0 + e] is None or r_b[k] > best[e0 + e][0]:
                     i, j = divmod(cells.item(k), len(p_j_values))
                     best[e0 + e] = (r_b[k], p_u_block[i], p_j_values[j],
-                                    verdict.h_min.item(e, i, j),
-                                    verdict.gamma_u.item(e, i, j))
+                                    h_min.item(e, i, j), gamma_u.item(e, i, j))
 
     h_max_at = {}  # (p_u, p_j) -> security ceiling, shared by every epsilon
     results = []

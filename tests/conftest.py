@@ -135,6 +135,16 @@ def exact_log2(x: float) -> decimal.Decimal:
                          _EXACT.ln(decimal.Decimal(2)))
 
 
+def exact_log1p(x: float) -> decimal.Decimal:
+    """ln(1 + x) of the float -1 < ``x`` < 1 in 60-digit ``decimal``: the
+    truth the covert floor's ``math.log1p(-epsilon)`` is measured against.
+    1 + x rounds to 60 digits, an absolute error below 1e-59, so where
+    |x| >= 1e-30 the logarithm's relative error stays below 1e-28 and
+    ``float()`` of it is the correctly rounded double but where ln(1 + x)
+    lies that close to a half-way point between two doubles."""
+    return _EXACT.ln(_EXACT.add(1, decimal.Decimal(x)))
+
+
 def exact_pow10(q: float) -> decimal.Decimal:
     """10**q of the float ``q`` to 60 significant digits: the truth
     ``db_to_linear(x)`` is measured against, with ``q`` the float quotient

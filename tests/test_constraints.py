@@ -10,6 +10,7 @@ from uavcovert import (
     ConfigError, NumericalError, covert_height_bound, feasible_interval,
     secrecy_rate_at_height, security_height_bound,
 )
+from uavcovert import constraints
 from uavcovert.constraints import (
     SEARCH_CEILING_M, _secure, _threshold, feasibility_grid,
 )
@@ -105,8 +106,8 @@ def test_covert_bound_is_inf_when_its_denominator_underflows(fig5):
                      d_w2=10.0, r_s=0.0, epsilon=1e-320)
     interval = feasible_interval(s)
     assert interval.h_min == interval.h_max == math.inf and interval.empty
-    verdict = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
-    assert verdict.h_min.item() == math.inf and not verdict.feasible.item()
+    h_min, _, _, feasible = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
+    assert h_min.item() == math.inf and not feasible.item()
 
 
 @pytest.mark.parametrize("p_u_values, p_j_values, epsilons", [
@@ -137,9 +138,9 @@ def test_grid_covert_floor_is_the_scalar_one(fig5, p_u_values, p_j_values,
             with pytest.raises(NumericalError, match="covert floor undefined"):
                 feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
             return
-        verdict = feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
+        grid_h_min, *_ = feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
     for index, h_min in want.items():
-        assert type(h_min) is float and verdict.h_min[index] == h_min
+        assert type(h_min) is float and grid_h_min[index] == h_min
 
 
 def test_covert_bound_invalid_inputs():
@@ -166,6 +167,28 @@ def test_security_bound_residual(fig3):
     target = 0.5 * c_s_ground
     h_prime = security_height_bound(fig3.replace(r_s=target))
     assert abs(secrecy_rate_at_height(fig3, h_prime) - target) <= 1e-9
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig5"])
+@pytest.mark.parametrize("p_u", [5.0, 8.0])
+def test_security_bound_ends_with_its_bracket(monkeypatch, request, preset, p_u):
+    # with no residual exit the bisection runs until its midpoint stops
+    # lying strictly inside the bracket: the bracket's two ends are then
+    # adjacent doubles with C_s - r_s > 0 at the lower end and <= 0 at the
+    # upper one.  Between two adjacent powers of two lie 2^52 doubles, so
+    # 52 halvings leave adjacent ends and the 53rd midpoint is one of them
+    s = request.getfixturevalue(preset).replace(p_u=p_u)
+    monkeypatch.setattr(constraints, "BISECT_RESIDUAL", 0.0)
+    heights = []
+
+    def spy(scenario, h):
+        heights.append(h)
+        return secrecy_rate_at_height(scenario, h)
+    monkeypatch.setattr(constraints, "secrecy_rate_at_height", spy)
+    h = security_height_bound(s)
+    assert len(heights) == 53 and heights[-1] == h and 1.0 < h < SEARCH_CEILING_M
+    assert secrecy_rate_at_height(s, math.nextafter(h, 0.0)) - s.r_s > 0.0
+    assert secrecy_rate_at_height(s, math.nextafter(h, math.inf)) - s.r_s <= 0.0
 
 
 def test_security_bound_infeasible_at_ground(fig3):

@@ -13,10 +13,11 @@ import uavcovert.optimizer
 from uavcovert import experiments
 from uavcovert import (
     ConfigError, GridSpec, NumericalError, Scenario, SweepSpec,
-    covert_height_bound, error_curve, optimal_detection, render_csv,
-    run_covertness_sweep,
+    covert_height_bound, error_curve, maximize_covert_rate,
+    optimal_detection, render_csv, run_covertness_sweep,
     run_detection_sweep, run_rate_sweep, run_validation,
-    secrecy_rate_at_height, write_csv,
+    secrecy_rate_at_height, simulate_destination_snr, simulate_detection,
+    write_csv,
 )
 from uavcovert.experiments import (
     COVERTNESS_COLUMNS, DETECTION_COLUMNS, RATE_COLUMNS, mc_zeta_tolerance,
@@ -318,16 +319,16 @@ def random_covertness_sweep(rng, kind):
     return s, sweep, p_u_values
 
 
-@pytest.mark.parametrize("log2_skew, blocks", [
-    (0.0, None), (math.inf, None), (-math.inf, None), (0.0, (3, 7))])
+@pytest.mark.parametrize("log2_skew, cells", [
+    (0.0, None), (math.inf, None), (-math.inf, None), (0.0, 5)])
 def test_covertness_sweep_matches_per_epsilon_oracle(monkeypatch, log2_skew,
-                                                      blocks):
+                                                      cells):
     # a skew moves np.log2 results one ULP, alternately up and down, as
-    # another libm may, and no verdict reads np.log2; small blocks split
-    # the grid into many (epsilon, p_u) passes
-    if blocks:
-        monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_POINTS", blocks[0])
-        monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_CELLS", blocks[1])
+    # another libm may, and no verdict reads np.log2; a small budget splits
+    # the grid into many (epsilon, p_u) passes, several epsilons to a pass
+    # where a short last row block leaves room
+    if cells:
+        monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_CELLS", cells)
     if log2_skew:
         log2, turn = np.log2, itertools.count()
         monkeypatch.setattr(np, "log2", lambda x: np.nextafter(
@@ -423,15 +424,16 @@ def test_covertness_sweep_solves_security_once_per_argmax(fig5, monkeypatch):
 _POWER_FIELDS = ("p_a", "p_u", "p_j", "p_max", "sigma_u2", "sigma_b2", "sigma_w2")
 
 
-def assert_blocks_scale(got, want, scale, scaled_columns):
+def assert_blocks_scale(got, want, scales):
     """Every column but ``scenario_hash`` of ``got`` is bit-equal to
-    ``want``'s, or to ``want``'s times ``scale`` in ``scaled_columns``."""
+    ``want``'s times ``scales.get(column, 1.0)``."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert set(g) == set(w)
         for column in set(w) - {"scenario_hash"}:
             value = w[column]
-            if column in scaled_columns:
+            if column in scales:
+                scale = scales[column]
                 value = ([v * scale for v in value] if type(value) is list
                          else value * scale)
             assert repr(g[column]) == repr(value), column
@@ -463,7 +465,7 @@ def test_runners_are_bit_equal_under_power_of_two_power_scaling(seed, m, r_s):
     assert_blocks_scale(
         run_rate_sweep(scaled, dataclasses.replace(
             rates, overlay_values=tuple(v * scale for v in overlays))),
-        run_rate_sweep(s, rates), scale, _POWER_FIELDS)
+        run_rate_sweep(s, rates), dict.fromkeys(_POWER_FIELDS, scale))
 
     p_u_values = GridSpec.linear(s.p_max, s.p_max, 6, 1).p_u_values
     overlays = (s.p_j, s.p_max)
@@ -473,14 +475,68 @@ def test_runners_are_bit_equal_under_power_of_two_power_scaling(seed, m, r_s):
             scaled, dataclasses.replace(
                 epsilons, overlay_values=tuple(v * scale for v in overlays)),
             tuple(v * scale for v in p_u_values)),
-        run_covertness_sweep(s, epsilons, p_u_values), scale,
-        _POWER_FIELDS + ("p_u_star", "p_j_star"))
+        run_covertness_sweep(s, epsilons, p_u_values),
+        dict.fromkeys(_POWER_FIELDS + ("p_u_star", "p_j_star"), scale))
 
     want = optimal_detection(s)
     got = optimal_detection(scaled)
     assert (got.gamma_star, got.zeta_star) == (want.gamma_star * scale, want.zeta_star)
     gammas = [want.gamma_star * k / 8.0 for k in range(17)] + [s.sigma_w2]
     assert error_curve(scaled, [g * scale for g in gammas]) == error_curve(s, gammas)
+
+
+@pytest.mark.parametrize("m", [-3, 2])
+def test_monte_carlo_is_bit_equal_under_power_of_four_power_scaling(m):
+    # with every power and noise times 4^m each amplitude sqrt(P g) scales
+    # by exactly 2^m, so the same seed draws the same unit symbols and fades
+    # into a chain whose every sample scales alike: the SNR and the unit
+    # forwarded power are bit-equal and the two powers scale by 4^m; the
+    # radiometer statistic scales by 4^m, and with it the threshold, so
+    # every comparison and both error rates are unchanged
+    scale = 4.0 ** m
+    rng = np.random.default_rng(9)
+    for seed in range(60):
+        s = draw_scenario(rng)
+        scaled = s.replace(**{f: getattr(s, f) * scale for f in _POWER_FIELDS})
+        want = simulate_destination_snr(s, 2000, seed)
+        assert simulate_destination_snr(scaled, 2000, seed) == dataclasses.replace(
+            want, signal_power=want.signal_power * scale,
+            noise_power=want.noise_power * scale)
+        gamma = optimal_detection(s).gamma_star
+        want = simulate_detection(s, gamma, 2000, seed)
+        got = simulate_detection(scaled, gamma * scale, 2000, seed)
+        assert (got.p_fa, got.p_md) == (want.p_fa, want.p_md)
+
+
+@pytest.mark.parametrize("m", [-2, 3])
+def test_outputs_are_equivariant_under_power_of_two_geometric_scaling(m):
+    # beta and every squared distance times 4^m with the altitude times 2^m
+    # leave every gain beta / (d^2 + h^2), hence every SNR and capacity,
+    # bit-equal, and the covert floor's radicand scales by 4^m, so h_star
+    # scales by 2^m.  The metre constants are where this may break: the
+    # security scan's doubling altitudes scale with h_max only up to
+    # SEARCH_CEILING_M, which is no power of two, and below its 1 m start
+    # the scan brackets [0, 1], whose halvings reach the scaled bracket
+    # unless a midpoint on the way already meets the residual.  At these m
+    # no feasible draw's h_max (8.3 to 99 m) reaches the ceiling or meets
+    # the residual on the way
+    geometry = dict.fromkeys(("beta", "d_a2", "d_b2", "d_w2"), 4.0 ** m)
+    rng = np.random.default_rng(9)
+    feasible = 0
+    for _ in range(60):
+        s = draw_scenario(rng, r_s=0.01)
+        scaled = s.replace(h=s.h * 2.0 ** m,
+                           **{f: getattr(s, f) * k for f, k in geometry.items()})
+        rates = SweepSpec(0.0, 300.0, 8, (s.p_u, s.p_max))
+        assert_blocks_scale(
+            run_rate_sweep(scaled, dataclasses.replace(rates, stop=300.0 * 2.0 ** m)),
+            run_rate_sweep(s, rates), {**geometry, "h": 2.0 ** m})
+        grid = GridSpec.linear(s.p_max, s.p_max, 8, 8)
+        want = maximize_covert_rate(s, grid)
+        assert repr(maximize_covert_rate(scaled, grid)) == repr(dataclasses.replace(
+            want, h_star=want.h_star * 2.0 ** m, h_max=want.h_max * 2.0 ** m))
+        feasible += want.feasible
+    assert feasible >= 25
 
 
 # -- CSV rendering -----------------------------------------------------------

@@ -431,7 +431,7 @@ def test_ties_break_toward_first_point_in_scan_order(fig5, monkeypatch):
     # every feasible point rates the same, so the first one in scan order
     # (p_u outer, p_j inner) wins, also across row blocks
     monkeypatch.setattr(uavcovert.optimizer, "capacity", lambda snr: 1.0)
-    monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_POINTS", 4)
+    monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_CELLS", 4)
     grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=6, p_j_steps=5)
     first = next((p_u, p_j) for p_u in grid.p_u_values for p_j in grid.p_j_values
                  if not feasible_interval(fig5.replace(p_u=p_u, p_j=p_j)).empty)
