@@ -25,13 +25,13 @@ the signs change once, so P has one positive root (Descartes' rule) and
 the secure set is [0, h'].  Where C_s(0) < r_s a secure band may still lie
 above the ground; :func:`feasible_interval` reports such points empty.
 
-:func:`feasible_interval` solves one scenario and is the reference.
-:func:`feasibility_grid` gives its emptiness verdict for whole arrays of
-(epsilon, p_u, p_j) at once, without bisection: by the one crossing, the
-security predicate N_b / D_b >= t N_u / D_u, as (1 + gamma_b) /
-(1 + gamma_u) >= t, on the ground, at SEARCH_CEILING_M and at each covert
-floor h_min decides a point.  Floats and arrays round its plain arithmetic
-alike, so the grid and the solver decide every point alike.
+:func:`feasibility_grid` decides whole arrays of (epsilon, p_u, p_j) at
+once, and :func:`feasible_interval` is its one-point case: by the one
+crossing, the security predicate N_b / D_b >= t N_u / D_u, as (1 +
+gamma_b) / (1 + gamma_u) >= t, on the ground, at SEARCH_CEILING_M and at
+each covert floor h_min decides a point.  The h_max bisection compares the
+same ratio with 2^(r_s -+ BISECT_RESIDUAL).  Floats and arrays round its
+plain arithmetic alike, so every path decides a point alike.
 """
 from __future__ import annotations
 
@@ -94,11 +94,11 @@ def _threshold(r_s: float) -> float:
     return 2.0 ** r_s if r_s < 1024.0 else math.inf
 
 
-def _secure(snrs, t):
-    """C_s >= r_s for ``snrs = (gamma_u, gamma_b)`` and t = 2^r_s, as
-    (1 + gamma_b) / (1 + gamma_u) >= t (module docstring)."""
+def _ratio(snrs):
+    """2^C_s as (1 + gamma_b) / (1 + gamma_u) for ``snrs = (gamma_u,
+    gamma_b)``: C_s >= r_s is ``_ratio(snrs) >= t`` (module docstring)."""
     gamma_u, gamma_b = snrs
-    return (1.0 + gamma_b) / (1.0 + gamma_u) >= t
+    return (1.0 + gamma_b) / (1.0 + gamma_u)
 
 
 def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
@@ -118,56 +118,55 @@ _SCAN_HEIGHTS = np.array([0.0, *(2.0 ** k for k in range(
 def security_height_bound(scenario: Scenario):
     """Altitude h_max where C_s(h_max) == scenario.r_s, by bisection.
 
-    Returns None when C_s(0) < r_s (infeasible even on the ground) and
-    math.inf when C_s >= r_s at the search ceiling, by the security
-    predicate, which one array pass takes at every scan height.  Otherwise
-    C_s crosses r_s once (module docstring); the bisection brackets it
-    between the first doubling altitude where the predicate fails and the
-    one before.  It returns the first midpoint within BISECT_RESIDUAL of
-    r_s, or the one that no longer lies strictly inside its bracket: every
-    other step narrows the bracket, so the loop ends.
+    Returns None when C_s(0) < r_s and math.inf when C_s >= r_s at the
+    search ceiling, by the security predicate at every scan height in one
+    array pass (NumericalError where an SNR overflows).  Otherwise C_s
+    crosses r_s once (module docstring), between the first doubling
+    altitude where the predicate fails and the one before.  The bisection
+    returns the first midpoint whose 2^C_s lies strictly inside 2^(r_s -+
+    BISECT_RESIDUAL), or the one that no longer lies strictly inside its
+    bracket: every other step narrows the bracket, so the loop ends.
     """
     s = scenario
-    secure = _secure(snrs_at(s, s.p_u, s.p_j, _SCAN_HEIGHTS),
-                     _threshold(s.r_s)).tolist()
+    try:
+        with np.errstate(over="raise"):
+            snrs = snrs_at(s, s.p_u, s.p_j, _SCAN_HEIGHTS)
+    except FloatingPointError as exc:
+        raise NumericalError(f"SNRs on the altitude scan overflow: {exc}") from exc
+    secure = (_ratio(snrs) >= _threshold(s.r_s)).tolist()
     if not secure[0]:
         return None
     if secure[-1]:
         return math.inf
     k = secure.index(False)
     lo, hi = _SCAN_HEIGHTS[k - 1].item(), _SCAN_HEIGHTS[k].item()
+    t_lo = _threshold(s.r_s - BISECT_RESIDUAL)
+    t_hi = _threshold(s.r_s + BISECT_RESIDUAL)
     while True:
         mid = 0.5 * (lo + hi)
-        fm = secrecy_rate_at_height(s, mid) - s.r_s
-        if abs(fm) <= BISECT_RESIDUAL or not lo < mid < hi:
+        q = _ratio(snrs_at(s, s.p_u, s.p_j, mid))
+        if t_lo < q < t_hi or not lo < mid < hi:
             return mid
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if q >= t_hi else (lo, mid)
 
 
 def feasible_interval(scenario: Scenario) -> FeasibleHeightInterval:
     """Intersect the covert lower bound with the security upper bound.
 
-    The interval is empty where h_min is inf or where, below a finite
-    h_max, the security predicate fails at h_min.
+    The one-point case of :func:`feasibility_grid`, which gives h_min and
+    the verdict; h_max is :func:`security_height_bound`'s, NaN for None.
     """
     s = scenario
-    h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+    h_min, _, _, feasible = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
     h_max = security_height_bound(s)
-    if h_max is None:
-        return FeasibleHeightInterval(h_min=h_min, h_max=math.nan, empty=True)
-    return FeasibleHeightInterval(h_min=h_min, h_max=h_max, empty=(
-        h_min == math.inf or not (h_max == math.inf or _secure(
-            snrs_at(s, s.p_u, s.p_j, h_min), _threshold(s.r_s)))))
+    return FeasibleHeightInterval(h_min=h_min.item(), empty=not feasible.item(),
+                                  h_max=math.nan if h_max is None else h_max)
 
 
 def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
-    """Array verdict of :func:`feasible_interval` over every (epsilon, p_u,
-    p_j) of three sequences: ``(h_min, gamma_u, gamma_b, feasible)``,
-    arrays of shape (epsilons, p_u, p_j), with the SNRs at h_min and
-    ``feasible`` equal to ``not feasible_interval(...).empty``.
+    """Feasibility verdict over every (epsilon, p_u, p_j) of three
+    sequences: ``(h_min, gamma_u, gamma_b, feasible)``, arrays of shape
+    (epsilons, p_u, p_j), with the SNRs at h_min.
 
     ``p_u_values`` and ``p_j_values`` hold positive powers, ``epsilons``
     values in (0, 1); the other fields come from ``scenario``.  A point is
@@ -189,10 +188,10 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     h_min = _covert_floor(p_u, p_j, s.beta, epsilons, s.d_w2)
     try:
         with np.errstate(over="raise"):
-            ground_ok, never_below = _secure(snrs_at(s, p_u, p_j, ends), t)
+            ground_ok, never_below = _ratio(snrs_at(s, p_u, p_j, ends)) >= t
             gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
     except FloatingPointError as exc:
         raise NumericalError(f"SNRs on the power grid overflow: {exc}") from exc
     feasible = ground_ok & (h_min < math.inf) & (
-        never_below | _secure((gamma_u, gamma_b), t))
+        never_below | (_ratio((gamma_u, gamma_b)) >= t))
     return h_min, gamma_u, gamma_b, feasible

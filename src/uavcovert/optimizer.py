@@ -9,9 +9,9 @@ for free.
 
 The grid is evaluated as arrays, in blocks of p_u rows, for one or more
 covertness slacks epsilon at once: :func:`constraints.feasibility_grid`
-gives the covert floor, the SNRs there and the verdict of
-:func:`constraints.feasible_interval` at every (epsilon, p_u, p_j), its
-ground and ceiling checks shared by every epsilon.  The capacities of
+gives the covert floor, the SNRs there and the feasibility verdict at
+every (epsilon, p_u, p_j), its ground and ceiling checks shared by every
+epsilon.  The capacities of
 feasible points use math.log2, as :func:`rates.capacity` does, never
 np.log2: on an AVX-512 Xeon (numpy 2.4.6) the two differed by one ULP on
 12,102 of 4e6 values of 1 + U(0, 1), enough to move the argmax and the CSV
@@ -150,8 +150,8 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
         h_max = h_max_at[p_u, p_j]
         if h_max is None:
             raise NumericalError(
-                f"grid verdict disagrees with feasible_interval at p_u={p_u!r}, "
-                f"p_j={p_j!r}")
+                f"grid verdict disagrees with security_height_bound at "
+                f"p_u={p_u!r}, p_j={p_j!r}")
         active = []
         if h > 0.0:
             active.append("covert")  # altitude pinned by the covertness bound

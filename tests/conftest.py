@@ -15,9 +15,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
     ConfigError, DestinationSnrEstimate, DetectionPoint, GridSpec,
-    NumericalError, Scenario, capacity, feasible_interval,
-    maximize_covert_rate, optimal_detection,
+    NumericalError, Scenario, capacity, covert_height_bound,
+    feasible_interval, maximize_covert_rate, optimal_detection,
 )
+from uavcovert.constraints import SEARCH_CEILING_M  # noqa: E402
 from uavcovert.experiments import (  # noqa: E402
     _MONOTONE_SLACK, _RESULT_COLUMNS, _render_cell, scenario_columns,
 )
@@ -195,6 +196,43 @@ def cap_edge_supremum(scenario: Scenario, steps: int = 500) -> float:
     rows = np.flatnonzero(secure.any(axis=1))
     best += gamma_b[rows, secure[rows].argmax(axis=1)].tolist()
     return max(map(capacity, best), default=-math.inf)
+
+
+# Heights above a covert floor that scan_feasibility samples: the floor
+# itself, then 1 mm up to 1e6 m above it, log-spaced.
+_FLOOR_SCAN_OFFSETS = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 2000)))
+
+
+def scan_feasibility(scenario: Scenario) -> tuple[bool | None, bool | None]:
+    """``(ground secure, feasible)`` of the scenario's own powers by a dense
+    altitude scan: the oracle for :func:`feasible_interval`'s verdict.
+
+    The security margin C_b - C_u - r_s is taken with ``math.log2``
+    (:func:`capacity`) on the ground and at the covert floor h_min plus
+    each of ``_FLOOR_SCAN_OFFSETS`` up to SEARCH_CEILING_M (h_min alone
+    when it lies above).  A margin within the rounding guard
+    1e-12 (C_b + C_u + r_s) + 1e-14 of 0 decides nothing.  The ground is
+    secure where its margin is above the guard, and the point is feasible
+    where some scanned margin above h_min is; either is None where the
+    guard leaves it open.  An infinite h_min is infeasible.  Neither the
+    one-crossing lemma nor the security ratio nor feasibility_grid is used.
+    """
+    s = scenario
+    h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+    heights = [0.0]
+    if math.isfinite(h_min):
+        heights += [h for h in (h_min + _FLOOR_SCAN_OFFSETS).tolist()
+                    if h <= max(h_min, SEARCH_CEILING_M)]
+    signs = []
+    for g_u, g_b in zip(*(g.tolist() for g in snrs_at(
+            s, s.p_u, s.p_j, np.array(heights)))):
+        c_u, c_b = capacity(g_u), capacity(g_b)
+        margin = c_b - c_u - s.r_s
+        sure = abs(margin) > 1e-12 * (c_b + c_u + s.r_s) + 1e-14
+        signs.append(margin > 0.0 if sure else None)
+    above = signs[1:]
+    feasible = True if True in above else (None if None in above else False)
+    return signs[0], feasible
 
 
 def min_error_at_height(scenario: Scenario, h: float) -> float:

@@ -1,5 +1,9 @@
 import argparse
+import contextlib
+import csv
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -8,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import uavcovert.cli
 import uavcovert.experiments
@@ -657,3 +663,68 @@ def test_unallocatable_size_exits_two(tmp_path, monkeypatch, capsys, argv, modul
     assert captured.err == "config error: out of memory" + "".join(
         f": {m}" for m in message) + "\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# The declared float domain: extreme values for each scenario file field.
+_LINEAR_EXTREMES = (5e-324, 1e-300, 1e300, 1.7e308)
+_FIELD_EXTREMES = {
+    **dict.fromkeys(("d_a2_m2", "d_b2_m2", "d_w2_m2", "p_a_w", "p_u_w",
+                     "p_j_w", "p_max_w"), _LINEAR_EXTREMES),
+    **dict.fromkeys(("beta_db", "sigma_u2_dbw", "sigma_b2_dbw", "sigma_w2_dbw"),
+                    (-3000, -300, 300, 3000)),
+    "epsilon": (1e-300, 1e-16, 1.0 - 1e-16),
+    **dict.fromkeys(("h_m", "r_s_bpcu"), (0.0, 1e-300, 1e300)),
+}
+_SMALL_RUNS = {
+    "detect-sweep": ["--trials", "200", "--steps", "3"],
+    "rate-sweep": ["--steps", "3"],
+    "covertness-sweep": ["--steps", "3", "--pu-steps", "4"],
+    "optimize": ["--pu-steps", "4", "--pj-steps", "4"],
+    "validate": ["--trials", "1000", "--symbols", "1000", "--gamma-points", "3"],
+}
+_TEXT_COLUMNS = {"feasible", "active_constraints", "scenario_hash"}
+
+
+_EXTREME_CHANGES = st.lists(
+    st.sampled_from(sorted(_FIELD_EXTREMES)), min_size=1, max_size=4,
+    unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+        {k: st.sampled_from(_FIELD_EXTREMES[k]) for k in keys}))
+
+
+@given(changes=_EXTREME_CHANGES)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_every_subcommand_keeps_the_float_domain_rule(tmp_path_factory, changes):
+    # fig5 with one to four fields at an extreme: every subcommand exits 2
+    # or 4 with at most one stderr line, or exits 0 or 3, with no warning;
+    # an exit-0 CSV's only non-finite cells are an infeasible row's NaNs and
+    # h_max = inf.  Only numeric columns are parsed: a scenario_hash such
+    # as 90273378e3115359 parses as a float
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw.update(changes)
+    folder = tmp_path_factory.mktemp("domain")
+    scenario = folder / "scenario.json"
+    scenario.write_text(json.dumps(raw))
+    for command, sizes in _SMALL_RUNS.items():
+        out = folder / f"{command}.csv"
+        argv = [command, "--scenario", str(scenario), *sizes]
+        if command != "validate":
+            argv += ["--out", str(out)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (command, changes)
+        assert [str(w.message) for w in caught] == [], (command, changes)
+        assert err.getvalue().count("\n") <= 1, (command, changes, err.getvalue())
+        if code != 0 or command == "validate":
+            continue
+        with out.open(newline="") as f:
+            for row in csv.DictReader(f):
+                for column, cell in row.items():
+                    if column in _TEXT_COLUMNS or math.isfinite(float(cell)):
+                        continue
+                    infeasible_nan = math.isnan(float(cell)) and row.get("feasible") == "false"
+                    assert infeasible_nan or (column, cell) == ("h_max", "inf"), (
+                        command, changes, column)

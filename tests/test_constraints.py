@@ -12,12 +12,13 @@ from uavcovert import (
 )
 from uavcovert import constraints
 from uavcovert.constraints import (
-    SEARCH_CEILING_M, _secure, _threshold, feasibility_grid,
+    SEARCH_CEILING_M, _ratio, _threshold, feasibility_grid,
 )
 from uavcovert.rates import snrs_at
 
 from conftest import (
     draw_log_uniform_scenario, draw_scenario, min_error_at_height,
+    scan_feasibility,
 )
 
 
@@ -172,23 +173,29 @@ def test_security_bound_residual(fig3):
 @pytest.mark.parametrize("preset", ["fig3", "fig5"])
 @pytest.mark.parametrize("p_u", [5.0, 8.0])
 def test_security_bound_ends_with_its_bracket(monkeypatch, request, preset, p_u):
-    # with no residual exit the bisection runs until its midpoint stops
+    # with no residual window the bisection runs until its midpoint stops
     # lying strictly inside the bracket: the bracket's two ends are then
-    # adjacent doubles with C_s - r_s > 0 at the lower end and <= 0 at the
-    # upper one.  Between two adjacent powers of two lie 2^52 doubles, so
-    # 52 halvings leave adjacent ends and the 53rd midpoint is one of them
+    # adjacent doubles, the security predicate true at the lower end and
+    # false at the upper one.  Between two adjacent powers of two lie 2^52
+    # doubles, so 52 halvings leave adjacent ends and the 53rd midpoint is
+    # one of them.  The spy sees the scan's one array call, then one call
+    # per midpoint
     s = request.getfixturevalue(preset).replace(p_u=p_u)
     monkeypatch.setattr(constraints, "BISECT_RESIDUAL", 0.0)
     heights = []
 
-    def spy(scenario, h):
+    def spy(scenario, p_u, p_j, h):
         heights.append(h)
-        return secrecy_rate_at_height(scenario, h)
-    monkeypatch.setattr(constraints, "secrecy_rate_at_height", spy)
+        return snrs_at(scenario, p_u, p_j, h)
+    monkeypatch.setattr(constraints, "snrs_at", spy)
     h = security_height_bound(s)
-    assert len(heights) == 53 and heights[-1] == h and 1.0 < h < SEARCH_CEILING_M
-    assert secrecy_rate_at_height(s, math.nextafter(h, 0.0)) - s.r_s > 0.0
-    assert secrecy_rate_at_height(s, math.nextafter(h, math.inf)) - s.r_s <= 0.0
+    assert len(heights) == 1 + 53 and heights[-1] == h
+    assert 1.0 < h < SEARCH_CEILING_M
+
+    def secure(x):
+        return _ratio(snrs_at(s, s.p_u, s.p_j, x)) >= _threshold(s.r_s)
+    below, above = math.nextafter(h, 0.0), math.nextafter(h, math.inf)
+    assert (secure(below) and not secure(h)) or (secure(h) and not secure(above))
 
 
 def test_security_bound_infeasible_at_ground(fig3):
@@ -203,6 +210,16 @@ def test_security_bound_unbounded_marker(fig3):
                      d_w2=10.0, p_a=1.0, p_u=2.0, p_j=1.0, r_s=0.0)
     assert secrecy_rate_at_height(s, 1e6) > 0.0
     assert security_height_bound(s) == math.inf
+
+
+def test_security_bound_raises_where_the_scan_snrs_overflow(fig5):
+    # p_j * g_ub overflows near the ground: NumericalError, where a numpy
+    # RuntimeWarning was printed (the suite turns warnings into errors)
+    s = fig5.replace(beta=1e300, p_u=1e-300, p_j=1.7e308, p_max=1.7e308)
+    with pytest.raises(NumericalError, match="^SNRs on the altitude scan overflow"):
+        security_height_bound(s)
+    with pytest.raises(NumericalError, match="^SNRs on the power grid overflow"):
+        feasible_interval(s)
 
 
 @pytest.mark.parametrize("h", [math.nan, -1.0, math.inf])
@@ -284,7 +301,7 @@ def test_security_quartic_top_coefficients_are_never_positive():
 
 
 def test_security_predicate_agrees_with_the_exact_sign():
-    # _secure's float verdict against the exact sign of
+    # the float verdict _ratio >= _threshold against the exact sign of
     # (1 + gamma_b) / (1 + gamma_u) - 2^r_s, with 1 + gamma in Fractions of
     # the float inputs and 2^r_s in 60-digit decimal, at random heights and
     # at +-200 nextafter steps around each height where the float verdict
@@ -301,7 +318,7 @@ def test_security_predicate_agrees_with_the_exact_sign():
         t = Fraction(context.power(2, decimal.Decimal(s.r_s)))
 
         def secure(h):
-            return bool(_secure(snrs_at(s, s.p_u, s.p_j, h), _threshold(s.r_s)))
+            return bool(_ratio(snrs_at(s, s.p_u, s.p_j, h)) >= _threshold(s.r_s))
 
         heights = {"random": [0.0, *(10.0 ** rng.uniform(-2.0, 6.0, 24))],
                    "near_root": []}
@@ -387,6 +404,34 @@ def test_feasible_interval_vacuous_constraints(fig3):
     assert not interval.empty
     assert interval.h_min == 0.0
     assert interval.h_max == math.inf
+
+
+@pytest.mark.parametrize("draw, seed", [(draw_scenario, 0),
+                                        (draw_log_uniform_scenario, 5)])
+def test_feasible_interval_agrees_with_a_dense_altitude_scan(draw, seed):
+    # the verdict against math.log2 margins on a dense scan above the
+    # covert floor, wherever the ground is secure and the scan's rounding
+    # guard decides both.  Where the ground is insecure the scan may find
+    # a band that feasible_interval misses (the strict xfail below); those
+    # draws are counted, not asserted
+    rng = np.random.default_rng(seed)
+    counts = {"checked": 0, "feasible": 0, "insecure ground": 0,
+              "band above insecure ground": 0, "guarded": 0}
+    for _ in range(1000):
+        s = draw(rng)
+        ground, feasible = scan_feasibility(s)
+        if ground is None or feasible is None:
+            counts["guarded"] += 1
+        elif ground:
+            assert (not feasible_interval(s).empty) == feasible, s
+            counts["checked"] += 1
+            counts["feasible"] += feasible
+        else:
+            counts["insecure ground"] += 1
+            counts["band above insecure ground"] += feasible
+    print(draw.__name__, counts)
+    # measured: 104 and 464 checked, 95 and 360 of them feasible
+    assert counts["checked"] >= 100 and 0 < counts["feasible"] < counts["checked"]
 
 
 def ground_insecure_draw():

@@ -519,10 +519,11 @@ def test_outputs_are_equivariant_under_power_of_two_geometric_scaling(m):
     # the scan brackets [0, 1], whose halvings reach the scaled bracket
     # unless a midpoint on the way already meets the residual.  At these m
     # no feasible draw's h_max (8.3 to 99 m) reaches the ceiling or meets
-    # the residual on the way
+    # the residual on the way.  The covertness sweep's h_min, h_star and
+    # h_max scale by 2^m, and its other cells but the hash stay bit-equal
     geometry = dict.fromkeys(("beta", "d_a2", "d_b2", "d_w2"), 4.0 ** m)
     rng = np.random.default_rng(9)
-    feasible = 0
+    feasible = swept = 0
     for _ in range(60):
         s = draw_scenario(rng, r_s=0.01)
         scaled = s.replace(h=s.h * 2.0 ** m,
@@ -536,7 +537,13 @@ def test_outputs_are_equivariant_under_power_of_two_geometric_scaling(m):
         assert repr(maximize_covert_rate(scaled, grid)) == repr(dataclasses.replace(
             want, h_star=want.h_star * 2.0 ** m, h_max=want.h_max * 2.0 ** m))
         feasible += want.feasible
-    assert feasible >= 25
+        slacks = SweepSpec(0.005, 0.05, 5, (s.p_j, s.p_max))
+        blocks = run_covertness_sweep(s, slacks, grid.p_u_values)
+        lengths = dict.fromkeys(("h", "h_min", "h_star", "h_max"), 2.0 ** m)
+        assert_blocks_scale(run_covertness_sweep(scaled, slacks, grid.p_u_values),
+                            blocks, {**geometry, **lengths})
+        swept += sum(block["feasible"].count(True) for block in blocks)
+    assert feasible >= 25 and swept >= 100
 
 
 # -- CSV rendering -----------------------------------------------------------

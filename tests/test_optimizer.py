@@ -241,11 +241,16 @@ def test_argmax_is_equivariant_under_power_of_two_power_scaling(fig5, m):
     assert feasible >= 70
 
 
-# -- array grid pass vs the per-point scalar solver --------------------------
+# -- array grid pass vs the per-point loop ----------------------------------
+# feasible_interval is the one-point case of the grid's verdict, so these
+# tests check the optimizer's blocks, epsilon chunks, argmax and h_max, not
+# the verdict itself: its independent oracle is the dense altitude scan of
+# test_constraints.py::test_feasible_interval_agrees_with_a_dense_altitude_scan
 
 def per_point_oracle(scenario, grid):
     """The optimizer as a plain loop: feasible_interval and rate_report on
-    every in-cap grid point, in scan order, with strict improvement."""
+    every in-cap grid point, one grid call per point, in scan order, with
+    strict improvement."""
     best = None
     for p_u in grid.p_u_values:
         if p_u > scenario.p_max:
@@ -296,8 +301,8 @@ def assert_same_result(got, want):
 @pytest.mark.parametrize("log2_skew", [0.0, math.inf, -math.inf])
 def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
     # a skew moves np.log2 results one ULP, alternately up and down, as
-    # another libm may: no verdict reads np.log2, so every one still equals
-    # the scalar solver's
+    # another libm may: no verdict reads np.log2, so every result still
+    # equals the per-point loop's
     if log2_skew:
         log2, turn = np.log2, itertools.count()
         monkeypatch.setattr(np, "log2", lambda x: np.nextafter(
@@ -352,7 +357,7 @@ def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
     # near-noiseless receivers: C_s never drops under r_s, h_max = inf
     dict(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0, d_w2=10.0,
          r_s=0.0),
-    # covertness so tight that h_min lies above the solver's search ceiling
+    # covertness so tight that h_min lies above the h_max search ceiling
     dict(epsilon=1e-13),
     dict(epsilon=1e-13, sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0,
          d_b2=100.0, r_s=0.0),
@@ -380,8 +385,8 @@ def test_grid_pass_decides_a_crossing_in_the_last_scan_bracket(fig5):
     -1e-6, -1e-8, -1e-10, -1e-12, 1e-12, 1e-10, 1e-8, 1e-6])
 def test_grid_pass_decides_a_margin_just_outside_the_guard(fig5, offset):
     # r_s a little off C_s(h_min), down to well inside the bisection
-    # residual: the grid pass decides the point as the solver does, and a
-    # feasible argmax meets C_s >= r_s
+    # residual: the grid pass decides the point as its one-point case does,
+    # and a feasible argmax meets C_s >= r_s
     h_min = covert_height_bound(10.0, 15.0, fig5.beta, fig5.epsilon, fig5.d_w2)
     s = fig5.replace(r_s=secrecy_rate_at_height(
         fig5.replace(p_u=10.0, p_j=15.0), h_min) + offset)
@@ -397,8 +402,8 @@ def test_grid_pass_decides_a_margin_just_outside_the_guard(fig5, offset):
 @pytest.mark.parametrize("scale", [1.0 - 1e-13, 1.0, 1.0 + 1e-13])
 def test_ceiling_on_the_threshold_goes_to_the_solver(fig5, scale):
     # near-noiseless receivers keep C_s near 2.5 at the search ceiling; an
-    # r_s within rounding of that value decides h_max = inf in the grid as
-    # in the solver
+    # r_s within rounding of that value gives the grid's verdict and the
+    # h_max bisection's inf alike
     s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, epsilon=0.3)
     s = s.replace(r_s=scale * secrecy_rate_at_height(
@@ -442,8 +447,8 @@ def test_ties_break_toward_first_point_in_scan_order(fig5, monkeypatch):
 def test_noise_level_far_scan_follows_the_solver():
     # found by random search: at r_s = 0 the far end of the scan hovers
     # around 0 at rounding level and comes back to 0 after a drop for p_u
-    # near 5.8e4; the solver brackets the first drop, and the grid pass
-    # decides every point as the solver does
+    # near 5.8e4; the h_max scan brackets the first drop, and the grid pass
+    # decides every point as the per-point loop does
     s = Scenario(d_a2=2.0720582959461726, d_b2=254.2324082263717, d_w2=1.0,
                  h=0.0, beta=176.32932143498837, p_a=0.009886590725721985,
                  p_u=1.0, p_j=1.0, p_max=1e6, sigma_u2=1.3142905344791695,
