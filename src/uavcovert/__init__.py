@@ -17,8 +17,6 @@ from .rates import (
     simulate_destination_snr,
 )
 from .constraints import (
-    covert_height_bound,
-    feasible_interval,
     secrecy_rate_at_height,
     security_height_bound,
 )
@@ -52,10 +50,8 @@ __all__ = [
     "SweepSpec",
     "ValidationCheck",
     "capacity",
-    "covert_height_bound",
     "db_to_linear",
     "error_curve",
-    "feasible_interval",
     "maximize_covert_rate",
     "optimal_detection",
     "render_csv",

@@ -23,20 +23,19 @@ Q sigma_u^2 - (t - 1)(...) - t P_a beta (b m + v1) < 0 (since
 P_a beta v1 > P_a beta P_u sigma_u^2 beta = Q sigma_u^2).  Where P(0) > 0
 the signs change once, so P has one positive root (Descartes' rule) and
 the secure set is [0, h'].  Where C_s(0) < r_s a secure band may still lie
-above the ground; :func:`feasible_interval` reports such points empty.
+above the ground; :func:`feasibility_grid` reports such points infeasible.
 
-:func:`feasibility_grid` decides whole arrays of (epsilon, p_u, p_j) at
-once, and :func:`feasible_interval` is its one-point case: by the one
-crossing, the security predicate N_b / D_b >= t N_u / D_u, as (1 +
-gamma_b) / (1 + gamma_u) >= t, on the ground, at SEARCH_CEILING_M and at
-each covert floor h_min decides a point.  The h_max bisection compares the
-same ratio with 2^(r_s -+ BISECT_RESIDUAL).  Floats and arrays round its
-plain arithmetic alike, so every path decides a point alike.
+:func:`feasibility_grid` is the one feasibility verdict, over whole arrays
+of (epsilon, p_u, p_j) at once: by the one crossing, the security
+predicate N_b / D_b >= t N_u / D_u, as (1 + gamma_b) / (1 + gamma_u) >= t,
+on the ground, at SEARCH_CEILING_M and at each covert floor h_min decides a
+point.  The h_max bisection compares the same ratio with 2^(r_s -+
+BISECT_RESIDUAL).  Floats and arrays round its plain arithmetic alike, so
+the grid and the bisection decide a point alike.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,47 +45,6 @@ from .rates import capacity, snrs_at
 
 SEARCH_CEILING_M = 1e6     # far beyond any physical hover height
 BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at the returned height
-
-
-@dataclass(frozen=True)
-class FeasibleHeightInterval:
-    """[h_min, h_max] altitude window; h_max may be +inf, NaN when empty,
-    or a bisection residual's altitude below a secure h_min."""
-
-    h_min: float
-    h_max: float
-    empty: bool
-
-
-def covert_height_bound(p_u: float, p_j: float, beta: float, epsilon: float,
-                        d_w2: float) -> float:
-    """Minimum altitude for zeta_star(h) >= 1 - epsilon.
-
-    h_min = sqrt(-P_u beta / (P_J ln(1 - epsilon)) - d_w^2), folded to 0
-    when the radicand is non-positive (covert at any height).  When
-    positive, zeta_star(h_min) = 1 - epsilon exactly.  When P_J ln(1 -
-    epsilon) underflows to 0 or the quotient overflows, h_min is inf: no
-    altitude is covert enough.  When P_u beta and P_J ln(1 - epsilon) both
-    overflow the quotient is undefined and NumericalError is raised.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if min(p_u, p_j, beta) <= 0.0:
-        raise ConfigError("p_u, p_j, beta must be > 0")
-    return _covert_floor(p_u, p_j, beta, (epsilon,), d_w2).item()
-
-
-def _covert_floor(p_u, p_j, beta: float, epsilons, d_w2: float) -> np.ndarray:
-    """:func:`covert_height_bound` over a sequence of ``epsilons`` (axis 0)
-    broadcast against ``p_u`` and ``p_j``, with ``math.log1p`` per epsilon.
-    """
-    logs = np.array([math.log1p(-e) for e in epsilons])[:, None, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        radicand = -p_u * beta / (p_j * logs) - d_w2
-    if np.isnan(radicand).any():
-        raise NumericalError("covert floor undefined: P_u beta and "
-                             "P_J ln(1 - epsilon) both overflow")
-    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def _threshold(r_s: float) -> float:
@@ -150,19 +108,6 @@ def security_height_bound(scenario: Scenario):
         lo, hi = (mid, hi) if q >= t_hi else (lo, mid)
 
 
-def feasible_interval(scenario: Scenario) -> FeasibleHeightInterval:
-    """Intersect the covert lower bound with the security upper bound.
-
-    The one-point case of :func:`feasibility_grid`, which gives h_min and
-    the verdict; h_max is :func:`security_height_bound`'s, NaN for None.
-    """
-    s = scenario
-    h_min, _, _, feasible = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
-    h_max = security_height_bound(s)
-    return FeasibleHeightInterval(h_min=h_min.item(), empty=not feasible.item(),
-                                  h_max=math.nan if h_max is None else h_max)
-
-
 def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     """Feasibility verdict over every (epsilon, p_u, p_j) of three
     sequences: ``(h_min, gamma_u, gamma_b, feasible)``, arrays of shape
@@ -174,9 +119,13 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     finite, and the predicate holds at h_min or at the search ceiling
     (h_max = inf): above secure ground C_s crosses r_s once.  The ground
     and ceiling verdicts are computed once per (p_u, p_j) and broadcast
-    against the epsilon axis; h_min is :func:`covert_height_bound`'s array
-    path.  Raises :class:`NumericalError` where an SNR's arithmetic
-    overflows at some grid power, since its inf would decide the point.
+    against the epsilon axis.  The covert floor, where zeta_star(h) =
+    1 - epsilon, is h_min = sqrt(-P_u beta / (P_J ln(1 - epsilon)) - d_w^2):
+    0 where the radicand is non-positive (covert at any height), inf where
+    P_J ln(1 - epsilon) underflows to 0 or the quotient overflows.  Raises
+    :class:`NumericalError` where P_u beta and P_J ln(1 - epsilon) both
+    overflow, and where an SNR's arithmetic overflows at some grid power,
+    since its inf would decide the point.
     """
     s = scenario
     t = _threshold(s.r_s)
@@ -185,7 +134,13 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     p_u = np.array(p_u_values)[None, :, None]
     p_j = np.array(p_j_values)[None, None, :]
     ends = np.array([0.0, SEARCH_CEILING_M])[:, None, None, None]
-    h_min = _covert_floor(p_u, p_j, s.beta, epsilons, s.d_w2)
+    logs = np.array([math.log1p(-e) for e in epsilons])[:, None, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        radicand = -p_u * s.beta / (p_j * logs) - s.d_w2
+    if np.isnan(radicand).any():
+        raise NumericalError("covert floor undefined: P_u beta and "
+                             "P_J ln(1 - epsilon) both overflow")
+    h_min = np.sqrt(np.maximum(radicand, 0.0))
     try:
         with np.errstate(over="raise"):
             ground_ok, never_below = _ratio(snrs_at(s, p_u, p_j, ends)) >= t

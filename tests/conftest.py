@@ -15,10 +15,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
     ConfigError, DestinationSnrEstimate, DetectionPoint, GridSpec,
-    NumericalError, Scenario, capacity, covert_height_bound,
-    feasible_interval, maximize_covert_rate, optimal_detection,
+    NumericalError, Scenario, capacity, maximize_covert_rate,
+    optimal_detection,
 )
-from uavcovert.constraints import SEARCH_CEILING_M  # noqa: E402
+from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid  # noqa: E402
 from uavcovert.experiments import (  # noqa: E402
     _MONOTONE_SLACK, _RESULT_COLUMNS, _render_cell, scenario_columns,
 )
@@ -153,6 +153,30 @@ def exact_pow10(q: float) -> decimal.Decimal:
     return _EXACT.power(decimal.Decimal(10), decimal.Decimal(q))
 
 
+def covert_floor(p_u: float, p_j: float, beta: float, epsilon: float,
+                 d_w2: float) -> float:
+    """Covert floor h_min = sqrt(max(-P_u beta / (P_J ln(1 - epsilon)) -
+    d_w^2, 0)) in plain floats, one ``math`` call or operator at a time:
+    the oracle for the h_min of :func:`feasibility_grid`.  inf where
+    P_J ln(1 - epsilon) underflows to 0 or the quotient overflows; raises
+    NumericalError where P_u beta and P_J ln(1 - epsilon) both overflow,
+    since inf / inf is undefined."""
+    numerator, denominator = -p_u * beta, p_j * math.log1p(-epsilon)
+    if math.isinf(numerator) and math.isinf(denominator):
+        raise NumericalError("covert floor undefined: inf / inf")
+    if denominator == 0.0:
+        return math.inf
+    return math.sqrt(max(numerator / denominator - d_w2, 0.0))
+
+
+def one_point_verdict(scenario: Scenario) -> tuple[float, bool]:
+    """``(h_min, feasible)`` of :func:`feasibility_grid` at the scenario's
+    own powers and epsilon: the grid the optimizer runs, on one point."""
+    s = scenario
+    h_min, _, _, feasible = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
+    return h_min.item(), feasible.item()
+
+
 # Heights above an edge point's covert floor that cap_edge_supremum scans
 # when the floor itself is insecure: 1 cm up to the 1e6 m search ceiling.
 _EDGE_SCAN_OFFSETS = np.geomspace(1e-2, 1e6, 64)
@@ -171,7 +195,7 @@ def cap_edge_supremum(scenario: Scenario, steps: int = 500) -> float:
     edge point's covert floor h_min is written out here; its best altitude
     is h_min where C_s(h_min) >= r_s, and otherwise the lowest secure
     height of a dense scan above h_min.  Neither the one-crossing lemma
-    nor feasibility_grid nor feasible_interval is used.
+    nor feasibility_grid is used.
     """
     s = scenario
     other = np.arange(1, steps + 1) * (s.p_max / steps)
@@ -205,12 +229,12 @@ _FLOOR_SCAN_OFFSETS = np.concatenate(([0.0], np.geomspace(1e-3, 1e6, 2000)))
 
 def scan_feasibility(scenario: Scenario) -> tuple[bool | None, bool | None]:
     """``(ground secure, feasible)`` of the scenario's own powers by a dense
-    altitude scan: the oracle for :func:`feasible_interval`'s verdict.
+    altitude scan: the oracle for :func:`feasibility_grid`'s verdict.
 
     The security margin C_b - C_u - r_s is taken with ``math.log2``
-    (:func:`capacity`) on the ground and at the covert floor h_min plus
-    each of ``_FLOOR_SCAN_OFFSETS`` up to SEARCH_CEILING_M (h_min alone
-    when it lies above).  A margin within the rounding guard
+    (:func:`capacity`) on the ground and at the :func:`covert_floor` h_min
+    plus each of ``_FLOOR_SCAN_OFFSETS`` up to SEARCH_CEILING_M (h_min
+    alone when it lies above).  A margin within the rounding guard
     1e-12 (C_b + C_u + r_s) + 1e-14 of 0 decides nothing.  The ground is
     secure where its margin is above the guard, and the point is feasible
     where some scanned margin above h_min is; either is None where the
@@ -218,7 +242,7 @@ def scan_feasibility(scenario: Scenario) -> tuple[bool | None, bool | None]:
     one-crossing lemma nor the security ratio nor feasibility_grid is used.
     """
     s = scenario
-    h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+    h_min = covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
     heights = [0.0]
     if math.isfinite(h_min):
         heights += [h for h in (h_min + _FLOOR_SCAN_OFFSETS).tolist()
@@ -247,14 +271,14 @@ class NoFeasibleHeight(Exception):
 def optimal_height_given_powers(scenario: Scenario) -> tuple[float, float]:
     """Best altitude and covert rate for the scenario's own powers.
 
-    The rate falls with altitude, so the maximizer is the interval's lower
-    end.  Raises NoFeasibleHeight when the interval is empty.
+    The rate falls with altitude, so the maximizer is the feasible
+    interval's lower end, the covert floor.  Raises NoFeasibleHeight when
+    the one-point grid verdict is infeasible.
     """
-    interval = feasible_interval(scenario)
-    if interval.empty:
+    h, feasible = one_point_verdict(scenario)
+    if not feasible:
         raise NoFeasibleHeight(
             f"no feasible hover height for p_u={scenario.p_u}, p_j={scenario.p_j}")
-    h = interval.h_min
     return h, rate_report(scenario.replace(h=h)).r_b
 
 

@@ -11,8 +11,8 @@ import time
 import numpy as np
 
 from uavcovert import (
-    GridSpec, Scenario, SweepSpec, covert_height_bound, error_curve,
-    feasible_interval, maximize_covert_rate, optimal_detection,
+    GridSpec, Scenario, SweepSpec, error_curve, maximize_covert_rate,
+    optimal_detection,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep,
     secrecy_rate_at_height, security_height_bound, simulate_destination_snr,
 )
@@ -20,8 +20,8 @@ from uavcovert.cli import main
 from uavcovert.experiments import mc_zeta_tolerance
 
 from conftest import (
-    AuxCoefficients, aux_coefficients, draw_scenario, expand_rows,
-    min_error_at_height, rate_report, snr_destination_expanded,
+    AuxCoefficients, aux_coefficients, covert_floor, draw_scenario,
+    expand_rows, min_error_at_height, rate_report, snr_destination_expanded,
     total_error_derivative,
 )
 
@@ -136,7 +136,7 @@ def test_c6_constraint_round_trips():
     while covert_done < 100 or security_done < 100:
         s = draw_scenario(rng, d_w2=float(rng.uniform(5.0, 150.0)),
                           epsilon=float(rng.uniform(0.002, 0.05)))
-        h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+        h_min = covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
         if h_min > 0.0 and covert_done < 100:
             assert abs(min_error_at_height(s, h_min) - (1.0 - s.epsilon)) <= 1e-9
             covert_done += 1
@@ -243,10 +243,9 @@ def test_c8_optimizer_matches_brute_force():
 
         # endpoint optimality inside the feasible interval at the optimum
         opt = s.replace(p_u=result.p_u_star, p_j=result.p_j_star)
-        interval = feasible_interval(opt)
-        top = interval.h_max if math.isfinite(interval.h_max) \
-            else interval.h_min + 1_000.0
-        for h in np.linspace(interval.h_min, top, 50):
+        top = result.h_max if math.isfinite(result.h_max) \
+            else result.h_star + 1_000.0
+        for h in np.linspace(result.h_star, top, 50):
             assert rate_report(opt.replace(h=float(h))).r_b \
                 <= result.r_b_star + 1e-12
     assert feasible_count >= 8

@@ -7,8 +7,7 @@ import uavcovert
 PUBLIC_API = {
     "ConfigError", "DestinationSnrEstimate", "DetectionPoint", "GridSpec",
     "NumericalError", "OptimalDetection", "OptimizationResult", "Scenario",
-    "SweepSpec", "ValidationCheck", "capacity",
-    "covert_height_bound", "db_to_linear", "error_curve", "feasible_interval",
+    "SweepSpec", "ValidationCheck", "capacity", "db_to_linear", "error_curve",
     "maximize_covert_rate", "optimal_detection", "render_csv",
     "run_covertness_sweep", "run_detection_sweep", "run_rate_sweep",
     "run_validation", "secrecy_rate_at_height", "security_height_bound",
@@ -22,12 +21,13 @@ REMOVED = {
     "AuxCoefficients", "default_power_grid", "SWEEPABLE", "_scan_heights",
     "RateReport", "rate_report", "los_gain_squared", "relay_scaling",
     "sample_rayleigh_power", "p_false_alarm", "p_missed_detection",
-    "_exp_of_exponent", "linear_to_db", "_identity",
+    "_exp_of_exponent", "linear_to_db", "_identity", "feasible_interval",
+    "FeasibleHeightInterval", "covert_height_bound", "_covert_floor",
 }
 
 # names kept inside their modules but not exported
 MODULE_ONLY = {
-    "constraints": ("FeasibleHeightInterval",),
+    "constraints": ("feasibility_grid",),
     "experiments": ("mc_zeta_tolerance",),
 }
 
@@ -35,7 +35,7 @@ MODULE_ONLY = {
 def test_public_api_is_pinned():
     assert len(uavcovert.__all__) == len(set(uavcovert.__all__))
     assert set(uavcovert.__all__) == PUBLIC_API
-    assert len(PUBLIC_API) == 27
+    assert len(PUBLIC_API) == 25
 
 
 def test_scenario_schema_is_one_way():

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from uavcovert import (
-    ConfigError, NumericalError, covert_height_bound, feasible_interval,
-    secrecy_rate_at_height, security_height_bound,
+    ConfigError, NumericalError, secrecy_rate_at_height, security_height_bound,
 )
 from uavcovert import constraints
 from uavcovert.constraints import (
@@ -17,8 +16,8 @@ from uavcovert.constraints import (
 from uavcovert.rates import snrs_at
 
 from conftest import (
-    draw_log_uniform_scenario, draw_scenario, min_error_at_height,
-    scan_feasibility,
+    covert_floor, draw_log_uniform_scenario, draw_scenario,
+    min_error_at_height, one_point_verdict, scan_feasibility,
 )
 
 
@@ -42,53 +41,55 @@ def bisect_covert_bound(scenario, lo=0.0, hi=5e4, iters=200):
 
 
 # -- covert height bound -----------------------------------------------------
+# the covert floor is the h_min of feasibility_grid; the round trips take it
+# from conftest's plain-float covert_floor, which the grid equals bit for bit
 
-def test_covert_bound_value():
-    h_min = covert_height_bound(2.0, 5.0, 10.0, 0.01, 300.0)
+def test_covert_bound_value(fig5):
+    s = fig5.replace(p_u=2.0, p_j=5.0, beta=10.0, epsilon=0.01, d_w2=300.0)
+    h_min, _ = one_point_verdict(s)
     assert math.isclose(h_min, 9.899325729244811, rel_tol=1e-13)
 
 
 def test_covert_bound_round_trip(fig2):
     s = fig2.replace(p_u=2.0, p_j=5.0, epsilon=0.01)
-    h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+    h_min = covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
     assert abs(min_error_at_height(s, h_min) - (1.0 - s.epsilon)) <= 1e-12
 
 
 def test_covert_bound_bisection_oracle(fig2):
     for epsilon in (0.002, 0.01, 0.05):
         s = fig2.replace(epsilon=epsilon)
-        h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+        h_min, _ = one_point_verdict(s)
         assert h_min == pytest.approx(bisect_covert_bound(s), abs=1e-6)
 
 
-def test_covert_bound_degenerate_cases():
+def test_covert_bound_degenerate_cases(fig5):
+    s = fig5.replace(p_u=2.0, p_j=5.0, beta=10.0)
     # slack covertness: any height acceptable
-    assert covert_height_bound(2.0, 5.0, 10.0, 0.999, 300.0) == 0.0
+    assert one_point_verdict(s.replace(epsilon=0.999, d_w2=300.0))[0] == 0.0
     # warden far enough that the radicand goes non-positive
-    assert covert_height_bound(2.0, 5.0, 10.0, 0.01, 10_000.0) == 0.0
+    assert one_point_verdict(s.replace(epsilon=0.01, d_w2=10_000.0))[0] == 0.0
 
 
 def test_covert_bound_tight_epsilon_round_trip(fig2):
     s = fig2.replace(epsilon=1e-4, d_w2=50.0)
-    h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+    h_min = covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
     assert h_min > 100.0
     assert abs(min_error_at_height(s, h_min) - (1.0 - s.epsilon)) <= 1e-9
 
 
-def test_covert_bound_monotone_sensitivity():
-    base = dict(p_u=4.0, p_j=5.0, beta=10.0, epsilon=0.01, d_w2=100.0)
-    bounds = [covert_height_bound(p_u, base["p_j"], base["beta"],
-                                  base["epsilon"], base["d_w2"])
-              for p_u in np.linspace(2.0, 12.0, 9)]
+def test_covert_bound_monotone_sensitivity(fig5):
+    s = fig5.replace(beta=10.0, d_w2=100.0)
+    powers = np.linspace(2.0, 12.0, 9).tolist()
+
+    def floors(p_u_values=(4.0,), p_j_values=(5.0,), epsilons=(0.01,)):
+        return feasibility_grid(s, p_u_values, p_j_values, epsilons)[0].ravel().tolist()
+    bounds = floors(p_u_values=powers)
     assert all(b > a for a, b in zip(bounds, bounds[1:]))
-    bounds = [covert_height_bound(base["p_u"], p_j, base["beta"],
-                                  base["epsilon"], base["d_w2"])
-              for p_j in np.linspace(2.0, 12.0, 9)]
+    bounds = floors(p_j_values=powers)
     assert all(b < a for a, b in zip(bounds, bounds[1:]))
     # epsilon grid kept inside the region where the bound is positive
-    bounds = [covert_height_bound(base["p_u"], base["p_j"], base["beta"],
-                                  eps, base["d_w2"])
-              for eps in np.linspace(0.005, 0.06, 9)]
+    bounds = floors(epsilons=np.linspace(0.005, 0.06, 9).tolist())
     assert all(bounds) and all(b < a for a, b in zip(bounds, bounds[1:]))
 
 
@@ -97,18 +98,14 @@ def test_covert_bound_is_inf_when_its_denominator_underflows(fig5):
     # enough, where a ZeroDivisionError escaped before
     s = fig5.replace(p_j=0.1, epsilon=5e-324)
     assert s.p_j * math.log1p(-s.epsilon) == 0.0
-    assert covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2) == math.inf
-    interval = feasible_interval(s)
-    assert interval.h_min == math.inf and interval.empty
+    assert one_point_verdict(s) == (math.inf, False)
     # a quotient that overflows gives the same inf
-    assert covert_height_bound(s.p_u, 10.0, s.beta, 1e-320, s.d_w2) == math.inf
+    assert one_point_verdict(s.replace(p_j=10.0, epsilon=1e-320)) == (math.inf, False)
     # an infinite floor is infeasible even where C_s never drops under r_s
     s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, r_s=0.0, epsilon=1e-320)
-    interval = feasible_interval(s)
-    assert interval.h_min == interval.h_max == math.inf and interval.empty
-    h_min, _, _, feasible = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
-    assert h_min.item() == math.inf and not feasible.item()
+    assert security_height_bound(s) == math.inf
+    assert one_point_verdict(s) == (math.inf, False)
 
 
 @pytest.mark.parametrize("p_u_values, p_j_values, epsilons", [
@@ -122,35 +119,22 @@ def test_covert_bound_is_inf_when_its_denominator_underflows(fig5):
 def test_grid_covert_floor_is_the_scalar_one(fig5, p_u_values, p_j_values,
                                              epsilons):
     # every (epsilon, p_u, p_j) of the array pass, extreme ones included,
-    # rounds as covert_height_bound does, or both raise NumericalError, and
-    # none prints a numpy warning
-    want, undefined = {}, False
+    # has the bits of the plain-float covert_floor oracle, or both raise
+    # NumericalError, and neither prints a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for e, i, j in np.ndindex(len(epsilons), len(p_u_values),
-                                  len(p_j_values)):
-            try:
-                want[e, i, j] = covert_height_bound(
-                    p_u_values[i], p_j_values[j], fig5.beta, epsilons[e],
-                    fig5.d_w2)
-            except NumericalError:
-                undefined = True
-        if undefined:
+        try:
+            want = {(e, i, j): covert_floor(p_u_values[i], p_j_values[j],
+                                            fig5.beta, epsilons[e], fig5.d_w2)
+                    for e, i, j in np.ndindex(len(epsilons), len(p_u_values),
+                                              len(p_j_values))}
+        except NumericalError:
             with pytest.raises(NumericalError, match="covert floor undefined"):
                 feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
             return
         grid_h_min, *_ = feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
     for index, h_min in want.items():
-        assert type(h_min) is float and grid_h_min[index] == h_min
-
-
-def test_covert_bound_invalid_inputs():
-    with pytest.raises(ConfigError):
-        covert_height_bound(2.0, 5.0, 10.0, 0.0, 300.0)
-    with pytest.raises(ConfigError):
-        covert_height_bound(2.0, 5.0, 10.0, 1.0, 300.0)
-    with pytest.raises(ConfigError):
-        covert_height_bound(0.0, 5.0, 10.0, 0.5, 300.0)
+        assert repr(grid_h_min.item(index)) == repr(h_min), index
 
 
 # -- security height bound ---------------------------------------------------
@@ -219,7 +203,7 @@ def test_security_bound_raises_where_the_scan_snrs_overflow(fig5):
     with pytest.raises(NumericalError, match="^SNRs on the altitude scan overflow"):
         security_height_bound(s)
     with pytest.raises(NumericalError, match="^SNRs on the power grid overflow"):
-        feasible_interval(s)
+        one_point_verdict(s)
 
 
 @pytest.mark.parametrize("h", [math.nan, -1.0, math.inf])
@@ -369,41 +353,37 @@ def test_secrecy_margin_crosses_the_threshold_once_above_secure_ground(draw):
 
 def test_feasible_interval_composition(fig5):
     s = fig5.replace(p_u=10.0, p_j=5.0)
-    interval = feasible_interval(s)
-    assert not interval.empty
-    assert interval.h_min == covert_height_bound(s.p_u, s.p_j, s.beta,
-                                                 s.epsilon, s.d_w2)
-    assert interval.h_max == security_height_bound(s)
-    assert 0.0 < interval.h_min <= interval.h_max
+    h_min, feasible = one_point_verdict(s)
+    h_max = security_height_bound(s)
+    assert feasible
+    assert h_min == covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+    assert 0.0 < h_min <= h_max
     # both constraints hold on the interval
-    assert min_error_at_height(s, interval.h_min) >= 1.0 - s.epsilon - 1e-12
-    assert secrecy_rate_at_height(s, interval.h_max) >= s.r_s - 1e-8
+    assert min_error_at_height(s, h_min) >= 1.0 - s.epsilon - 1e-12
+    assert secrecy_rate_at_height(s, h_max) >= s.r_s - 1e-8
 
 
 def test_feasible_interval_empty_when_covertness_conflicts_security(fig3):
     c_s_ground = secrecy_rate_at_height(fig3, 0.0)
     s = fig3.replace(epsilon=1e-4, r_s=0.5 * c_s_ground)
-    interval = feasible_interval(s)
-    assert interval.empty
-    assert interval.h_min > interval.h_max
+    h_min, feasible = one_point_verdict(s)
+    assert not feasible
+    assert h_min > security_height_bound(s)
 
 
 def test_feasible_interval_empty_when_security_fails_at_ground(fig4):
     # at the covert-rate preset powers the relay out-hears the receiver
     # on the ground, so any positive threshold is unreachable
-    interval = feasible_interval(fig4)
-    assert interval.empty
-    assert math.isnan(interval.h_max)
+    assert not one_point_verdict(fig4)[1]
+    assert security_height_bound(fig4) is None
 
 
 def test_feasible_interval_vacuous_constraints(fig3):
     s = fig3.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, p_a=1.0, p_u=2.0, p_j=1.0, r_s=0.0,
                      epsilon=0.9)
-    interval = feasible_interval(s)
-    assert not interval.empty
-    assert interval.h_min == 0.0
-    assert interval.h_max == math.inf
+    assert one_point_verdict(s) == (0.0, True)
+    assert security_height_bound(s) == math.inf
 
 
 @pytest.mark.parametrize("draw, seed", [(draw_scenario, 0),
@@ -412,7 +392,7 @@ def test_feasible_interval_agrees_with_a_dense_altitude_scan(draw, seed):
     # the verdict against math.log2 margins on a dense scan above the
     # covert floor, wherever the ground is secure and the scan's rounding
     # guard decides both.  Where the ground is insecure the scan may find
-    # a band that feasible_interval misses (the strict xfail below); those
+    # a band that feasibility_grid misses (the strict xfail below); those
     # draws are counted, not asserted
     rng = np.random.default_rng(seed)
     counts = {"checked": 0, "feasible": 0, "insecure ground": 0,
@@ -423,7 +403,7 @@ def test_feasible_interval_agrees_with_a_dense_altitude_scan(draw, seed):
         if ground is None or feasible is None:
             counts["guarded"] += 1
         elif ground:
-            assert (not feasible_interval(s).empty) == feasible, s
+            assert one_point_verdict(s)[1] == feasible, s
             counts["checked"] += 1
             counts["feasible"] += feasible
         else:
@@ -446,18 +426,19 @@ def ground_insecure_draw():
 def test_ground_insecure_draw_is_feasible_at_26_m():
     s = ground_insecure_draw()
     assert secrecy_rate_at_height(s, 0.0) < s.r_s
-    assert covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2) <= 26.3
+    assert covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2) <= 26.3
     assert secrecy_rate_at_height(s, 26.3) >= s.r_s
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "feasible_interval reports empty whenever C_s(0) < r_s, so it misses "
-    "a secure band above insecure ground"))
-def test_feasible_interval_finds_band_above_insecure_ground():
+    "feasibility_grid marks a point infeasible whenever C_s(0) < r_s, so it "
+    "misses a secure band above insecure ground"))
+def test_feasibility_grid_finds_band_above_insecure_ground():
     s = ground_insecure_draw()
-    assert covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2) <= 26.3
+    assert covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2) <= 26.3
     assert secrecy_rate_at_height(s, 26.3) >= s.r_s
-    assert not feasible_interval(s).empty
+    *_, feasible = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
+    assert feasible.item()
 
 
 def test_round_trips_randomized():
@@ -466,7 +447,7 @@ def test_round_trips_randomized():
     while done < 25:
         s = draw_scenario(rng, d_w2=rng.uniform(5.0, 150.0),
                           epsilon=rng.uniform(0.002, 0.05))
-        h_min = covert_height_bound(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
+        h_min = covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
         if h_min <= 0.0:
             continue
         assert abs(min_error_at_height(s, h_min) - (1.0 - s.epsilon)) <= 1e-9

@@ -13,7 +13,7 @@ import uavcovert.optimizer
 from uavcovert import experiments
 from uavcovert import (
     ConfigError, GridSpec, NumericalError, Scenario, SweepSpec,
-    covert_height_bound, error_curve, maximize_covert_rate,
+    error_curve, maximize_covert_rate,
     optimal_detection, render_csv, run_covertness_sweep,
     run_detection_sweep, run_rate_sweep, run_validation,
     secrecy_rate_at_height, simulate_destination_snr, simulate_detection,
@@ -27,7 +27,7 @@ from uavcovert.cli import main
 from uavcovert.model import _canonical_hashes
 
 from conftest import (
-    SCENARIOS, draw_scenario, expand_rows, json_canonical_hash,
+    SCENARIOS, covert_floor, draw_scenario, expand_rows, json_canonical_hash,
     monotone_by_overlay, per_epsilon_covertness_oracle, per_row_rate_oracle,
     rate_report, reference_render_csv, traced_peak_bytes,
 )
@@ -311,7 +311,7 @@ def random_covertness_sweep(rng, kind):
                                    or [s.p_max]))
             p_j = float(rng.choice(overlays))
             epsilon = float(rng.choice(sweep.points()))
-            h = covert_height_bound(p_u, p_j, s.beta, epsilon, s.d_w2)
+            h = covert_floor(p_u, p_j, s.beta, epsilon, s.d_w2)
             r_s = secrecy_rate_at_height(s.replace(p_u=p_u, p_j=p_j), h) + float(
                 rng.choice([-1e-12, 0.0, 1e-12]))
             if r_s >= 0.0:
@@ -508,22 +508,29 @@ def test_monte_carlo_is_bit_equal_under_power_of_four_power_scaling(m):
         assert (got.p_fa, got.p_md) == (want.p_fa, want.p_md)
 
 
-@pytest.mark.parametrize("m", [-2, 3])
+@given(m=st.integers(-3, 12))
+@example(m=-3)
+@example(m=12)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
 def test_outputs_are_equivariant_under_power_of_two_geometric_scaling(m):
     # beta and every squared distance times 4^m with the altitude times 2^m
     # leave every gain beta / (d^2 + h^2), hence every SNR and capacity,
     # bit-equal, and the covert floor's radicand scales by 4^m, so h_star
-    # scales by 2^m.  The metre constants are where this may break: the
-    # security scan's doubling altitudes scale with h_max only up to
-    # SEARCH_CEILING_M, which is no power of two, and below its 1 m start
-    # the scan brackets [0, 1], whose halvings reach the scaled bracket
-    # unless a midpoint on the way already meets the residual.  At these m
-    # no feasible draw's h_max (8.3 to 99 m) reaches the ceiling or meets
-    # the residual on the way.  The covertness sweep's h_min, h_star and
-    # h_max scale by 2^m, and its other cells but the hash stay bit-equal
+    # scales by 2^m.  The metre constants bound m.  The security scan's
+    # doubling altitudes scale with h_max only below 2^19 m, the last of
+    # them under SEARCH_CEILING_M, which is no power of two.  Below the
+    # scan's 1 m start it brackets [0, 1], whose halvings reach the scaled
+    # bracket unless a midpoint on the way already meets the residual.  The
+    # security flag's tolerance _ACTIVE_TOL max(1, h_max) scales only where
+    # h_max >= 1.  These draws' feasible h_max lie in 8.27 to 123.7 m, so
+    # every m in [-3, 12] keeps each h_max and h_max 2^m in [1, 2^19) m, as
+    # asserted below (m = 13 breaks 5 of the 60 optimizer results).  The
+    # covertness sweep's h_min, h_star and h_max scale by 2^m, and its other
+    # cells but the hash stay bit-equal
     geometry = dict.fromkeys(("beta", "d_a2", "d_b2", "d_w2"), 4.0 ** m)
     rng = np.random.default_rng(9)
     feasible = swept = 0
+    h_maxes = []
     for _ in range(60):
         s = draw_scenario(rng, r_s=0.01)
         scaled = s.replace(h=s.h * 2.0 ** m,
@@ -537,13 +544,18 @@ def test_outputs_are_equivariant_under_power_of_two_geometric_scaling(m):
         assert repr(maximize_covert_rate(scaled, grid)) == repr(dataclasses.replace(
             want, h_star=want.h_star * 2.0 ** m, h_max=want.h_max * 2.0 ** m))
         feasible += want.feasible
+        h_maxes += [want.h_max] if want.feasible else []
         slacks = SweepSpec(0.005, 0.05, 5, (s.p_j, s.p_max))
         blocks = run_covertness_sweep(s, slacks, grid.p_u_values)
         lengths = dict.fromkeys(("h", "h_min", "h_star", "h_max"), 2.0 ** m)
         assert_blocks_scale(run_covertness_sweep(scaled, slacks, grid.p_u_values),
                             blocks, {**geometry, **lengths})
         swept += sum(block["feasible"].count(True) for block in blocks)
+        h_maxes += [h for block in blocks
+                    for h, ok in zip(block["h_max"], block["feasible"]) if ok]
     assert feasible >= 25 and swept >= 100
+    assert all(1.0 <= min(h, h * 2.0 ** m) and max(h, h * 2.0 ** m) < 2.0 ** 19
+               for h in h_maxes)
 
 
 # -- CSV rendering -----------------------------------------------------------

@@ -8,15 +8,14 @@ import pytest
 import uavcovert.optimizer
 from uavcovert.constraints import SEARCH_CEILING_M
 from uavcovert import (
-    ConfigError, GridSpec,
-    OptimizationResult, Scenario, covert_height_bound, feasible_interval,
-    maximize_covert_rate, secrecy_rate_at_height,
+    ConfigError, GridSpec, OptimizationResult, Scenario, maximize_covert_rate,
+    secrecy_rate_at_height, security_height_bound,
 )
 
 from conftest import (
-    NoFeasibleHeight, cap_edge_supremum, draw_log_uniform_scenario,
-    draw_scenario, min_error_at_height, optimal_height_given_powers,
-    rate_report,
+    NoFeasibleHeight, cap_edge_supremum, covert_floor,
+    draw_log_uniform_scenario, draw_scenario, min_error_at_height,
+    one_point_verdict, optimal_height_given_powers, rate_report,
 )
 
 
@@ -46,16 +45,14 @@ def test_gridspec_linear():
 def test_optimal_height_is_interval_left_end(fig5):
     s = fig5.replace(p_u=10.0, p_j=5.0)
     h_star, r_b = optimal_height_given_powers(s)
-    interval = feasible_interval(s)
-    assert h_star == interval.h_min
+    assert h_star == covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
     assert r_b == rate_report(s.replace(h=h_star)).r_b
 
 
 def test_optimal_height_beats_interior_grid(fig5):
     s = fig5.replace(p_u=10.0, p_j=5.0)
     h_star, r_b = optimal_height_given_powers(s)
-    interval = feasible_interval(s)
-    for h in np.linspace(interval.h_min, interval.h_max, 40):
+    for h in np.linspace(h_star, security_height_bound(s), 40):
         assert rate_report(s.replace(h=float(h))).r_b <= r_b + 1e-12
 
 
@@ -116,7 +113,7 @@ def test_maximize_infeasible_everywhere(fig4):
     grid = GridSpec(p_u_values=(1.0, 2.0), p_j_values=(2.0, 5.0))
     for p_u in grid.p_u_values:
         for p_j in grid.p_j_values:
-            assert feasible_interval(fig4.replace(p_u=p_u, p_j=p_j)).empty
+            assert not one_point_verdict(fig4.replace(p_u=p_u, p_j=p_j))[1]
     result = maximize_covert_rate(fig4, grid)
     assert not result.feasible
     assert math.isnan(result.r_b_star)
@@ -182,14 +179,13 @@ def test_endpoint_optimality_randomized():
         s = draw_scenario(rng, d_w2=float(rng.uniform(5.0, 300.0)),
                           epsilon=float(rng.uniform(0.005, 0.1)),
                           r_s=float(rng.uniform(0.0, 0.05)))
-        interval = feasible_interval(s)
-        if interval.empty:
+        try:
+            h_star, r_b = optimal_height_given_powers(s)
+        except NoFeasibleHeight:
             continue
-        h_star, r_b = optimal_height_given_powers(s)
-        assert h_star == interval.h_min
-        top = interval.h_max if math.isfinite(interval.h_max) \
-            else interval.h_min + 500.0
-        for h in np.linspace(interval.h_min, top, 25):
+        h_max = security_height_bound(s)
+        top = h_max if math.isfinite(h_max) else h_star + 500.0
+        for h in np.linspace(h_star, top, 25):
             assert rate_report(s.replace(h=float(h))).r_b <= r_b + 1e-12
         done += 1
 
@@ -203,17 +199,34 @@ def test_grid_argmax_is_at_most_the_cap_edge_supremum(fig5):
     # rounding (the corner exactly); the slack is for that rounding.
     # Measured: fig5 0.15706492 against 0.15707184, and the 74 feasible
     # draws of 300 sit 0 ULP (2 of them) or more below their supremum.
+    # Where the argmax lies on a cap edge, the 1-D grid of that edge alone
+    # returns the same result: every earlier point in scan order rates
+    # strictly lower, and ties break to the first, in either grid
+    edge_grids = 0
+
     def assert_bounded(s, steps):
-        result = maximize_covert_rate(s, GridSpec.linear(s.p_max, s.p_max,
-                                                         steps, steps))
-        if result.feasible:
-            assert result.r_b_star <= (cap_edge_supremum(s)
-                                       + 4 * math.ulp(result.r_b_star))
-        return result.feasible
+        nonlocal edge_grids
+        grid = GridSpec.linear(s.p_max, s.p_max, steps, steps)
+        result = maximize_covert_rate(s, grid)
+        if not result.feasible:
+            return False
+        assert result.r_b_star <= (cap_edge_supremum(s)
+                                   + 4 * math.ulp(result.r_b_star))
+        edges = []
+        if result.p_u_star == s.p_max:
+            edges.append(GridSpec((s.p_max,), grid.p_j_values))
+        if result.p_j_star == s.p_max:
+            edges.append(GridSpec(grid.p_u_values, (s.p_max,)))
+        for edge in edges:
+            assert repr(maximize_covert_rate(s, edge)) == repr(result)
+        edge_grids += len(edges)
+        return True
 
     assert assert_bounded(fig5, 50)
     rng = np.random.default_rng(0)
     assert sum(assert_bounded(draw_scenario(rng), 20) for _ in range(300)) >= 70
+    # measured: 64 edge grids, fig5's p_u = p_max row among them
+    assert edge_grids >= 60
 
 
 # -- power-of-two rescaling -------------------------------------------------
@@ -242,15 +255,15 @@ def test_argmax_is_equivariant_under_power_of_two_power_scaling(fig5, m):
 
 
 # -- array grid pass vs the per-point loop ----------------------------------
-# feasible_interval is the one-point case of the grid's verdict, so these
-# tests check the optimizer's blocks, epsilon chunks, argmax and h_max, not
-# the verdict itself: its independent oracle is the dense altitude scan of
+# the loop asks feasibility_grid one point at a time, so these tests check
+# the optimizer's blocks, epsilon chunks, argmax and h_max, not the verdict
+# itself: its independent oracle is the dense altitude scan of
 # test_constraints.py::test_feasible_interval_agrees_with_a_dense_altitude_scan
 
 def per_point_oracle(scenario, grid):
-    """The optimizer as a plain loop: feasible_interval and rate_report on
-    every in-cap grid point, one grid call per point, in scan order, with
-    strict improvement."""
+    """The optimizer as a plain loop: the one-point grid verdict,
+    security_height_bound and rate_report on every in-cap grid point, in
+    scan order, with strict improvement."""
     best = None
     for p_u in grid.p_u_values:
         if p_u > scenario.p_max:
@@ -259,13 +272,13 @@ def per_point_oracle(scenario, grid):
             if p_j > scenario.p_max:
                 continue
             candidate = scenario.replace(p_u=p_u, p_j=p_j)
-            interval = feasible_interval(candidate)
-            if interval.empty:
+            h, feasible = one_point_verdict(candidate)
+            if not feasible:
                 continue
-            h = interval.h_min
             report = rate_report(candidate.replace(h=h))
             if best is None or report.r_b > best[0]:
-                best = (report.r_b, p_u, p_j, h, report.c_s, interval.h_max)
+                best = (report.r_b, p_u, p_j, h, report.c_s,
+                        security_height_bound(candidate))
 
     if best is None:
         return OptimizationResult(
@@ -327,7 +340,7 @@ def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
             p_j = float(rng.choice([v for v in grid.p_j_values if v <= s.p_max]
                                    or [s.p_max]))
             h = float(rng.choice(
-                [covert_height_bound(p_u, p_j, s.beta, s.epsilon, s.d_w2), 0.0]))
+                [covert_floor(p_u, p_j, s.beta, s.epsilon, s.d_w2), 0.0]))
             c_s = secrecy_rate_at_height(s.replace(p_u=p_u, p_j=p_j), h)
             r_s = c_s + float(rng.choice([-1e-12, 0.0, 1e-12]))
             if r_s >= 0.0:
@@ -387,7 +400,7 @@ def test_grid_pass_decides_a_margin_just_outside_the_guard(fig5, offset):
     # r_s a little off C_s(h_min), down to well inside the bisection
     # residual: the grid pass decides the point as its one-point case does,
     # and a feasible argmax meets C_s >= r_s
-    h_min = covert_height_bound(10.0, 15.0, fig5.beta, fig5.epsilon, fig5.d_w2)
+    h_min = covert_floor(10.0, 15.0, fig5.beta, fig5.epsilon, fig5.d_w2)
     s = fig5.replace(r_s=secrecy_rate_at_height(
         fig5.replace(p_u=10.0, p_j=15.0), h_min) + offset)
     grid = GridSpec(p_u_values=(10.0,), p_j_values=(15.0,))
@@ -439,7 +452,7 @@ def test_ties_break_toward_first_point_in_scan_order(fig5, monkeypatch):
     monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_CELLS", 4)
     grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=6, p_j_steps=5)
     first = next((p_u, p_j) for p_u in grid.p_u_values for p_j in grid.p_j_values
-                 if not feasible_interval(fig5.replace(p_u=p_u, p_j=p_j)).empty)
+                 if one_point_verdict(fig5.replace(p_u=p_u, p_j=p_j))[1])
     result = maximize_covert_rate(fig5, grid)
     assert (result.p_u_star, result.p_j_star) == first
 
