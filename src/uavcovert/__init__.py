@@ -16,10 +16,7 @@ from .rates import (
     capacity,
     simulate_destination_snr,
 )
-from .constraints import (
-    secrecy_rate_at_height,
-    security_height_bound,
-)
+from .constraints import security_height_bound
 from .optimizer import (
     GridSpec,
     OptimizationResult,
@@ -59,7 +56,6 @@ __all__ = [
     "run_detection_sweep",
     "run_rate_sweep",
     "run_validation",
-    "secrecy_rate_at_height",
     "security_height_bound",
     "simulate_destination_snr",
     "simulate_detection",

@@ -39,9 +39,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .model import Scenario
-from .rates import capacity, snrs_at
+from .rates import snrs_at
 
 SEARCH_CEILING_M = 1e6     # far beyond any physical hover height
 BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at the returned height
@@ -57,14 +57,6 @@ def _ratio(snrs):
     gamma_b)``: C_s >= r_s is ``_ratio(snrs) >= t`` (module docstring)."""
     gamma_u, gamma_b = snrs
     return (1.0 + gamma_b) / (1.0 + gamma_u)
-
-
-def secrecy_rate_at_height(scenario: Scenario, h: float) -> float:
-    """C_s as a function of altitude, other fields fixed."""
-    if not (math.isfinite(h) and h >= 0.0):
-        raise ConfigError(f"h must be finite and >= 0, got {h!r}")
-    gamma_u, gamma_b = snrs_at(scenario, scenario.p_u, scenario.p_j, h)
-    return capacity(gamma_b) - capacity(gamma_u)
 
 
 # The security bracket scan: 0, then doubling altitudes from 1 m, then the

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError, _check_count
 from .model import Scenario
 
 _ZETA_SLACK = 1e-12
@@ -113,9 +113,7 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
     one, in place; with each count's boolean mask that is about 9 bytes
     per trial.
     """
-    if (isinstance(n_trials, bool) or not isinstance(n_trials, (int, np.integer))
-            or n_trials < 1):
-        raise ConfigError(f"n_trials must be a positive integer, got {n_trials!r}")
+    _check_count("n_trials", n_trials)
     s = scenario
     rng = np.random.default_rng(seed)
     t = rng.standard_exponential(int(n_trials))              # |h_bw|^2

@@ -13,9 +13,8 @@ by every block.  The detection sweep takes each overlay's closed forms in
 one list pass (Monte Carlo stays per point); the rate sweep takes one
 array pass per sweep, over the whole (overlay x altitude) grid, and its
 ``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block, as the
-swept points are.  Capacities take ``math.log2`` on each element, since
-``np.log2`` can round the last bit differently and so change the CSV
-bytes; array values reach the blocks as floats via ``.tolist()``.
+swept points are.  Capacities come from :func:`rates.capacity` and
+array values reach the blocks as floats via ``.tolist()``.
 :func:`render_csv` renders each distinct list once and each shared value
 once per block; floats render with repr, so the CSV round-trips exactly
 and is byte-deterministic for a fixed (scenario, seed, trials) on one
@@ -30,10 +29,10 @@ from operator import sub
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _check_count
 from .model import Scenario, _canonical_hashes
 from .detection import error_curve, optimal_detection, simulate_detection
-from .rates import simulate_destination_snr, snrs_at
+from .rates import capacity, simulate_destination_snr, snrs_at
 from .optimizer import GridSpec, _maximize_over_epsilons
 
 _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
@@ -210,9 +209,8 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     block per overlay p_u, in ascending order, with its own ``gamma_b``,
     ``c_b`` (``r_b`` is that list itself) and ``c_s`` lists, and a
     ``scenario_hash`` list that splices each altitude's ``repr`` (taken
-    once per sweep) into one per-overlay template.  Capacities take
-    ``math.log2`` on each element, not ``np.log2``, which can differ in
-    the last bit.
+    once per sweep) into one per-overlay template.  Capacities come from
+    :func:`rates.capacity`.
 
     The destination capacity is provably decreasing in altitude; the runner
     asserts that on each overlay as a numerical self-check.
@@ -228,17 +226,16 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
         gamma_u, gamma_b = snrs_at(scenario, np.array(overlays)[:, None],
                                    scenario.p_j, hs)
     gamma_u_values = gamma_u.tolist()
-    c_u = list(map(math.log2, (1.0 + gamma_u).tolist()))
+    c_u = capacity(gamma_u)
     blocks = []
-    for sc, gamma_b_row, one_plus_gamma_b in zip(scenarios, gamma_b.tolist(),
-                                                 (1.0 + gamma_b).tolist()):
-        c_b = list(map(math.log2, one_plus_gamma_b))
+    for sc, row in zip(scenarios, gamma_b):
+        c_b = capacity(row)
         if any(b > a + _MONOTONE_SLACK for a, b in zip(c_b, c_b[1:])):
             raise NumericalError(
                 f"destination capacity not decreasing in h at p_u={sc.p_u}")
         block = scenario_columns(sc)
         block.update(
-            h=h_values, gamma_u=gamma_u_values, gamma_b=gamma_b_row,
+            h=h_values, gamma_u=gamma_u_values, gamma_b=row.tolist(),
             c_u=c_u, c_b=c_b, c_s=list(map(sub, c_b, c_u)), r_b=c_b,
             seed=int(seed), scenario_hash=_canonical_hashes(sc, "h", h_cells))
         blocks.append(block)
@@ -318,13 +315,16 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     two symbol-level bands are three standard errors, floored at 1%:
     |x_u|^2 is Exp(1), so its mean has relative error 1/sqrt(n_symbols);
     the SNR is a ratio of two independent exponential means, sqrt(2/n).
-    Raises :class:`NumericalError`, before any Monte Carlo, if the
-    closed-form destination SNR is not positive (it underflows to 0 at
+    Before any Monte Carlo, raises :class:`ConfigError` if ``n_trials`` or
+    ``n_symbols`` is not a positive integer, and :class:`NumericalError` if
+    the closed-form destination SNR is not positive (it underflows to 0 at
     extreme powers), since the SNR gap is relative to it, or if the
     threshold grid's stop 10 * gamma_star overflows.
     """
     if gamma_points < 1:
         raise ConfigError(f"gamma_points must be >= 1, got {gamma_points}")
+    _check_count("n_trials", n_trials)
+    _check_count("n_symbols", n_symbols)
     closed_snr = snrs_at(scenario, scenario.p_u, scenario.p_j, scenario.h)[1]
     if not closed_snr > 0.0:
         raise NumericalError(

@@ -11,13 +11,10 @@ The grid is evaluated as arrays, in blocks of p_u rows, for one or more
 covertness slacks epsilon at once: :func:`constraints.feasibility_grid`
 gives the covert floor, the SNRs there and the feasibility verdict at
 every (epsilon, p_u, p_j), its ground and ceiling checks shared by every
-epsilon.  The capacities of
-feasible points use math.log2, as :func:`rates.capacity` does, never
-np.log2: on an AVX-512 Xeon (numpy 2.4.6) the two differed by one ULP on
-12,102 of 4e6 values of 1 + U(0, 1), enough to move the argmax and the CSV
-bytes.  The security ceiling is solved once per distinct argmax (p_u, p_j),
-since it does not depend on epsilon; it gives h_max and the
-active-constraint flags.
+epsilon.  One :func:`rates.capacity` call per (epsilon, block) takes the
+covert rates of its feasible points.  The security ceiling is solved once
+per distinct argmax (p_u, p_j), since it does not depend on epsilon; it
+gives h_max and the active-constraint flags.
 :func:`maximize_covert_rate` is the one-epsilon case.
 """
 from __future__ import annotations
@@ -129,9 +126,7 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
                 cells = np.flatnonzero(feasible[e])
                 if not cells.size:
                     continue
-                # math.log2, not np.log2: the two differ in the last bit on
-                # some inputs, which would move the argmax and the CSV bytes
-                r_b = list(map(capacity, gamma_b[e].ravel()[cells].tolist()))
+                r_b = capacity(gamma_b[e].ravel()[cells])  # bit-exact: see capacity
                 k = r_b.index(max(r_b))  # first of the ties
                 if best[e0 + e] is None or r_b[k] > best[e0 + e][0]:
                     i, j = divmod(cells.item(k), len(p_j_values))
@@ -163,6 +158,6 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
             active.append("p_j_cap")
         results.append(OptimizationResult(
             p_u_star=p_u, p_j_star=p_j, h_star=h, r_b_star=r_b,
-            c_s_star=r_b - capacity(gamma_u), feasible=True,
+            c_s_star=r_b - capacity(gamma_u)[0], feasible=True,
             active_constraints=tuple(active), h_max=h_max))
     return results

@@ -15,7 +15,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
     ConfigError, DestinationSnrEstimate, DetectionPoint, GridSpec,
-    NumericalError, Scenario, capacity, maximize_covert_rate,
+    NumericalError, Scenario, maximize_covert_rate,
     optimal_detection,
 )
 from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid  # noqa: E402
@@ -106,12 +106,13 @@ class RateReport:
 
 
 def rate_report(scenario: Scenario) -> RateReport:
-    """The full rate chain for one scenario, one scalar at a time: the
-    oracle for the array passes of the rate sweep and the optimizer."""
+    """The full rate chain for one scenario, one scalar at a time, each
+    capacity ``math.log2(1.0 + g)``: the oracle for the array passes of the
+    rate sweep and the optimizer."""
     s = scenario
     g_u, g_b = snrs_at(s, s.p_u, s.p_j, s.h)
     return RateReport(gamma_u=g_u, gamma_b=g_b,
-                      c_u=capacity(g_u), c_b=capacity(g_b))
+                      c_u=math.log2(1.0 + g_u), c_b=math.log2(1.0 + g_b))
 
 
 _EXACT = decimal.Context(prec=60)
@@ -219,7 +220,7 @@ def cap_edge_supremum(scenario: Scenario, steps: int = 500) -> float:
     secure = margin >= 0.0
     rows = np.flatnonzero(secure.any(axis=1))
     best += gamma_b[rows, secure[rows].argmax(axis=1)].tolist()
-    return max(map(capacity, best), default=-math.inf)
+    return max((math.log2(1.0 + g) for g in best), default=-math.inf)
 
 
 # Heights above a covert floor that scan_feasibility samples: the floor
@@ -231,8 +232,8 @@ def scan_feasibility(scenario: Scenario) -> tuple[bool | None, bool | None]:
     """``(ground secure, feasible)`` of the scenario's own powers by a dense
     altitude scan: the oracle for :func:`feasibility_grid`'s verdict.
 
-    The security margin C_b - C_u - r_s is taken with ``math.log2``
-    (:func:`capacity`) on the ground and at the :func:`covert_floor` h_min
+    The security margin C_b - C_u - r_s is taken with ``math.log2`` on
+    each 1 + gamma on the ground and at the :func:`covert_floor` h_min
     plus each of ``_FLOOR_SCAN_OFFSETS`` up to SEARCH_CEILING_M (h_min
     alone when it lies above).  A margin within the rounding guard
     1e-12 (C_b + C_u + r_s) + 1e-14 of 0 decides nothing.  The ground is
@@ -250,7 +251,7 @@ def scan_feasibility(scenario: Scenario) -> tuple[bool | None, bool | None]:
     signs = []
     for g_u, g_b in zip(*(g.tolist() for g in snrs_at(
             s, s.p_u, s.p_j, np.array(heights)))):
-        c_u, c_b = capacity(g_u), capacity(g_b)
+        c_u, c_b = math.log2(1.0 + g_u), math.log2(1.0 + g_b)
         margin = c_b - c_u - s.r_s
         sure = abs(margin) > 1e-12 * (c_b + c_u + s.r_s) + 1e-14
         signs.append(margin > 0.0 if sure else None)

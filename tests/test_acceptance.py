@@ -14,7 +14,7 @@ from uavcovert import (
     GridSpec, Scenario, SweepSpec, error_curve, maximize_covert_rate,
     optimal_detection,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep,
-    secrecy_rate_at_height, security_height_bound, simulate_destination_snr,
+    security_height_bound, simulate_destination_snr,
 )
 from uavcovert.cli import main
 from uavcovert.experiments import mc_zeta_tolerance
@@ -140,12 +140,12 @@ def test_c6_constraint_round_trips():
         if h_min > 0.0 and covert_done < 100:
             assert abs(min_error_at_height(s, h_min) - (1.0 - s.epsilon)) <= 1e-9
             covert_done += 1
-        c_s_ground = secrecy_rate_at_height(s, 0.0)
+        c_s_ground = rate_report(s.replace(h=0.0)).c_s
         if c_s_ground > 0.0 and security_done < 100:
             target = float(rng.uniform(0.1, 0.9)) * c_s_ground
             h_prime = security_height_bound(s.replace(r_s=target))
             if h_prime is not None and math.isfinite(h_prime):
-                assert abs(secrecy_rate_at_height(s, h_prime) - target) <= 1e-8
+                assert abs(rate_report(s.replace(h=h_prime)).c_s - target) <= 1e-8
                 security_done += 1
     _ok(6, "zeta_star(h_min) = 1 - epsilon to 1e-9 and C_s(h_max) = r_s "
            "to 1e-8 on 100 random feasible parameter sets each")
@@ -213,7 +213,7 @@ def _brute_force(scenario, grid, h_points=33, h_span=300.0):
                 h = float(h)
                 if min_error_at_height(s, h) < 1.0 - s.epsilon - 1e-12:
                     continue
-                if secrecy_rate_at_height(s, h) < s.r_s:
+                if rate_report(s.replace(h=h)).c_s < s.r_s:
                     continue
                 r_b = rate_report(s.replace(h=h)).r_b
                 if best is None or r_b > best[0]:

@@ -571,6 +571,20 @@ def test_validate_empty_threshold_grid_exits_two(capsys, points):
     assert captured.err == f"config error: gamma_points must be >= 1, got {points}\n"
 
 
+@pytest.mark.parametrize("option, name", [("--symbols", "n_symbols"),
+                                          ("--trials", "n_trials")])
+def test_validate_checks_sample_sizes_before_any_monte_carlo(monkeypatch, capsys,
+                                                             option, name):
+    def simulate(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the sample-size check")
+    monkeypatch.setattr(uavcovert.experiments, "simulate_detection", simulate)
+    monkeypatch.setattr(uavcovert.experiments, "simulate_destination_snr", simulate)
+    code = main(["validate", "--scenario", str(SCENARIOS / "fig2.json"), option, "0"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"config error: {name} must be a positive integer, got 0\n")
+
+
 def test_optimize_checks_seed_before_searching(tmp_path, monkeypatch, capsys):
     def search(*args, **kwargs):
         raise AssertionError("grid search ran before the seed check")

@@ -6,9 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uavcovert import (
-    ConfigError, NumericalError, secrecy_rate_at_height, security_height_bound,
-)
+from uavcovert import NumericalError, security_height_bound
 from uavcovert import constraints
 from uavcovert.constraints import (
     SEARCH_CEILING_M, _ratio, _threshold, feasibility_grid,
@@ -17,7 +15,7 @@ from uavcovert.rates import snrs_at
 
 from conftest import (
     covert_floor, draw_log_uniform_scenario, draw_scenario,
-    min_error_at_height, one_point_verdict, scan_feasibility,
+    min_error_at_height, one_point_verdict, rate_report, scan_feasibility,
 )
 
 
@@ -143,15 +141,15 @@ def test_security_bound_zero_threshold(fig3):
     h_prime = security_height_bound(fig3.replace(r_s=0.0))
     assert h_prime is not None and math.isfinite(h_prime)
     # at the bound the two capacities coincide
-    assert abs(secrecy_rate_at_height(fig3, h_prime)) <= 1e-9
+    assert abs(rate_report(fig3.replace(h=h_prime)).c_s) <= 1e-9
     assert 30.0 < h_prime < 60.0
 
 
 def test_security_bound_residual(fig3):
-    c_s_ground = secrecy_rate_at_height(fig3, 0.0)
+    c_s_ground = rate_report(fig3.replace(h=0.0)).c_s
     target = 0.5 * c_s_ground
     h_prime = security_height_bound(fig3.replace(r_s=target))
-    assert abs(secrecy_rate_at_height(fig3, h_prime) - target) <= 1e-9
+    assert abs(rate_report(fig3.replace(h=h_prime)).c_s - target) <= 1e-9
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig5"])
@@ -183,7 +181,7 @@ def test_security_bound_ends_with_its_bracket(monkeypatch, request, preset, p_u)
 
 
 def test_security_bound_infeasible_at_ground(fig3):
-    c_s_ground = secrecy_rate_at_height(fig3, 0.0)
+    c_s_ground = rate_report(fig3.replace(h=0.0)).c_s
     assert security_height_bound(fig3.replace(r_s=2.0 * c_s_ground)) is None
 
 
@@ -192,7 +190,7 @@ def test_security_bound_unbounded_marker(fig3):
     # search ceiling, so the bound degenerates to +inf
     s = fig3.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, p_a=1.0, p_u=2.0, p_j=1.0, r_s=0.0)
-    assert secrecy_rate_at_height(s, 1e6) > 0.0
+    assert rate_report(s.replace(h=1e6)).c_s > 0.0
     assert security_height_bound(s) == math.inf
 
 
@@ -204,12 +202,6 @@ def test_security_bound_raises_where_the_scan_snrs_overflow(fig5):
         security_height_bound(s)
     with pytest.raises(NumericalError, match="^SNRs on the power grid overflow"):
         one_point_verdict(s)
-
-
-@pytest.mark.parametrize("h", [math.nan, -1.0, math.inf])
-def test_secrecy_rate_rejects_heights_outside_its_domain(fig3, h):
-    with pytest.raises(ConfigError, match=rf"^h must be finite and >= 0, got {h!r}$"):
-        secrecy_rate_at_height(fig3, h)
 
 
 # -- the one crossing above secure ground ------------------------------------
@@ -360,11 +352,11 @@ def test_feasible_interval_composition(fig5):
     assert 0.0 < h_min <= h_max
     # both constraints hold on the interval
     assert min_error_at_height(s, h_min) >= 1.0 - s.epsilon - 1e-12
-    assert secrecy_rate_at_height(s, h_max) >= s.r_s - 1e-8
+    assert rate_report(s.replace(h=h_max)).c_s >= s.r_s - 1e-8
 
 
 def test_feasible_interval_empty_when_covertness_conflicts_security(fig3):
-    c_s_ground = secrecy_rate_at_height(fig3, 0.0)
+    c_s_ground = rate_report(fig3.replace(h=0.0)).c_s
     s = fig3.replace(epsilon=1e-4, r_s=0.5 * c_s_ground)
     h_min, feasible = one_point_verdict(s)
     assert not feasible
@@ -425,9 +417,9 @@ def ground_insecure_draw():
 
 def test_ground_insecure_draw_is_feasible_at_26_m():
     s = ground_insecure_draw()
-    assert secrecy_rate_at_height(s, 0.0) < s.r_s
+    assert rate_report(s.replace(h=0.0)).c_s < s.r_s
     assert covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2) <= 26.3
-    assert secrecy_rate_at_height(s, 26.3) >= s.r_s
+    assert rate_report(s.replace(h=26.3)).c_s >= s.r_s
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -436,7 +428,7 @@ def test_ground_insecure_draw_is_feasible_at_26_m():
 def test_feasibility_grid_finds_band_above_insecure_ground():
     s = ground_insecure_draw()
     assert covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2) <= 26.3
-    assert secrecy_rate_at_height(s, 26.3) >= s.r_s
+    assert rate_report(s.replace(h=26.3)).c_s >= s.r_s
     *_, feasible = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
     assert feasible.item()
 
@@ -451,12 +443,12 @@ def test_round_trips_randomized():
         if h_min <= 0.0:
             continue
         assert abs(min_error_at_height(s, h_min) - (1.0 - s.epsilon)) <= 1e-9
-        c_s_ground = secrecy_rate_at_height(s, 0.0)
+        c_s_ground = rate_report(s.replace(h=0.0)).c_s
         if c_s_ground <= 0.0:
             continue
         target = float(rng.uniform(0.1, 0.9)) * c_s_ground
         h_prime = security_height_bound(s.replace(r_s=target))
         if h_prime is None or not math.isfinite(h_prime):
             continue
-        assert abs(secrecy_rate_at_height(s, h_prime) - target) <= 1e-8
+        assert abs(rate_report(s.replace(h=h_prime)).c_s - target) <= 1e-8
         done += 1

@@ -16,7 +16,7 @@ from uavcovert import (
     error_curve, maximize_covert_rate,
     optimal_detection, render_csv, run_covertness_sweep,
     run_detection_sweep, run_rate_sweep, run_validation,
-    secrecy_rate_at_height, simulate_destination_snr, simulate_detection,
+    simulate_destination_snr, simulate_detection,
     write_csv,
 )
 from uavcovert.experiments import (
@@ -312,7 +312,7 @@ def random_covertness_sweep(rng, kind):
             p_j = float(rng.choice(overlays))
             epsilon = float(rng.choice(sweep.points()))
             h = covert_floor(p_u, p_j, s.beta, epsilon, s.d_w2)
-            r_s = secrecy_rate_at_height(s.replace(p_u=p_u, p_j=p_j), h) + float(
+            r_s = rate_report(s.replace(p_u=p_u, p_j=p_j, h=h)).c_s + float(
                 rng.choice([-1e-12, 0.0, 1e-12]))
             if r_s >= 0.0:
                 return s.replace(r_s=r_s), sweep, p_u_values

@@ -79,7 +79,7 @@ def test_scenario_file_errors(tmp_path):
 @pytest.mark.parametrize("changes", [
     {"epsilon": 0.0}, {"epsilon": 1.0}, {"h": -1.0}, {"p_a": 0.0},
     {"sigma_w2": -0.01}, {"p_u": 11.0}, {"r_s": -0.1}, {"d_w2": 0.0},
-    {"p_u": 0.0}, {"p_j": 0.0}, {"beta": 0.0},
+    {"p_u": 0.0}, {"p_j": 0.0}, {"beta": 0.0}, {"h": math.nan}, {"h": math.inf},
 ])
 def test_scenario_invariants(fig3, changes):
     with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ import uavcovert.optimizer
 from uavcovert.constraints import SEARCH_CEILING_M
 from uavcovert import (
     ConfigError, GridSpec, OptimizationResult, Scenario, maximize_covert_rate,
-    secrecy_rate_at_height, security_height_bound,
+    security_height_bound,
 )
 
 from conftest import (
@@ -143,7 +143,7 @@ def test_maximize_result_satisfies_constraints(fig5):
     assert result.feasible
     s = fig5.replace(p_u=result.p_u_star, p_j=result.p_j_star)
     assert min_error_at_height(s, result.h_star) >= 1.0 - s.epsilon - 1e-12
-    assert secrecy_rate_at_height(s, result.h_star) >= s.r_s - 1e-8
+    assert rate_report(s.replace(h=result.h_star)).c_s >= s.r_s - 1e-8
     assert result.p_u_star <= fig5.p_max and result.p_j_star <= fig5.p_max
     assert result.r_b_star == rate_report(
         s.replace(h=result.h_star)).r_b
@@ -341,7 +341,7 @@ def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
                                    or [s.p_max]))
             h = float(rng.choice(
                 [covert_floor(p_u, p_j, s.beta, s.epsilon, s.d_w2), 0.0]))
-            c_s = secrecy_rate_at_height(s.replace(p_u=p_u, p_j=p_j), h)
+            c_s = rate_report(s.replace(p_u=p_u, p_j=p_j, h=h)).c_s
             r_s = c_s + float(rng.choice([-1e-12, 0.0, 1e-12]))
             if r_s >= 0.0:
                 s = s.replace(r_s=r_s)
@@ -401,8 +401,8 @@ def test_grid_pass_decides_a_margin_just_outside_the_guard(fig5, offset):
     # residual: the grid pass decides the point as its one-point case does,
     # and a feasible argmax meets C_s >= r_s
     h_min = covert_floor(10.0, 15.0, fig5.beta, fig5.epsilon, fig5.d_w2)
-    s = fig5.replace(r_s=secrecy_rate_at_height(
-        fig5.replace(p_u=10.0, p_j=15.0), h_min) + offset)
+    s = fig5.replace(r_s=rate_report(
+        fig5.replace(p_u=10.0, p_j=15.0, h=h_min)).c_s + offset)
     grid = GridSpec(p_u_values=(10.0,), p_j_values=(15.0,))
     want = per_point_oracle(s, grid)
     assert want.feasible == (offset < 0.0)
@@ -419,8 +419,8 @@ def test_ceiling_on_the_threshold_goes_to_the_solver(fig5, scale):
     # h_max bisection's inf alike
     s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, epsilon=0.3)
-    s = s.replace(r_s=scale * secrecy_rate_at_height(
-        s.replace(p_u=30.0, p_j=30.0), SEARCH_CEILING_M))
+    s = s.replace(r_s=scale * rate_report(
+        s.replace(p_u=30.0, p_j=30.0, h=SEARCH_CEILING_M)).c_s)
     grid = GridSpec(p_u_values=(30.0,), p_j_values=(30.0,))
     assert_same_result(maximize_covert_rate(s, grid), per_point_oracle(s, grid))
 
@@ -448,7 +448,8 @@ def test_reported_rates_are_math_log2_capacities(fig5):
 def test_ties_break_toward_first_point_in_scan_order(fig5, monkeypatch):
     # every feasible point rates the same, so the first one in scan order
     # (p_u outer, p_j inner) wins, also across row blocks
-    monkeypatch.setattr(uavcovert.optimizer, "capacity", lambda snr: 1.0)
+    monkeypatch.setattr(uavcovert.optimizer, "capacity",
+                        lambda snrs: [1.0] * np.size(snrs))
     monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_CELLS", 4)
     grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=6, p_j_steps=5)
     first = next((p_u, p_j) for p_u in grid.p_u_values for p_j in grid.p_j_values

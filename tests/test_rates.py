@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -141,7 +142,25 @@ def test_variant_constant_term_diagnostic(fig4):
 # -- rate report -------------------------------------------------------------
 
 def test_capacity_zero_snr():
-    assert capacity(0.0) == 0.0
+    assert capacity(0.0) == [0.0]
+
+
+@pytest.mark.parametrize("log2_skew", [0.0, math.inf, -math.inf])
+def test_capacity_is_math_log2_of_each_snr_in_c_order(monkeypatch, log2_skew):
+    # a skew moves np.log2 results one ULP, alternately up and down, as
+    # another libm may: capacity reads math.log2 only, so nothing moves
+    if log2_skew:
+        log2, turn = np.log2, itertools.count()
+        monkeypatch.setattr(np, "log2", lambda x: np.nextafter(
+            log2(x), log2_skew if next(turn) % 2 else -log2_skew))
+    snrs = np.random.default_rng(7).uniform(0.0, 1.0, size=(3, 4000)) ** 3 * 1e3
+    got = capacity(snrs)
+    assert type(got) is list and len(got) == snrs.size
+    assert all(type(c) is float for c in got)
+    assert got == [math.log2(1.0 + x) for x in snrs.ravel(order="C").tolist()]
+    assert capacity(snrs.T) == [math.log2(1.0 + x) for x in snrs.T.ravel().tolist()]
+    assert capacity(0.37) == [math.log2(1.37)]
+    assert capacity([[0.5], [2.0]]) == [math.log2(1.5), math.log2(3.0)]
 
 
 def test_rate_report_identities(fig4):
@@ -154,8 +173,8 @@ def test_rate_report_identities(fig4):
 
 def test_rate_report_zero_secrecy_for_equal_snrs():
     # equal SNRs by construction: the secrecy rate vanishes identically
-    report = RateReport(gamma_u=0.37, gamma_b=0.37,
-                        c_u=capacity(0.37), c_b=capacity(0.37))
+    c_u, c_b = capacity([0.37, 0.37])
+    report = RateReport(gamma_u=0.37, gamma_b=0.37, c_u=c_u, c_b=c_b)
     assert report.c_s == 0.0
 
 
