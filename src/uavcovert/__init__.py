@@ -5,7 +5,6 @@ full-duplex jamming receiver."""
 from .errors import ConfigError, NumericalError
 from .model import Scenario, db_to_linear
 from .detection import (
-    DetectionPoint,
     OptimalDetection,
     error_curve,
     optimal_detection,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DestinationSnrEstimate",
-    "DetectionPoint",
     "GridSpec",
     "NumericalError",
     "OptimalDetection",

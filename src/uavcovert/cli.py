@@ -16,7 +16,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _check_seed
 from .model import Scenario
 from .optimizer import GridSpec, maximize_covert_rate
 from .experiments import (
@@ -183,8 +183,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         scenario = Scenario.from_file(args.scenario)
-        if args.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {args.seed}")
+        _check_seed(args.seed)
         return args.run(scenario, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

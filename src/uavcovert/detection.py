@@ -6,14 +6,15 @@ exponential fade the false-alarm and missed-detection probabilities have
 simple exponential closed forms; their sum ``zeta`` is the total error
 probability, minimized at a threshold ``gamma_star`` with floor
 ``zeta_star``.  The closed forms are one list pass, :func:`error_curve`;
-a vectorized Monte Carlo mirror reproduces them, one threshold per call.
-The mirror draws its fades first and then works in place in one float
-array, about 9 bytes per trial.
+a vectorized Monte Carlo mirror, :func:`simulate_detection`, reproduces
+them one threshold per call and returns the same ``(p_fa, p_md, zeta)``
+triple as one element of the curve.  The mirror draws its fades first and
+then works in place in one float array, about 9 bytes per trial.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +22,6 @@ from .errors import NumericalError, _check_count
 from .model import Scenario
 
 _ZETA_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class DetectionPoint:
-    """(threshold, P_FA, P_MD, total error) at one operating point; raises
-    :class:`NumericalError`, as :func:`error_curve` does, out of range."""
-
-    gamma: float
-    p_fa: float
-    p_md: float
-    zeta: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p_fa <= 1.0 and 0.0 <= self.p_md <= 1.0):
-            raise NumericalError(
-                f"probabilities out of range: {self.p_fa!r}, {self.p_md!r}")
-        zeta = self.p_fa + self.p_md
-        if zeta > 1.0 + _ZETA_SLACK:
-            raise NumericalError(f"total error {zeta!r} exceeds 1")
-        object.__setattr__(self, "zeta", zeta)
 
 
 @dataclass(frozen=True)
@@ -98,14 +79,17 @@ def optimal_detection(scenario: Scenario) -> OptimalDetection:
 
 
 def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
-                       seed) -> DetectionPoint:
-    """Monte Carlo mirror of the radiometer test.
+                       seed) -> tuple[float, float, float]:
+    """Monte Carlo ``(p_fa, p_md, zeta)`` of the radiometer test at the
+    threshold ``gamma``, with ``zeta = p_fa + p_md``.
 
     Each trial draws one quasi-static jamming fade |h_bw|^2 ~ Exp(1) and
     applies the threshold rule under both hypotheses (silent and
     transmitting) with that shared draw, so the per-trial combined error
     indicator is Bernoulli(zeta) and the empirical zeta is an unbiased
-    binomial estimate.  Ties at the threshold decide "transmission".
+    binomial estimate.  Ties at the threshold decide "transmission".  The
+    silent event ``t >= gamma`` and the active one ``t + signal < gamma``
+    are disjoint, so the two counts add up to at most ``n_trials``.
     Reproducible for a fixed seed, independent of trial partitioning.
 
     The ``n_trials`` fades are the generator's first draws.  One float
@@ -123,4 +107,4 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
     p_fa = float(np.count_nonzero(t >= gamma)) / n_trials
     t += s.p_u * (s.beta / (s.d_w2 + s.h * s.h))             # transmitting
     p_md = float(np.count_nonzero(t < gamma)) / n_trials
-    return DetectionPoint(gamma=float(gamma), p_fa=p_fa, p_md=p_md)
+    return p_fa, p_md, p_fa + p_md

@@ -5,15 +5,16 @@ with closed-form and Monte Carlo error curves, an altitude sweep of the
 rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Each runner's protocol fixes which field it sweeps and which it
 overlays; a :class:`SweepSpec` holds only the range and the overlay
-values.  Each runner is one serial loop over its sorted overlays and
-returns one column block per overlay: a dict in a fixed column order that
-maps a column to a list of one value per swept point, or to one value
-shared by the block's rows.  The swept points are one list object shared
-by every block.  The detection sweep takes each overlay's closed forms in
-one list pass (Monte Carlo stays per point); the rate sweep takes one
-array pass per sweep, over the whole (overlay x altitude) grid, and its
-``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block, as the
-swept points are.  Capacities come from :func:`rates.capacity` and
+values.  Each runner rejects a seed that is not an int >= 0 before any
+work, is one serial loop over its sorted overlays, and returns one column
+block per overlay: a dict in a fixed column order that maps a column to a
+list of one value per swept point, or to one value shared by the block's
+rows.  The swept points are one list object shared by every block.  The
+detection sweep takes each overlay's closed forms in one list pass (Monte
+Carlo stays per point), and validation draws through it; the rate sweep
+takes one array pass per sweep, over the whole (overlay x altitude) grid,
+and its ``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block,
+as the swept points are.  Capacities come from :func:`rates.capacity` and
 array values reach the blocks as floats via ``.tolist()``.
 :func:`render_csv` renders each distinct list once and each shared value
 once per block; floats render with repr, so the CSV round-trips exactly
@@ -29,7 +30,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_count
+from .errors import ConfigError, NumericalError, _check_count, _check_seed
 from .model import Scenario, _canonical_hashes
 from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import capacity, simulate_destination_snr, snrs_at
@@ -52,8 +53,7 @@ class SweepSpec:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError(
                 f"sweep bounds must be finite, got [{self.start}, {self.stop}]")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        _check_count("steps", self.steps)
         if self.steps == 1:
             if self.start != self.stop:
                 raise ConfigError("a 1-step sweep needs start == stop")
@@ -171,21 +171,21 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
     point derives from (seed, overlay index, point index), so a point's
     draws do not depend on the other points.
     """
+    _check_seed(seed)
     gamma_values = sweep.points().tolist()
     blocks = []
     for oi, p_u in enumerate(sorted(sweep.overlay_values)):
         sc = scenario.replace(p_u=p_u)
         optimum = optimal_detection(sc)
         p_fa, p_md, zeta = error_curve(sc, gamma_values)
-        points = [simulate_detection(
-                      sc, gamma, n_trials,
-                      seed=np.random.SeedSequence(entropy=[int(seed), oi, gi]))
-                  for gi, gamma in enumerate(gamma_values)]
+        p_fa_mc, p_md_mc, zeta_mc = map(list, zip(*(
+            simulate_detection(sc, gamma, n_trials,
+                               seed=np.random.SeedSequence(entropy=[int(seed), oi, gi]))
+            for gi, gamma in enumerate(gamma_values))))
         block = scenario_columns(sc)
         block.update(
             gamma=gamma_values, p_fa=p_fa, p_md=p_md, zeta=zeta,
-            p_fa_mc=[mc.p_fa for mc in points], p_md_mc=[mc.p_md for mc in points],
-            zeta_mc=[mc.zeta for mc in points],
+            p_fa_mc=p_fa_mc, p_md_mc=p_md_mc, zeta_mc=zeta_mc,
             gamma_star=optimum.gamma_star, zeta_star=optimum.zeta_star,
             n_trials=int(n_trials), seed=int(seed), scenario_hash=sc.canonical_hash(),
         )
@@ -215,6 +215,7 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     The destination capacity is provably decreasing in altitude; the runner
     asserts that on each overlay as a numerical self-check.
     """
+    _check_seed(seed)
     if sweep.start < 0.0:
         raise ConfigError("altitude sweep must start at h >= 0")
     hs = sweep.points()
@@ -264,6 +265,7 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     ``scenario_hash`` list splices each epsilon's ``repr`` (taken once per
     sweep) into one per-overlay template.
     """
+    _check_seed(seed)
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
     epsilons = sweep.points().tolist()
@@ -309,58 +311,53 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
                    gamma_points: int = 20) -> list[ValidationCheck]:
     """Compare every closed form against its Monte Carlo counterpart.
 
-    Checks the detection error curve point by point on a grid of
-    ``gamma_points`` >= 1 thresholds around gamma_star, the unit forwarded
-    power of the relay scaling, and the end-to-end destination SNR.  The
-    two symbol-level bands are three standard errors, floored at 1%:
-    |x_u|^2 is Exp(1), so its mean has relative error 1/sqrt(n_symbols);
-    the SNR is a ratio of two independent exponential means, sqrt(2/n).
-    Before any Monte Carlo, raises :class:`ConfigError` if ``n_trials`` or
-    ``n_symbols`` is not a positive integer, and :class:`NumericalError` if
-    the closed-form destination SNR is not positive (it underflows to 0 at
+    The detection check is the one-overlay :func:`run_detection_sweep`, at
+    the scenario's own ``p_u``, over ``gamma_points`` thresholds on
+    [0, 10 * gamma_star]; one symbol draw checks the unit forwarded power
+    of the relay scaling and the end-to-end destination SNR, in bands of
+    three standard errors floored at 1%: |x_u|^2 is Exp(1), so its mean
+    has relative error 1/sqrt(n_symbols); the SNR is a ratio of two
+    independent exponential means, sqrt(2/n).  Before any Monte Carlo,
+    raises :class:`ConfigError` for a count that is not a positive integer
+    or a seed that is not an int >= 0, and :class:`NumericalError` if the
+    closed-form destination SNR is not positive (it underflows to 0 at
     extreme powers), since the SNR gap is relative to it, or if the
     threshold grid's stop 10 * gamma_star overflows.
     """
-    if gamma_points < 1:
-        raise ConfigError(f"gamma_points must be >= 1, got {gamma_points}")
+    _check_count("gamma_points", gamma_points)
     _check_count("n_trials", n_trials)
     _check_count("n_symbols", n_symbols)
     closed_snr = snrs_at(scenario, scenario.p_u, scenario.p_j, scenario.h)[1]
     if not closed_snr > 0.0:
         raise NumericalError(
             f"closed-form destination SNR {closed_snr!r} is not positive")
-    checks = []
-
-    opt = optimal_detection(scenario)
-    if not math.isfinite(10.0 * opt.gamma_star):
-        raise NumericalError(f"threshold grid stop 10 * {opt.gamma_star!r} overflows")
-    gammas = np.linspace(0.0, 10.0 * opt.gamma_star, gamma_points).tolist()
-    zeta = error_curve(scenario, gammas)[2]
-    worst = 0.0
-    ok = True
-    for gi, (gamma, closed) in enumerate(zip(gammas, zeta)):
-        mc = simulate_detection(scenario, gamma, n_trials,
-                                seed=np.random.SeedSequence(entropy=[int(seed), 0, gi]))
-        gap = abs(mc.zeta - closed)
+    gamma_star = optimal_detection(scenario).gamma_star
+    if not math.isfinite(10.0 * gamma_star):
+        raise NumericalError(f"threshold grid stop 10 * {gamma_star!r} overflows")
+    stop = 10.0 * gamma_star if gamma_points > 1 else 0.0  # a 1-step sweep is [0.0]
+    (block,) = run_detection_sweep(
+        scenario, SweepSpec(0.0, stop, gamma_points, (scenario.p_u,)), n_trials, seed)
+    worst, ok = 0.0, True
+    for closed, mc in zip(block["zeta"], block["zeta_mc"]):
+        gap = abs(mc - closed)
         tol = mc_zeta_tolerance(closed, n_trials)
         worst = max(worst, gap / tol)
         ok = ok and gap <= tol
-    checks.append(ValidationCheck(
-        name="detection_error_mc_vs_closed", passed=ok,
-        detail=f"{gamma_points} thresholds, worst gap {worst:.3f}x tolerance"))
 
     est = simulate_destination_snr(scenario, n_symbols,
                                    seed=np.random.SeedSequence(entropy=[int(seed), 1]))
     power_gap = abs(est.forwarded_power - 1.0)
-    checks.append(ValidationCheck(
-        name="relay_forwarded_power_unit",
-        passed=power_gap <= max(0.01, 3.0 / math.sqrt(n_symbols)),
-        detail=f"mean |x_u|^2 = {est.forwarded_power:.6f}"))
-
     rel_gap = abs(est.snr - closed_snr) / closed_snr
-    checks.append(ValidationCheck(
-        name="destination_snr_mc_vs_closed",
-        passed=rel_gap <= max(0.01, 3.0 * math.sqrt(2.0 / n_symbols)),
-        detail=f"mc {est.snr:.6g} vs closed {closed_snr:.6g} ({rel_gap:.2%})"))
-
-    return checks
+    return [
+        ValidationCheck(
+            name="detection_error_mc_vs_closed", passed=ok,
+            detail=f"{gamma_points} thresholds, worst gap {worst:.3f}x tolerance"),
+        ValidationCheck(
+            name="relay_forwarded_power_unit",
+            passed=power_gap <= max(0.01, 3.0 / math.sqrt(n_symbols)),
+            detail=f"mean |x_u|^2 = {est.forwarded_power:.6f}"),
+        ValidationCheck(
+            name="destination_snr_mc_vs_closed",
+            passed=rel_gap <= max(0.01, 3.0 * math.sqrt(2.0 / n_symbols)),
+            detail=f"mc {est.snr:.6g} vs closed {closed_snr:.6g} ({rel_gap:.2%})"),
+    ]

@@ -3,7 +3,10 @@
 The destination capacity is strictly decreasing in altitude, so for fixed
 powers the best feasible altitude is the left end of the feasible interval,
 the covert floor h_min; the powers themselves are searched exhaustively on
-a grid.  Ties break toward the smallest forward power, then smallest
+a grid.  That holds where the ground is secure: a point whose secure band
+lies wholly above insecure ground is reported infeasible
+(``test_feasibility_grid_finds_band_above_insecure_ground`` pins this as a
+strict xfail).  Ties break toward the smallest forward power, then smallest
 jamming power, then lowest altitude, which the ascending scan order yields
 for free.
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _check_count
 from .model import Scenario
 from .constraints import feasibility_grid, security_height_bound
 from .rates import capacity
@@ -57,8 +60,8 @@ class GridSpec:
         """Evenly spaced grids from stop/steps up to the given stops, so the
         grid stays strictly positive (one step is the stop alone).  Each
         stop must be finite and > 0."""
-        if p_u_steps < 1 or p_j_steps < 1:
-            raise ConfigError("step counts must be positive")
+        _check_count("p_u_steps", p_u_steps)
+        _check_count("p_j_steps", p_j_steps)
         for name, stop in (("p_u_stop", p_u_stop), ("p_j_stop", p_j_stop)):
             if not (math.isfinite(stop) and stop > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {stop!r}")

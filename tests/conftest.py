@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
-    ConfigError, DestinationSnrEstimate, DetectionPoint, GridSpec,
+    ConfigError, DestinationSnrEstimate, GridSpec,
     NumericalError, Scenario, maximize_covert_rate,
     optimal_detection,
 )
@@ -515,10 +515,10 @@ def reference_relay_snr(scenario: Scenario, n_symbols: int,
     return snr, snr * math.sqrt(relative_variance / n)
 
 
-def reference_detection(scenario: Scenario, gamma: float, n_trials: int,
-                        seed) -> DetectionPoint:
+def reference_detection(scenario: Scenario, gamma: float, n_trials: int, seed):
     """The radiometer Monte Carlo as first written, with a fresh array per
-    hypothesis: the reference for the in-place simulate_detection."""
+    hypothesis: the reference for the in-place simulate_detection, as its
+    (p_fa, p_md, zeta) triple."""
     s = scenario
     rng = np.random.default_rng(seed)
     fade = rng.exponential(1.0, int(n_trials))
@@ -526,7 +526,7 @@ def reference_detection(scenario: Scenario, gamma: float, n_trials: int,
     t_active = t_silent + s.p_u * los_gain(s, s.d_w2)
     p_fa = float(np.count_nonzero(t_silent >= gamma)) / n_trials
     p_md = float(np.count_nonzero(t_active < gamma)) / n_trials
-    return DetectionPoint(gamma=float(gamma), p_fa=p_fa, p_md=p_md)
+    return p_fa, p_md, p_fa + p_md
 
 
 def traced_peak_bytes(fn, *args) -> int:

@@ -152,7 +152,8 @@ def test_checks_scenario_then_seed_then_sizes(tmp_path, capsys, command):
     for scenario, err in [
         (missing, f"config error: cannot read scenario file {missing}: "
                   f"[Errno 2] No such file or directory: {str(missing)!r}\n"),
-        (SCENARIOS / "fig5.json", "config error: seed must be non-negative, got -1\n"),
+        (SCENARIOS / "fig5.json",
+         "config error: seed must be a non-negative integer, got -1\n"),
     ]:
         argv = [command[0], "--scenario", str(scenario), "--seed", "-1", *command[1:]]
         if command[0] != "validate":
@@ -568,7 +569,8 @@ def test_validate_empty_threshold_grid_exits_two(capsys, points):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"config error: gamma_points must be >= 1, got {points}\n"
+    assert captured.err == (
+        f"config error: gamma_points must be a positive integer, got {points}\n")
 
 
 @pytest.mark.parametrize("option, name", [("--symbols", "n_symbols"),
@@ -593,7 +595,8 @@ def test_optimize_checks_seed_before_searching(tmp_path, monkeypatch, capsys):
     code = main(["optimize", "--scenario", str(SCENARIOS / "fig5.json"),
                  "--out", str(out), "--seed", "-1"])
     assert code == 2
-    assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
+    assert capsys.readouterr().err == (
+        "config error: seed must be a non-negative integer, got -1\n")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uavcovert import NumericalError, security_height_bound
+from uavcovert import GridSpec, NumericalError, security_height_bound
 from uavcovert import constraints
 from uavcovert.constraints import (
     SEARCH_CEILING_M, _ratio, _threshold, feasibility_grid,
@@ -274,6 +275,22 @@ def test_security_quartic_top_coefficients_are_never_positive():
         assert (c4 == 0) == (s.r_s == 0.0)
         zero_threshold += s.r_s == 0.0
     assert zero_threshold >= 300
+
+
+def test_fig5_grid_points_with_insecure_ground_are_insecure_at_every_altitude(fig5):
+    # P'' = 2 c2 + 6 c3 x + 12 c4 x^2 < 0 on x >= 0, so P is concave there;
+    # where P(0) = c0 < 0 and P'(0) = c1 <= 0, P(x) <= c0 + c1 x < 0 for
+    # every x = h^2 >= 0.  On fig5's 50x50 power grid every ground-insecure
+    # point is of that kind, so the grid's "infeasible" there is exact
+    grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=50, p_j_steps=50)
+    ground_insecure = 0
+    for p_u, p_j in itertools.product(grid.p_u_values, grid.p_j_values):
+        c0, c1, c2, c3, c4 = security_quartic(fig5.replace(p_u=p_u, p_j=p_j))
+        assert c2 < 0 and c3 < 0 and c4 <= 0
+        if c0 < 0:
+            ground_insecure += 1
+            assert c1 <= 0, (p_u, p_j)
+    assert ground_insecure == 359
 
 
 def test_security_predicate_agrees_with_the_exact_sign():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,6 +53,9 @@ def test_sweepspec_validation():
         SweepSpec(0.0, 1.0, 5, ())
     with pytest.raises(ConfigError):
         SweepSpec(0.0, 1.0, 1, (2.0,))
+    for steps in (2.5, True):  # not an int, or a bool taken as one step
+        with pytest.raises(ConfigError, match="steps must be a positive integer"):
+            SweepSpec(1.0, 1.0 if steps is True else 2.0, steps, (2.0,))
     for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
                         (0.0, math.nan), (math.inf, math.inf)):
         with pytest.raises(ConfigError):
@@ -61,6 +65,35 @@ def test_sweepspec_validation():
 def test_sweepspec_degenerate_single_point():
     spec = SweepSpec(50.0, 50.0, 1, (7.0,))
     assert list(spec.points()) == [50.0]
+
+
+_RUNNERS = {
+    "detect-sweep": lambda s, seed: run_detection_sweep(
+        s, detection_sweep_spec(steps=3), 10, seed),
+    "rate-sweep": lambda s, seed: run_rate_sweep(
+        s, SweepSpec(0.0, 100.0, 3, (7.0,)), seed),
+    "covertness-sweep": lambda s, seed: run_covertness_sweep(
+        s, SweepSpec(0.01, 0.02, 3, (5.0,)), (1.0, 2.0), seed),
+    "validate": lambda s, seed: run_validation(s, n_trials=10, n_symbols=10, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("runner", list(_RUNNERS))
+def test_runners_reject_a_seed_that_is_not_a_non_negative_int(fig5, monkeypatch,
+                                                              runner, seed):
+    # a bad seed never reaches a CSV's seed column or numpy's SeedSequence
+    def work(*args, **kwargs):
+        raise AssertionError("work ran before the seed check")
+    work_done = ["error_curve", "simulate_detection", "simulate_destination_snr",
+                 "_maximize_over_epsilons"]
+    if runner != "validate":  # validate takes its closed-form SNR first
+        work_done.append("snrs_at")
+    for name in work_done:
+        monkeypatch.setattr(experiments, name, work)
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _RUNNERS[runner](fig5, seed)
 
 
 # -- detection sweep ---------------------------------------------------------
@@ -505,7 +538,7 @@ def test_monte_carlo_is_bit_equal_under_power_of_four_power_scaling(m):
         gamma = optimal_detection(s).gamma_star
         want = simulate_detection(s, gamma, 2000, seed)
         got = simulate_detection(scaled, gamma * scale, 2000, seed)
-        assert (got.p_fa, got.p_md) == (want.p_fa, want.p_md)
+        assert got == want
 
 
 def check_geometric_scaling(m):
@@ -803,10 +836,32 @@ def test_run_validation_passes(fig2):
     assert all(c.passed for c in checks)
 
 
-@pytest.mark.parametrize("gamma_points", [0, -3])
+@pytest.mark.parametrize("gamma_points", [0, -3, 2.5, True])
 def test_run_validation_rejects_empty_threshold_grid(fig2, gamma_points):
-    with pytest.raises(ConfigError, match="gamma_points"):
+    with pytest.raises(ConfigError, match="gamma_points must be a positive integer"):
         run_validation(fig2, n_trials=10, n_symbols=10, gamma_points=gamma_points)
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig5"])
+@pytest.mark.parametrize("gamma_points", [1, 2, 7])
+def test_validation_detection_check_is_the_per_threshold_loop(preset, gamma_points):
+    # the detection check, written as a loop over np.linspace thresholds that
+    # draws point gi from SeedSequence([seed, 0, gi]): the detection sweep
+    # validate runs through must give the same verdict and detail
+    s = Scenario.from_file(SCENARIOS / f"{preset}.json")
+    n, seed = 500, 11
+    gammas = np.linspace(0.0, 10.0 * optimal_detection(s).gamma_star,
+                         gamma_points).tolist()
+    worst, ok = 0.0, True
+    for gi, (gamma, closed) in enumerate(zip(gammas, error_curve(s, gammas)[2])):
+        mc = simulate_detection(s, gamma, n, np.random.SeedSequence([seed, 0, gi]))[2]
+        tol = mc_zeta_tolerance(closed, n)
+        worst = max(worst, abs(mc - closed) / tol)
+        ok = ok and abs(mc - closed) <= tol
+    check = run_validation(s, n_trials=n, n_symbols=10, seed=seed,
+                           gamma_points=gamma_points)[0]
+    assert (check.passed, check.detail) == (
+        ok, f"{gamma_points} thresholds, worst gap {worst:.3f}x tolerance")
 
 
 def test_run_validation_deterministic(fig2):

@@ -32,6 +32,11 @@ def test_gridspec_validation():
         GridSpec(p_u_values=(0.0, 1.0), p_j_values=(1.0,))
     with pytest.raises(ConfigError):
         GridSpec.linear(10.0, 10.0, p_u_steps=0)
+    for steps in (2.5, True):  # not an int, or a bool taken as one step
+        with pytest.raises(ConfigError, match="p_u_steps must be a positive integer"):
+            GridSpec.linear(10.0, 10.0, p_u_steps=steps)
+        with pytest.raises(ConfigError, match="p_j_steps must be a positive integer"):
+            GridSpec.linear(10.0, 10.0, p_j_steps=steps)
 
 
 def test_gridspec_linear():
