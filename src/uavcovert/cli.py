@@ -20,7 +20,6 @@ from .errors import ConfigError, NumericalError, _check_seed
 from .model import Scenario
 from .optimizer import GridSpec, maximize_covert_rate
 from .experiments import (
-    COVERTNESS_COLUMNS, DETECTION_COLUMNS, OPTIMIZE_COLUMNS, RATE_COLUMNS,
     SweepSpec, scenario_columns, run_covertness_sweep, run_detection_sweep,
     run_rate_sweep, run_validation, write_csv,
 )
@@ -118,7 +117,7 @@ def _rows(sweep: SweepSpec) -> int:
 def _cmd_detect_sweep(scenario: Scenario, args) -> int:
     sweep = _sweep(args)
     blocks = run_detection_sweep(scenario, sweep, n_trials=args.trials, seed=args.seed)
-    write_csv(args.out, blocks, DETECTION_COLUMNS)
+    write_csv(args.out, blocks)
     print(f"wrote {_rows(sweep)} rows to {args.out}")
     return EXIT_OK
 
@@ -126,7 +125,7 @@ def _cmd_detect_sweep(scenario: Scenario, args) -> int:
 def _cmd_rate_sweep(scenario: Scenario, args) -> int:
     sweep = _sweep(args)
     blocks = run_rate_sweep(scenario, sweep, seed=args.seed)
-    write_csv(args.out, blocks, RATE_COLUMNS)
+    write_csv(args.out, blocks)
     print(f"wrote {_rows(sweep)} rows to {args.out}")
     return EXIT_OK
 
@@ -136,7 +135,7 @@ def _cmd_covertness_sweep(scenario: Scenario, args) -> int:
     p_u_values = GridSpec.linear(scenario.p_max, scenario.p_max,
                                  p_u_steps=args.pu_steps, p_j_steps=1).p_u_values
     blocks = run_covertness_sweep(scenario, sweep, p_u_values, seed=args.seed)
-    write_csv(args.out, blocks, COVERTNESS_COLUMNS)
+    write_csv(args.out, blocks)
     n_infeasible = sum(not f for block in blocks for f in block["feasible"])
     print(f"wrote {_rows(sweep)} rows to {args.out} ({n_infeasible} infeasible)")
     return EXIT_OK
@@ -156,7 +155,7 @@ def _cmd_optimize(scenario: Scenario, args) -> int:
         active_constraints=";".join(result.active_constraints),
         seed=args.seed, scenario_hash=scenario.canonical_hash(),
     )
-    write_csv(args.out, [record], OPTIMIZE_COLUMNS)
+    write_csv(args.out, [record])
     if not result.feasible:
         print("no feasible grid point", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -7,19 +7,20 @@ point.  Each runner's protocol fixes which field it sweeps and which it
 overlays; a :class:`SweepSpec` holds only the range and the overlay
 values.  Each runner rejects a seed that is not an int >= 0 before any
 work, is one serial loop over its sorted overlays, and returns one column
-block per overlay: a dict in a fixed column order that maps a column to a
-list of one value per swept point, or to one value shared by the block's
-rows.  The swept points are one list object shared by every block.  The
+block per overlay: a dict that maps a column to a list of one value per
+swept point, or to one value shared by the block's rows.  A block's keys,
+in insertion order, are its CSV header, so each runner states its schema
+once.  The swept points are one list object shared by every block.  The
 detection sweep takes each overlay's closed forms in one list pass (Monte
 Carlo stays per point), and validation draws through it; the rate sweep
 takes one array pass per sweep, over the whole (overlay x altitude) grid,
 and its ``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block,
 as the swept points are.  Capacities come from :func:`rates.capacity` and
 array values reach the blocks as floats via ``.tolist()``.
-:func:`render_csv` renders each distinct list once and each shared value
-once per block; floats render with repr, so the CSV round-trips exactly
-and is byte-deterministic for a fixed (scenario, seed, trials) on one
-platform.
+:func:`render_csv` takes the header from the first block's keys and
+renders each distinct list once and each shared value once per block;
+floats render with repr, so the CSV round-trips exactly and is
+byte-deterministic for a fixed (scenario, seed, trials) on one platform.
 """
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept field over [start, stop] plus an overlay family; each
-    runner names the two fields it sweeps."""
+    runner names the two fields it sweeps.  The bounds and the span
+    stop - start must be finite, so every point is."""
 
     start: float
     stop: float
@@ -50,9 +52,9 @@ class SweepSpec:
     overlay_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError(
-                f"sweep bounds must be finite, got [{self.start}, {self.stop}]")
+        if not math.isfinite(self.stop - self.start):  # inf or nan if a bound is
+            raise ConfigError(f"sweep bounds must be finite, as must their span "
+                              f"stop - start, got [{self.start}, {self.stop}]")
         _check_count("steps", self.steps)
         if self.steps == 1:
             if self.start != self.stop:
@@ -71,22 +73,6 @@ class SweepSpec:
 
 
 _SCENARIO_COLUMNS = tuple(f.name for f in dataclass_fields(Scenario))
-
-DETECTION_COLUMNS = _SCENARIO_COLUMNS + (
-    "gamma", "p_fa", "p_md", "zeta", "p_fa_mc", "p_md_mc", "zeta_mc",
-    "gamma_star", "zeta_star", "n_trials", "seed", "scenario_hash",
-)
-RATE_COLUMNS = _SCENARIO_COLUMNS + (
-    "gamma_u", "gamma_b", "c_u", "c_b", "c_s", "r_b", "seed", "scenario_hash",
-)
-COVERTNESS_COLUMNS = _SCENARIO_COLUMNS + (
-    "feasible", "h_min", "h_max", "p_u_star", "p_j_star", "h_star",
-    "r_b_star", "c_s_star", "seed", "scenario_hash",
-)
-OPTIMIZE_COLUMNS = _SCENARIO_COLUMNS + (
-    "feasible", "p_u_star", "p_j_star", "h_star", "r_b_star", "c_s_star",
-    "active_constraints", "seed", "scenario_hash",
-)
 
 
 def scenario_columns(scenario: Scenario) -> dict:
@@ -111,19 +97,25 @@ def _render_list(values: list) -> list[str]:
     return list(map(_render_cell, values))
 
 
-def render_csv(blocks: list[dict], columns: tuple[str, ...]) -> str:
-    """Header plus one comma-joined line per row, LF newlines.
+def render_csv(blocks: list[dict]) -> str:
+    """The first block's keys as the header, then one comma-joined line per
+    row, LF newlines.
 
-    Each block maps every column to a ``list`` (exactly that type) of one
-    value per row, or to one value shared by all its rows; a block with no
-    list is one row, so a plain record is a block.  A block's lists must be
-    equally long (``ValueError`` otherwise).  A list is rendered once,
-    however many columns or consecutive blocks hold it (matched by
-    identity, which the renderer pins by holding the list), and its cells
-    are dropped once a block no longer holds it; a shared value is
-    rendered once per block.  Every cell is :func:`_render_cell` of its
-    value, so the text is what rendering each row on its own writes.
+    Every block has the header's keys in its order (a key missing, extra or
+    reordered, or no block at all, is a ``ValueError``) and maps each to a
+    ``list`` (exactly that type) of one value per row, or to one value
+    shared by all its rows; a block with no list is one row, so a plain
+    record is a block.  A block's lists must be equally long (``ValueError``
+    otherwise).  A list is rendered once, however many columns or
+    consecutive blocks hold it (matched by identity, which the renderer
+    pins by holding the list), and its cells are dropped once a block no
+    longer holds it; a shared value is rendered once per block.  Every cell
+    is :func:`_render_cell` of its value, so the text is what rendering
+    each row on its own writes.
     """
+    columns = tuple(blocks[0]) if blocks else ()
+    if not blocks or any(tuple(block) != columns for block in blocks):
+        raise ValueError(f"need one or more blocks, each keyed by the header {columns}")
     lines = [",".join(columns)]
     rendered = {}  # id(list) -> (list, its cells), for the previous block's lists
     for block in blocks:
@@ -151,10 +143,10 @@ def render_csv(blocks: list[dict], columns: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, blocks: list[dict], columns: tuple[str, ...]) -> None:
+def write_csv(path, blocks: list[dict]) -> None:
     """Render and encode first, then write, so a render that raises leaves
     ``path`` as it was."""
-    data = render_csv(blocks, columns).encode("ascii")
+    data = render_csv(blocks).encode("ascii")
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -279,10 +271,10 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
         if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):
             raise NumericalError(
                 f"optimized covert rate not nondecreasing in epsilon at p_j={p_j}")
+        cells = {name: [getattr(r, name) for r in results] for name in _RESULT_COLUMNS}
         block = scenario_columns(base)
-        block.update({name: [getattr(r, name) for r in results]
-                      for name in _RESULT_COLUMNS})
-        block.update(epsilon=epsilons, h_min=block["h_star"], seed=int(seed),
+        block.update(epsilon=epsilons, feasible=cells["feasible"], h_min=cells["h_star"])
+        block.update(cells, seed=int(seed),
                      scenario_hash=_canonical_hashes(base, "epsilon", epsilon_cells))
         blocks.append(block)
     return blocks

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -27,6 +28,12 @@ from uavcovert.rates import snrs_at  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
+
+# Every property draws the same examples on every run and keeps no example
+# database, so tier-1 passes or fails the same way each time.
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")
@@ -414,10 +421,10 @@ def per_epsilon_covertness_oracle(scenario: Scenario, sweep, p_u_values,
             raise NumericalError(
                 f"optimized covert rate not nondecreasing in epsilon at p_j={p_j}")
         base = scenario.replace(p_j=p_j)
+        cells = {name: [getattr(r, name) for r in results] for name in _RESULT_COLUMNS}
         block = scenario_columns(base)
-        block.update({name: [getattr(r, name) for r in results]
-                      for name in _RESULT_COLUMNS})
-        block.update(epsilon=epsilons, h_min=block["h_star"], seed=int(seed),
+        block.update(epsilon=epsilons, feasible=cells["feasible"], h_min=cells["h_star"])
+        block.update(cells, seed=int(seed),
                      scenario_hash=_canonical_hashes(base, "epsilon", epsilon_cells))
         blocks.append(block)
     return blocks

@@ -1,8 +1,13 @@
 import dataclasses
 import importlib
 import inspect
+import pathlib
+import tomllib
 
 import uavcovert
+import uavcovert.cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 PUBLIC_API = {
     "ConfigError", "DestinationSnrEstimate", "GridSpec",
@@ -23,7 +28,8 @@ REMOVED = {
     "sample_rayleigh_power", "p_false_alarm", "p_missed_detection",
     "_exp_of_exponent", "linear_to_db", "_identity", "feasible_interval",
     "FeasibleHeightInterval", "covert_height_bound", "_covert_floor",
-    "secrecy_rate_at_height", "DetectionPoint",
+    "secrecy_rate_at_height", "DetectionPoint", "DETECTION_COLUMNS",
+    "RATE_COLUMNS", "COVERTNESS_COLUMNS", "OPTIMIZE_COLUMNS",
 }
 
 # names kept inside their modules but not exported
@@ -37,6 +43,15 @@ def test_public_api_is_pinned():
     assert len(uavcovert.__all__) == len(set(uavcovert.__all__))
     assert set(uavcovert.__all__) == PUBLIC_API
     assert len(PUBLIC_API) == 23
+
+
+def test_uavcovert_command_runs_the_cli_main():
+    # every README example runs `uavcovert ...`: the installed script
+    with (ROOT / "pyproject.toml").open("rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"uavcovert": "uavcovert.cli:main"}
+    module, _, name = scripts["uavcovert"].partition(":")
+    assert getattr(importlib.import_module(module), name) is uavcovert.cli.main
 
 
 def test_scenario_schema_is_one_way():
@@ -57,6 +72,8 @@ def test_entry_points_take_only_the_inputs_callers_vary():
         "p_u_stop", "p_j_stop", "p_u_steps", "p_j_steps"]
     assert parameters(uavcovert.security_height_bound) == ["scenario"]
     assert parameters(uavcovert.capacity) == ["snrs"]
+    assert parameters(uavcovert.render_csv) == ["blocks"]
+    assert parameters(uavcovert.write_csv) == ["path", "blocks"]
     # perfbench/tracer.py reads these argument names for its counters
     assert parameters(uavcovert.simulate_detection) == [
         "scenario", "gamma", "n_trials", "seed"]

@@ -625,16 +625,65 @@ def test_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch, argv):
     written = []
     write_csv = uavcovert.cli.write_csv
 
-    def recording(path, records, columns):
-        written.append((records, columns))
-        write_csv(path, records, columns)
+    def recording(path, blocks):
+        written.append((path, blocks))
+        write_csv(path, blocks)
 
     monkeypatch.setattr(uavcovert.cli, "write_csv", recording)
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == (3 if "--pu-max" in argv else 0)
-    ((records, columns),) = written
+    ((path, blocks),) = written
+    assert path == str(out)
     assert out.read_bytes() == reference_render_csv(
-        expand_rows(records), columns).encode("ascii")
+        expand_rows(blocks), tuple(blocks[0])).encode("ascii")
+
+
+_SCENARIO_HEADER = ("d_a2,d_b2,d_w2,h,beta,p_a,p_u,p_j,p_max,sigma_u2,sigma_b2,"
+                    "sigma_w2,epsilon,r_s,")
+
+
+@pytest.mark.parametrize("argv, code, header", [
+    (["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"), "--trials", "10",
+      "--steps", "2"], 0,
+     "gamma,p_fa,p_md,zeta,p_fa_mc,p_md_mc,zeta_mc,gamma_star,zeta_star,n_trials,"
+     "seed,scenario_hash"),
+    (["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"), "--steps", "2"], 0,
+     "gamma_u,gamma_b,c_u,c_b,c_s,r_b,seed,scenario_hash"),
+    (["covertness-sweep", "--scenario", str(SCENARIOS / "fig5.json"), "--steps", "2",
+      "--pu-steps", "4"], 0,
+     "feasible,h_min,h_max,p_u_star,p_j_star,h_star,r_b_star,c_s_star,seed,"
+     "scenario_hash"),
+    (["optimize", "--scenario", str(SCENARIOS / "fig5.json"), "--pu-steps", "4",
+      "--pj-steps", "4"], 0,
+     "feasible,p_u_star,p_j_star,h_star,r_b_star,c_s_star,active_constraints,seed,"
+     "scenario_hash"),
+    (["optimize", "--scenario", str(SCENARIOS / "fig4.json"), "--pu-steps", "2",
+      "--pj-steps", "2", "--pu-max", "0.1", "--pj-max", "0.1"], 3,
+     "feasible,p_u_star,p_j_star,h_star,r_b_star,c_s_star,active_constraints,seed,"
+     "scenario_hash"),
+], ids=["detect-sweep", "rate-sweep", "covertness-sweep", "optimize",
+        "optimize-infeasible"])
+def test_every_csv_header_is_pinned(tmp_path, capsys, argv, code, header):
+    # each runner's block keys are the header, so the code holds no copy
+    # of these lists to compare with
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_text().split("\n", 1)[0] == _SCENARIO_HEADER + header
+
+
+def test_detect_sweep_rejects_a_span_that_overflows(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"),
+                     "--out", str(out), "--trials", "10", "--start=-1e308",
+                     "--stop", "1e308", "--steps", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: sweep bounds must be finite, as must their "
+                            "span stop - start, got [-1e+308, 1e+308]\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, stop", [
@@ -709,7 +758,7 @@ _EXTREME_CHANGES = st.lists(
 
 
 @given(changes=_EXTREME_CHANGES)
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 def test_every_subcommand_keeps_the_float_domain_rule(tmp_path_factory, changes):
     # fig5 with one to four fields at an extreme: every subcommand exits 2
     # or 4 with at most one stderr line, or exits 0 or 3, with no warning;

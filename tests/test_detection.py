@@ -191,7 +191,7 @@ def test_error_curve_out_of_range_is_numerical_error(fig2, tmp_path, monkeypatch
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.0, 12.0, **finite))
 def test_total_error_decomposition_random(seed, frac):
     s = draw_scenario(np.random.default_rng(seed))

@@ -20,9 +20,7 @@ from uavcovert import (
     simulate_destination_snr, simulate_detection,
     write_csv,
 )
-from uavcovert.experiments import (
-    COVERTNESS_COLUMNS, DETECTION_COLUMNS, RATE_COLUMNS, mc_zeta_tolerance,
-)
+from uavcovert.experiments import mc_zeta_tolerance
 
 from uavcovert.cli import main
 from uavcovert.model import _canonical_hashes
@@ -60,6 +58,11 @@ def test_sweepspec_validation():
                         (0.0, math.nan), (math.inf, math.inf)):
         with pytest.raises(ConfigError):
             SweepSpec(start, stop, 5, (2.0,))
+    # finite bounds whose span overflows would give inf and nan points
+    for start, stop in ((-1e308, 1e308), (-1.7976931348623157e308, 1e300)):
+        with pytest.raises(ConfigError, match="span stop - start, got"):
+            SweepSpec(start, stop, 3, (2.0,))
+    assert SweepSpec(-8e307, 8e307, 3, (2.0,)).points().tolist() == [-8e307, 0.0, 8e307]
 
 
 def test_sweepspec_degenerate_single_point():
@@ -124,8 +127,7 @@ def test_detection_sweep_deterministic_across_runs(fig2):
     spec = detection_sweep_spec(steps=5)
     first = run_detection_sweep(fig2, spec, n_trials=2000, seed=11)
     again = run_detection_sweep(fig2, spec, n_trials=2000, seed=11)
-    assert render_csv(first, DETECTION_COLUMNS) == render_csv(
-        again, DETECTION_COLUMNS)
+    assert render_csv(first) == render_csv(again)
 
 
 # -- rate sweep --------------------------------------------------------------
@@ -375,8 +377,7 @@ def test_covertness_sweep_matches_per_epsilon_oracle(monkeypatch, log2_skew,
         got = run_covertness_sweep(s, sweep, p_u_values, seed=trial)
         want = per_epsilon_covertness_oracle(s, sweep, p_u_values, seed=trial)
         assert_same_blocks(got, want)
-        assert render_csv(got, COVERTNESS_COLUMNS) == render_csv(
-            want, COVERTNESS_COLUMNS)
+        assert render_csv(got) == render_csv(want)
         flags = [f for block in want for f in block["feasible"]]
         seen["feasible"] += sum(flags)
         seen["infeasible"] += len(flags) - sum(flags)
@@ -476,7 +477,7 @@ def assert_blocks_scale(got, want, scales):
        r_s=st.sampled_from([0.0, 0.01]))
 @example(seed=0, m=-300, r_s=0.0)
 @example(seed=0, m=300, r_s=0.01)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_runners_are_bit_equal_under_power_of_two_power_scaling(seed, m, r_s):
     # Scaling every power and noise by 2^m is exact in binary floating point
     # while no intermediate leaves the normal range, and every SNR, covert
@@ -595,7 +596,7 @@ def test_outputs_are_equivariant_under_power_of_two_geometric_scaling(m):
 @given(m=st.integers(-3, 12).filter(lambda m: m not in (-2, 3)))
 @example(m=-3)
 @example(m=12)
-@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@settings(max_examples=6)
 def test_geometric_scaling_holds_for_every_exponent_in_range(m):
     check_geometric_scaling(m)
 
@@ -605,23 +606,24 @@ def test_geometric_scaling_holds_for_every_exponent_in_range(m):
 def test_render_csv_round_trips_floats(fig2):
     blocks = run_detection_sweep(fig2, detection_sweep_spec(steps=4),
                                  n_trials=50, seed=1)
-    text = render_csv(blocks, DETECTION_COLUMNS)
+    text = render_csv(blocks)
     records = expand_rows(blocks)
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(DETECTION_COLUMNS)
+    assert lines[0] == ",".join(blocks[0])
     cells = lines[1].split(",")
-    parsed = dict(zip(DETECTION_COLUMNS, cells))
+    parsed = dict(zip(blocks[0], cells))
     for column in ("gamma", "p_fa", "zeta_mc", "beta", "sigma_w2"):
         assert float(parsed[column]) == records[0][column]
     assert parsed["scenario_hash"] == records[0]["scenario_hash"]
 
 
 class FreshFloats(dict):
-    """A record, holding no list, whose every lookup returns a new float
-    object, so that a freed cell's id is free for the next column's
-    objects to reuse."""
+    """A record over columns a, bb and ccc, holding no list, whose every
+    lookup returns a new float object, so that a freed cell's id is free
+    for the next column's objects to reuse."""
 
     def __init__(self, row):
+        super().__init__(dict.fromkeys(("a", "bb", "ccc")))
         self.row = row
 
     def __getitem__(self, column):
@@ -644,62 +646,47 @@ def _render_cases() -> dict:
               "d": i, "e": "x" * (i % 3), "f": shared if i < 3 else f"{i}"}
              for i in range(7)]
     return {
-        "mixed-shared-and-fresh": (mixed, ("a", "b", "c", "d", "e", "f")),
-        "signed-zeros": (
-            [{"a": zero, "b": negative_zero, "c": v, "d": w}
-             for v, w in ((zero, 1), (negative_zero, 2), (zero, "z"),
-                          (-0.0, negative_zero))],
-            ("a", "b", "c", "d")),
-        "true-one-one-point-zero": (
-            [{"a": v, "b": True, "c": 1, "d": 1.0}
-             for v in (True, 1, 1.0, False, 0, 0.0, True)],
-            ("b", "c", "d", "a")),
-        "special-floats": (
-            [{"a": v, "b": math.nan, "c": v, "d": u}
-             for v, u in ((math.nan, 1), (math.inf, math.nan), (-math.inf, "s"),
-                          (1e16, float("nan")), (5e-324, -5e-324))],
-            ("a", "b", "c", "d")),
-        "str-and-int": (
-            [{"name": f"row{i % 2}", "count": i * 10 ** i, "seed": 7, "hash": "ab"}
-             for i in range(5)],
-            ("hash", "count", "name", "seed")),
-        "column-under-two-names": (
-            [{"a": 0.5 * i, "b": 2.0, "c": i} for i in range(4)],
-            ("a", "b", "a", "c", "b", "c")),
-        "float-subclasses": (
-            [{"a": v, "b": Tenths(i), "c": np.float64(i)}
-             for i, v in enumerate((0.1, np.float64(0.1), Tenths(0.1), 0.1))],
-            ("a", "b", "c")),
-        "blocks": (
-            [{"a": shared, "b": zero if i < 300 else negative_zero, "c": 0.5 * i,
-              "d": i % 3 == 0, "e": f"h{i // 50}", "f": 7}
-             for i in range(515)],
-            ("a", "b", "c", "d", "e", "f", "c")),
-        "str-subclass": (
-            [{"a": v, "b": "x", "c": f"r{i}"}
-             for i, v in enumerate(("p", Shouting("q"), "q", Shouting("p")))],
-            ("a", "b", "c", "a")),
-        "zero-records": ([], ("a", "b")),
-        "one-record": ([{"a": -0.0, "b": True, "c": "s", "d": 3}], ("a", "b", "c", "d")),
-        "one-record-last-block": (
-            [{"a": 0.5 * i, "b": i % 2 == 0, "c": shared, "d": 1}
-             for i in range(257)],
-            ("a", "b", "c", "d", "c")),
-        "fresh-floats": ([FreshFloats(i) for i in range(20)], ("a", "bb", "ccc")),
+        "mixed-shared-and-fresh": mixed,
+        "signed-zeros": [{"a": zero, "b": negative_zero, "c": v, "d": w}
+                         for v, w in ((zero, 1), (negative_zero, 2), (zero, "z"),
+                                      (-0.0, negative_zero))],
+        "true-one-one-point-zero": [{"b": True, "c": 1, "d": 1.0, "a": v}
+                                    for v in (True, 1, 1.0, False, 0, 0.0, True)],
+        "special-floats": [
+            {"a": v, "b": math.nan, "c": v, "d": u}
+            for v, u in ((math.nan, 1), (math.inf, math.nan), (-math.inf, "s"),
+                         (1e16, float("nan")), (5e-324, -5e-324))],
+        "str-and-int": [{"hash": "ab", "count": i * 10 ** i, "name": f"row{i % 2}",
+                         "seed": 7} for i in range(5)],
+        "column-under-two-names": [
+            {"a": a, "b": 2.0, "a2": a, "c": i, "b2": 2.0, "c2": i}
+            for i, a in enumerate((0.0, 0.5, 1.0, 1.5))],
+        "float-subclasses": [
+            {"a": v, "b": Tenths(i), "c": np.float64(i)}
+            for i, v in enumerate((0.1, np.float64(0.1), Tenths(0.1), 0.1))],
+        "blocks": [{"a": shared, "b": zero if i < 300 else negative_zero,
+                    "c": c, "d": i % 3 == 0, "e": f"h{i // 50}", "f": 7, "c2": c}
+                   for i, c in enumerate(0.5 * k for k in range(515))],
+        "str-subclass": [
+            {"a": v, "b": "x", "c": f"r{i}", "a2": v}
+            for i, v in enumerate(("p", Shouting("q"), "q", Shouting("p")))],
+        "one-record": [{"a": -0.0, "b": True, "c": "s", "d": 3}],
+        "one-record-last-block": [
+            {"a": 0.5 * i, "b": i % 2 == 0, "c": shared, "d": 1, "c2": shared}
+            for i in range(257)],
+        "fresh-floats": [FreshFloats(i) for i in range(20)],
         "fresh-floats-with-ints": (
-            [FreshFloats(i) for i in range(20)] + [{"a": 1, "bb": 2, "ccc": 3}],
-            ("a", "bb", "ccc", "a")),
-        "fresh-floats-over-blocks": (
-            [FreshFloats(i) if i % 100 else {"a": i, "bb": True, "ccc": "s"}
-             for i in range(376)],
-            ("a", "bb", "ccc")),
+            [FreshFloats(i) for i in range(20)] + [{"a": 1, "bb": 2, "ccc": 3}]),
+        "fresh-floats-over-blocks": [
+            FreshFloats(i) if i % 100 else {"a": i, "bb": True, "ccc": "s"}
+            for i in range(376)],
     }
 
 
 @pytest.mark.parametrize("case", sorted(_render_cases()))
 def test_render_csv_matches_row_at_a_time_reference(case):
-    records, columns = _render_cases()[case]
-    assert render_csv(records, columns) == reference_render_csv(records, columns)
+    records = _render_cases()[case]
+    assert render_csv(records) == reference_render_csv(records, tuple(records[0]))
 
 
 _CELLS = st.one_of(
@@ -716,13 +703,14 @@ _CELLS = st.one_of(
 
 @st.composite
 def column_blocks(draw):
-    """Blocks over columns a-d, each column a scalar, a fresh list (of
-    mixed cells or of exact floats), or a list the block already holds or
-    the previous block held; the CSV may name a column twice."""
-    names = ("a", "b", "c", "d")
-    columns = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=6)))
+    """One to three blocks over one drawn order of some of the columns a-d,
+    each column a scalar, a fresh list (of mixed cells or of exact floats),
+    or a list the block already holds or the previous block held, so two
+    columns may hold one list."""
+    names = tuple(draw(st.permutations(("a", "b", "c", "d")))[
+        :draw(st.integers(1, 4))])
     blocks, previous = [], []
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(0, 4))
         block, held = {}, [v for v in previous if len(v) == n]
         for name in names:
@@ -737,28 +725,40 @@ def column_blocks(draw):
                 held.append(block[name])
         previous = [v for v in block.values() if type(v) is list]
         blocks.append(block)
-    return blocks, columns
+    return blocks
 
 
 _SHARED = [0.0, -0.0, math.nan, 0.1]
 
 
 @given(column_blocks())
-@example(([{"a": _SHARED, "b": _SHARED, "c": 5e-324, "d": [True, 1, 1.0, -0.0]},
-           {"a": _SHARED, "b": [math.inf, np.float64(0.1), Tenths(0.2), Shouting("q")],
-            "c": Shouting("p"), "d": [1.0, -0.0, 0.0, True]}],
-          ("a", "b", "c", "d", "a")))
-@example(([{"a": ["p", "q,"], "b": [Shouting("p"), Shouting("q")], "c": "p",
-            "d": ["p", Shouting("q")]}], ("a", "b", "c", "d")))
-@settings(max_examples=300, deadline=None)
-def test_render_csv_blocks_match_row_at_a_time_reference(case):
-    blocks, columns = case
-    assert render_csv(blocks, columns) == reference_render_csv(expand_rows(blocks), columns)
+@example([{"a": _SHARED, "b": _SHARED, "c": 5e-324, "d": [True, 1, 1.0, -0.0]},
+          {"a": _SHARED, "b": [math.inf, np.float64(0.1), Tenths(0.2), Shouting("q")],
+           "c": Shouting("p"), "d": [1.0, -0.0, 0.0, True]}])
+@example([{"a": ["p", "q,"], "b": [Shouting("p"), Shouting("q")], "c": "p",
+           "d": ["p", Shouting("q")]}])
+@settings(max_examples=300)
+def test_render_csv_blocks_match_row_at_a_time_reference(blocks):
+    assert render_csv(blocks) == reference_render_csv(expand_rows(blocks),
+                                                      tuple(blocks[0]))
 
 
 def test_render_csv_rejects_ragged_block():
     with pytest.raises(ValueError, match="differ in length"):
-        render_csv([{"a": [1.0, 2.0], "b": [3.0], "c": 7}], ("a", "b", "c"))
+        render_csv([{"a": [1.0, 2.0], "b": [3.0], "c": 7}])
+
+
+@pytest.mark.parametrize("second", [
+    {"a": [3.0]}, {"a": [3.0], "b": 2, "c": 5}, {"b": 2, "a": [3.0]}],
+    ids=["missing", "extra", "reordered"])
+def test_render_csv_rejects_a_block_whose_keys_differ_from_the_header(second):
+    with pytest.raises(ValueError, match=r"keyed by the header \('a', 'b'\)"):
+        render_csv([{"a": [1.0, 2.0], "b": 1}, second])
+
+
+def test_render_csv_rejects_no_blocks():
+    with pytest.raises(ValueError, match=r"one or more blocks, .* header \(\)"):
+        render_csv([])
 
 
 def test_sweep_blocks_share_their_lists(fig2, fig3, fig5):
@@ -780,26 +780,27 @@ def test_rate_sweep_csv_memory_per_row(fig3):
     # 1,500 rows of 25 columns: the blocks, one block's cells and the text
     # peak near 1.1 KB a row; a dict per row took 1.76 KB
     spec = SweepSpec(0.0, 25.0, 500, (6.25, 7.5, 9.75))
-    peak = traced_peak_bytes(lambda: render_csv(run_rate_sweep(fig3, spec), RATE_COLUMNS))
+    peak = traced_peak_bytes(lambda: render_csv(run_rate_sweep(fig3, spec)))
     assert peak / 1500 < 1450
 
 
 def test_write_csv_leaves_file_unchanged_when_render_raises(tmp_path, fig3):
     out = tmp_path / "rates.csv"
     records = run_rate_sweep(fig3, rate_sweep_spec(steps=3))
-    write_csv(out, records, RATE_COLUMNS)
+    write_csv(out, records)
     before = out.read_bytes()
     del records[-1]["c_s"]
-    with pytest.raises(KeyError):
-        write_csv(out, records, RATE_COLUMNS)
+    with pytest.raises(ValueError, match="keyed by the header"):
+        write_csv(out, records)
     assert out.read_bytes() == before
 
 
-def test_csv_columns_prefixed_by_scenario():
-    for columns in (DETECTION_COLUMNS, RATE_COLUMNS, COVERTNESS_COLUMNS):
-        assert columns[:14] == ("d_a2", "d_b2", "d_w2", "h", "beta", "p_a",
-                                "p_u", "p_j", "p_max", "sigma_u2", "sigma_b2",
-                                "sigma_w2", "epsilon", "r_s")
+def test_csv_columns_prefixed_by_scenario(fig5):
+    for runner in ("detect-sweep", "rate-sweep", "covertness-sweep"):
+        blocks = _RUNNERS[runner](fig5, 0)
+        assert tuple(blocks[0])[:14] == ("d_a2", "d_b2", "d_w2", "h", "beta", "p_a",
+                                         "p_u", "p_j", "p_max", "sigma_u2", "sigma_b2",
+                                         "sigma_w2", "epsilon", "r_s")
 
 
 def test_records_recomputable_from_scenario_columns(fig2, fig3):
@@ -809,17 +810,17 @@ def test_records_recomputable_from_scenario_columns(fig2, fig3):
     det = run_detection_sweep(fig2, detection_sweep_spec(steps=5),
                               n_trials=100, seed=6)
     for row in expand_rows(det):
-        text = render_csv([row], DETECTION_COLUMNS).strip().split("\n")[1]
-        parsed = dict(zip(DETECTION_COLUMNS, text.split(",")))
-        rebuilt = Scenario(**{k: float(parsed[k]) for k in DETECTION_COLUMNS[:14]})
+        header, text = render_csv([row]).strip().split("\n")
+        parsed = dict(zip(header.split(","), text.split(",")))
+        rebuilt = Scenario(**{k: float(parsed[k]) for k in header.split(",")[:14]})
         assert error_curve(rebuilt, [float(parsed["gamma"])])[2][0] == row["zeta"]
         assert optimal_detection(rebuilt).gamma_star == row["gamma_star"]
 
     rates = run_rate_sweep(fig3, rate_sweep_spec(steps=5))
     for row in expand_rows(rates):
-        text = render_csv([row], RATE_COLUMNS).strip().split("\n")[1]
-        parsed = dict(zip(RATE_COLUMNS, text.split(",")))
-        rebuilt = Scenario(**{k: float(parsed[k]) for k in RATE_COLUMNS[:14]})
+        header, text = render_csv([row]).strip().split("\n")
+        parsed = dict(zip(header.split(","), text.split(",")))
+        rebuilt = Scenario(**{k: float(parsed[k]) for k in header.split(",")[:14]})
         assert rate_report(rebuilt).c_s == row["c_s"]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uavcovert import ConfigError, Scenario, db_to_linear
-from uavcovert.experiments import RATE_COLUMNS, SweepSpec, render_csv, run_rate_sweep
+from uavcovert.experiments import SweepSpec, render_csv, run_rate_sweep
 from uavcovert.model import _JSON_FIELDS, _canonical_hashes
 
 from conftest import (
@@ -133,8 +133,8 @@ def test_scenario_stores_every_field_as_a_float(fig3, value):
     assert all(type(getattr(got, f.name)) is float
                for f in dataclasses.fields(got))
     assert got.canonical_hash() == want.canonical_hash()
-    assert (render_csv(run_rate_sweep(got, sweep), RATE_COLUMNS)
-            == render_csv(run_rate_sweep(want, sweep), RATE_COLUMNS))
+    assert (render_csv(run_rate_sweep(got, sweep))
+            == render_csv(run_rate_sweep(want, sweep)))
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_, "1.0", 1 + 0j, None],

@@ -83,7 +83,7 @@ def test_expanded_form_matches_per_link(fig4):
                             rel_tol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_expanded_form_matches_per_link_random(seed):
     s = draw_scenario(np.random.default_rng(seed))
