@@ -4,17 +4,8 @@ full-duplex jamming receiver."""
 
 from .errors import ConfigError, NumericalError
 from .model import Scenario, db_to_linear
-from .detection import (
-    OptimalDetection,
-    error_curve,
-    optimal_detection,
-    simulate_detection,
-)
-from .rates import (
-    DestinationSnrEstimate,
-    capacity,
-    simulate_destination_snr,
-)
+from .detection import error_curve, optimal_detection, simulate_detection
+from .rates import capacity, simulate_destination_snr
 from .constraints import security_height_bound
 from .optimizer import (
     GridSpec,
@@ -23,7 +14,6 @@ from .optimizer import (
 )
 from .experiments import (
     SweepSpec,
-    ValidationCheck,
     render_csv,
     run_covertness_sweep,
     run_detection_sweep,
@@ -36,14 +26,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "DestinationSnrEstimate",
     "GridSpec",
     "NumericalError",
-    "OptimalDetection",
     "OptimizationResult",
     "Scenario",
     "SweepSpec",
-    "ValidationCheck",
     "capacity",
     "db_to_linear",
     "error_curve",

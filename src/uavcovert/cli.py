@@ -168,9 +168,9 @@ def _cmd_optimize(scenario: Scenario, args) -> int:
 def _cmd_validate(scenario: Scenario, args) -> int:
     checks = run_validation(scenario, n_trials=args.trials, n_symbols=args.symbols,
                             seed=args.seed, gamma_points=args.gamma_points)
-    for check in checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
-    return EXIT_OK if all(c.passed for c in checks) else EXIT_NUMERICAL
+    for name, passed, detail in checks:
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    return EXIT_OK if all(passed for _, passed, _ in checks) else EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:

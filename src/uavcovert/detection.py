@@ -5,31 +5,30 @@ and decides "relay transmitting" above it.  Under jamming with a unit-mean
 exponential fade the false-alarm and missed-detection probabilities have
 simple exponential closed forms; their sum ``zeta`` is the total error
 probability, minimized at a threshold ``gamma_star`` with floor
-``zeta_star``.  The closed forms are one list pass, :func:`error_curve`;
-a vectorized Monte Carlo mirror, :func:`simulate_detection`, reproduces
-them one threshold per call and returns the same ``(p_fa, p_md, zeta)``
-triple as one element of the curve.  The mirror draws its fades first and
-then works in place in one float array, about 9 bytes per trial.
+``zeta_star``, the pair that :func:`optimal_detection` returns.  The
+closed forms are one list pass, :func:`error_curve`; a vectorized Monte
+Carlo mirror, :func:`simulate_detection`, reproduces them one threshold
+per call and returns the same ``(p_fa, p_md, zeta)`` triple as one
+element of the curve.  The mirror draws its fades first and then works in
+place in one float array, about 9 bytes per trial.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, _check_count
+from .errors import ConfigError, NumericalError, _check_count
 from .model import Scenario
 
 _ZETA_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class OptimalDetection:
-    """Error-minimizing threshold and the resulting error floor."""
-
-    gamma_star: float
-    zeta_star: float
+def _check_thresholds(gammas) -> None:
+    """Raise ConfigError if a threshold is NaN, the one float outside the
+    domain of :func:`error_curve` and :func:`simulate_detection`."""
+    if any(map(math.isnan, gammas)):
+        raise ConfigError("threshold gamma must not be NaN")
 
 
 def error_curve(scenario: Scenario, gammas):
@@ -42,17 +41,20 @@ def error_curve(scenario: Scenario, gammas):
 
     and zeta = P_FA + P_MD.  gamma_star is the signal-plus-noise floor of
     :func:`optimal_detection`; the warden's signal term P_u |h_uw|^2 is
-    deterministic LOS, so only the jamming fade is random.  A quotient that
-    overflows to -inf is the defined limit, exp -> 0.  The exponentials are
-    ``math.exp``, not ``np.exp``, whose AVX-512 kernel is not correctly
-    rounded on every fig2 threshold: the CSV bytes would depend on the
-    host's SIMD dispatch.  Raises :class:`NumericalError` if zeta leaves
-    [0, 1].
+    deterministic LOS, so only the jamming fade is random.  A threshold is
+    any float but NaN (:class:`ConfigError`); -inf and +inf give the limits
+    (1, 0, 1) and (0, 1, 1).  A quotient that overflows to -inf is the
+    defined limit, exp -> 0.  The exponentials are ``math.exp``, not
+    ``np.exp``, whose AVX-512 kernel is not correctly rounded on every fig2
+    threshold: the CSV bytes would depend on the host's SIMD dispatch.
+    Raises :class:`NumericalError` if zeta leaves [0, 1].
     """
     s = scenario
-    gamma_star = optimal_detection(s).gamma_star
+    gamma_star, _ = optimal_detection(s)
     p_fa, p_md, zeta = [], [], []
-    for g in map(float, gammas):
+    gammas = list(map(float, gammas))
+    _check_thresholds(gammas)
+    for g in gammas:
         fa = math.exp((s.sigma_w2 - g) / s.p_j) if g >= s.sigma_w2 else 1.0
         md = 1.0 - math.exp((gamma_star - g) / s.p_j) if g >= gamma_star else 0.0
         z = fa + md
@@ -64,24 +66,24 @@ def error_curve(scenario: Scenario, gammas):
     return p_fa, p_md, zeta
 
 
-def optimal_detection(scenario: Scenario) -> OptimalDetection:
-    """Error-minimizing threshold and floor.
+def optimal_detection(scenario: Scenario) -> tuple[float, float]:
+    """Error-minimizing threshold and floor ``(gamma_star, zeta_star)``:
 
     gamma_star = sigma_w^2 + P_u beta / (d_w^2 + h^2)
     zeta_star  = exp(-P_u beta / (P_J (d_w^2 + h^2)))
     """
     s = scenario
     signal = s.p_u * s.beta / (s.d_w2 + s.h * s.h)
-    return OptimalDetection(
-        gamma_star=s.sigma_w2 + signal,
-        zeta_star=math.exp(-signal / s.p_j),
-    )
+    return s.sigma_w2 + signal, math.exp(-signal / s.p_j)
 
 
 def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
                        seed) -> tuple[float, float, float]:
     """Monte Carlo ``(p_fa, p_md, zeta)`` of the radiometer test at the
-    threshold ``gamma``, with ``zeta = p_fa + p_md``.
+    threshold ``gamma``, with ``zeta = p_fa + p_md``.  ``gamma`` is any
+    float but NaN (:class:`ConfigError`), as in :func:`error_curve`, whose
+    limits at -inf and +inf it shares; the rates are Python floats for any
+    integer ``n_trials``, numpy's included.
 
     Each trial draws one quasi-static jamming fade |h_bw|^2 ~ Exp(1) and
     applies the threshold rule under both hypotheses (silent and
@@ -98,13 +100,15 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
     per trial.
     """
     _check_count("n_trials", n_trials)
+    _check_thresholds((gamma,))
     s = scenario
+    n = int(n_trials)
     rng = np.random.default_rng(seed)
-    t = rng.standard_exponential(int(n_trials))              # |h_bw|^2
+    t = rng.standard_exponential(n)                          # |h_bw|^2
     with np.errstate(over="ignore"):  # inf is the limit: above any gamma
         t *= s.p_j
     t += s.sigma_w2                                          # silent
-    p_fa = float(np.count_nonzero(t >= gamma)) / n_trials
+    p_fa = float(np.count_nonzero(t >= gamma)) / n
     t += s.p_u * (s.beta / (s.d_w2 + s.h * s.h))             # transmitting
-    p_md = float(np.count_nonzero(t < gamma)) / n_trials
+    p_md = float(np.count_nonzero(t < gamma)) / n
     return p_fa, p_md, p_fa + p_md

@@ -23,6 +23,7 @@ gives h_max and the active-constraint flags.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,22 @@ _BLOCK_CELLS = 65536
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Candidate forward / jamming power values, ascending and distinct."""
+    """Candidate forward / jamming power values, ascending and distinct,
+    each axis stored as a tuple of Python floats, as a :class:`Scenario`
+    stores its fields."""
 
     p_u_values: tuple[float, ...]
     p_j_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for name, values in (("p_u_values", self.p_u_values),
-                             ("p_j_values", self.p_j_values)):
+        for name in ("p_u_values", "p_j_values"):
+            values = getattr(self, name)
+            if not all(type(v) is float or (isinstance(v, numbers.Real)
+                                            and not isinstance(v, bool))
+                       for v in values):
+                raise ConfigError(f"{name} must be real numbers, got {values!r}")
+            values = tuple(map(float, values))
+            object.__setattr__(self, name, values)
             if len(values) < 1:
                 raise ConfigError(f"{name} must be nonempty")
             if any(not (math.isfinite(v) and v > 0.0) for v in values):

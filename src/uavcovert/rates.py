@@ -15,7 +15,6 @@ and two chunk-sized scratch buffers, about 24 bytes per symbol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -74,16 +73,6 @@ def snrs_at(scenario: Scenario, p_u, p_j, h):
     return gamma_u, num / den
 
 
-@dataclass(frozen=True)
-class DestinationSnrEstimate:
-    """Signal-level Monte Carlo summary of the relay chain."""
-
-    snr: float
-    forwarded_power: float  # mean |x_u|^2, should be 1 by the scaling choice
-    signal_power: float
-    noise_power: float
-
-
 # Symbols per chunk of the simulator's scratch buffers.  Complex abs needs
 # complex storage, and 2^14 symbols (256 KiB complex, 128 KiB real) keep
 # that scratch in cache at a negligible share of the length-n arrays.  No
@@ -100,14 +89,16 @@ def _chunks(n: int, *scratch: np.ndarray):
 
 
 def simulate_destination_snr(scenario: Scenario, n_symbols: int,
-                             seed) -> DestinationSnrEstimate:
-    """Estimate the destination SNR by pushing symbols through the chain.
+                             seed) -> tuple[float, float]:
+    """Estimate the destination SNR by pushing symbols through the chain:
+    ``(snr, forwarded_power)``, the second the mean |x_u|^2, which the
+    relay scaling makes 1.
 
     Draws source, jamming, and noise symbols; forms the relay's received
     waveform; scales it by G; and splits the receiver's observation into
     its source-signal and noise components (the receiver's own jamming is
-    cancelled).  Independent of the closed forms, so it serves as their
-    oracle.
+    cancelled); the SNR is the ratio of their mean powers.  Independent of
+    the closed forms, so it serves as their oracle.
 
     The stream is consumed in a fixed order, each complex stream as
     ``n_symbols`` real parts then ``n_symbols`` imaginary parts: the source
@@ -189,9 +180,4 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
         np.abs(zk, out=re[k])
     re *= re
     noise_power = float(np.mean(re))
-    return DestinationSnrEstimate(
-        snr=signal_power / noise_power,
-        forwarded_power=forwarded_power,
-        signal_power=signal_power,
-        noise_power=noise_power,
-    )
+    return signal_power / noise_power, forwarded_power

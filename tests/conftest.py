@@ -15,8 +15,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
-    ConfigError, DestinationSnrEstimate, GridSpec,
-    NumericalError, Scenario, maximize_covert_rate,
+    ConfigError, GridSpec, NumericalError, Scenario, maximize_covert_rate,
     optimal_detection,
 )
 from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid  # noqa: E402
@@ -269,7 +268,7 @@ def scan_feasibility(scenario: Scenario) -> tuple[bool | None, bool | None]:
 
 def min_error_at_height(scenario: Scenario, h: float) -> float:
     """zeta_star as a function of altitude, other fields fixed."""
-    return optimal_detection(scenario.replace(h=h)).zeta_star
+    return optimal_detection(scenario.replace(h=h))[1]
 
 
 class NoFeasibleHeight(Exception):
@@ -464,9 +463,10 @@ def _complex_normal(rng: np.random.Generator, variance: float, n: int) -> np.nda
 
 
 def reference_destination_snr(scenario: Scenario, n_symbols: int,
-                              seed) -> DestinationSnrEstimate:
+                              seed) -> tuple[float, float]:
     """The signal-level oracle as first written, one fresh array per
-    expression: the reference for the in-place simulate_destination_snr."""
+    expression: the reference ``(snr, forwarded_power)`` for the in-place
+    simulate_destination_snr."""
     s = scenario
     n = int(n_symbols)
     rng = np.random.default_rng(seed)
@@ -491,12 +491,7 @@ def reference_destination_snr(scenario: Scenario, n_symbols: int,
 
     signal_power = float(np.mean(np.abs(signal) ** 2))
     noise_power = float(np.mean(np.abs(noise) ** 2))
-    return DestinationSnrEstimate(
-        snr=signal_power / noise_power,
-        forwarded_power=forwarded_power,
-        signal_power=signal_power,
-        noise_power=noise_power,
-    )
+    return signal_power / noise_power, forwarded_power
 
 
 def reference_relay_snr(scenario: Scenario, n_symbols: int,

@@ -18,7 +18,6 @@ import hypothesis.strategies as st
 import uavcovert.cli
 import uavcovert.experiments
 from uavcovert.cli import main
-from uavcovert.experiments import ValidationCheck
 
 from conftest import PRESETS, expand_rows, reference_render_csv
 
@@ -181,7 +180,7 @@ def test_out_in_a_missing_directory_exits_two(tmp_path, capsys):
 
 
 def test_failing_validation_check_exits_four(monkeypatch, capsys):
-    checks = [ValidationCheck("closed", True, "ok"), ValidationCheck("mc", False, "2x off")]
+    checks = [("closed", True, "ok"), ("mc", False, "2x off")]
     monkeypatch.setattr(uavcovert.cli, "run_validation", lambda *args, **kwargs: checks)
     assert main(["validate", "--scenario", str(SCENARIOS / "fig2.json")]) == 4
     assert capsys.readouterr() == ("PASS closed: ok\nFAIL mc: 2x off\n", "")

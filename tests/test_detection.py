@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 import uavcovert.detection
 from uavcovert import (
-    ConfigError, NumericalError, OptimalDetection, Scenario,
+    ConfigError, NumericalError, Scenario,
     SweepSpec, error_curve, optimal_detection, run_detection_sweep,
     simulate_detection,
 )
@@ -111,11 +111,11 @@ def test_p_missed_detection_monte_carlo_oracle(fig2):
 # -- total error -------------------------------------------------------------
 
 def test_total_error_equals_piecewise_oracle(fig2):
-    opt = optimal_detection(fig2)
+    gamma_star, _ = optimal_detection(fig2)
     grid = np.concatenate([
         np.linspace(0.0, fig2.sigma_w2, 7),
-        np.linspace(fig2.sigma_w2, opt.gamma_star, 7),
-        np.linspace(opt.gamma_star, 10 * opt.gamma_star, 23),
+        np.linspace(fig2.sigma_w2, gamma_star, 7),
+        np.linspace(gamma_star, 10 * gamma_star, 23),
     ])
     p_fa, p_md, zeta = error_curve(fig2, grid)
     for gamma, fa, md, z in zip(grid, p_fa, p_md, zeta):
@@ -125,9 +125,14 @@ def test_total_error_equals_piecewise_oracle(fig2):
 
 def test_total_error_trivial_points(fig2):
     assert error_curve(fig2, [0.0])[2][0] == 1.0
-    opt = optimal_detection(fig2)
-    assert error_curve(fig2, [opt.gamma_star])[2][0] == pytest.approx(
-        opt.zeta_star, rel=1e-14)
+    assert error_curve(fig2, [-math.inf, math.inf]) == ([1.0, 0.0], [0.0, 1.0],
+                                                        [1.0, 1.0])
+    for gammas in ([math.nan], [0.1, math.nan], np.array([math.nan])):
+        with pytest.raises(ConfigError, match="must not be NaN"):
+            error_curve(fig2, gammas)
+    gamma_star, zeta_star = optimal_detection(fig2)
+    assert error_curve(fig2, [gamma_star])[2][0] == pytest.approx(
+        zeta_star, rel=1e-14)
 
 
 def test_total_error_curve_matches_pointwise(fig2):
@@ -146,7 +151,7 @@ def exactness_cases():
     cases = [(fig2.replace(p_u=p_u), fig2_grid) for p_u in (2.0, 3.0, 4.0)]
     for preset in ("fig2", "fig3", "fig4", "fig5"):
         s = Scenario.from_file(SCENARIOS / f"{preset}.json")
-        star = optimal_detection(s).gamma_star
+        star, _ = optimal_detection(s)
         edges = [s.sigma_w2, star]
         edges += [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
         cases.append((s, np.concatenate([rng.uniform(0.0, 12.0 * star, 3000),
@@ -179,7 +184,7 @@ def test_error_curve_out_of_range_is_numerical_error(fig2, tmp_path, monkeypatch
     # a gamma_star below the noise floor puts P_FA = 1 and P_MD > 0 on the
     # thresholds between them, so zeta exceeds 1
     monkeypatch.setattr(uavcovert.detection, "optimal_detection",
-                        lambda s: OptimalDetection(gamma_star=-1.0, zeta_star=1.0))
+                        lambda s: (-1.0, 1.0))
     with pytest.raises(NumericalError):
         error_curve(fig2, [0.1, 0.2])
     sweep = SweepSpec(0.0, 1.0, 3, (2.0,))
@@ -195,7 +200,7 @@ def test_error_curve_out_of_range_is_numerical_error(fig2, tmp_path, monkeypatch
 @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.0, 12.0, **finite))
 def test_total_error_decomposition_random(seed, frac):
     s = draw_scenario(np.random.default_rng(seed))
-    gamma = frac * optimal_detection(s).gamma_star
+    gamma = frac * optimal_detection(s)[0]
     p_fa, p_md, zeta = (c[0] for c in error_curve(s, [gamma]))
     assert zeta == p_fa + p_md
     assert 0.0 <= zeta <= 1.0 + 1e-12
@@ -205,19 +210,19 @@ def test_total_error_decomposition_random(seed, frac):
 # -- error-minimizing threshold ------------------------------------------------
 
 def test_optimal_detection_values(fig2):
-    opt = optimal_detection(fig2)
-    assert math.isclose(opt.gamma_star, 0.025384615384615387, rel_tol=1e-15)
-    assert math.isclose(opt.zeta_star, 0.9969278057995146, rel_tol=1e-15)
+    gamma_star, zeta_star = optimal_detection(fig2)
+    assert math.isclose(gamma_star, 0.025384615384615387, rel_tol=1e-15)
+    assert math.isclose(zeta_star, 0.9969278057995146, rel_tol=1e-15)
 
 
 def test_optimal_detection_grid_search_oracle(fig2):
-    opt = optimal_detection(fig2)
-    grid = np.linspace(0.0, 10.0 * opt.gamma_star, 100_000)
+    gamma_star, zeta_star = optimal_detection(fig2)
+    grid = np.linspace(0.0, 10.0 * gamma_star, 100_000)
     zeta = error_curve(fig2, grid)[2]
     best = int(np.argmin(zeta))
     step = grid[1] - grid[0]
-    assert abs(grid[best] - opt.gamma_star) <= step + 1e-15
-    assert abs(zeta[best] - opt.zeta_star) <= 1e-9
+    assert abs(grid[best] - gamma_star) <= step + 1e-15
+    assert abs(zeta[best] - zeta_star) <= 1e-9
 
 
 def test_error_curve_has_unique_minimum_on_threshold_grid(fig2):
@@ -227,28 +232,28 @@ def test_error_curve_has_unique_minimum_on_threshold_grid(fig2):
 
 
 def test_optimal_detection_limits(fig2):
-    weak = optimal_detection(fig2.replace(p_u=1e-9))
-    assert math.isclose(weak.gamma_star, fig2.sigma_w2, rel_tol=1e-6)
-    assert weak.zeta_star == pytest.approx(1.0, abs=1e-9)
-    blinded = optimal_detection(fig2.replace(p_j=1e9, p_max=1e9))
-    assert blinded.zeta_star == pytest.approx(1.0, abs=1e-9)
+    gamma_star, zeta_star = optimal_detection(fig2.replace(p_u=1e-9))
+    assert math.isclose(gamma_star, fig2.sigma_w2, rel_tol=1e-6)
+    assert zeta_star == pytest.approx(1.0, abs=1e-9)
+    _, zeta_star = optimal_detection(fig2.replace(p_j=1e9, p_max=1e9))
+    assert zeta_star == pytest.approx(1.0, abs=1e-9)
 
 
 def test_derivative_signs(fig2):
     s = fig2
-    opt = optimal_detection(s)
+    gamma_star, _ = optimal_detection(s)
     below = np.linspace(0.0, s.sigma_w2 * (1 - 1e-9), 50)
     assert np.all(total_error_derivative(below, s) == 0.0)
-    falling = np.linspace(s.sigma_w2 * (1 + 1e-9), opt.gamma_star, 200)
+    falling = np.linspace(s.sigma_w2 * (1 + 1e-9), gamma_star, 200)
     assert np.all(total_error_derivative(falling, s) < 0.0)
-    rising = np.linspace(opt.gamma_star * (1 + 1e-9), 20 * opt.gamma_star, 500)
+    rising = np.linspace(gamma_star * (1 + 1e-9), 20 * gamma_star, 500)
     assert np.all(total_error_derivative(rising, s) > 0.0)
 
 
 def test_derivative_matches_finite_differences(fig2):
     s = fig2
-    opt = optimal_detection(s)
-    for gamma in np.linspace(1.5 * opt.gamma_star, 8 * opt.gamma_star, 9):
+    gamma_star, _ = optimal_detection(s)
+    for gamma in np.linspace(1.5 * gamma_star, 8 * gamma_star, 9):
         eps = 1e-7
         numeric = (piecewise_zeta(gamma + eps, s) - piecewise_zeta(gamma - eps, s)) / (2 * eps)
         assert float(total_error_derivative(gamma, s)) == pytest.approx(
@@ -259,6 +264,9 @@ def test_derivative_matches_finite_differences(fig2):
 
 def test_simulate_detection_gamma_zero(fig2):
     assert simulate_detection(fig2, 0.0, 2000, seed=5) == (1.0, 0.0, 1.0)
+    # the infinite thresholds give error_curve's limits
+    assert simulate_detection(fig2, -math.inf, 2000, seed=5) == (1.0, 0.0, 1.0)
+    assert simulate_detection(fig2, math.inf, 2000, seed=5) == (0.0, 1.0, 1.0)
 
 
 def test_simulate_detection_deterministic(fig2):
@@ -287,6 +295,9 @@ def test_simulate_detection_invalid_trials(fig2):
         simulate_detection(fig2, 0.1, 0, seed=1)
     with pytest.raises(ConfigError):
         simulate_detection(fig2, 0.1, -5, seed=1)
+    for gamma in (math.nan, np.float64(math.nan)):
+        with pytest.raises(ConfigError, match="must not be NaN"):
+            simulate_detection(fig2, gamma, 1000, seed=0)
 
 
 def test_simulate_detection_rejects_bool(fig2):
@@ -300,7 +311,7 @@ def test_simulate_detection_matches_reference(preset):
     # where one rounding difference would flip a count
     s = Scenario.from_file(SCENARIOS / f"{preset}.json")
     gammas = []
-    for edge in (0.0, s.sigma_w2, optimal_detection(s).gamma_star):
+    for edge in (0.0, s.sigma_w2, optimal_detection(s)[0]):
         gammas += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
     for entropy in (0, 4, 11):
         for n in (1, 2, 7, 1000):
@@ -314,6 +325,6 @@ def test_simulate_detection_matches_reference(preset):
 def test_simulate_detection_footprint(fig2):
     # one float array plus a boolean mask per count
     n = 100_000
-    gamma = optimal_detection(fig2).gamma_star
+    gamma, _ = optimal_detection(fig2)
     peak = traced_peak_bytes(simulate_detection, fig2, gamma, n, 3)
     assert peak <= 2 * 8 * n

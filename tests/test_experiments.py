@@ -99,6 +99,36 @@ def test_runners_reject_a_seed_that_is_not_a_non_negative_int(fig5, monkeypatch,
         _RUNNERS[runner](fig5, seed)
 
 
+def test_numpy_scalar_inputs_give_python_scalars(fig2, fig3, fig5):
+    # the input checks accept numpy integers and reals; every value they
+    # reach comes out a Python float or bool, so the CSV text is the text
+    # of the same Python inputs
+    def npy(sweep):
+        return dataclasses.replace(
+            sweep, overlay_values=tuple(map(np.float64, sweep.overlay_values)))
+    detection = SweepSpec(0.0, 0.02, 2, (2.0,))
+    assert (render_csv(run_detection_sweep(fig2, npy(detection), np.int64(1000),
+                                           np.int64(7)))
+            == render_csv(run_detection_sweep(fig2, detection, 1000, 7)))
+    rates = SweepSpec(0.0, 100.0, 3, (7.0, 8.0))
+    assert (render_csv(run_rate_sweep(fig3, npy(rates), np.int64(2)))
+            == render_csv(run_rate_sweep(fig3, rates, 2)))
+    p_u_values = tuple(np.linspace(fig5.p_max / 4, fig5.p_max, 4))
+    assert type(p_u_values[0]) is np.float64
+    slacks = SweepSpec(0.01, 0.5, 3, (fig5.p_j, fig5.p_max))
+    text = render_csv(run_covertness_sweep(fig5, npy(slacks), p_u_values, np.int64(1)))
+    assert text == render_csv(run_covertness_sweep(
+        fig5, slacks, tuple(map(float, p_u_values)), 1))
+    assert "true" in text and "np." not in text
+    result = maximize_covert_rate(fig5, GridSpec(p_u_values, p_u_values))
+    assert result.feasible is True
+    assert all(type(getattr(result, name)) is float for name in (
+        "p_u_star", "p_j_star", "h_star", "r_b_star", "c_s_star", "h_max"))
+    checks = run_validation(fig2, n_trials=np.int64(1000), n_symbols=np.int64(1000),
+                            seed=np.int64(3), gamma_points=np.int64(3))
+    assert all(type(passed) is bool for _, passed, _ in checks)
+
+
 # -- detection sweep ---------------------------------------------------------
 
 def test_detection_sweep_records(fig2):
@@ -512,10 +542,9 @@ def test_runners_are_bit_equal_under_power_of_two_power_scaling(seed, m, r_s):
         run_covertness_sweep(s, epsilons, p_u_values),
         dict.fromkeys(_POWER_FIELDS + ("p_u_star", "p_j_star"), scale))
 
-    want = optimal_detection(s)
-    got = optimal_detection(scaled)
-    assert (got.gamma_star, got.zeta_star) == (want.gamma_star * scale, want.zeta_star)
-    gammas = [want.gamma_star * k / 8.0 for k in range(17)] + [s.sigma_w2]
+    gamma_star, zeta_star = optimal_detection(s)
+    assert optimal_detection(scaled) == (gamma_star * scale, zeta_star)
+    gammas = [gamma_star * k / 8.0 for k in range(17)] + [s.sigma_w2]
     assert error_curve(scaled, [g * scale for g in gammas]) == error_curve(s, gammas)
 
 
@@ -524,19 +553,17 @@ def test_monte_carlo_is_bit_equal_under_power_of_four_power_scaling(m):
     # with every power and noise times 4^m each amplitude sqrt(P g) scales
     # by exactly 2^m, so the same seed draws the same unit symbols and fades
     # into a chain whose every sample scales alike: the SNR and the unit
-    # forwarded power are bit-equal and the two powers scale by 4^m; the
-    # radiometer statistic scales by 4^m, and with it the threshold, so
-    # every comparison and both error rates are unchanged
+    # forwarded power are bit-equal; the radiometer statistic scales by 4^m,
+    # and with it the threshold, so every comparison and both error rates
+    # are unchanged
     scale = 4.0 ** m
     rng = np.random.default_rng(9)
     for seed in range(60):
         s = draw_scenario(rng)
         scaled = s.replace(**{f: getattr(s, f) * scale for f in _POWER_FIELDS})
-        want = simulate_destination_snr(s, 2000, seed)
-        assert simulate_destination_snr(scaled, 2000, seed) == dataclasses.replace(
-            want, signal_power=want.signal_power * scale,
-            noise_power=want.noise_power * scale)
-        gamma = optimal_detection(s).gamma_star
+        assert (simulate_destination_snr(scaled, 2000, seed)
+                == simulate_destination_snr(s, 2000, seed))
+        gamma, _ = optimal_detection(s)
         want = simulate_detection(s, gamma, 2000, seed)
         got = simulate_detection(scaled, gamma * scale, 2000, seed)
         assert got == want
@@ -814,7 +841,7 @@ def test_records_recomputable_from_scenario_columns(fig2, fig3):
         parsed = dict(zip(header.split(","), text.split(",")))
         rebuilt = Scenario(**{k: float(parsed[k]) for k in header.split(",")[:14]})
         assert error_curve(rebuilt, [float(parsed["gamma"])])[2][0] == row["zeta"]
-        assert optimal_detection(rebuilt).gamma_star == row["gamma_star"]
+        assert optimal_detection(rebuilt)[0] == row["gamma_star"]
 
     rates = run_rate_sweep(fig3, rate_sweep_spec(steps=5))
     for row in expand_rows(rates):
@@ -829,12 +856,12 @@ def test_records_recomputable_from_scenario_columns(fig2, fig3):
 def test_run_validation_passes(fig2):
     checks = run_validation(fig2, n_trials=30_000, n_symbols=60_000, seed=4,
                             gamma_points=8)
-    assert [c.name for c in checks] == [
+    assert [name for name, _, _ in checks] == [
         "detection_error_mc_vs_closed",
         "relay_forwarded_power_unit",
         "destination_snr_mc_vs_closed",
     ]
-    assert all(c.passed for c in checks)
+    assert all(passed is True for _, passed, _ in checks)
 
 
 @pytest.mark.parametrize("gamma_points", [0, -3, 2.5, True])
@@ -851,7 +878,7 @@ def test_validation_detection_check_is_the_per_threshold_loop(preset, gamma_poin
     # validate runs through must give the same verdict and detail
     s = Scenario.from_file(SCENARIOS / f"{preset}.json")
     n, seed = 500, 11
-    gammas = np.linspace(0.0, 10.0 * optimal_detection(s).gamma_star,
+    gammas = np.linspace(0.0, 10.0 * optimal_detection(s)[0],
                          gamma_points).tolist()
     worst, ok = 0.0, True
     for gi, (gamma, closed) in enumerate(zip(gammas, error_curve(s, gammas)[2])):
@@ -859,9 +886,9 @@ def test_validation_detection_check_is_the_per_threshold_loop(preset, gamma_poin
         tol = mc_zeta_tolerance(closed, n)
         worst = max(worst, abs(mc - closed) / tol)
         ok = ok and abs(mc - closed) <= tol
-    check = run_validation(s, n_trials=n, n_symbols=10, seed=seed,
-                           gamma_points=gamma_points)[0]
-    assert (check.passed, check.detail) == (
+    _, passed, detail = run_validation(s, n_trials=n, n_symbols=10, seed=seed,
+                                       gamma_points=gamma_points)[0]
+    assert (passed, detail) == (
         ok, f"{gamma_points} thresholds, worst gap {worst:.3f}x tolerance")
 
 

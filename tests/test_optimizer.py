@@ -30,6 +30,12 @@ def test_gridspec_validation():
         GridSpec(p_u_values=(2.0, 1.0), p_j_values=(1.0,))
     with pytest.raises(ConfigError):
         GridSpec(p_u_values=(0.0, 1.0), p_j_values=(1.0,))
+    for values in (("1.0",), (True,), (1j,)):  # float() would take the first two
+        with pytest.raises(ConfigError, match="must be real numbers"):
+            GridSpec(p_u_values=(1.0,), p_j_values=values)
+    grid = GridSpec(p_u_values=[np.float64(1.0), 2], p_j_values=np.array([3.0]))
+    assert grid == GridSpec((1.0, 2.0), (3.0,))
+    assert [type(v) for v in grid.p_u_values + grid.p_j_values] == [float] * 3
     with pytest.raises(ConfigError):
         GridSpec.linear(10.0, 10.0, p_u_steps=0)
     for steps in (2.5, True):  # not an int, or a bool taken as one step

@@ -202,11 +202,10 @@ def test_secrecy_rate_fig3_window(fig3):
 
 def test_simulate_destination_snr_matches_closed_form(fig4):
     s = fig4.replace(h=50.0)
-    est = simulate_destination_snr(s, 200_000, seed=42)
-    assert abs(est.forwarded_power - 1.0) <= 0.02
+    snr, forwarded_power = simulate_destination_snr(s, 200_000, seed=42)
+    assert abs(forwarded_power - 1.0) <= 0.02
     closed = rate_report(s).gamma_b
-    assert abs(est.snr - closed) / closed <= 0.02
-    assert est.signal_power > 0.0 and est.noise_power > 0.0
+    assert abs(snr - closed) / closed <= 0.02
 
 
 def test_simulate_destination_snr_deterministic(fig4):
