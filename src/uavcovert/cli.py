@@ -37,9 +37,11 @@ def _parse_values(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse value list {text!r}") from exc
 
 
-def _add_common(sub, default_out: str) -> None:
+def _add_common(sub, default_out: str | None) -> None:
+    """--scenario, --out (when the subcommand writes a CSV) and --seed."""
     sub.add_argument("--scenario", required=True, help="scenario JSON file")
-    sub.add_argument("--out", default=default_out, help="output CSV path")
+    if default_out is not None:
+        sub.add_argument("--out", default=default_out, help="output CSV path")
     sub.add_argument("--seed", type=int, default=0, help="master seed (non-negative)")
 
 
@@ -54,10 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="detection error vs threshold, closed form and Monte Carlo")
     p.set_defaults(run=_cmd_detect_sweep)
     _add_common(p, "detect_sweep.csv")
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=100_000,
+                   help="Monte Carlo trials per threshold")
     p.add_argument("--start", type=float, default=0.0, help="threshold sweep start, W")
     p.add_argument("--stop", type=float, default=1.0, help="threshold sweep stop, W")
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=int, default=50, help="number of thresholds")
     p.add_argument("--overlay-values", default="2,3,4",
                    help="comma-separated forward powers p_u, W")
 
@@ -66,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "rate_sweep.csv")
     p.add_argument("--start", type=float, default=0.0, help="altitude sweep start, m")
     p.add_argument("--stop", type=float, default=100.0, help="altitude sweep stop, m")
-    p.add_argument("--steps", type=int, default=26)
+    p.add_argument("--steps", type=int, default=26, help="number of altitudes")
     p.add_argument("--overlay-values", default="7,8,9",
                    help="comma-separated forward powers p_u, W")
 
@@ -76,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "covertness_sweep.csv")
     p.add_argument("--start", type=float, default=0.01, help="epsilon sweep start")
     p.add_argument("--stop", type=float, default=0.02, help="epsilon sweep stop")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=int, default=20, help="number of epsilon values")
     p.add_argument("--overlay-values", default="5,10,15",
                    help="comma-separated jamming powers p_j, W")
     p.add_argument("--pu-steps", type=int, default=60,
@@ -85,8 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("optimize", help="single covert-rate grid search")
     p.set_defaults(run=_cmd_optimize)
     _add_common(p, "optimize.csv")
-    p.add_argument("--pu-steps", type=int, default=50)
-    p.add_argument("--pj-steps", type=int, default=50)
+    p.add_argument("--pu-steps", type=int, default=50,
+                   help="forward-power grid resolution")
+    p.add_argument("--pj-steps", type=int, default=50,
+                   help="jamming-power grid resolution")
     p.add_argument("--pu-max", type=float, default=None,
                    help="forward-power grid stop (default: scenario p_max)")
     p.add_argument("--pj-max", type=float, default=None,
@@ -95,11 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("validate",
                         help="closed-form vs Monte Carlo validation suite")
     p.set_defaults(run=_cmd_validate)
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--symbols", type=int, default=1_000_000)
-    p.add_argument("--gamma-points", type=int, default=20)
+    _add_common(p, None)
+    p.add_argument("--trials", type=int, default=100_000,
+                   help="Monte Carlo trials per detection threshold")
+    p.add_argument("--symbols", type=int, default=1_000_000,
+                   help="relay symbols in the destination-SNR Monte Carlo")
+    p.add_argument("--gamma-points", type=int, default=20,
+                   help="number of detection thresholds")
 
     return parser
 

@@ -28,10 +28,10 @@ above the ground; :func:`feasibility_grid` reports such points infeasible.
 :func:`feasibility_grid` is the one feasibility verdict, over whole arrays
 of (epsilon, p_u, p_j) at once: by the one crossing, the security
 predicate N_b / D_b >= t N_u / D_u, as (1 + gamma_b) / (1 + gamma_u) >= t,
-on the ground, at SEARCH_CEILING_M and at each covert floor h_min decides a
-point.  The h_max bisection compares the same ratio with 2^(r_s -+
-BISECT_RESIDUAL).  Floats and arrays round its plain arithmetic alike, so
-the grid and the bisection decide a point alike.
+on the ground and at each covert floor h_min decides a point.  The h_max
+bisection compares the same ratio with 2^(r_s -+ BISECT_RESIDUAL).  Floats
+and arrays round its plain arithmetic alike, so the grid and the bisection
+decide a point alike.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .errors import NumericalError
 from .model import Scenario
 from .rates import snrs_at
 
-SEARCH_CEILING_M = 1e6     # far beyond any physical hover height
+SEARCH_CEILING_M = 1e6     # top of the h_max scan, beyond any hover height
 BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at the returned height
 
 
@@ -108,12 +108,12 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     ``p_u_values`` and ``p_j_values`` hold positive powers, ``epsilons``
     values in (0, 1); the other fields come from ``scenario``.  A point is
     feasible when the security predicate holds on the ground, h_min is
-    finite, and the predicate holds at h_min or at the search ceiling
-    (h_max = inf): above secure ground C_s crosses r_s once.  The ground
-    and ceiling verdicts are computed once per (p_u, p_j) and broadcast
-    against the epsilon axis.  The covert floor, where zeta_star(h) =
-    1 - epsilon, is h_min = sqrt(-P_u beta / (P_J ln(1 - epsilon)) - d_w^2):
-    0 where the radicand is non-positive (covert at any height), inf where
+    finite, and the predicate holds at h_min: above secure ground C_s
+    crosses r_s once, so the secure set is [0, h'].  The ground verdict is
+    computed once per (p_u, p_j) and broadcast against the epsilon axis.
+    The covert floor, where zeta_star(h) = 1 - epsilon, is
+    h_min = sqrt(-P_u beta / (P_J ln(1 - epsilon)) - d_w^2): 0 where the
+    radicand is non-positive (covert at any height), inf where
     P_J ln(1 - epsilon) underflows to 0 or the quotient overflows.  Raises
     :class:`NumericalError` where P_u beta and P_J ln(1 - epsilon) both
     overflow, and where an SNR's arithmetic overflows at some grid power,
@@ -125,7 +125,6 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     # epsilon numpy meets arrays of equal shape throughout.
     p_u = np.array(p_u_values)[None, :, None]
     p_j = np.array(p_j_values)[None, None, :]
-    ends = np.array([0.0, SEARCH_CEILING_M])[:, None, None, None]
     logs = np.array([math.log1p(-e) for e in epsilons])[:, None, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         radicand = -p_u * s.beta / (p_j * logs) - s.d_w2
@@ -135,10 +134,9 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     h_min = np.sqrt(np.maximum(radicand, 0.0))
     try:
         with np.errstate(over="raise"):
-            ground_ok, never_below = _ratio(snrs_at(s, p_u, p_j, ends)) >= t
+            ground_ok = _ratio(snrs_at(s, p_u, p_j, 0.0)) >= t
             gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
     except FloatingPointError as exc:
         raise NumericalError(f"SNRs on the power grid overflow: {exc}") from exc
-    feasible = ground_ok & (h_min < math.inf) & (
-        never_below | (_ratio((gamma_u, gamma_b)) >= t))
+    feasible = ground_ok & (h_min < math.inf) & (_ratio((gamma_u, gamma_b)) >= t)
     return h_min, gamma_u, gamma_b, feasible

@@ -15,6 +15,7 @@ place in one float array, about 9 bytes per trial.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -24,11 +25,20 @@ from .model import Scenario
 _ZETA_SLACK = 1e-12
 
 
-def _check_thresholds(gammas) -> None:
-    """Raise ConfigError if a threshold is NaN, the one float outside the
-    domain of :func:`error_curve` and :func:`simulate_detection`."""
-    if any(map(math.isnan, gammas)):
+def _check_thresholds(gammas) -> list[float]:
+    """The thresholds ``gammas`` as a list of Python floats, in the one
+    domain of :func:`error_curve` and :func:`simulate_detection`: each a
+    float or a non-bool real number, and not NaN.  Raises ConfigError
+    naming the first value outside it."""
+    values = []
+    for g in gammas:
+        if not (isinstance(g, float) or (isinstance(g, numbers.Real)
+                                         and not isinstance(g, bool))):
+            raise ConfigError(f"threshold gamma must be a real number, got {g!r}")
+        values.append(float(g))
+    if any(map(math.isnan, values)):
         raise ConfigError("threshold gamma must not be NaN")
+    return values
 
 
 def error_curve(scenario: Scenario, gammas):
@@ -42,19 +52,17 @@ def error_curve(scenario: Scenario, gammas):
     and zeta = P_FA + P_MD.  gamma_star is the signal-plus-noise floor of
     :func:`optimal_detection`; the warden's signal term P_u |h_uw|^2 is
     deterministic LOS, so only the jamming fade is random.  A threshold is
-    any float but NaN (:class:`ConfigError`); -inf and +inf give the limits
-    (1, 0, 1) and (0, 1, 1).  A quotient that overflows to -inf is the
-    defined limit, exp -> 0.  The exponentials are ``math.exp``, not
-    ``np.exp``, whose AVX-512 kernel is not correctly rounded on every fig2
-    threshold: the CSV bytes would depend on the host's SIMD dispatch.
+    any real number but a bool or NaN (:class:`ConfigError`); -inf and +inf
+    give the limits (1, 0, 1) and (0, 1, 1).  A quotient that overflows to
+    -inf is the defined limit, exp -> 0.  The exponentials are ``math.exp``,
+    not ``np.exp``, whose AVX-512 kernel is not correctly rounded on every
+    fig2 threshold: the CSV bytes would depend on the host's SIMD dispatch.
     Raises :class:`NumericalError` if zeta leaves [0, 1].
     """
     s = scenario
     gamma_star, _ = optimal_detection(s)
     p_fa, p_md, zeta = [], [], []
-    gammas = list(map(float, gammas))
-    _check_thresholds(gammas)
-    for g in gammas:
+    for g in _check_thresholds(gammas):
         fa = math.exp((s.sigma_w2 - g) / s.p_j) if g >= s.sigma_w2 else 1.0
         md = 1.0 - math.exp((gamma_star - g) / s.p_j) if g >= gamma_star else 0.0
         z = fa + md
@@ -81,9 +89,9 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
                        seed) -> tuple[float, float, float]:
     """Monte Carlo ``(p_fa, p_md, zeta)`` of the radiometer test at the
     threshold ``gamma``, with ``zeta = p_fa + p_md``.  ``gamma`` is any
-    float but NaN (:class:`ConfigError`), as in :func:`error_curve`, whose
-    limits at -inf and +inf it shares; the rates are Python floats for any
-    integer ``n_trials``, numpy's included.
+    real number but a bool or NaN (:class:`ConfigError`), as in
+    :func:`error_curve`, whose limits at -inf and +inf it shares; the rates
+    are Python floats for any integer ``n_trials``, numpy's included.
 
     Each trial draws one quasi-static jamming fade |h_bw|^2 ~ Exp(1) and
     applies the threshold rule under both hypotheses (silent and
@@ -100,7 +108,7 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
     per trial.
     """
     _check_count("n_trials", n_trials)
-    _check_thresholds((gamma,))
+    (gamma,) = _check_thresholds((gamma,))
     s = scenario
     n = int(n_trials)
     rng = np.random.default_rng(seed)

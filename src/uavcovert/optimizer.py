@@ -13,11 +13,11 @@ for free.
 The grid is evaluated as arrays, in blocks of p_u rows, for one or more
 covertness slacks epsilon at once: :func:`constraints.feasibility_grid`
 gives the covert floor, the SNRs there and the feasibility verdict at
-every (epsilon, p_u, p_j), its ground and ceiling checks shared by every
-epsilon.  One :func:`rates.capacity` call per (epsilon, block) takes the
-covert rates of its feasible points.  The security ceiling is solved once
+every (epsilon, p_u, p_j), its ground check shared by every epsilon.
+One :func:`rates.capacity` call per (epsilon, block) takes the covert
+rates of its feasible points.  The security ceiling h_max is solved once
 per distinct argmax (p_u, p_j), since it does not depend on epsilon; it
-gives h_max and the active-constraint flags.
+gives the active-constraint flags.
 :func:`maximize_covert_rate` is the one-epsilon case.
 """
 from __future__ import annotations
@@ -118,8 +118,8 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
     """:func:`maximize_covert_rate` of ``scenario.replace(epsilon=e)`` for
     each ``e`` in the sequence ``epsilons`` (each in (0, 1)).
 
-    A pass shares the ground and ceiling verdicts of a block of powers among
-    up to ``_BLOCK_CELLS`` (epsilon, point) cells; each epsilon has its own
+    A pass shares the ground verdicts of a block of powers among up to
+    ``_BLOCK_CELLS`` (epsilon, point) cells; each epsilon has its own
     argmax.
     """
     s = scenario

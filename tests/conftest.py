@@ -95,6 +95,27 @@ def draw_log_uniform_scenario(rng: np.random.Generator, **overrides) -> Scenario
     return Scenario(**fields)
 
 
+def draw_low_noise_scenario(rng: np.random.Generator, **overrides) -> Scenario:
+    """Random scenario with high gains, faint noise and covertness so tight
+    that the covert floor nearly always lies far above the 1e6 m search
+    ceiling: beta 30-60 dB, each noise -110 to -80 dBW, epsilon 1e-15 to
+    1e-9, r_s 1e-9 to 1e-3, each d^2 10 to 1e4 m^2 and p_max 0.1 to 31.6 W,
+    all log-uniform, with each power a U(0.05, 1) share of p_max."""
+    def decades(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+    p_max = decades(-1, 1.5)
+    fields = dict(
+        d_a2=decades(1, 4), d_b2=decades(1, 4), d_w2=decades(1, 4), h=0.0,
+        beta=decades(3, 6), p_a=p_max * rng.uniform(0.05, 1.0),
+        p_u=p_max * rng.uniform(0.05, 1.0), p_j=p_max * rng.uniform(0.05, 1.0),
+        p_max=p_max, sigma_u2=decades(-11, -8), sigma_b2=decades(-11, -8),
+        sigma_w2=decades(-11, -8), epsilon=decades(-15, -9),
+        r_s=decades(-9, -3),
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
 @dataclasses.dataclass(frozen=True)
 class RateReport:
     """SNRs and capacities for one scenario; c_s and r_b are derived."""

@@ -127,12 +127,26 @@ _OPTIONS = {
 }
 
 
-def test_option_table_is_pinned():
+def _subcommands():
     (subs,) = [action for action in uavcovert.cli.build_parser()._actions
                if isinstance(action, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def test_option_table_is_pinned():
     assert {name: [(tuple(a.option_strings), a.default, a.type) for a in sub._actions
                    if not isinstance(a, argparse._HelpAction)]
-            for name, sub in subs.choices.items()} == _OPTIONS
+            for name, sub in _subcommands().items()} == _OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_every_option_has_help(command):
+    # format_help expands each help string with %-formatting, so a bare %
+    # in one raises here rather than at the user's --help
+    sub = _subcommands()[command]
+    assert [a.option_strings for a in sub._actions if not a.help] == []
+    text = sub.format_help()
+    assert all(a.option_strings[-1] in text for a in sub._actions)
 
 
 # each subcommand with one bad size of its own
@@ -419,6 +433,30 @@ def test_overflowing_grid_snrs_exit_four(tmp_path, capsys, command):
     assert captured.err == ("numerical failure: SNRs on the power grid overflow: "
                             "overflow encountered in multiply\n")
     assert not out.exists()
+
+
+# d^2 = 100 m^2 on every link, 45 dB gain, -100 dBW noises and epsilon
+# 1e-15: every covert floor lies above the 1e6 m search ceiling, and C_s,
+# still above r_s at the ceiling, has fallen below it at the floor
+_FLOOR_ABOVE_THE_CEILING = dict(
+    d_a2_m2=100.0, d_b2_m2=100.0, d_w2_m2=100.0, h_m=0.0, beta_db=45.0,
+    p_a_w=1.0, p_u_w=1.0, p_j_w=0.01, p_max_w=1.0, sigma_u2_dbw=-100.0,
+    sigma_b2_dbw=-100.0, sigma_w2_dbw=-100.0, epsilon=1e-15, r_s_bpcu=1e-6)
+
+
+def test_covert_floor_above_the_search_ceiling_is_insecure(tmp_path, capsys):
+    scenario = tmp_path / "faint.json"
+    scenario.write_text(json.dumps(_FLOOR_ABOVE_THE_CEILING))
+    assert main(["optimize", "--scenario", str(scenario), "--out",
+                 str(tmp_path / "opt.csv"), "--pu-steps", "4",
+                 "--pj-steps", "4"]) == 3
+    assert capsys.readouterr().err == "no feasible grid point\n"
+    out = tmp_path / "sweep.csv"
+    assert main(["covertness-sweep", "--scenario", str(scenario), "--out",
+                 str(out), "--start", "1e-15", "--stop", "1e-14", "--steps", "3",
+                 "--overlay-values", "0.01", "--pu-steps", "4"]) == 0
+    with out.open(newline="") as f:
+        assert [row["feasible"] for row in csv.DictReader(f)] == ["false"] * 3
 
 
 @pytest.mark.parametrize("r_s", [1024, 1e300])

@@ -15,8 +15,9 @@ from uavcovert.constraints import (
 from uavcovert.rates import snrs_at
 
 from conftest import (
-    covert_floor, draw_log_uniform_scenario, draw_scenario,
-    min_error_at_height, one_point_verdict, rate_report, scan_feasibility,
+    covert_floor, draw_log_uniform_scenario, draw_low_noise_scenario,
+    draw_scenario, min_error_at_height, one_point_verdict, rate_report,
+    scan_feasibility,
 )
 
 
@@ -396,13 +397,16 @@ def test_feasible_interval_vacuous_constraints(fig3):
 
 
 @pytest.mark.parametrize("draw, seed", [(draw_scenario, 0),
-                                        (draw_log_uniform_scenario, 5)])
+                                        (draw_log_uniform_scenario, 5),
+                                        (draw_low_noise_scenario, 32)])
 def test_feasible_interval_agrees_with_a_dense_altitude_scan(draw, seed):
     # the verdict against math.log2 margins on a dense scan above the
     # covert floor, wherever the ground is secure and the scan's rounding
     # guard decides both.  Where the ground is insecure the scan may find
     # a band that feasibility_grid misses (the strict xfail below); those
-    # draws are counted, not asserted
+    # draws are counted, not asserted.  The low-noise draws put nearly
+    # every covert floor above the search ceiling, where C_s may already
+    # lie below r_s
     rng = np.random.default_rng(seed)
     counts = {"checked": 0, "feasible": 0, "insecure ground": 0,
               "band above insecure ground": 0, "guarded": 0}
@@ -419,7 +423,7 @@ def test_feasible_interval_agrees_with_a_dense_altitude_scan(draw, seed):
             counts["insecure ground"] += 1
             counts["band above insecure ground"] += feasible
     print(draw.__name__, counts)
-    # measured: 104 and 464 checked, 95 and 360 of them feasible
+    # measured: 104, 464 and 1,000 checked, 95, 360 and 68 of them feasible
     assert counts["checked"] >= 100 and 0 < counts["feasible"] < counts["checked"]
 
 

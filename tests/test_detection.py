@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,11 @@ def test_total_error_trivial_points(fig2):
     for gammas in ([math.nan], [0.1, math.nan], np.array([math.nan])):
         with pytest.raises(ConfigError, match="must not be NaN"):
             error_curve(fig2, gammas)
+    # the first value outside the domain is named, not the whole list
+    for bad in ("0.1", True, None, 1j):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"must be a real number, got {bad!r}")):
+            error_curve(fig2, [0.1, bad, "x"])
     gamma_star, zeta_star = optimal_detection(fig2)
     assert error_curve(fig2, [gamma_star])[2][0] == pytest.approx(
         zeta_star, rel=1e-14)
@@ -295,8 +301,11 @@ def test_simulate_detection_invalid_trials(fig2):
         simulate_detection(fig2, 0.1, 0, seed=1)
     with pytest.raises(ConfigError):
         simulate_detection(fig2, 0.1, -5, seed=1)
-    for gamma in (math.nan, np.float64(math.nan)):
-        with pytest.raises(ConfigError, match="must not be NaN"):
+    for gamma, message in ((math.nan, "must not be NaN"),
+                           (np.float64(math.nan), "must not be NaN"),
+                           ("0.1", "got '0.1'"), (True, "got True"),
+                           (None, "got None"), (1j, re.escape("got 1j"))):
+        with pytest.raises(ConfigError, match=message):
             simulate_detection(fig2, gamma, 1000, seed=0)
 
 

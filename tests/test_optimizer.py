@@ -426,8 +426,9 @@ def test_grid_pass_decides_a_margin_just_outside_the_guard(fig5, offset):
 @pytest.mark.parametrize("scale", [1.0 - 1e-13, 1.0, 1.0 + 1e-13])
 def test_ceiling_on_the_threshold_goes_to_the_solver(fig5, scale):
     # near-noiseless receivers keep C_s near 2.5 at the search ceiling; an
-    # r_s within rounding of that value gives the grid's verdict and the
-    # h_max bisection's inf alike
+    # r_s within rounding of that value leaves the grid's verdict, read on
+    # the ground and at a low covert floor, unchanged, while the h_max scan
+    # must tell h_max = inf from a crossing just below the ceiling
     s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, epsilon=0.3)
     s = s.replace(r_s=scale * rate_report(
