@@ -15,11 +15,10 @@ place in one float array, about 9 bytes per trial.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_count
+from .errors import ConfigError, NumericalError, _check_count, _real
 from .model import Scenario
 
 _ZETA_SLACK = 1e-12
@@ -28,14 +27,9 @@ _ZETA_SLACK = 1e-12
 def _check_thresholds(gammas) -> list[float]:
     """The thresholds ``gammas`` as a list of Python floats, in the one
     domain of :func:`error_curve` and :func:`simulate_detection`: each a
-    float or a non-bool real number, and not NaN.  Raises ConfigError
-    naming the first value outside it."""
-    values = []
-    for g in gammas:
-        if not (isinstance(g, float) or (isinstance(g, numbers.Real)
-                                         and not isinstance(g, bool))):
-            raise ConfigError(f"threshold gamma must be a real number, got {g!r}")
-        values.append(float(g))
+    real number as ``errors._real`` takes it, and not NaN.  Raises
+    ConfigError naming the first value outside it."""
+    values = [_real("threshold gamma", g) for g in gammas]
     if any(map(math.isnan, values)):
         raise ConfigError("threshold gamma must not be NaN")
     return values

@@ -5,11 +5,11 @@ with closed-form and Monte Carlo error curves, an altitude sweep of the
 rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Each runner's protocol fixes which field it sweeps and which it
 overlays; a :class:`SweepSpec` holds only the range and the overlay
-values.  Each runner rejects a seed that is not an int >= 0 before any
-work, is one serial loop over its sorted overlays, and returns one column
-block per overlay: a dict that maps a column to a list of one value per
-swept point, or to one value shared by the block's rows.  A block's keys,
-in insertion order, are its CSV header, so each runner states its schema
+values.  Each runner checks its seed and its counts before any work, is
+one serial loop over its sorted overlays, and returns one column block
+per overlay: a dict that maps a column to a list of one value per swept
+point, or to one value shared by the block's rows.  A block's keys, in
+insertion order, are its CSV header, so each runner states its schema
 once.  The swept points are one list object shared by every block.  The
 detection sweep takes each overlay's closed forms in one list pass (Monte
 Carlo stays per point), and validation draws through it; the rate sweep
@@ -31,7 +31,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_count, _check_seed
+from .errors import ConfigError, NumericalError, _check_count, _check_seed, _real
 from .model import Scenario, _canonical_hashes
 from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import capacity, simulate_destination_snr, snrs_at
@@ -44,7 +44,8 @@ _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
 class SweepSpec:
     """One swept field over [start, stop] plus an overlay family; each
     runner names the two fields it sweeps.  The bounds and the span
-    stop - start must be finite, so every point is."""
+    stop - start must be finite, so every point is.  The bounds are
+    stored as Python floats and the overlay values as a tuple of them."""
 
     start: float
     stop: float
@@ -52,6 +53,10 @@ class SweepSpec:
     overlay_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        object.__setattr__(self, "overlay_values", tuple(
+            _real("overlay_values", v) for v in self.overlay_values))
         if not math.isfinite(self.stop - self.start):  # inf or nan if a bound is
             raise ConfigError(f"sweep bounds must be finite, as must their span "
                               f"stop - start, got [{self.start}, {self.stop}]")
@@ -164,6 +169,7 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
     draws do not depend on the other points.
     """
     _check_seed(seed)
+    _check_count("n_trials", n_trials)
     gamma_values = sweep.points().tolist()
     blocks = []
     for oi, p_u in enumerate(sorted(sweep.overlay_values)):
@@ -310,6 +316,7 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     extreme powers), since the SNR gap is relative to it, or if the
     threshold grid's stop 10 * gamma_star overflows.
     """
+    _check_seed(seed)
     _check_count("gamma_points", gamma_points)
     _check_count("n_trials", n_trials)
     _check_count("n_symbols", n_symbols)

@@ -18,10 +18,9 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, _positive, _real
 from .rates import snrs_at
 
 def db_to_linear(x_db: float) -> float:
@@ -56,15 +55,8 @@ class Scenario:
         # one pass stores every field as a float and checks the ones that
         # must be positive: distances, beta, powers and noises
         for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if type(value) is not float:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ConfigError(f"{name} must be a real number, got {value!r}")
-                value = float(value)
-                object.__setattr__(self, name, value)
-            if name not in ("h", "epsilon", "r_s") and not (
-                    math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+            check = _real if name in ("h", "epsilon", "r_s") else _positive
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         for name in ("d_a2", "d_b2", "d_w2"):
             if not math.isfinite(self.beta / getattr(self, name)):
                 raise ConfigError(f"LOS gain beta / {name} must be finite, "

@@ -23,12 +23,11 @@ gives the active-constraint flags.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_count
+from .errors import ConfigError, NumericalError, _check_count, _positive
 from .model import Scenario
 from .constraints import feasibility_grid, security_height_bound
 from .rates import capacity
@@ -49,17 +48,10 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("p_u_values", "p_j_values"):
-            values = getattr(self, name)
-            if not all(type(v) is float or (isinstance(v, numbers.Real)
-                                            and not isinstance(v, bool))
-                       for v in values):
-                raise ConfigError(f"{name} must be real numbers, got {values!r}")
-            values = tuple(map(float, values))
+            values = tuple(_positive(name, v) for v in getattr(self, name))
             object.__setattr__(self, name, values)
             if len(values) < 1:
                 raise ConfigError(f"{name} must be nonempty")
-            if any(not (math.isfinite(v) and v > 0.0) for v in values):
-                raise ConfigError(f"{name} must be finite and > 0")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
 
@@ -71,9 +63,8 @@ class GridSpec:
         stop must be finite and > 0."""
         _check_count("p_u_steps", p_u_steps)
         _check_count("p_j_steps", p_j_steps)
-        for name, stop in (("p_u_stop", p_u_stop), ("p_j_stop", p_j_stop)):
-            if not (math.isfinite(stop) and stop > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0, got {stop!r}")
+        p_u_stop = _positive("p_u_stop", p_u_stop)
+        p_j_stop = _positive("p_j_stop", p_j_stop)
 
         def axis(stop, steps):
             return tuple(np.linspace(stop / steps, stop, steps).tolist())

@@ -1,8 +1,14 @@
 import dataclasses
 import importlib
 import inspect
+import numbers
 import pathlib
+import pkgutil
 import tomllib
+from fractions import Fraction
+
+import numpy as np
+import pytest
 
 import uavcovert
 import uavcovert.cli
@@ -109,3 +115,41 @@ def test_removed_and_module_only_names_are_not_exported():
             assert name not in uavcovert.__all__ and not hasattr(uavcovert, name)
             assert callable(getattr(importlib.import_module(f"uavcovert.{module}"),
                                     name))
+
+
+# every real argument obeys errors._real: a float, or a non-bool real number
+# that fits in one, stored as a Python float
+_FIG2 = uavcovert.Scenario.from_file(ROOT / "scenarios" / "fig2.json")
+_REAL_ENTRY_POINTS = {
+    "Scenario.replace": lambda v: (_FIG2.replace(h=v).h,),
+    "GridSpec": lambda v: uavcovert.GridSpec((v,), (1.0,)).p_u_values,
+    "GridSpec.linear": lambda v: uavcovert.GridSpec.linear(v, 1.0, 1, 1).p_u_values,
+    "SweepSpec start": lambda v: (uavcovert.SweepSpec(v, 10.0, 3, (1.0,)).start,),
+    "SweepSpec overlay": lambda v: uavcovert.SweepSpec(0.0, 1.0, 2, (v,)).overlay_values,
+    "error_curve": lambda v: sum(uavcovert.error_curve(_FIG2, [v]), []),
+    "simulate_detection": lambda v: uavcovert.simulate_detection(_FIG2, v, 100, 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(_REAL_ENTRY_POINTS))
+def test_every_real_argument_follows_one_rule(entry):
+    call = _REAL_ENTRY_POINTS[entry]
+    for value in (True, np.True_, "1.0", 1j, None, 10**400, 10**5000):
+        with pytest.raises(uavcovert.ConfigError) as excinfo:
+            call(value)
+        # a value that overflows a float is named by its type, never formatted
+        assert "0" * 20 not in str(excinfo.value)
+    for value in (np.float64(1.0), np.int64(1), 1, Fraction(1, 3)):
+        got = call(value)
+        assert [type(v) for v in got] == [float] * len(got)
+        assert got == call(float(value))
+
+
+def test_only_errors_imports_numbers():
+    # the real-number rule is stated once, in errors._real
+    names = ["uavcovert"] + [f"uavcovert.{m.name}"
+                             for m in pkgutil.iter_modules(uavcovert.__path__)]
+    assert "uavcovert.errors" in names
+    for name in names:
+        holds = any(v is numbers for v in vars(importlib.import_module(name)).values())
+        assert holds == (name == "uavcovert.errors"), name

@@ -63,6 +63,11 @@ def test_sweepspec_validation():
         with pytest.raises(ConfigError, match="span stop - start, got"):
             SweepSpec(start, stop, 3, (2.0,))
     assert SweepSpec(-8e307, 8e307, 3, (2.0,)).points().tolist() == [-8e307, 0.0, 8e307]
+    # the bounds are stored as floats and the overlays as a tuple of them
+    for overlays in ([1, 2.0], (v for v in (np.float64(1.0), 2.0))):
+        spec = SweepSpec(0, 1, 2, overlays)
+        assert spec == SweepSpec(0.0, 1.0, 2, (1.0, 2.0)) and hash(spec) is not None
+        assert [type(v) for v in (spec.start, spec.stop, *spec.overlay_values)] == [float] * 4
 
 
 def test_sweepspec_degenerate_single_point():
@@ -81,22 +86,37 @@ _RUNNERS = {
 }
 
 
+def _forbid_work(monkeypatch):
+    # the runners' work functions raise, so a test sees checks that run first
+    def work(*args, **kwargs):
+        raise AssertionError("work ran before the argument checks")
+    for name in ("error_curve", "simulate_detection", "simulate_destination_snr",
+                 "_maximize_over_epsilons", "snrs_at"):
+        monkeypatch.setattr(experiments, name, work)
+
+
 @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
 @pytest.mark.parametrize("runner", list(_RUNNERS))
 def test_runners_reject_a_seed_that_is_not_a_non_negative_int(fig5, monkeypatch,
                                                               runner, seed):
     # a bad seed never reaches a CSV's seed column or numpy's SeedSequence
-    def work(*args, **kwargs):
-        raise AssertionError("work ran before the seed check")
-    work_done = ["error_curve", "simulate_detection", "simulate_destination_snr",
-                 "_maximize_over_epsilons"]
-    if runner != "validate":  # validate takes its closed-form SNR first
-        work_done.append("snrs_at")
-    for name in work_done:
-        monkeypatch.setattr(experiments, name, work)
+    _forbid_work(monkeypatch)
     message = f"seed must be a non-negative integer, got {seed!r}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         _RUNNERS[runner](fig5, seed)
+
+
+@pytest.mark.parametrize("n_trials", [0, 2.5, True], ids=["zero", "float", "bool"])
+@pytest.mark.parametrize("runner", [
+    lambda s, n: run_detection_sweep(s, detection_sweep_spec(steps=3), n, 0),
+    lambda s, n: run_validation(s, n_trials=n, n_symbols=10),
+], ids=["detect-sweep", "validate"])
+def test_runners_reject_a_trial_count_that_is_not_a_positive_int(fig5, monkeypatch,
+                                                                 runner, n_trials):
+    _forbid_work(monkeypatch)
+    message = f"n_trials must be a positive integer, got {n_trials!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        runner(fig5, n_trials)
 
 
 def test_numpy_scalar_inputs_give_python_scalars(fig2, fig3, fig5):

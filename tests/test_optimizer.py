@@ -31,7 +31,7 @@ def test_gridspec_validation():
     with pytest.raises(ConfigError):
         GridSpec(p_u_values=(0.0, 1.0), p_j_values=(1.0,))
     for values in (("1.0",), (True,), (1j,)):  # float() would take the first two
-        with pytest.raises(ConfigError, match="must be real numbers"):
+        with pytest.raises(ConfigError, match="must be a real number"):
             GridSpec(p_u_values=(1.0,), p_j_values=values)
     grid = GridSpec(p_u_values=[np.float64(1.0), 2], p_j_values=np.array([3.0]))
     assert grid == GridSpec((1.0, 2.0), (3.0,))
