@@ -16,7 +16,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ConfigError, NumericalError, _check_seed
+from .errors import ConfigError, NumericalError, _integer
 from .model import Scenario
 from .optimizer import GridSpec, maximize_covert_rate
 from .experiments import (
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         scenario = Scenario.from_file(args.scenario)
-        _check_seed(args.seed)
+        args.seed = _integer("seed", args.seed, 0)
         return args.run(scenario, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

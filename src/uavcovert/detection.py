@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_count, _real
+from .errors import ConfigError, NumericalError, _integer, _real
 from .model import Scenario
 
 _ZETA_SLACK = 1e-12
@@ -101,10 +101,9 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
     one, in place; with each count's boolean mask that is about 9 bytes
     per trial.
     """
-    _check_count("n_trials", n_trials)
+    n = _integer("n_trials", n_trials, 1)
     (gamma,) = _check_thresholds((gamma,))
     s = scenario
-    n = int(n_trials)
     rng = np.random.default_rng(seed)
     t = rng.standard_exponential(n)                          # |h_bw|^2
     with np.errstate(over="ignore"):  # inf is the limit: above any gamma

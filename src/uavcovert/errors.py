@@ -1,4 +1,4 @@
-"""Exception types, and the count, seed and real-number argument checks.
+"""Exception types, and the integer and real-number argument rules.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2 and numerical failures with 4.  Exit 3 (infeasible) comes from an
@@ -6,6 +6,7 @@ infeasible ``OptimizationResult``, not from an exception.
 """
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -19,16 +20,23 @@ class NumericalError(RuntimeError):
     failed closed-form-vs-simulation validation, ...)."""
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ConfigError unless ``value`` is an int (not a bool) >= 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+_MAX_COUNT = sys.maxsize // 16  # 2**59 - 1 on 64 bits, below every size numpy rejects
 
 
-def _check_seed(seed) -> None:
-    """Raise ConfigError unless ``seed`` is an int (not a bool) >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as a Python int if it is a non-bool int, numpy's included,
+    >= ``least``: 1 for a count, which must also be at most ``_MAX_COUNT``,
+    and 0 for a seed; else ConfigError, which formats no int beyond int64."""
+    kind = "positive integer" if least else "non-negative integer"
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be a {kind}, got {value!r}")
+    value = int(value)
+    if value < least:
+        got = repr(value) if value >= -2**63 else "an int below -2**63"
+        raise ConfigError(f"{name} must be a {kind}, got {got}")
+    if least and value > _MAX_COUNT:
+        raise ConfigError(f"{name} must be at most {_MAX_COUNT}, got a larger int")
+    return value
 
 
 def _real(name: str, value) -> float:

@@ -31,7 +31,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_count, _check_seed, _real
+from .errors import ConfigError, NumericalError, _integer, _real
 from .model import Scenario, _canonical_hashes
 from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import capacity, simulate_destination_snr, snrs_at
@@ -44,8 +44,8 @@ _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
 class SweepSpec:
     """One swept field over [start, stop] plus an overlay family; each
     runner names the two fields it sweeps.  The bounds and the span
-    stop - start must be finite, so every point is.  The bounds are
-    stored as Python floats and the overlay values as a tuple of them."""
+    stop - start must be finite, so every point is.  The bounds are Python
+    floats, the overlay values a tuple of them, ``steps`` a Python int."""
 
     start: float
     stop: float
@@ -60,7 +60,7 @@ class SweepSpec:
         if not math.isfinite(self.stop - self.start):  # inf or nan if a bound is
             raise ConfigError(f"sweep bounds must be finite, as must their span "
                               f"stop - start, got [{self.start}, {self.stop}]")
-        _check_count("steps", self.steps)
+        object.__setattr__(self, "steps", _integer("steps", self.steps, 1))
         if self.steps == 1:
             if self.start != self.stop:
                 raise ConfigError("a 1-step sweep needs start == stop")
@@ -168,8 +168,8 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
     point derives from (seed, overlay index, point index), so a point's
     draws do not depend on the other points.
     """
-    _check_seed(seed)
-    _check_count("n_trials", n_trials)
+    seed = _integer("seed", seed, 0)
+    n_trials = _integer("n_trials", n_trials, 1)
     gamma_values = sweep.points().tolist()
     blocks = []
     for oi, p_u in enumerate(sorted(sweep.overlay_values)):
@@ -178,14 +178,14 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
         p_fa, p_md, zeta = error_curve(sc, gamma_values)
         p_fa_mc, p_md_mc, zeta_mc = map(list, zip(*(
             simulate_detection(sc, gamma, n_trials,
-                               seed=np.random.SeedSequence(entropy=[int(seed), oi, gi]))
+                               seed=np.random.SeedSequence(entropy=[seed, oi, gi]))
             for gi, gamma in enumerate(gamma_values))))
         block = scenario_columns(sc)
         block.update(
             gamma=gamma_values, p_fa=p_fa, p_md=p_md, zeta=zeta,
             p_fa_mc=p_fa_mc, p_md_mc=p_md_mc, zeta_mc=zeta_mc,
             gamma_star=gamma_star, zeta_star=zeta_star,
-            n_trials=int(n_trials), seed=int(seed), scenario_hash=sc.canonical_hash(),
+            n_trials=n_trials, seed=seed, scenario_hash=sc.canonical_hash(),
         )
         blocks.append(block)
     return blocks
@@ -213,7 +213,7 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     The destination capacity is provably decreasing in altitude; the runner
     asserts that on each overlay as a numerical self-check.
     """
-    _check_seed(seed)
+    seed = _integer("seed", seed, 0)
     if sweep.start < 0.0:
         raise ConfigError("altitude sweep must start at h >= 0")
     hs = sweep.points()
@@ -236,7 +236,7 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
         block.update(
             h=h_values, gamma_u=gamma_u_values, gamma_b=row.tolist(),
             c_u=c_u, c_b=c_b, c_s=list(map(sub, c_b, c_u)), r_b=c_b,
-            seed=int(seed), scenario_hash=_canonical_hashes(sc, "h", h_cells))
+            seed=seed, scenario_hash=_canonical_hashes(sc, "h", h_cells))
         blocks.append(block)
     return blocks
 
@@ -263,7 +263,7 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     ``scenario_hash`` list splices each epsilon's ``repr`` (taken once per
     sweep) into one per-overlay template.
     """
-    _check_seed(seed)
+    seed = _integer("seed", seed, 0)
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
     epsilons = sweep.points().tolist()
@@ -280,7 +280,7 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
         cells = {name: [getattr(r, name) for r in results] for name in _RESULT_COLUMNS}
         block = scenario_columns(base)
         block.update(epsilon=epsilons, feasible=cells["feasible"], h_min=cells["h_star"])
-        block.update(cells, seed=int(seed),
+        block.update(cells, seed=seed,
                      scenario_hash=_canonical_hashes(base, "epsilon", epsilon_cells))
         blocks.append(block)
     return blocks
@@ -316,10 +316,10 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     extreme powers), since the SNR gap is relative to it, or if the
     threshold grid's stop 10 * gamma_star overflows.
     """
-    _check_seed(seed)
-    _check_count("gamma_points", gamma_points)
-    _check_count("n_trials", n_trials)
-    _check_count("n_symbols", n_symbols)
+    seed = _integer("seed", seed, 0)
+    gamma_points = _integer("gamma_points", gamma_points, 1)
+    n_trials = _integer("n_trials", n_trials, 1)
+    n_symbols = _integer("n_symbols", n_symbols, 1)
     closed_snr = snrs_at(scenario, scenario.p_u, scenario.p_j, scenario.h)[1]
     if not closed_snr > 0.0:
         raise NumericalError(
@@ -338,7 +338,7 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
         ok = ok and gap <= tol
 
     snr, power = simulate_destination_snr(
-        scenario, n_symbols, seed=np.random.SeedSequence(entropy=[int(seed), 1]))
+        scenario, n_symbols, seed=np.random.SeedSequence(entropy=[seed, 1]))
     rel_gap = abs(snr - closed_snr) / closed_snr
     return [
         ("detection_error_mc_vs_closed", ok,

@@ -95,9 +95,7 @@ class Scenario:
             raise ConfigError(f"missing scenario fields: {sorted(missing)}")
         kwargs = {}
         for key, (attr, decode) in _JSON_FIELDS.items():
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"scenario field {key} must be a number, got {value!r}")
+            value = _real(f"scenario field {key}", raw[key])
             try:
                 kwargs[attr] = decode(value)
             except OverflowError as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, _check_count, _positive
+from .errors import ConfigError, NumericalError, _integer, _positive
 from .model import Scenario
 from .constraints import feasibility_grid, security_height_bound
 from .rates import capacity
@@ -61,8 +61,8 @@ class GridSpec:
         """Evenly spaced grids from stop/steps up to the given stops, so the
         grid stays strictly positive (one step is the stop alone).  Each
         stop must be finite and > 0."""
-        _check_count("p_u_steps", p_u_steps)
-        _check_count("p_j_steps", p_j_steps)
+        p_u_steps = _integer("p_u_steps", p_u_steps, 1)
+        p_j_steps = _integer("p_j_steps", p_j_steps, 1)
         p_u_stop = _positive("p_u_stop", p_u_stop)
         p_j_stop = _positive("p_j_stop", p_j_stop)
 

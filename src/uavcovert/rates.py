@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import _check_count
+from .errors import _integer
 if TYPE_CHECKING:
     from .model import Scenario
 
@@ -118,9 +118,8 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
     place.  Every element sees the operations of the one-array-per-
     expression form, in its association, so the result is bit-equal to it.
     """
-    _check_count("n_symbols", n_symbols)
+    n = _integer("n_symbols", n_symbols, 1)
     s = scenario
-    n = int(n_symbols)
     rng = np.random.default_rng(seed)
     g_ua = s.beta / (s.d_a2 + s.h * s.h)
     g_ub = s.beta / (s.d_b2 + s.h * s.h)

@@ -18,6 +18,7 @@ from uavcovert import (  # noqa: E402
     ConfigError, GridSpec, NumericalError, Scenario, maximize_covert_rate,
     optimal_detection,
 )
+from uavcovert import experiments  # noqa: E402
 from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid  # noqa: E402
 from uavcovert.experiments import (  # noqa: E402
     _MONOTONE_SLACK, _RESULT_COLUMNS, _render_cell, scenario_columns,
@@ -53,6 +54,16 @@ def fig4():
 @pytest.fixture(scope="session")
 def fig5():
     return Scenario.from_file(SCENARIOS / "fig5.json")
+
+
+def forbid_work(monkeypatch) -> None:
+    """Make the runners' work functions raise, so a test sees the argument
+    checks that run first and no bad count reaches an allocation."""
+    def work(*args, **kwargs):
+        raise AssertionError("work ran before the argument checks")
+    for name in ("error_curve", "simulate_detection", "simulate_destination_snr",
+                 "_maximize_over_epsilons", "snrs_at"):
+        monkeypatch.setattr(experiments, name, work)
 
 
 def draw_scenario(rng: np.random.Generator, **overrides) -> Scenario:

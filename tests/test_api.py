@@ -4,6 +4,7 @@ import inspect
 import numbers
 import pathlib
 import pkgutil
+import re
 import tomllib
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ import pytest
 
 import uavcovert
 import uavcovert.cli
+from uavcovert.errors import _MAX_COUNT
+
+from conftest import forbid_work
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -143,6 +147,62 @@ def test_every_real_argument_follows_one_rule(entry):
         got = call(value)
         assert [type(v) for v in got] == [float] * len(got)
         assert got == call(float(value))
+
+
+# every count and seed obeys errors._integer: a non-bool int, numpy's
+# included, >= 1 and at most _MAX_COUNT for a count, >= 0 for a seed,
+# returned as the Python int it is used as
+def _detect(n_trials=3, seed=0):
+    (block,) = uavcovert.run_detection_sweep(
+        _FIG2, uavcovert.SweepSpec(0.0, 1.0, 2, (2.0,)), n_trials, seed)
+    return block["n_trials"], block["seed"]
+
+
+def _validate(**counts):
+    checks = uavcovert.run_validation(
+        _FIG2, **{"n_trials": 3, "n_symbols": 3, "gamma_points": 3, **counts})
+    return tuple(detail for _, _, detail in checks)
+
+
+_COUNT_ENTRY_POINTS = {
+    "SweepSpec steps": lambda v: (uavcovert.SweepSpec(0.0, 1.0, v, (1.0,)).steps,),
+    "GridSpec.linear p_u_steps":
+        lambda v: uavcovert.GridSpec.linear(1.0, 1.0, v, 1).p_u_values,
+    "GridSpec.linear p_j_steps":
+        lambda v: uavcovert.GridSpec.linear(1.0, 1.0, 1, v).p_j_values,
+    "simulate_detection": lambda v: uavcovert.simulate_detection(_FIG2, 1.0, v, 0),
+    "simulate_destination_snr": lambda v: uavcovert.simulate_destination_snr(_FIG2, v, 0),
+    "run_detection_sweep n_trials": lambda v: _detect(n_trials=v),
+    "run_validation gamma_points": lambda v: _validate(gamma_points=v),
+    "run_validation n_trials": lambda v: _validate(n_trials=v),
+    "run_validation n_symbols": lambda v: _validate(n_symbols=v),
+}
+_SEED_ENTRY_POINTS = {
+    "run_detection_sweep seed": lambda v: _detect(seed=v),
+    "run_rate_sweep seed": lambda v: (uavcovert.run_rate_sweep(
+        _FIG2, uavcovert.SweepSpec(0.0, 1.0, 2, (1.0,)), v)[0]["seed"],),
+    "run_covertness_sweep seed": lambda v: (uavcovert.run_covertness_sweep(
+        _FIG2, uavcovert.SweepSpec(0.01, 0.02, 2, (1.0,)), (1.0,), v)[0]["seed"],),
+    "run_validation seed": lambda v: _validate(seed=v),
+}
+_NOT_INTEGERS = (True, np.True_, 2.5, "3", None, -10**5000)
+
+
+@pytest.mark.parametrize("entry", list(_COUNT_ENTRY_POINTS) + list(_SEED_ENTRY_POINTS))
+def test_every_count_and_seed_follows_one_rule(entry, monkeypatch):
+    call = _COUNT_ENTRY_POINTS.get(entry) or _SEED_ENTRY_POINTS[entry]
+    bad = (_NOT_INTEGERS + (0, _MAX_COUNT + 1, 10**5000) if entry in _COUNT_ENTRY_POINTS
+           else _NOT_INTEGERS + (-1,))
+    with monkeypatch.context() as patched:
+        forbid_work(patched)  # so no bad count reaches an allocation
+        for value in bad:
+            with pytest.raises(uavcovert.ConfigError) as excinfo:
+                call(value)
+            # an int beyond int64 is never formatted
+            assert not re.search(r"\d{20}", str(excinfo.value)), value
+    for value in (np.int64(3), np.uint8(3)):
+        got, want = call(value), call(3)
+        assert got == want and list(map(type, got)) == list(map(type, want))
 
 
 def test_only_errors_imports_numbers():

@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 import uavcovert.cli
 import uavcovert.experiments
 from uavcovert.cli import main
+from uavcovert.errors import _MAX_COUNT
 
 from conftest import PRESETS, expand_rows, reference_render_csv
 
@@ -221,9 +222,10 @@ def test_unknown_scenario_field_exits_two(tmp_path, capsys):
     ["detect-sweep", "--trials", "10", "--steps", "2"], ["rate-sweep"],
     ["covertness-sweep"], ["optimize"], ["validate"],
 ], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("key, value", [("beta_db", 4000), ("d_a2_m2", 10 ** 400)],
-                         ids=["beta_db", "d_a2_m2"])
-def test_scenario_overflow_exits_two(tmp_path, capsys, command, key, value):
+@pytest.mark.parametrize("key, value, why", [
+    ("beta_db", 4000, ""), ("d_a2_m2", 10 ** 400, " (int too large)"),
+], ids=["beta_db", "d_a2_m2"])
+def test_scenario_overflow_exits_two(tmp_path, capsys, command, key, value, why):
     raw = json.loads((SCENARIOS / "fig5.json").read_text())
     raw[key] = value  # json writes 10 ** 400 as a 401-digit integer literal
     bad = tmp_path / "overflow.json"
@@ -234,9 +236,28 @@ def test_scenario_overflow_exits_two(tmp_path, capsys, command, key, value):
         argv += ["--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"config error: scenario field {key} overflows a float\n"
+    assert captured.err == f"config error: scenario field {key} overflows a float{why}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [_MAX_COUNT + 1, 10**30], ids=["2**59", "10**30"])
+@pytest.mark.parametrize("command, option", [
+    ("detect-sweep", "--trials"), ("detect-sweep", "--steps"), ("rate-sweep", "--steps"),
+    ("covertness-sweep", "--steps"), ("covertness-sweep", "--pu-steps"),
+    ("optimize", "--pu-steps"), ("optimize", "--pj-steps"), ("validate", "--trials"),
+    ("validate", "--symbols"), ("validate", "--gamma-points"),
+])
+def test_a_count_numpy_cannot_size_exits_two(tmp_path, monkeypatch, capsys,
+                                             command, option, count):
+    # the count rule runs before any work, so no size reaches numpy or malloc
+    monkeypatch.chdir(tmp_path)  # a default --out would land here
+    argv = [command, "--scenario", str(SCENARIOS / "fig5.json"), option, str(count)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_detect_sweep_writes_csv(tmp_path):

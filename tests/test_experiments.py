@@ -26,9 +26,9 @@ from uavcovert.cli import main
 from uavcovert.model import _canonical_hashes
 
 from conftest import (
-    SCENARIOS, covert_floor, draw_scenario, expand_rows, json_canonical_hash,
-    monotone_by_overlay, per_epsilon_covertness_oracle, per_row_rate_oracle,
-    rate_report, reference_render_csv, traced_peak_bytes,
+    SCENARIOS, covert_floor, draw_scenario, expand_rows, forbid_work,
+    json_canonical_hash, monotone_by_overlay, per_epsilon_covertness_oracle,
+    per_row_rate_oracle, rate_report, reference_render_csv, traced_peak_bytes,
 )
 
 
@@ -86,21 +86,12 @@ _RUNNERS = {
 }
 
 
-def _forbid_work(monkeypatch):
-    # the runners' work functions raise, so a test sees checks that run first
-    def work(*args, **kwargs):
-        raise AssertionError("work ran before the argument checks")
-    for name in ("error_curve", "simulate_detection", "simulate_destination_snr",
-                 "_maximize_over_epsilons", "snrs_at"):
-        monkeypatch.setattr(experiments, name, work)
-
-
 @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
 @pytest.mark.parametrize("runner", list(_RUNNERS))
 def test_runners_reject_a_seed_that_is_not_a_non_negative_int(fig5, monkeypatch,
                                                               runner, seed):
     # a bad seed never reaches a CSV's seed column or numpy's SeedSequence
-    _forbid_work(monkeypatch)
+    forbid_work(monkeypatch)
     message = f"seed must be a non-negative integer, got {seed!r}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         _RUNNERS[runner](fig5, seed)
@@ -113,7 +104,7 @@ def test_runners_reject_a_seed_that_is_not_a_non_negative_int(fig5, monkeypatch,
 ], ids=["detect-sweep", "validate"])
 def test_runners_reject_a_trial_count_that_is_not_a_positive_int(fig5, monkeypatch,
                                                                  runner, n_trials):
-    _forbid_work(monkeypatch)
+    forbid_work(monkeypatch)
     message = f"n_trials must be a positive integer, got {n_trials!r}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         runner(fig5, n_trials)
