@@ -45,6 +45,16 @@ def _add_common(sub, default_out: str | None) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master seed (non-negative)")
 
 
+def _add_sweep(sub, swept: str, unit: str, start: float, stop: float, steps: int,
+               points: str, overlays: str, powers: str) -> None:
+    """--start, --stop, --steps and --overlay-values of a sweep subcommand."""
+    sub.add_argument("--start", type=float, default=start, help=f"{swept} sweep start{unit}")
+    sub.add_argument("--stop", type=float, default=stop, help=f"{swept} sweep stop{unit}")
+    sub.add_argument("--steps", type=int, default=steps, help=f"number of {points}")
+    sub.add_argument("--overlay-values", default=overlays,
+                     help=f"comma-separated {powers}, W")
+
+
 @functools.cache  # parse_args never mutates the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -58,30 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "detect_sweep.csv")
     p.add_argument("--trials", type=int, default=100_000,
                    help="Monte Carlo trials per threshold")
-    p.add_argument("--start", type=float, default=0.0, help="threshold sweep start, W")
-    p.add_argument("--stop", type=float, default=1.0, help="threshold sweep stop, W")
-    p.add_argument("--steps", type=int, default=50, help="number of thresholds")
-    p.add_argument("--overlay-values", default="2,3,4",
-                   help="comma-separated forward powers p_u, W")
+    _add_sweep(p, "threshold", ", W", 0.0, 1.0, 50, "thresholds", "2,3,4",
+               "forward powers p_u")
 
     p = subs.add_parser("rate-sweep", help="rate chain vs hover altitude")
     p.set_defaults(run=_cmd_rate_sweep)
     _add_common(p, "rate_sweep.csv")
-    p.add_argument("--start", type=float, default=0.0, help="altitude sweep start, m")
-    p.add_argument("--stop", type=float, default=100.0, help="altitude sweep stop, m")
-    p.add_argument("--steps", type=int, default=26, help="number of altitudes")
-    p.add_argument("--overlay-values", default="7,8,9",
-                   help="comma-separated forward powers p_u, W")
+    _add_sweep(p, "altitude", ", m", 0.0, 100.0, 26, "altitudes", "7,8,9",
+               "forward powers p_u")
 
     p = subs.add_parser("covertness-sweep",
                         help="optimized covert rate vs covertness slack")
     p.set_defaults(run=_cmd_covertness_sweep)
     _add_common(p, "covertness_sweep.csv")
-    p.add_argument("--start", type=float, default=0.01, help="epsilon sweep start")
-    p.add_argument("--stop", type=float, default=0.02, help="epsilon sweep stop")
-    p.add_argument("--steps", type=int, default=20, help="number of epsilon values")
-    p.add_argument("--overlay-values", default="5,10,15",
-                   help="comma-separated jamming powers p_j, W")
+    _add_sweep(p, "epsilon", "", 0.01, 0.02, 20, "epsilon values", "5,10,15",
+               "jamming powers p_j")
     p.add_argument("--pu-steps", type=int, default=60,
                    help="forward-power grid resolution for the optimizer")
 
@@ -116,25 +117,20 @@ def _sweep(args) -> SweepSpec:
                      overlay_values=_parse_values(args.overlay_values))
 
 
-def _rows(sweep: SweepSpec) -> int:
-    """Rows a sweep runner writes: one per (overlay, swept point)."""
-    return sweep.steps * len(sweep.overlay_values)
+def _write_sweep(args, blocks: list[dict], note: str = "") -> int:
+    """Write a sweep's CSV and report its rows: one per (overlay, point)."""
+    write_csv(args.out, blocks)
+    print(f"wrote {args.steps * len(blocks)} rows to {args.out}{note}")
+    return EXIT_OK
 
 
 def _cmd_detect_sweep(scenario: Scenario, args) -> int:
-    sweep = _sweep(args)
-    blocks = run_detection_sweep(scenario, sweep, n_trials=args.trials, seed=args.seed)
-    write_csv(args.out, blocks)
-    print(f"wrote {_rows(sweep)} rows to {args.out}")
-    return EXIT_OK
+    return _write_sweep(args, run_detection_sweep(
+        scenario, _sweep(args), n_trials=args.trials, seed=args.seed))
 
 
 def _cmd_rate_sweep(scenario: Scenario, args) -> int:
-    sweep = _sweep(args)
-    blocks = run_rate_sweep(scenario, sweep, seed=args.seed)
-    write_csv(args.out, blocks)
-    print(f"wrote {_rows(sweep)} rows to {args.out}")
-    return EXIT_OK
+    return _write_sweep(args, run_rate_sweep(scenario, _sweep(args), seed=args.seed))
 
 
 def _cmd_covertness_sweep(scenario: Scenario, args) -> int:
@@ -142,10 +138,8 @@ def _cmd_covertness_sweep(scenario: Scenario, args) -> int:
     p_u_values = GridSpec.linear(scenario.p_max, scenario.p_max,
                                  p_u_steps=args.pu_steps, p_j_steps=1).p_u_values
     blocks = run_covertness_sweep(scenario, sweep, p_u_values, seed=args.seed)
-    write_csv(args.out, blocks)
     n_infeasible = sum(not f for block in blocks for f in block["feasible"])
-    print(f"wrote {_rows(sweep)} rows to {args.out} ({n_infeasible} infeasible)")
-    return EXIT_OK
+    return _write_sweep(args, blocks, f" ({n_infeasible} infeasible)")
 
 
 def _cmd_optimize(scenario: Scenario, args) -> int:

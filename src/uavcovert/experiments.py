@@ -5,18 +5,19 @@ with closed-form and Monte Carlo error curves, an altitude sweep of the
 rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Each runner's protocol fixes which field it sweeps and which it
 overlays; a :class:`SweepSpec` holds only the range and the overlay
-values.  Each runner checks its seed and its counts before any work, is
-one serial loop over its sorted overlays, and returns one column block
-per overlay: a dict that maps a column to a list of one value per swept
-point, or to one value shared by the block's rows.  A block's keys, in
-insertion order, are its CSV header, so each runner states its schema
-once.  The swept points are one list object shared by every block.  The
-detection sweep takes each overlay's closed forms in one list pass (Monte
-Carlo stays per point), and validation draws through it; the rate sweep
-takes one array pass per sweep, over the whole (overlay x altitude) grid,
-and its ``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block,
-as the swept points are.  Capacities come from :func:`rates.capacity` and
-array values reach the blocks as floats via ``.tolist()``.
+values.  Each runner checks its seed, its counts and every overlay
+before any work, is one serial loop over its overlays in ascending
+order, and returns one column block per overlay: a dict that maps a
+column to a list of one value per swept point, or to one value shared by
+the block's rows.  A block's keys, in insertion order, are its CSV
+header, so each runner states its schema once.  The swept points are one
+list object shared by every block.  The detection sweep takes each
+overlay's closed forms in one list pass (Monte Carlo stays per point),
+and validation draws through it; the rate sweep takes one array pass per
+sweep, over the whole (overlay x altitude) grid, and its ``p_u``-free
+``gamma_u``/``c_u`` lists are shared by every block, as the swept points
+are.  Capacities come from :func:`rates.capacity` and array values reach
+the blocks as floats via ``.tolist()``.
 :func:`render_csv` takes the header from the first block's keys and
 renders each distinct list once and each shared value once per block;
 floats render with repr, so the CSV round-trips exactly and is
@@ -156,24 +157,36 @@ def write_csv(path, blocks: list[dict]) -> None:
         fh.write(data)
 
 
+def _overlays(scenario: Scenario, sweep: SweepSpec, field: str, check=None,
+              **fixed) -> list[Scenario]:
+    """``scenario`` with ``field`` set to each overlay value in ascending
+    order, after ``check(value)`` if given, and the ``fixed`` fields set:
+    every one built, and so validated, before the runner's work."""
+    scenarios = []
+    for value in sorted(sweep.overlay_values):
+        if check is not None:
+            check(value)
+        scenarios.append(scenario.replace(**{field: value}, **fixed))
+    return scenarios
+
+
 def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
                         seed: int) -> list[dict]:
     """Closed-form and Monte Carlo error curves over a threshold grid.
 
-    ``sweep`` runs over the threshold ``gamma``; its overlay values are
-    forward powers ``p_u``.  One block per overlay p_u, in ascending order,
-    each with one row per gamma: the ``gamma`` list (one object shared by
-    every block), the closed-form columns of one :func:`error_curve` call,
-    and the per-point Monte Carlo columns.  The Monte Carlo stream of each
-    point derives from (seed, overlay index, point index), so a point's
-    draws do not depend on the other points.
+    ``sweep`` runs over the threshold ``gamma``; its overlay values are forward
+    powers ``p_u``.  It checks its seed, its counts and every overlay before
+    any work.  One block per overlay p_u, in ascending order, each with one row
+    per gamma: the ``gamma`` list (one object shared by every block), the
+    closed-form columns of one :func:`error_curve` call, and the per-point
+    Monte Carlo columns, whose stream at each point derives from (seed, overlay
+    index, point index), not from the other points.
     """
     seed = _integer("seed", seed, 0)
     n_trials = _integer("n_trials", n_trials, 1)
     gamma_values = sweep.points().tolist()
     blocks = []
-    for oi, p_u in enumerate(sorted(sweep.overlay_values)):
-        sc = scenario.replace(p_u=p_u)
+    for oi, sc in enumerate(_overlays(scenario, sweep, "p_u")):
         gamma_star, zeta_star = optimal_detection(sc)
         p_fa, p_md, zeta = error_curve(sc, gamma_values)
         p_fa_mc, p_md_mc, zeta_mc = map(list, zip(*(
@@ -195,11 +208,11 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     """Rate chain over an altitude grid with forward-power overlays, in one
     array pass per sweep.
 
-    ``sweep`` runs over the altitude ``h``, from ``h >= 0``; its overlay
-    values are forward powers ``p_u``.  Every overlay's scenario is built
-    and validated once, at the first altitude, before any SNR; the other
-    altitudes need no revalidation, since :class:`SweepSpec` keeps every
-    point finite and the start check keeps them >= 0.  One
+    ``sweep`` runs over the altitude ``h``, from ``h >= 0``; its overlay values
+    are forward powers ``p_u``.  It checks its seed, its counts and every
+    overlay, each overlay's scenario at the first altitude, before any work;
+    the other altitudes need no revalidation, since :class:`SweepSpec` keeps
+    every point finite and the start check keeps them >= 0.  One
     :func:`rates.snrs_at` call takes both SNRs over the whole (overlay x
     altitude) grid, with ``p_u`` a column.  The relay SNR does not involve
     ``p_u``, so it comes back as one altitude row: the ``h``, ``gamma_u``
@@ -219,10 +232,9 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     hs = sweep.points()
     h_values = hs.tolist()
     h_cells = list(map(float.__repr__, h_values))
-    overlays = sorted(sweep.overlay_values)
-    scenarios = [scenario.replace(p_u=p_u, h=h_values[0]) for p_u in overlays]
+    scenarios = _overlays(scenario, sweep, "p_u", h=h_values[0])
     with np.errstate(over="ignore"):  # h*h overflows to inf, as for floats
-        gamma_u, gamma_b = snrs_at(scenario, np.array(overlays)[:, None],
+        gamma_u, gamma_b = snrs_at(scenario, np.array([[sc.p_u] for sc in scenarios]),
                                    scenario.p_j, hs)
     gamma_u_values = gamma_u.tolist()
     c_u = capacity(gamma_u)
@@ -250,11 +262,12 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     """Optimized covert rate over a covertness-slack grid.
 
     ``sweep`` runs over ``epsilon``, inside (0, 1); its overlay values are
-    jamming powers ``p_j``.  For each (overlay p_j, epsilon) the forward
-    power is re-optimized over ``p_u_values`` (ascending, distinct, > 0)
-    with the altitude closed out analytically, in one optimizer call per
-    overlay over its whole (epsilon x p_u) grid, on the overlay's scenario
-    validated once.  One block per overlay p_j, in ascending order: the
+    jamming powers ``p_j``.  It checks its seed, its counts and every overlay
+    (its grid, then its scenario) before any work.  For each (overlay p_j,
+    epsilon) the forward power is re-optimized over ``p_u_values`` (any
+    iterable of ascending, distinct values > 0, read once) with the altitude
+    closed out analytically, in one optimizer call per overlay over its whole
+    (epsilon x p_u) grid.  One block per overlay p_j, in ascending order: the
     ``epsilon`` list (one object shared by every block) and one list per
     result field, with ``h_min`` the ``h_star`` list itself.  Infeasible
     points are recorded with feasible=false, never dropped.  Relaxing
@@ -266,17 +279,18 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     seed = _integer("seed", seed, 0)
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
+    p_u_values, grids = tuple(p_u_values), []  # the axis, read once; one grid per overlay
+    bases = _overlays(scenario, sweep, "p_j",
+                      check=lambda p_j: grids.append(GridSpec(p_u_values, (p_j,))))
     epsilons = sweep.points().tolist()
     epsilon_cells = list(map(float.__repr__, epsilons))
     blocks = []
-    for p_j in sorted(sweep.overlay_values):
-        grid = GridSpec(p_u_values=p_u_values, p_j_values=(p_j,))
-        base = scenario.replace(p_j=p_j)
+    for grid, base in zip(grids, bases):
         results = _maximize_over_epsilons(base, grid, epsilons)
         rates = [r.r_b_star for r in results if r.feasible]
         if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):
             raise NumericalError(
-                f"optimized covert rate not nondecreasing in epsilon at p_j={p_j}")
+                f"optimized covert rate not nondecreasing in epsilon at p_j={base.p_j}")
         cells = {name: [getattr(r, name) for r in results] for name in _RESULT_COLUMNS}
         block = scenario_columns(base)
         block.update(epsilon=epsilons, feasible=cells["feasible"], h_min=cells["h_star"])

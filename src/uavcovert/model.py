@@ -104,11 +104,20 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
+        def unique(pairs):  # json.load alone keeps the last of two equal keys
+            raw = {}
+            for key, value in pairs:
+                if key in raw:
+                    raise ConfigError(f"scenario file {path} repeats field {key}")
+                raw[key] = value
+            return raw
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=unique)
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
+        except ConfigError:
+            raise
         except ValueError as exc:  # bad JSON or UTF-8, or a too-long integer
             raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

@@ -218,6 +218,19 @@ def test_unknown_scenario_field_exits_two(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_repeated_scenario_field_exits_two(tmp_path, capsys):
+    # json.load alone would keep the last value and run with p_u = 2.0
+    text = (SCENARIOS / "fig5.json").read_text()
+    assert text.count('"p_u_w": 2.0,') == 1
+    bad = tmp_path / "repeated.json"
+    bad.write_text(text.replace('"p_u_w": 2.0,', '"p_u_w": 1.0, "p_u_w": 2.0,'))
+    out = tmp_path / "out.csv"
+    assert main(["optimize", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: scenario file {bad} repeats field p_u_w\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["detect-sweep", "--trials", "10", "--steps", "2"], ["rate-sweep"],
     ["covertness-sweep"], ["optimize"], ["validate"],

@@ -97,6 +97,19 @@ def test_runners_reject_a_seed_that_is_not_a_non_negative_int(fig5, monkeypatch,
         _RUNNERS[runner](fig5, seed)
 
 
+@pytest.mark.parametrize("runner, field", [
+    (lambda s, sweep: run_detection_sweep(s, sweep, 10, 0), "p_u"),
+    (lambda s, sweep: run_rate_sweep(s, sweep), "p_u"),
+    (lambda s, sweep: run_covertness_sweep(s, sweep, (1.0, 2.0)), "p_j"),
+], ids=["detect-sweep", "rate-sweep", "covertness-sweep"])
+def test_runners_check_every_overlay_before_any_work(fig5, monkeypatch, runner, field):
+    # the largest overlay is above p_max: reported before the first one runs
+    forbid_work(monkeypatch)
+    sweep = SweepSpec(0.01, 0.02, 3, (2.0 * fig5.p_max, 5.0))
+    with pytest.raises(ConfigError, match=re.escape(f"{field} exceeds p_max (60.0 > 30.0)")):
+        runner(fig5, sweep)
+
+
 @pytest.mark.parametrize("n_trials", [0, 2.5, True], ids=["zero", "float", "bool"])
 @pytest.mark.parametrize("runner", [
     lambda s, n: run_detection_sweep(s, detection_sweep_spec(steps=3), n, 0),
@@ -345,6 +358,27 @@ def test_covertness_sweep_rejects_epsilon_outside_unit_interval(fig5, start, sto
 def test_covertness_sweep_validates_power_grid(fig5, p_u_values):
     with pytest.raises(ConfigError, match="p_u_values"):
         run_covertness_sweep(fig5, covertness_sweep_spec(steps=2), p_u_values)
+
+
+@pytest.mark.parametrize("overlays, message", [
+    ((-1.0, 5.0), "p_j_values must be finite and > 0, got -1.0"),
+    ((5.0, 40.0, math.inf), "p_j exceeds p_max (40.0 > 30.0)"),
+    ((40.0, math.nan), "p_j exceeds p_max (40.0 > 30.0)"),
+])
+def test_covertness_sweep_checks_each_overlays_grid_then_its_scenario(
+        fig5, monkeypatch, overlays, message):
+    # in ascending order, so 40 fails its scenario before inf fails its grid
+    forbid_work(monkeypatch)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_covertness_sweep(fig5, SweepSpec(0.01, 0.02, 3, overlays), (1.0, 2.0))
+
+
+def test_covertness_sweep_reads_its_power_axis_once(fig5):
+    # a one-shot iterable serves every overlay, as a tuple does
+    sweep = SweepSpec(0.01, 0.02, 3, (5.0, 10.0))
+    want = render_csv(run_covertness_sweep(fig5, sweep, (2.0, 4.0, 6.0)))
+    got = render_csv(run_covertness_sweep(fig5, sweep, (v for v in (2.0, 4.0, 6.0))))
+    assert got == want
 
 
 def assert_same_blocks(got, want):

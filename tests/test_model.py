@@ -74,6 +74,9 @@ def test_scenario_file_errors(tmp_path):
     bad.write_text('{"h_m": 1' + "0" * 5000 + "}")  # over int's digit limit
     with pytest.raises(ConfigError, match="not valid JSON"):
         Scenario.from_file(bad)
+    bad.write_text('{"h_m": 1, "h_m": 1}')  # a repeat, not a missing field
+    with pytest.raises(ConfigError, match="repeats field h_m$"):
+        Scenario.from_file(bad)
 
 
 @pytest.mark.parametrize("changes", [
