@@ -6,7 +6,6 @@ from .errors import ConfigError, NumericalError
 from .model import Scenario, db_to_linear
 from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import capacity, simulate_destination_snr
-from .constraints import security_height_bound
 from .optimizer import (
     GridSpec,
     OptimizationResult,
@@ -41,7 +40,6 @@ __all__ = [
     "run_detection_sweep",
     "run_rate_sweep",
     "run_validation",
-    "security_height_bound",
     "simulate_destination_snr",
     "simulate_detection",
     "write_csv",

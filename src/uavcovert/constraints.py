@@ -28,10 +28,11 @@ above the ground; :func:`feasibility_grid` reports such points infeasible.
 :func:`feasibility_grid` is the one feasibility verdict, over whole arrays
 of (epsilon, p_u, p_j) at once: by the one crossing, the security
 predicate N_b / D_b >= t N_u / D_u, as (1 + gamma_b) / (1 + gamma_u) >= t,
-on the ground and at each covert floor h_min decides a point.  The h_max
-bisection compares the same ratio with 2^(r_s -+ BISECT_RESIDUAL).  Floats
-and arrays round its plain arithmetic alike, so the grid and the bisection
-decide a point alike.
+on the ground and at each covert floor h_min decides a point.
+:func:`security_height_bound` takes the grid's own float powers, with
+no rebuilt Scenario; its h_max bisection compares the same ratio with
+2^(r_s -+ BISECT_RESIDUAL).  Floats and arrays round its plain arithmetic
+alike, so the grid and the bisection decide a point alike.
 """
 from __future__ import annotations
 
@@ -65,8 +66,9 @@ _SCAN_HEIGHTS = np.array([0.0, *(2.0 ** k for k in range(
     math.ceil(math.log2(SEARCH_CEILING_M)))), SEARCH_CEILING_M])
 
 
-def security_height_bound(scenario: Scenario):
-    """Altitude h_max where C_s(h_max) == scenario.r_s, by bisection.
+def security_height_bound(scenario: Scenario, p_u, p_j):
+    """Altitude h_max where C_s(h_max) == scenario.r_s at the float powers
+    ``p_u`` and ``p_j``, by bisection.
 
     Returns None when C_s(0) < r_s and math.inf when C_s >= r_s at the
     search ceiling, by the security predicate at every scan height in one
@@ -80,7 +82,7 @@ def security_height_bound(scenario: Scenario):
     s = scenario
     try:
         with np.errstate(over="raise"):
-            snrs = snrs_at(s, s.p_u, s.p_j, _SCAN_HEIGHTS)
+            snrs = snrs_at(s, p_u, p_j, _SCAN_HEIGHTS)
     except FloatingPointError as exc:
         raise NumericalError(f"SNRs on the altitude scan overflow: {exc}") from exc
     secure = (_ratio(snrs) >= _threshold(s.r_s)).tolist()
@@ -94,7 +96,7 @@ def security_height_bound(scenario: Scenario):
     t_hi = _threshold(s.r_s + BISECT_RESIDUAL)
     while True:
         mid = 0.5 * (lo + hi)
-        q = _ratio(snrs_at(s, s.p_u, s.p_j, mid))
+        q = _ratio(snrs_at(s, p_u, p_j, mid))
         if t_lo < q < t_hi or not lo < mid < hi:
             return mid
         lo, hi = (mid, hi) if q >= t_hi else (lo, mid)

@@ -16,8 +16,8 @@ gives the covert floor, the SNRs there and the feasibility verdict at
 every (epsilon, p_u, p_j), its ground check shared by every epsilon.
 One :func:`rates.capacity` call per (epsilon, block) takes the covert
 rates of its feasible points.  The security ceiling h_max is solved once
-per distinct argmax (p_u, p_j), since it does not depend on epsilon; it
-gives the active-constraint flags.
+per distinct argmax (p_u, p_j), from the grid's own powers with no rebuilt
+Scenario, since it does not depend on epsilon; it gives the active flags.
 :func:`maximize_covert_rate` is the one-epsilon case.
 """
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
             continue
         r_b, p_u, p_j, h, gamma_u = point
         if (p_u, p_j) not in h_max_at:
-            h_max_at[p_u, p_j] = security_height_bound(s.replace(p_u=p_u, p_j=p_j))
+            h_max_at[p_u, p_j] = security_height_bound(s, p_u, p_j)
         h_max = h_max_at[p_u, p_j]
         if h_max is None:
             raise NumericalError(

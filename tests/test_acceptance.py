@@ -14,9 +14,10 @@ from uavcovert import (
     GridSpec, Scenario, SweepSpec, error_curve, maximize_covert_rate,
     optimal_detection,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep,
-    security_height_bound, simulate_destination_snr,
+    simulate_destination_snr,
 )
 from uavcovert.cli import main
+from uavcovert.constraints import security_height_bound
 from uavcovert.experiments import mc_zeta_tolerance
 
 from conftest import (
@@ -143,7 +144,7 @@ def test_c6_constraint_round_trips():
         c_s_ground = rate_report(s.replace(h=0.0)).c_s
         if c_s_ground > 0.0 and security_done < 100:
             target = float(rng.uniform(0.1, 0.9)) * c_s_ground
-            h_prime = security_height_bound(s.replace(r_s=target))
+            h_prime = security_height_bound(s.replace(r_s=target), s.p_u, s.p_j)
             if h_prime is not None and math.isfinite(h_prime):
                 assert abs(rate_report(s.replace(h=h_prime)).c_s - target) <= 1e-8
                 security_done += 1

@@ -1,3 +1,4 @@
+import csv
 import decimal
 import itertools
 import math
@@ -7,15 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uavcovert import GridSpec, NumericalError, security_height_bound
+from uavcovert import GridSpec, NumericalError
 from uavcovert import constraints
 from uavcovert.constraints import (
     SEARCH_CEILING_M, _ratio, _threshold, feasibility_grid,
+    security_height_bound,
 )
 from uavcovert.rates import snrs_at
 
 from conftest import (
-    covert_floor, draw_log_uniform_scenario, draw_low_noise_scenario,
+    ROOT, covert_floor, draw_log_uniform_scenario, draw_low_noise_scenario,
     draw_scenario, min_error_at_height, one_point_verdict, rate_report,
     scan_feasibility,
 )
@@ -104,7 +106,7 @@ def test_covert_bound_is_inf_when_its_denominator_underflows(fig5):
     # an infinite floor is infeasible even where C_s never drops under r_s
     s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, r_s=0.0, epsilon=1e-320)
-    assert security_height_bound(s) == math.inf
+    assert security_height_bound(s, s.p_u, s.p_j) == math.inf
     assert one_point_verdict(s) == (math.inf, False)
 
 
@@ -140,7 +142,7 @@ def test_grid_covert_floor_is_the_scalar_one(fig5, p_u_values, p_j_values,
 # -- security height bound ---------------------------------------------------
 
 def test_security_bound_zero_threshold(fig3):
-    h_prime = security_height_bound(fig3.replace(r_s=0.0))
+    h_prime = security_height_bound(fig3.replace(r_s=0.0), fig3.p_u, fig3.p_j)
     assert h_prime is not None and math.isfinite(h_prime)
     # at the bound the two capacities coincide
     assert abs(rate_report(fig3.replace(h=h_prime)).c_s) <= 1e-9
@@ -150,7 +152,7 @@ def test_security_bound_zero_threshold(fig3):
 def test_security_bound_residual(fig3):
     c_s_ground = rate_report(fig3.replace(h=0.0)).c_s
     target = 0.5 * c_s_ground
-    h_prime = security_height_bound(fig3.replace(r_s=target))
+    h_prime = security_height_bound(fig3.replace(r_s=target), fig3.p_u, fig3.p_j)
     assert abs(rate_report(fig3.replace(h=h_prime)).c_s - target) <= 1e-9
 
 
@@ -164,7 +166,7 @@ def test_security_bound_ends_with_its_bracket(monkeypatch, request, preset, p_u)
     # doubles, so 52 halvings leave adjacent ends and the 53rd midpoint is
     # one of them.  The spy sees the scan's one array call, then one call
     # per midpoint
-    s = request.getfixturevalue(preset).replace(p_u=p_u)
+    s = request.getfixturevalue(preset)
     monkeypatch.setattr(constraints, "BISECT_RESIDUAL", 0.0)
     heights = []
 
@@ -172,19 +174,20 @@ def test_security_bound_ends_with_its_bracket(monkeypatch, request, preset, p_u)
         heights.append(h)
         return snrs_at(scenario, p_u, p_j, h)
     monkeypatch.setattr(constraints, "snrs_at", spy)
-    h = security_height_bound(s)
+    h = security_height_bound(s, p_u, s.p_j)
     assert len(heights) == 1 + 53 and heights[-1] == h
     assert 1.0 < h < SEARCH_CEILING_M
 
     def secure(x):
-        return _ratio(snrs_at(s, s.p_u, s.p_j, x)) >= _threshold(s.r_s)
+        return _ratio(snrs_at(s, p_u, s.p_j, x)) >= _threshold(s.r_s)
     below, above = math.nextafter(h, 0.0), math.nextafter(h, math.inf)
     assert (secure(below) and not secure(h)) or (secure(h) and not secure(above))
 
 
 def test_security_bound_infeasible_at_ground(fig3):
     c_s_ground = rate_report(fig3.replace(h=0.0)).c_s
-    assert security_height_bound(fig3.replace(r_s=2.0 * c_s_ground)) is None
+    assert security_height_bound(fig3.replace(r_s=2.0 * c_s_ground),
+                                 fig3.p_u, fig3.p_j) is None
 
 
 def test_security_bound_unbounded_marker(fig3):
@@ -193,7 +196,7 @@ def test_security_bound_unbounded_marker(fig3):
     s = fig3.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, p_a=1.0, p_u=2.0, p_j=1.0, r_s=0.0)
     assert rate_report(s.replace(h=1e6)).c_s > 0.0
-    assert security_height_bound(s) == math.inf
+    assert security_height_bound(s, s.p_u, s.p_j) == math.inf
 
 
 def test_security_bound_raises_where_the_scan_snrs_overflow(fig5):
@@ -201,7 +204,7 @@ def test_security_bound_raises_where_the_scan_snrs_overflow(fig5):
     # RuntimeWarning was printed (the suite turns warnings into errors)
     s = fig5.replace(beta=1e300, p_u=1e-300, p_j=1.7e308, p_max=1.7e308)
     with pytest.raises(NumericalError, match="^SNRs on the altitude scan overflow"):
-        security_height_bound(s)
+        security_height_bound(s, s.p_u, s.p_j)
     with pytest.raises(NumericalError, match="^SNRs on the power grid overflow"):
         one_point_verdict(s)
 
@@ -294,6 +297,44 @@ def test_fig5_grid_points_with_insecure_ground_are_insecure_at_every_altitude(fi
     assert ground_insecure == 359
 
 
+def test_security_bound_brackets_the_exact_crossing(fig5):
+    # h_max against the exact root of the quartic P (sign of C_s - r_s at
+    # x = h^2): P >= 0 at (h_max (1 - delta))^2 and P <= 0 at
+    # (h_max (1 + delta))^2, for every finite h_max of the tracked fig5
+    # sweep and of 6x6 power grids on 50 draws of each family.  The
+    # bisection stops on a 1e-9 residual in C_s, not in h, so delta depends
+    # on the slope of C_s at the crossing.  Measured worst cases: 1.24e-8 on
+    # fig5, 5.8e-7 on draw_scenario and 1.6e-6 on the log-uniform draws with
+    # r_s > 0, so delta = 2e-6 there.  With r_s = 0 both SNRs can be so
+    # faint at the crossing that C_s stays within the residual of 0 over a
+    # wide band, and the first midpoint inside it is returned: measured
+    # worst 0.33, so delta = 0.35
+    points = []
+    with (ROOT / "out" / "fig5_optimized_rate.csv").open() as f:
+        for row in csv.DictReader(f):
+            assert float(row["r_s"]) == fig5.r_s
+            points.append((fig5, float(row["p_u_star"]), float(row["p_j_star"]),
+                           float(row["h_max"])))
+    assert len(points) == 60 and all(math.isfinite(p[-1]) for p in points)
+    for draw, seed in ((draw_scenario, 0), (draw_log_uniform_scenario, 5)):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            s = draw(rng)
+            grid = GridSpec.linear(s.p_max, s.p_max, p_u_steps=6, p_j_steps=6)
+            for p_u, p_j in itertools.product(grid.p_u_values, grid.p_j_values):
+                h = security_height_bound(s, p_u, p_j)
+                if h is not None and math.isfinite(h):
+                    points.append((s, p_u, p_j, h))
+    flat = 0
+    for s, p_u, p_j, h in points:
+        quartic = security_quartic(s.replace(p_u=p_u, p_j=p_j))
+        delta = Fraction(2e-6 if s.r_s > 0.0 else 0.35)
+        flat += s.r_s == 0.0
+        assert poly_at(quartic, (h * (1 - delta)) ** 2) >= 0, (s, p_u, p_j)
+        assert poly_at(quartic, (h * (1 + delta)) ** 2) <= 0, (s, p_u, p_j)
+    assert len(points) == 60 + 318 + 1068 and flat == 180
+
+
 def test_security_predicate_agrees_with_the_exact_sign():
     # the float verdict _ratio >= _threshold against the exact sign of
     # (1 + gamma_b) / (1 + gamma_u) - 2^r_s, with 1 + gamma in Fractions of
@@ -364,7 +405,7 @@ def test_secrecy_margin_crosses_the_threshold_once_above_secure_ground(draw):
 def test_feasible_interval_composition(fig5):
     s = fig5.replace(p_u=10.0, p_j=5.0)
     h_min, feasible = one_point_verdict(s)
-    h_max = security_height_bound(s)
+    h_max = security_height_bound(s, s.p_u, s.p_j)
     assert feasible
     assert h_min == covert_floor(s.p_u, s.p_j, s.beta, s.epsilon, s.d_w2)
     assert 0.0 < h_min <= h_max
@@ -378,14 +419,14 @@ def test_feasible_interval_empty_when_covertness_conflicts_security(fig3):
     s = fig3.replace(epsilon=1e-4, r_s=0.5 * c_s_ground)
     h_min, feasible = one_point_verdict(s)
     assert not feasible
-    assert h_min > security_height_bound(s)
+    assert h_min > security_height_bound(s, s.p_u, s.p_j)
 
 
 def test_feasible_interval_empty_when_security_fails_at_ground(fig4):
     # at the covert-rate preset powers the relay out-hears the receiver
     # on the ground, so any positive threshold is unreachable
     assert not one_point_verdict(fig4)[1]
-    assert security_height_bound(fig4) is None
+    assert security_height_bound(fig4, fig4.p_u, fig4.p_j) is None
 
 
 def test_feasible_interval_vacuous_constraints(fig3):
@@ -393,7 +434,7 @@ def test_feasible_interval_vacuous_constraints(fig3):
                      d_w2=10.0, p_a=1.0, p_u=2.0, p_j=1.0, r_s=0.0,
                      epsilon=0.9)
     assert one_point_verdict(s) == (0.0, True)
-    assert security_height_bound(s) == math.inf
+    assert security_height_bound(s, s.p_u, s.p_j) == math.inf
 
 
 @pytest.mark.parametrize("draw, seed", [(draw_scenario, 0),
@@ -468,7 +509,7 @@ def test_round_trips_randomized():
         if c_s_ground <= 0.0:
             continue
         target = float(rng.uniform(0.1, 0.9)) * c_s_ground
-        h_prime = security_height_bound(s.replace(r_s=target))
+        h_prime = security_height_bound(s.replace(r_s=target), s.p_u, s.p_j)
         if h_prime is None or not math.isfinite(h_prime):
             continue
         assert abs(rate_report(s.replace(h=h_prime)).c_s - target) <= 1e-8

@@ -466,7 +466,7 @@ def test_covertness_sweep_keeps_the_solvers_numerical_errors(fig5, monkeypatch):
     p_u_values = (10.0, 20.0, 30.0)
     sweep = SweepSpec(0.01, 0.02, 5, (15.0,))
 
-    def raises_at_argmax(scenario):
+    def raises_at_argmax(scenario, p_u, p_j):
         raise NumericalError("secrecy rate re-crosses the threshold")
     monkeypatch.setattr(uavcovert.optimizer, "security_height_bound",
                         raises_at_argmax)
@@ -476,7 +476,7 @@ def test_covertness_sweep_keeps_the_solvers_numerical_errors(fig5, monkeypatch):
 
     # a ceiling that contradicts the grid's verdict at the argmax
     monkeypatch.setattr(uavcovert.optimizer, "security_height_bound",
-                        lambda scenario: None)
+                        lambda scenario, p_u, p_j: None)
     for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
         with pytest.raises(NumericalError, match="grid verdict disagrees"):
             runner(fig5, sweep, p_u_values)
@@ -503,12 +503,13 @@ def test_covertness_sweep_self_check_catches_falling_rate(monkeypatch, tmp_path,
 
 def test_covertness_sweep_solves_security_once_per_argmax(fig5, monkeypatch):
     # the security ceiling ignores epsilon: one solve per distinct argmax
-    # (p_u, p_j) of an overlay, and no Scenario built per certain row
+    # (p_u, p_j) of an overlay, from the grid's own powers: one Scenario
+    # per overlay and none per argmax
     solves, replaces = [], []
     for module in (uavcovert.constraints, uavcovert.optimizer):
-        def spy(scenario, solve=module.security_height_bound):
-            solves.append((scenario.p_u, scenario.p_j))
-            return solve(scenario)
+        def spy(scenario, p_u, p_j, solve=module.security_height_bound):
+            solves.append((p_u, p_j))
+            return solve(scenario, p_u, p_j)
         monkeypatch.setattr(module, "security_height_bound", spy)
     replace = Scenario.replace
 
@@ -525,7 +526,7 @@ def test_covertness_sweep_solves_security_once_per_argmax(fig5, monkeypatch):
                 if feasible}
     assert len(argmaxes) <= 10  # of 60 feasible rows
     assert len(solves) == len(set(solves)) and set(solves) <= argmaxes
-    assert len(replaces) <= len(blocks) + len(argmaxes)
+    assert len(replaces) == len(blocks)
 
 
 # -- power-of-two scaling of every power -------------------------------------

@@ -146,6 +146,8 @@ def test_fig5_optimize_50x50_argmax(tmp_path):
     assert float(row["p_j_star"]) == 19.2
     assert ulp_distance(float(row["h_star"]), 35.42138356483582) <= MAX_ULP
     assert ulp_distance(float(row["r_b_star"]), 0.15706492469581043) <= MAX_ULP
+    # "security" would join if h_max, the ceiling solve, fell to h_star
+    assert row["active_constraints"] == "covert;p_u_cap"
 
 
 def test_golden_mismatches_flags_what_breaks_the_rule():

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import uavcovert.optimizer
-from uavcovert.constraints import SEARCH_CEILING_M
+from uavcovert.constraints import SEARCH_CEILING_M, security_height_bound
 from uavcovert import (
     ConfigError, GridSpec, OptimizationResult, Scenario, maximize_covert_rate,
-    security_height_bound,
 )
 
 from conftest import (
@@ -63,7 +62,7 @@ def test_optimal_height_is_interval_left_end(fig5):
 def test_optimal_height_beats_interior_grid(fig5):
     s = fig5.replace(p_u=10.0, p_j=5.0)
     h_star, r_b = optimal_height_given_powers(s)
-    for h in np.linspace(h_star, security_height_bound(s), 40):
+    for h in np.linspace(h_star, security_height_bound(s, s.p_u, s.p_j), 40):
         assert rate_report(s.replace(h=float(h))).r_b <= r_b + 1e-12
 
 
@@ -175,6 +174,21 @@ def test_maximize_active_constraint_flags(fig5):
         assert "p_u_cap" not in result.active_constraints
 
 
+def test_maximize_builds_no_scenario(fig5, monkeypatch):
+    # the grid and the argmax's security ceiling both take the grid's own
+    # float powers: no Scenario is rebuilt and revalidated per point
+    replaces = []
+    replace = Scenario.replace
+
+    def counted(self, **changes):
+        replaces.append(changes)
+        return replace(self, **changes)
+    monkeypatch.setattr(Scenario, "replace", counted)
+    result = maximize_covert_rate(fig5, GridSpec.linear(30.0, 30.0, 50, 50))
+    assert result.feasible and result.h_max > result.h_star
+    assert replaces == []
+
+
 def test_maximize_deterministic(fig5):
     grid = GridSpec.linear(fig5.p_max, 15.0, p_u_steps=7, p_j_steps=3)
     a = maximize_covert_rate(fig5, grid)
@@ -194,7 +208,7 @@ def test_endpoint_optimality_randomized():
             h_star, r_b = optimal_height_given_powers(s)
         except NoFeasibleHeight:
             continue
-        h_max = security_height_bound(s)
+        h_max = security_height_bound(s, s.p_u, s.p_j)
         top = h_max if math.isfinite(h_max) else h_star + 500.0
         for h in np.linspace(h_star, top, 25):
             assert rate_report(s.replace(h=float(h))).r_b <= r_b + 1e-12
@@ -289,7 +303,7 @@ def per_point_oracle(scenario, grid):
             report = rate_report(candidate.replace(h=h))
             if best is None or report.r_b > best[0]:
                 best = (report.r_b, p_u, p_j, h, report.c_s,
-                        security_height_bound(candidate))
+                        security_height_bound(scenario, p_u, p_j))
 
     if best is None:
         return OptimizationResult(
