@@ -5,19 +5,20 @@ with closed-form and Monte Carlo error curves, an altitude sweep of the
 rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Each runner's protocol fixes which field it sweeps and which it
 overlays; a :class:`SweepSpec` holds only the range and the overlay
-values.  Each runner checks its seed, its counts and every overlay
-before any work, is one serial loop over its overlays in ascending
-order, and returns one column block per overlay: a dict that maps a
-column to a list of one value per swept point, or to one value shared by
-the block's rows.  A block's keys, in insertion order, are its CSV
-header, so each runner states its schema once.  The swept points are one
-list object shared by every block.  The detection sweep takes each
-overlay's closed forms in one list pass (Monte Carlo stays per point),
-and validation draws through it; the rate sweep takes one array pass per
-sweep, over the whole (overlay x altitude) grid, and its ``p_u``-free
-``gamma_u``/``c_u`` lists are shared by every block, as the swept points
-are.  Capacities come from :func:`rates.capacity` and array values reach
-the blocks as floats via ``.tolist()``.
+values.  Each runner checks its seed, its counts and every overlay (one
+plain ``Scenario.replace`` of its overlay field) before any work, is one
+serial loop over its overlays in ascending order, and returns one column
+block per overlay: a dict that maps a column to a list of one value per
+swept point, or to one value shared by the block's rows.  A block's
+keys, in insertion order, are its CSV header, so each runner states its
+schema once.  The swept points are one list object shared by every
+block.  The detection sweep takes each overlay's closed forms in one
+list pass (Monte Carlo stays per point), and validation draws through
+it; the rate sweep takes one array pass per sweep, over the whole
+(overlay x altitude) grid, and its ``p_u``-free ``gamma_u``/``c_u``
+lists are shared by every block, as the swept points are.  Capacities
+come from :func:`rates.capacity` and array values reach the blocks as
+floats via ``.tolist()``.
 :func:`render_csv` takes the header from the first block's keys and
 renders each distinct list once and each shared value once per block;
 floats render with repr, so the CSV round-trips exactly and is
@@ -157,17 +158,10 @@ def write_csv(path, blocks: list[dict]) -> None:
         fh.write(data)
 
 
-def _overlays(scenario: Scenario, sweep: SweepSpec, field: str, check=None,
-              **fixed) -> list[Scenario]:
+def _overlays(scenario: Scenario, sweep: SweepSpec, field: str) -> list[Scenario]:
     """``scenario`` with ``field`` set to each overlay value in ascending
-    order, after ``check(value)`` if given, and the ``fixed`` fields set:
-    every one built, and so validated, before the runner's work."""
-    scenarios = []
-    for value in sorted(sweep.overlay_values):
-        if check is not None:
-            check(value)
-        scenarios.append(scenario.replace(**{field: value}, **fixed))
-    return scenarios
+    order: every one built, and so validated, before the runner's work."""
+    return [scenario.replace(**{field: value}) for value in sorted(sweep.overlay_values)]
 
 
 def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
@@ -210,9 +204,9 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
 
     ``sweep`` runs over the altitude ``h``, from ``h >= 0``; its overlay values
     are forward powers ``p_u``.  It checks its seed, its counts and every
-    overlay, each overlay's scenario at the first altitude, before any work;
-    the other altitudes need no revalidation, since :class:`SweepSpec` keeps
-    every point finite and the start check keeps them >= 0.  One
+    overlay's scenario before any work (a :class:`Scenario` checks its SNRs
+    at h = 0, whatever its ``h``); :class:`SweepSpec` keeps every altitude
+    finite and the start check keeps them >= 0.  One
     :func:`rates.snrs_at` call takes both SNRs over the whole (overlay x
     altitude) grid, with ``p_u`` a column.  The relay SNR does not involve
     ``p_u``, so it comes back as one altitude row: the ``h``, ``gamma_u``
@@ -232,7 +226,7 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
     hs = sweep.points()
     h_values = hs.tolist()
     h_cells = list(map(float.__repr__, h_values))
-    scenarios = _overlays(scenario, sweep, "p_u", h=h_values[0])
+    scenarios = _overlays(scenario, sweep, "p_u")
     with np.errstate(over="ignore"):  # h*h overflows to inf, as for floats
         gamma_u, gamma_b = snrs_at(scenario, np.array([[sc.p_u] for sc in scenarios]),
                                    scenario.p_j, hs)
@@ -262,31 +256,30 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     """Optimized covert rate over a covertness-slack grid.
 
     ``sweep`` runs over ``epsilon``, inside (0, 1); its overlay values are
-    jamming powers ``p_j``.  It checks its seed, its counts and every overlay
-    (its grid, then its scenario) before any work.  For each (overlay p_j,
-    epsilon) the forward power is re-optimized over ``p_u_values`` (any
-    iterable of ascending, distinct values > 0, read once) with the altitude
-    closed out analytically, in one optimizer call per overlay over its whole
-    (epsilon x p_u) grid.  One block per overlay p_j, in ascending order: the
-    ``epsilon`` list (one object shared by every block) and one list per
-    result field, with ``h_min`` the ``h_star`` list itself.  Infeasible
-    points are recorded with feasible=false, never dropped.  Relaxing
-    epsilon only enlarges the feasible set, so the runner asserts the
-    optimized rate is nondecreasing along each overlay.  The
-    ``scenario_hash`` list splices each epsilon's ``repr`` (taken once per
-    sweep) into one per-overlay template.
+    jamming powers ``p_j``.  It checks its seed, its counts and every
+    overlay's scenario, then the first grid (later grids reuse its axis),
+    before any work.  For each (overlay p_j, epsilon) the forward power is
+    re-optimized over ``p_u_values`` (any iterable of ascending, distinct
+    values > 0, read once) with the altitude closed out analytically, in
+    one optimizer call per overlay over its whole (epsilon x p_u) grid.
+    One block per overlay p_j, in ascending order: the ``epsilon`` list (one
+    object shared by every block) and one list per result field, with
+    ``h_min`` the ``h_star`` list itself.  Infeasible points are recorded
+    with feasible=false, never dropped.  Relaxing epsilon only enlarges the
+    feasible set, so the runner asserts the optimized rate is nondecreasing
+    along each overlay.  The ``scenario_hash`` list splices each epsilon's
+    ``repr`` (taken once per sweep) into one per-overlay template.
     """
     seed = _integer("seed", seed, 0)
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
-    p_u_values, grids = tuple(p_u_values), []  # the axis, read once; one grid per overlay
-    bases = _overlays(scenario, sweep, "p_j",
-                      check=lambda p_j: grids.append(GridSpec(p_u_values, (p_j,))))
+    bases = _overlays(scenario, sweep, "p_j")
+    p_u_values = tuple(p_u_values)  # the axis, read once
     epsilons = sweep.points().tolist()
     epsilon_cells = list(map(float.__repr__, epsilons))
     blocks = []
-    for grid, base in zip(grids, bases):
-        results = _maximize_over_epsilons(base, grid, epsilons)
+    for base in bases:
+        results = _maximize_over_epsilons(base, GridSpec(p_u_values, (base.p_j,)), epsilons)
         rates = [r.r_b_star for r in results if r.feasible]
         if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):
             raise NumericalError(

@@ -97,17 +97,39 @@ def test_runners_reject_a_seed_that_is_not_a_non_negative_int(fig5, monkeypatch,
         _RUNNERS[runner](fig5, seed)
 
 
-@pytest.mark.parametrize("runner, field", [
+_OVERLAY_RUNNERS = pytest.mark.parametrize("runner, field", [
     (lambda s, sweep: run_detection_sweep(s, sweep, 10, 0), "p_u"),
     (lambda s, sweep: run_rate_sweep(s, sweep), "p_u"),
     (lambda s, sweep: run_covertness_sweep(s, sweep, (1.0, 2.0)), "p_j"),
 ], ids=["detect-sweep", "rate-sweep", "covertness-sweep"])
+
+
+@_OVERLAY_RUNNERS
 def test_runners_check_every_overlay_before_any_work(fig5, monkeypatch, runner, field):
-    # the largest overlay is above p_max: reported before the first one runs
+    # the largest overlay is above p_max: reported before the first one runs;
+    # a negative one is reported by the scenario, under the runner's own field
     forbid_work(monkeypatch)
-    sweep = SweepSpec(0.01, 0.02, 3, (2.0 * fig5.p_max, 5.0))
-    with pytest.raises(ConfigError, match=re.escape(f"{field} exceeds p_max (60.0 > 30.0)")):
-        runner(fig5, sweep)
+    for overlays, message in (
+            ((2.0 * fig5.p_max, 5.0), f"{field} exceeds p_max (60.0 > 30.0)"),
+            ((5.0, -1.0), f"{field} must be finite and > 0, got -1.0")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            runner(fig5, SweepSpec(0.01, 0.02, 3, overlays))
+
+
+@_OVERLAY_RUNNERS
+def test_runners_build_one_plain_scenario_per_overlay(fig5, monkeypatch, runner, field):
+    # each overlay is one replace of the overlay field alone, in ascending
+    # order; no row (3 per overlay here) builds a scenario of its own
+    replaces = []
+    replace = Scenario.replace
+
+    def counted(self, **changes):
+        replaces.append(changes)
+        return replace(self, **changes)
+    monkeypatch.setattr(Scenario, "replace", counted)
+    blocks = runner(fig5, SweepSpec(0.01, 0.02, 3, (10.0, 2.0, 5.0)))
+    assert replaces == [{field: 2.0}, {field: 5.0}, {field: 10.0}]
+    assert len(expand_rows(blocks)) == 9
 
 
 @pytest.mark.parametrize("n_trials", [0, 2.5, True], ids=["zero", "float", "bool"])
@@ -290,6 +312,12 @@ def test_rate_sweep_validates_every_overlay_before_any_snr(fig3, monkeypatch):
         run_rate_sweep(fig3, SweepSpec(0.0, 10.0, 4, (7.0, 2.0 * fig3.p_max)))
 
 
+def test_rate_sweep_does_not_read_the_scenarios_own_altitude(fig3):
+    sweep = SweepSpec(0.0, 100.0, 5, (7.0, 8.0))
+    assert (render_csv(run_rate_sweep(fig3, sweep))
+            == render_csv(run_rate_sweep(fig3.replace(h=77.0), sweep)))
+
+
 def test_rate_sweep_rejects_negative_altitude(fig3):
     with pytest.raises(ConfigError, match="h >= 0"):
         run_rate_sweep(fig3, SweepSpec(-1.0, 10.0, 4, (7.0,)))
@@ -361,16 +389,18 @@ def test_covertness_sweep_validates_power_grid(fig5, p_u_values):
 
 
 @pytest.mark.parametrize("overlays, message", [
-    ((-1.0, 5.0), "p_j_values must be finite and > 0, got -1.0"),
+    ((-1.0, 5.0), "p_j must be finite and > 0, got -1.0"),
     ((5.0, 40.0, math.inf), "p_j exceeds p_max (40.0 > 30.0)"),
     ((40.0, math.nan), "p_j exceeds p_max (40.0 > 30.0)"),
 ])
-def test_covertness_sweep_checks_each_overlays_grid_then_its_scenario(
+def test_covertness_sweep_checks_each_overlays_scenario_then_its_grid(
         fig5, monkeypatch, overlays, message):
-    # in ascending order, so 40 fails its scenario before inf fails its grid
+    # in ascending order, so 40 fails its scenario before inf would; a bad
+    # overlay is reported before a bad power axis
     forbid_work(monkeypatch)
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        run_covertness_sweep(fig5, SweepSpec(0.01, 0.02, 3, overlays), (1.0, 2.0))
+    for p_u_values in ((1.0, 2.0), (0.0, 1.0)):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_covertness_sweep(fig5, SweepSpec(0.01, 0.02, 3, overlays), p_u_values)
 
 
 def test_covertness_sweep_reads_its_power_axis_once(fig5):
