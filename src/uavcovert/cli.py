@@ -20,7 +20,7 @@ from .errors import ConfigError, NumericalError, _integer
 from .model import Scenario
 from .optimizer import GridSpec, maximize_covert_rate
 from .experiments import (
-    SweepSpec, scenario_columns, run_covertness_sweep, run_detection_sweep,
+    SweepSpec, csv_block, run_covertness_sweep, run_detection_sweep,
     run_rate_sweep, run_validation, write_csv,
 )
 
@@ -148,15 +148,12 @@ def _cmd_optimize(scenario: Scenario, args) -> int:
         p_j_stop=args.pj_max if args.pj_max is not None else scenario.p_max,
         p_u_steps=args.pu_steps, p_j_steps=args.pj_steps)
     result = maximize_covert_rate(scenario, grid)
-    record = scenario_columns(scenario)
-    record.update(
+    write_csv(args.out, [csv_block(
+        scenario, args.seed, scenario.canonical_hash(),
         feasible=result.feasible, p_u_star=result.p_u_star,
         p_j_star=result.p_j_star, h_star=result.h_star,
         r_b_star=result.r_b_star, c_s_star=result.c_s_star,
-        active_constraints=";".join(result.active_constraints),
-        seed=args.seed, scenario_hash=scenario.canonical_hash(),
-    )
-    write_csv(args.out, [record])
+        active_constraints=";".join(result.active_constraints))])
     if not result.feasible:
         print("no feasible grid point", file=sys.stderr)
         return EXIT_INFEASIBLE

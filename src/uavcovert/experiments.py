@@ -9,16 +9,16 @@ values.  Each runner checks its seed, its counts and every overlay (one
 plain ``Scenario.replace`` of its overlay field) before any work, is one
 serial loop over its overlays in ascending order, and returns one column
 block per overlay: a dict that maps a column to a list of one value per
-swept point, or to one value shared by the block's rows.  A block's
-keys, in insertion order, are its CSV header, so each runner states its
-schema once.  The swept points are one list object shared by every
-block.  The detection sweep takes each overlay's closed forms in one
-list pass (Monte Carlo stays per point), and validation draws through
-it; the rate sweep takes one array pass per sweep, over the whole
-(overlay x altitude) grid, and its ``p_u``-free ``gamma_u``/``c_u``
-lists are shared by every block, as the swept points are.  Capacities
-come from :func:`rates.capacity` and array values reach the blocks as
-floats via ``.tolist()``.
+swept point, or to one value shared by the block's rows.  Every block,
+the CLI's ``optimize`` record too, comes from :func:`csv_block`, the one
+row layout, and its keys in insertion order are its CSV header.  The
+swept points are one list object shared by every block.  The detection
+sweep takes each overlay's closed forms in one list pass (Monte Carlo
+stays per point), and validation draws through it; the rate sweep takes
+one array pass per sweep, over the whole (overlay x altitude) grid, and
+its ``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block, as
+the swept points are.  Capacities come from :func:`rates.capacity` and
+array values reach the blocks as floats via ``.tolist()``.
 :func:`render_csv` takes the header from the first block's keys and
 renders each distinct list once and each shared value once per block;
 floats render with repr, so the CSV round-trips exactly and is
@@ -82,9 +82,12 @@ class SweepSpec:
 _SCENARIO_COLUMNS = tuple(f.name for f in dataclass_fields(Scenario))
 
 
-def scenario_columns(scenario: Scenario) -> dict:
-    """The shared leading CSV columns: the full scenario in linear units."""
-    return {name: getattr(scenario, name) for name in _SCENARIO_COLUMNS}
+def csv_block(scenario: Scenario, seed: int, scenario_hash, **columns) -> dict:
+    """Every writer's CSV row layout: the full scenario in linear units (a
+    column named after a field takes its place), then ``columns`` in order,
+    then ``seed`` and ``scenario_hash``; values are stored as given."""
+    return dict({name: getattr(scenario, name) for name in _SCENARIO_COLUMNS},
+                **columns, seed=seed, scenario_hash=scenario_hash)
 
 
 def _render_cell(value) -> str:
@@ -140,14 +143,15 @@ def render_csv(blocks: list[dict]) -> str:
                 table.append(repeat(",".join(shared), rows))
                 shared = []
             key = id(value)
-            entry = held.get(key) or rendered.get(key) or (value, _render_list(value))
-            held[key] = entry
-            table.append(entry[1])
+            held[key] = held.get(key) or rendered.get(key) or (value, _render_list(value))
+            table.append(held[key][1])
         if shared:
             table.append(repeat(",".join(shared), rows))
         lines.extend(map(",".join, zip(*table)))
         rendered = held
-    return "\n".join(lines) + "\n"
+    del rendered, held, table  # the last block's cells, before the one join
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_csv(path, blocks: list[dict]) -> None:
@@ -187,14 +191,11 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
             simulate_detection(sc, gamma, n_trials,
                                seed=np.random.SeedSequence(entropy=[seed, oi, gi]))
             for gi, gamma in enumerate(gamma_values))))
-        block = scenario_columns(sc)
-        block.update(
+        blocks.append(csv_block(
+            sc, seed, sc.canonical_hash(),
             gamma=gamma_values, p_fa=p_fa, p_md=p_md, zeta=zeta,
             p_fa_mc=p_fa_mc, p_md_mc=p_md_mc, zeta_mc=zeta_mc,
-            gamma_star=gamma_star, zeta_star=zeta_star,
-            n_trials=n_trials, seed=seed, scenario_hash=sc.canonical_hash(),
-        )
-        blocks.append(block)
+            gamma_star=gamma_star, zeta_star=zeta_star, n_trials=n_trials))
     return blocks
 
 
@@ -238,12 +239,10 @@ def run_rate_sweep(scenario: Scenario, sweep: SweepSpec, seed: int = 0) -> list[
         if any(b > a + _MONOTONE_SLACK for a, b in zip(c_b, c_b[1:])):
             raise NumericalError(
                 f"destination capacity not decreasing in h at p_u={sc.p_u}")
-        block = scenario_columns(sc)
-        block.update(
+        blocks.append(csv_block(
+            sc, seed, _canonical_hashes(sc, "h", h_cells),
             h=h_values, gamma_u=gamma_u_values, gamma_b=row.tolist(),
-            c_u=c_u, c_b=c_b, c_s=list(map(sub, c_b, c_u)), r_b=c_b,
-            seed=seed, scenario_hash=_canonical_hashes(sc, "h", h_cells))
-        blocks.append(block)
+            c_u=c_u, c_b=c_b, c_s=list(map(sub, c_b, c_u)), r_b=c_b))
     return blocks
 
 
@@ -285,11 +284,9 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
             raise NumericalError(
                 f"optimized covert rate not nondecreasing in epsilon at p_j={base.p_j}")
         cells = {name: [getattr(r, name) for r in results] for name in _RESULT_COLUMNS}
-        block = scenario_columns(base)
-        block.update(epsilon=epsilons, feasible=cells["feasible"], h_min=cells["h_star"])
-        block.update(cells, seed=seed,
-                     scenario_hash=_canonical_hashes(base, "epsilon", epsilon_cells))
-        blocks.append(block)
+        blocks.append(csv_block(
+            base, seed, _canonical_hashes(base, "epsilon", epsilon_cells),
+            epsilon=epsilons, feasible=cells.pop("feasible"), h_min=cells["h_star"], **cells))
     return blocks
 
 

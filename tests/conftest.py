@@ -21,7 +21,7 @@ from uavcovert import (  # noqa: E402
 from uavcovert import experiments  # noqa: E402
 from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid  # noqa: E402
 from uavcovert.experiments import (  # noqa: E402
-    _MONOTONE_SLACK, _RESULT_COLUMNS, _render_cell, scenario_columns,
+    _MONOTONE_SLACK, _RESULT_COLUMNS, _render_cell,
 )
 from uavcovert.model import _canonical_hashes  # noqa: E402
 from uavcovert.rates import snrs_at  # noqa: E402
@@ -414,6 +414,12 @@ def json_canonical_hash(scenario: Scenario) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
+def leading_scenario_columns(scenario: Scenario) -> dict:
+    """Every CSV row's leading columns, the full scenario in field order,
+    stated here so the oracles check the runners' layout independently."""
+    return {f.name: getattr(scenario, f.name) for f in dataclasses.fields(Scenario)}
+
+
 def per_row_rate_oracle(scenario: Scenario, sweep, seed: int = 0) -> list[dict]:
     """The rate sweep as one validated scenario, scalar rate_report and JSON
     hash per row: the reference for the array pass of run_rate_sweep."""
@@ -422,7 +428,7 @@ def per_row_rate_oracle(scenario: Scenario, sweep, seed: int = 0) -> list[dict]:
         for h in sweep.points():
             sc = scenario.replace(p_u=p_u, h=float(h))
             report = rate_report(sc)
-            record = scenario_columns(sc)
+            record = leading_scenario_columns(sc)
             record.update(
                 gamma_u=report.gamma_u, gamma_b=report.gamma_b,
                 c_u=report.c_u, c_b=report.c_b, c_s=report.c_s, r_b=report.r_b,
@@ -453,7 +459,7 @@ def per_epsilon_covertness_oracle(scenario: Scenario, sweep, p_u_values,
                 f"optimized covert rate not nondecreasing in epsilon at p_j={p_j}")
         base = scenario.replace(p_j=p_j)
         cells = {name: [getattr(r, name) for r in results] for name in _RESULT_COLUMNS}
-        block = scenario_columns(base)
+        block = leading_scenario_columns(base)
         block.update(epsilon=epsilons, feasible=cells["feasible"], h_min=cells["h_star"])
         block.update(cells, seed=int(seed),
                      scenario_hash=_canonical_hashes(base, "epsilon", epsilon_cells))

@@ -40,12 +40,13 @@ REMOVED = {
     "secrecy_rate_at_height", "DetectionPoint", "DETECTION_COLUMNS",
     "RATE_COLUMNS", "COVERTNESS_COLUMNS", "OPTIMIZE_COLUMNS",
     "OptimalDetection", "DestinationSnrEstimate", "ValidationCheck",
+    "scenario_columns",
 }
 
 # names kept inside their modules but not exported
 MODULE_ONLY = {
     "constraints": ("feasibility_grid", "security_height_bound"),
-    "experiments": ("mc_zeta_tolerance",),
+    "experiments": ("mc_zeta_tolerance", "csv_block"),
 }
 
 

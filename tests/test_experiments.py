@@ -887,6 +887,18 @@ def test_rate_sweep_csv_memory_per_row(fig3):
     assert peak / 1500 < 1450
 
 
+def test_render_csv_peak_is_below_three_times_its_text(fig3, fig5):
+    # the lines, the text and one block's cells; a second copy of the text,
+    # or the last block's cells held through the join, reads near 4x
+    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=30,
+                                 p_j_steps=1).p_u_values
+    for blocks in (run_rate_sweep(fig3, rate_sweep_spec(steps=500)),
+                   run_covertness_sweep(fig5, covertness_sweep_spec(steps=500),
+                                        p_u_values)):
+        text = render_csv(blocks)
+        assert traced_peak_bytes(render_csv, blocks) < 3 * len(text)
+
+
 def test_write_csv_leaves_file_unchanged_when_render_raises(tmp_path, fig3):
     out = tmp_path / "rates.csv"
     records = run_rate_sweep(fig3, rate_sweep_spec(steps=3))
