@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forward-power grid resolution")
     p.add_argument("--pj-steps", type=int, default=50,
                    help="jamming-power grid resolution")
-    p.add_argument("--pu-max", type=float, default=None,
-                   help="forward-power grid stop (default: scenario p_max)")
-    p.add_argument("--pj-max", type=float, default=None,
-                   help="jamming-power grid stop (default: scenario p_max)")
 
     p = subs.add_parser("validate",
                         help="closed-form vs Monte Carlo validation suite")
@@ -143,10 +139,7 @@ def _cmd_covertness_sweep(scenario: Scenario, args) -> int:
 
 
 def _cmd_optimize(scenario: Scenario, args) -> int:
-    grid = GridSpec.linear(
-        p_u_stop=args.pu_max if args.pu_max is not None else scenario.p_max,
-        p_j_stop=args.pj_max if args.pj_max is not None else scenario.p_max,
-        p_u_steps=args.pu_steps, p_j_steps=args.pj_steps)
+    grid = GridSpec.linear(scenario.p_max, scenario.p_max, args.pu_steps, args.pj_steps)
     result = maximize_covert_rate(scenario, grid)
     write_csv(args.out, [csv_block(
         scenario, args.seed, scenario.canonical_hash(),

@@ -91,10 +91,12 @@ def csv_block(scenario: Scenario, seed: int, scenario_hash, **columns) -> dict:
 
 
 def _render_cell(value) -> str:
-    if isinstance(value, bool):
+    if type(value) is float:
+        return float.__repr__(value)
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):  # numpy's as the float it holds
+        return float.__repr__(float(value))
     return str(value)
 
 

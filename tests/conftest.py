@@ -20,9 +20,7 @@ from uavcovert import (  # noqa: E402
 )
 from uavcovert import experiments  # noqa: E402
 from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid  # noqa: E402
-from uavcovert.experiments import (  # noqa: E402
-    _MONOTONE_SLACK, _RESULT_COLUMNS, _render_cell,
-)
+from uavcovert.experiments import _MONOTONE_SLACK, _RESULT_COLUMNS  # noqa: E402
 from uavcovert.model import _canonical_hashes  # noqa: E402
 from uavcovert.rates import snrs_at  # noqa: E402
 
@@ -480,12 +478,23 @@ def expand_rows(blocks: list[dict]) -> list[dict]:
     return rows
 
 
+def reference_cell(value) -> str:
+    """One CSV cell by README's rule, stated here apart from the package's:
+    a bool, numpy's too, as true/false, any other float as the repr of the
+    Python float it holds, anything else as its str."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
 def reference_render_csv(records: list[dict], columns: tuple[str, ...]) -> str:
     """The CSV renderer as first written, one row at a time: the reference
     for render_csv, fed the rows of :func:`expand_rows`."""
     lines = [",".join(columns)]
     for record in records:
-        lines.append(",".join(_render_cell(record[c]) for c in columns))
+        lines.append(",".join(reference_cell(record[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -5,6 +5,7 @@ import numbers
 import pathlib
 import pkgutil
 import re
+import shlex
 import tomllib
 from fractions import Fraction
 
@@ -74,6 +75,28 @@ def test_uavcovert_command_runs_the_cli_main():
     assert scripts == {"uavcovert": "uavcovert.cli:main"}
     module, _, name = scripts["uavcovert"].partition(":")
     assert getattr(importlib.import_module(module), name) is uavcovert.cli.main
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every `uavcovert ...` command in README's sh blocks,
+    each line's backslash continuations joined, split as a shell would."""
+    text = (ROOT / "README.md").read_text()
+    lines = "".join(re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S))
+    return [shlex.split(line, comments=True)[1:]
+            for line in lines.replace("\\\n", " ").splitlines()
+            if line.startswith("uavcovert ")]
+
+
+def test_readme_commands_parse():
+    # parsed only, not run: a removed or renamed option fails here
+    commands = _readme_commands()
+    assert sorted(argv[0] for argv in commands) == [
+        "covertness-sweep", "detect-sweep", "optimize", "rate-sweep", "validate"]
+    for argv in commands:
+        try:
+            uavcovert.cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: uavcovert {shlex.join(argv)}")
 
 
 def test_scenario_schema_is_one_way():

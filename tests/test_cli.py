@@ -30,6 +30,19 @@ def _optimize_argv(out, *extra):
             "--pu-steps", "4", "--pj-steps", "4", *extra]
 
 
+_STRICT = "<fig5 with r_s = 1024>"  # an argv's stand-in for _strict_fig5's path
+
+
+def _strict_fig5(directory, r_s=1024) -> str:
+    """fig5 with its secrecy threshold at ``r_s``, written to ``directory``:
+    2^r_s overflows a float from r_s = 1024, so no grid point is secure."""
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw["r_s_bpcu"] = r_s
+    strict = directory / "strict.json"
+    strict.write_text(json.dumps(raw))
+    return str(strict)
+
+
 def test_help_exits_zero(capsys):
     # twice, so the second call runs on the parser the first one built
     texts = []
@@ -68,13 +81,12 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsy
         m.setattr(uavcovert.cli, "build_parser", uavcovert.cli.build_parser.__wrapped__)
         assert main(_optimize_argv(tmp_path / "fresh.csv")) == 0
     fresh_out = capsys.readouterr()
-    assert main(_optimize_argv(tmp_path / "capped.csv", "--pu-max", "10",
-                               "--pj-max", "10")) == 0
+    assert main(_optimize_argv(tmp_path / "coarse.csv", "--pj-steps", "3")) == 0
     capsys.readouterr()
     assert main(_optimize_argv(tmp_path / "plain.csv")) == 0
     assert capsys.readouterr() == fresh_out
     assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
-    assert (tmp_path / "capped.csv").read_bytes() != (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "coarse.csv").read_bytes() != (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_import_builds_no_parser():
@@ -118,7 +130,6 @@ _OPTIONS = {
     "optimize": [
         (("--scenario",), None, None), (("--out",), "optimize.csv", None),
         (("--seed",), 0, int), (("--pu-steps",), 50, int), (("--pj-steps",), 50, int),
-        (("--pu-max",), None, float), (("--pj-max",), None, float),
     ],
     "validate": [
         (("--scenario",), None, None), (("--seed",), 0, int),
@@ -301,6 +312,18 @@ def test_workers_option_is_rejected(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--pu-max", "--pj-max"])
+def test_optimize_takes_no_power_stop(tmp_path, capsys, flag):
+    # optimize searches the scenario's own box, p_max/steps to p_max on both axes
+    out = tmp_path / "opt.csv"
+    assert main(_optimize_argv(out, flag, "10")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: uavcovert ")
+    assert captured.err.endswith(f"uavcovert: error: unrecognized arguments: {flag} 10\n")
+    assert not out.exists()
+
+
 def test_rate_sweep_cli(tmp_path):
     out = tmp_path / "fig3.csv"
     code = main(["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"),
@@ -342,14 +365,20 @@ def test_optimize_cli_feasible(tmp_path, capsys):
 
 
 def test_optimize_cli_infeasible_exits_three(tmp_path, capsys):
-    # covert-rate preset powers are security-infeasible; a grid pinned at
-    # low forward power keeps them that way
-    code = main(["optimize", "--scenario", str(SCENARIOS / "fig4.json"),
-                 "--out", str(tmp_path / "opt.csv"),
-                 "--pu-steps", "1", "--pu-max", "2",
-                 "--pj-steps", "1", "--pj-max", "5"])
+    # covert-rate preset powers are security-infeasible; a cap at the
+    # preset's own p_j = 5 W keeps every grid point that way
+    raw = json.loads((SCENARIOS / "fig4.json").read_text())
+    raw["p_max_w"] = 5.0
+    capped = tmp_path / "capped.json"
+    capped.write_text(json.dumps(raw))
+    out = tmp_path / "opt.csv"
+    code = main(["optimize", "--scenario", str(capped), "--out", str(out),
+                 "--pu-steps", "1", "--pj-steps", "1"])
     assert code == 3
-    assert "no feasible grid point" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "no feasible grid point\n")
+    with out.open(newline="") as f:
+        (row,) = csv.DictReader(f)
+    assert (row["feasible"], row["p_max"], row["active_constraints"]) == ("false", "5.0", "")
 
 
 def test_validate_cli(capsys):
@@ -495,14 +524,9 @@ def test_covert_floor_above_the_search_ceiling_is_insecure(tmp_path, capsys):
 
 @pytest.mark.parametrize("r_s", [1024, 1e300])
 def test_unreachable_secrecy_threshold_exits_three(tmp_path, capsys, r_s):
-    # 2^r_s overflows a float from r_s = 1024: no grid point is secure
-    raw = json.loads((SCENARIOS / "fig5.json").read_text())
-    raw["r_s_bpcu"] = r_s
-    strict = tmp_path / "strict.json"
-    strict.write_text(json.dumps(raw))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["optimize", "--scenario", str(strict), "--out",
+        code = main(["optimize", "--scenario", _strict_fig5(tmp_path, r_s), "--out",
                      str(tmp_path / "out.csv"), "--pu-steps", "4",
                      "--pj-steps", "4"])
     assert code == 3
@@ -688,8 +712,7 @@ def test_negative_seed_exits_two(tmp_path, capsys):
      "--pu-steps", "8"],
     ["optimize", "--scenario", str(SCENARIOS / "fig5.json"), "--pu-steps", "6",
      "--pj-steps", "6", "--seed", "3"],
-    ["optimize", "--scenario", str(SCENARIOS / "fig4.json"), "--pu-steps", "2",
-     "--pj-steps", "2", "--pu-max", "0.1", "--pj-max", "0.1"],
+    ["optimize", "--scenario", _STRICT, "--pu-steps", "2", "--pj-steps", "2"],
 ], ids=["detect", "rate-fig3", "rate-negative-zero", "covertness", "optimize",
         "optimize-infeasible"])
 def test_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch, argv):
@@ -702,7 +725,9 @@ def test_csv_matches_row_at_a_time_reference(tmp_path, monkeypatch, argv):
 
     monkeypatch.setattr(uavcovert.cli, "write_csv", recording)
     out = tmp_path / "out.csv"
-    assert main(argv + ["--out", str(out)]) == (3 if "--pu-max" in argv else 0)
+    code = 3 if _STRICT in argv else 0
+    argv = [_strict_fig5(tmp_path) if arg == _STRICT else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == code
     ((path, blocks),) = written
     assert path == str(out)
     assert out.read_bytes() == reference_render_csv(
@@ -728,8 +753,7 @@ _SCENARIO_HEADER = ("d_a2,d_b2,d_w2,h,beta,p_a,p_u,p_j,p_max,sigma_u2,sigma_b2,"
       "--pj-steps", "4"], 0,
      "feasible,p_u_star,p_j_star,h_star,r_b_star,c_s_star,active_constraints,seed,"
      "scenario_hash"),
-    (["optimize", "--scenario", str(SCENARIOS / "fig4.json"), "--pu-steps", "2",
-      "--pj-steps", "2", "--pu-max", "0.1", "--pj-max", "0.1"], 3,
+    (["optimize", "--scenario", _STRICT, "--pu-steps", "2", "--pj-steps", "2"], 3,
      "feasible,p_u_star,p_j_star,h_star,r_b_star,c_s_star,active_constraints,seed,"
      "scenario_hash"),
 ], ids=["detect-sweep", "rate-sweep", "covertness-sweep", "optimize",
@@ -738,6 +762,7 @@ def test_every_csv_header_is_pinned(tmp_path, capsys, argv, code, header):
     # each runner's block keys are the header, so the code holds no copy
     # of these lists to compare with
     out = tmp_path / "out.csv"
+    argv = [_strict_fig5(tmp_path) if arg == _STRICT else arg for arg in argv]
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_text().split("\n", 1)[0] == _SCENARIO_HEADER + header
 
@@ -754,21 +779,6 @@ def test_detect_sweep_rejects_a_span_that_overflows(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("config error: sweep bounds must be finite, as must their "
                             "span stop - start, got [-1e+308, 1e+308]\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag, stop", [
-    ("--pu-max", "inf"), ("--pj-max", "inf"), ("--pj-max", "-inf"), ("--pu-max", "nan"),
-    ("--pu-max", "0"),
-])
-def test_optimize_rejects_a_power_stop_outside_its_domain(tmp_path, capsys, flag, stop):
-    out = tmp_path / "opt.csv"
-    code = main(_optimize_argv(out, f"{flag}={stop}"))
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    name = "p_u_stop" if flag == "--pu-max" else "p_j_stop"
-    assert captured.err == f"config error: {name} must be finite and > 0, got {float(stop)!r}\n"
     assert not out.exists()
 
 

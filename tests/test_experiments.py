@@ -720,6 +720,17 @@ def test_render_csv_round_trips_floats(fig2):
     assert parsed["scenario_hash"] == records[0]["scenario_hash"]
 
 
+def test_render_csv_writes_numpy_scalars_as_the_python_values_they_hold():
+    # float() of a cell gives back the exact value, a numpy scalar's too
+    python = {"a": 1.5, "b": float(np.float32(0.1)), "d": True, "e": [-0.0, False]}
+    numpy = {"a": np.float64(1.5), "b": np.float32(0.1), "d": np.bool_(True),
+             "e": [np.float64(-0.0), np.bool_(False)]}
+    text = "a,b,d,e\n1.5,0.10000000149011612,true,-0.0\n1.5,0.10000000149011612,true,false\n"
+    assert render_csv([numpy]) == render_csv([python]) == text
+    assert render_csv([{"f": 0.1, "b": False, "i": 10**20, "s": "ab"}]) == (
+        "f,b,i,s\n0.1,false,100000000000000000000,ab\n")
+
+
 class FreshFloats(dict):
     """A record over columns a, bb and ccc, holding no list, whose every
     lookup returns a new float object, so that a freed cell's id is free
@@ -798,6 +809,8 @@ _CELLS = st.one_of(
                      False, 1, 0, 1.0]),
     st.integers(),
     st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
     st.floats().map(Tenths),
     st.text("pq,", max_size=3),
     st.text("pq", max_size=3).map(Shouting),

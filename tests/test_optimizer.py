@@ -50,6 +50,14 @@ def test_gridspec_linear():
     assert grid.p_j_values == (30.0,)
 
 
+@pytest.mark.parametrize("stop", [math.inf, -math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("name", ["p_u_stop", "p_j_stop"])
+def test_gridspec_linear_rejects_a_stop_outside_its_domain(name, stop):
+    with pytest.raises(ConfigError) as info:
+        GridSpec.linear(**{"p_u_stop": 10.0, "p_j_stop": 10.0, name: stop})
+    assert str(info.value) == f"{name} must be finite and > 0, got {stop!r}"
+
+
 # -- height closure ----------------------------------------------------------
 
 def test_optimal_height_is_interval_left_end(fig5):
