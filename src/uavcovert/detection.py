@@ -9,8 +9,8 @@ probability, minimized at a threshold ``gamma_star`` with floor
 closed forms are one list pass, :func:`error_curve`; a vectorized Monte
 Carlo mirror, :func:`simulate_detection`, reproduces them one threshold
 per call and returns the same ``(p_fa, p_md, zeta)`` triple as one
-element of the curve.  The mirror draws its fades first and then works in
-place in one float array, about 9 bytes per trial.
+element of the curve.  The mirror draws its fades chunk by chunk into one
+scratch buffer, so its memory does not grow with the trial count.
 """
 from __future__ import annotations
 
@@ -20,8 +20,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, _integer, _real
 from .model import Scenario
+from .rates import _chunks
 
 _ZETA_SLACK = 1e-12
+
+# Trials per chunk of simulate_detection's scratch buffer, 512 KiB.  Against
+# one whole-length array (2 cores, numpy 2.4.6) it took the same time at
+# 1e5 trials, where rates' 2^14 took 7% more in its seven chunks, and 21%
+# less at 1e6.  No count depends on it, so the results do not either.
+_TRIAL_CHUNK = 1 << 16
 
 
 def _check_thresholds(gammas) -> list[float]:
@@ -96,20 +103,26 @@ def simulate_detection(scenario: Scenario, gamma: float, n_trials: int,
     are disjoint, so the two counts add up to at most ``n_trials``.
     Reproducible for a fixed seed, independent of trial partitioning.
 
-    The ``n_trials`` fades are the generator's first draws.  One float
-    array holds them and becomes the silent statistic, then the active
-    one, in place; with each count's boolean mask that is about 9 bytes
-    per trial.
+    The ``n_trials`` fades are the generator's first draws, taken
+    ``_TRIAL_CHUNK`` at a time into one scratch buffer, which holds the
+    same values as one draw of all of them.  Each chunk becomes the silent
+    statistic, then the active one, in place, and adds its two counts to
+    the totals; with a count's boolean mask that is about 0.6 MB at any
+    ``n_trials``.
     """
     n = _integer("n_trials", n_trials, 1)
     (gamma,) = _check_thresholds((gamma,))
     s = scenario
+    signal = s.p_u * (s.beta / (s.d_w2 + s.h * s.h))
     rng = np.random.default_rng(seed)
-    t = rng.standard_exponential(n)                          # |h_bw|^2
+    alarms = misses = 0
     with np.errstate(over="ignore"):  # inf is the limit: above any gamma
-        t *= s.p_j
-    t += s.sigma_w2                                          # silent
-    p_fa = float(np.count_nonzero(t >= gamma)) / n
-    t += s.p_u * (s.beta / (s.d_w2 + s.h * s.h))             # transmitting
-    p_md = float(np.count_nonzero(t < gamma)) / n
+        for _, t in _chunks(n, np.empty(min(n, _TRIAL_CHUNK))):
+            rng.standard_exponential(out=t)                  # |h_bw|^2
+            t *= s.p_j
+            t += s.sigma_w2                                  # silent
+            alarms += np.count_nonzero(t >= gamma)
+            t += signal                                      # transmitting
+            misses += np.count_nonzero(t < gamma)
+    p_fa, p_md = float(alarms) / n, float(misses) / n
     return p_fa, p_md, p_fa + p_md

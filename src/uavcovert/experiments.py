@@ -90,23 +90,31 @@ def csv_block(scenario: Scenario, seed: int, scenario_hash, **columns) -> dict:
                 **columns, seed=seed, scenario_hash=scenario_hash)
 
 
-def _render_cell(value) -> str:
+_SEPARATORS = ',"\r\n'  # no cell may hold one: it would split its row
+
+
+def _render_cell(value, column: str) -> str:
     if type(value) is float:
         return float.__repr__(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):  # numpy's as the float it holds
         return float.__repr__(float(value))
-    return str(value)
+    if isinstance(value, (int, np.integer, str)):
+        cell = str(value)
+        if not any(map(cell.__contains__, _SEPARATORS)):
+            return cell
+    raise ValueError(f"column {column!r} cannot hold a {type(value).__name__} cell: "
+                     f"a cell is a float, bool, int or str without , \" CR LF")
 
 
-def _render_list(values: list) -> list[str]:
+def _render_list(values: list, column: str) -> list[str]:
     types = set(map(type, values))
     if types <= {float}:
         return list(map(float.__repr__, values))
-    if types == {str}:
+    if types == {str} and not any(map("".join(values).__contains__, _SEPARATORS)):
         return values
-    return list(map(_render_cell, values))
+    return [_render_cell(value, column) for value in values]
 
 
 def render_csv(blocks: list[dict]) -> str:
@@ -139,13 +147,13 @@ def render_csv(blocks: list[dict]) -> str:
         for column in columns:
             value = block[column]
             if type(value) is not list:
-                shared.append(_render_cell(value))
+                shared.append(_render_cell(value, column))
                 continue
             if shared:
                 table.append(repeat(",".join(shared), rows))
                 shared = []
             key = id(value)
-            held[key] = held.get(key) or rendered.get(key) or (value, _render_list(value))
+            held[key] = held.get(key) or rendered.get(key) or (value, _render_list(value, column))
             table.append(held[key][1])
         if shared:
             table.append(repeat(",".join(shared), rows))
@@ -294,13 +302,22 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
 
 # -- closed-form vs Monte Carlo validation ---------------------------------
 
+# run_validation's family-wise false-failure rate: a correct program fails
+# at most this share of its runs, whatever the sizes.
+_ALPHA = 1e-4
 _MC_ZETA_FLOOR = 0.005
 
 
-def mc_zeta_tolerance(zeta: float, n_trials: int) -> float:
-    """Binomial three-sigma band around the closed-form zeta, floored."""
-    return max(_MC_ZETA_FLOOR,
-               3.0 * math.sqrt(max(zeta * (1.0 - zeta), 0.0) / n_trials))
+def _band(z: float, variance: float, n: int, floor: float = 0.0) -> float:
+    """``z`` standard errors of the mean of ``n`` draws of ``variance``,
+    at least ``floor``: every band of :func:`run_validation`."""
+    return max(floor, z * math.sqrt(variance / n))
+
+
+def mc_zeta_tolerance(zeta: float, n_trials: int, z: float) -> float:
+    """Band of ``z`` binomial standard errors around the closed-form zeta,
+    floored at 0.005, which alone judges a zeta of 0 or 1."""
+    return _band(z, max(zeta * (1.0 - zeta), 0.0), n_trials, _MC_ZETA_FLOOR)
 
 
 def run_validation(scenario: Scenario, n_trials: int = 100_000,
@@ -312,16 +329,22 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     The detection check is the one-overlay :func:`run_detection_sweep`, at
     the scenario's own ``p_u``, over ``gamma_points`` thresholds on
     [0, 10 * gamma_star]; one symbol draw checks the unit forwarded power
-    of the relay scaling and the end-to-end destination SNR, in bands of
-    three standard errors floored at 1%: |x_u|^2 is Exp(1), so its mean
-    has relative error 1/sqrt(n_symbols); the SNR is a ratio of two
-    independent exponential means, sqrt(2/n).  Before any Monte Carlo,
-    raises :class:`ConfigError` for a count that is not a positive integer
-    or a seed that is not an int >= 0, and :class:`NumericalError` if the
-    closed-form destination SNR is not positive (it underflows to 0 at
-    extreme powers), since the SNR gap is relative to it, or if the
+    of the relay scaling and the end-to-end destination SNR.  The
+    k = gamma_points + 2 comparisons share one family-wise false-failure
+    rate ``_ALPHA`` = 1e-4 (Bonferroni): each allows
+    z = Phi^-1(1 - alpha / (2k)) standard errors, 4.34 at k = 7 and 4.59
+    at k = 22.  |x_u|^2 is Exp(1), so its mean has relative error
+    1/sqrt(n_symbols); the SNR is a ratio of two independent exponential
+    means, sqrt(2/n); neither band has a floor.  Each zeta has a binomial
+    band floored at 0.005 (:func:`mc_zeta_tolerance`).  Before any Monte
+    Carlo, raises :class:`ConfigError` for a count that is not a positive
+    integer or a seed that is not an int >= 0, and :class:`NumericalError`
+    if the closed-form destination SNR is not positive (it underflows to 0
+    at extreme powers), since the SNR gap is relative to it, or if the
     threshold grid's stop 10 * gamma_star overflows.
     """
+    from statistics import NormalDist  # ~3 ms of imports, for validate alone
+
     seed = _integer("seed", seed, 0)
     gamma_points = _integer("gamma_points", gamma_points, 1)
     n_trials = _integer("n_trials", n_trials, 1)
@@ -334,12 +357,13 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     if not math.isfinite(10.0 * gamma_star):
         raise NumericalError(f"threshold grid stop 10 * {gamma_star!r} overflows")
     stop = 10.0 * gamma_star if gamma_points > 1 else 0.0  # a 1-step sweep is [0.0]
+    z = NormalDist().inv_cdf(1.0 - _ALPHA / (2 * (gamma_points + 2)))
     (block,) = run_detection_sweep(
         scenario, SweepSpec(0.0, stop, gamma_points, (scenario.p_u,)), n_trials, seed)
     worst, ok = 0.0, True
     for closed, mc in zip(block["zeta"], block["zeta_mc"]):
         gap = abs(mc - closed)
-        tol = mc_zeta_tolerance(closed, n_trials)
+        tol = mc_zeta_tolerance(closed, n_trials, z)
         worst = max(worst, gap / tol)
         ok = ok and gap <= tol
 
@@ -348,11 +372,10 @@ def run_validation(scenario: Scenario, n_trials: int = 100_000,
     rel_gap = abs(snr - closed_snr) / closed_snr
     return [
         ("detection_error_mc_vs_closed", ok,
-         f"{gamma_points} thresholds, worst gap {worst:.3f}x tolerance"),
-        ("relay_forwarded_power_unit",
-         abs(power - 1.0) <= max(0.01, 3.0 / math.sqrt(n_symbols)),
+         f"{gamma_points} thresholds, worst gap {worst:.3f}x tolerance, "
+         f"family-wise alpha {_ALPHA:g}"),
+        ("relay_forwarded_power_unit", abs(power - 1.0) <= _band(z, 1.0, n_symbols),
          f"mean |x_u|^2 = {power:.6f}"),
-        ("destination_snr_mc_vs_closed",
-         rel_gap <= max(0.01, 3.0 * math.sqrt(2.0 / n_symbols)),
+        ("destination_snr_mc_vs_closed", rel_gap <= _band(z, 2.0, n_symbols),
          f"mc {snr:.6g} vs closed {closed_snr:.6g} ({rel_gap:.2%})"),
     ]

@@ -81,10 +81,12 @@ _CHUNK = 1 << 14
 
 
 def _chunks(n: int, *scratch: np.ndarray):
-    """Each slice of at most ``_CHUNK`` symbols of the length-n arrays, in
-    order, with a view of as many symbols of each scratch buffer."""
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    """Each slice of the length-n arrays, in order, as long as the first
+    scratch buffer (the last one shorter), with a view of as many elements
+    of each scratch buffer."""
+    step = len(scratch[0])
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         yield (slice(lo, hi), *(b[:hi - lo] for b in scratch))
 
 

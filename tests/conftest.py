@@ -481,12 +481,17 @@ def expand_rows(blocks: list[dict]) -> list[dict]:
 def reference_cell(value) -> str:
     """One CSV cell by README's rule, stated here apart from the package's:
     a bool, numpy's too, as true/false, any other float as the repr of the
-    Python float it holds, anything else as its str."""
+    Python float it holds, an int, numpy's too, or a str as its str, which
+    must hold none of , " CR LF; anything else is a ValueError."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, str) and not set(text) & set(',"\r\n')):
+        return text
+    raise ValueError(f"not a CSV cell: {value!r}")
 
 
 def reference_render_csv(records: list[dict], columns: tuple[str, ...]) -> str:

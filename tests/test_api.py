@@ -77,6 +77,19 @@ def test_uavcovert_command_runs_the_cli_main():
     assert getattr(importlib.import_module(module), name) is uavcovert.cli.main
 
 
+def test_ci_runs_no_python_below_the_declared_floor():
+    # tier-1 imports tomllib, so the floor is 3.11; CI runs nothing older
+    with (ROOT / "pyproject.toml").open("rb") as f:
+        floor = tomllib.load(f)["project"]["requires-python"]
+    assert floor == ">=3.11"
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    versions = re.findall(r"python-version:\s*(.+)", workflow)
+    assert versions
+    for value in versions:
+        found = re.findall(r"(\d+)\.(\d+)", value)
+        assert found and all((int(a), int(b)) >= (3, 11) for a, b in found), value
+
+
 def _readme_commands() -> list[list[str]]:
     """The arguments of every `uavcovert ...` command in README's sh blocks,
     each line's backslash continuations joined, split as a shell would."""

@@ -13,6 +13,7 @@ from uavcovert import (
     simulate_detection,
 )
 from uavcovert.cli import main
+from uavcovert.detection import _TRIAL_CHUNK
 
 from conftest import (
     PRESETS, SCENARIOS, draw_scenario, los_gain, reference_detection,
@@ -331,9 +332,22 @@ def test_simulate_detection_matches_reference(preset):
                 assert got == want, (entropy, n, gamma)
 
 
+def test_simulate_detection_chunks_match_one_draw(fig2):
+    # counts add up exactly over chunks, and chunked draws are the one-shot
+    # draws; the sizes span one chunk, its edges and many chunks
+    gamma_star, _ = optimal_detection(fig2)
+    gammas = (0.0, fig2.sigma_w2, gamma_star, 2.0 * gamma_star)
+    for n in (1, 100, _TRIAL_CHUNK - 1, _TRIAL_CHUNK, _TRIAL_CHUNK + 1,
+              100_000, 1_000_003):
+        for gi, gamma in enumerate(gammas):
+            seed = np.random.SeedSequence([9, 0, gi])
+            got = simulate_detection(fig2, gamma, n, seed)
+            want = reference_detection(fig2, gamma, n, seed)
+            assert repr(got) == repr(want), (n, gamma)
+
+
 def test_simulate_detection_footprint(fig2):
-    # one float array plus a boolean mask per count
-    n = 100_000
+    # one float chunk plus a boolean mask, 1.125 chunks, whatever n_trials
     gamma, _ = optimal_detection(fig2)
-    peak = traced_peak_bytes(simulate_detection, fig2, gamma, n, 3)
-    assert peak <= 2 * 8 * n
+    peak = traced_peak_bytes(simulate_detection, fig2, gamma, 1_000_000, 3)
+    assert peak <= 1.25 * 8 * _TRIAL_CHUNK

@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import uavcovert.optimizer
 from uavcovert.constraints import SEARCH_CEILING_M, security_height_bound
+from uavcovert.rates import snrs_at
 from uavcovert import (
     ConfigError, GridSpec, OptimizationResult, Scenario, maximize_covert_rate,
 )
@@ -224,6 +226,43 @@ def test_endpoint_optimality_randomized():
 
 
 # -- grid argmax vs the cap-edge oracle ---------------------------------------
+
+def exact_snrs(s, p_u, p_j, x):
+    """``rates.snrs_at``'s ``(gamma_u, gamma_b)`` at x = h^2, written out in
+    Fractions of the scenario's float fields and of the given powers."""
+    a, b, beta, p_a, s_u, s_b = map(Fraction, (
+        s.d_a2, s.d_b2, s.beta, s.p_a, s.sigma_u2, s.sigma_b2))
+    g_a, g_b = beta / (a + x), beta / (b + x)
+    gamma_u = p_a * g_a / (p_j * g_b + s_u)
+    gamma_b = p_u * p_a * g_b * g_a / ((p_u * s_u + p_j * s_b) * g_b
+                                       + p_a * g_a * s_b + s_b * s_u)
+    return gamma_u, gamma_b
+
+
+def test_scaling_both_powers_up_keeps_the_floor_and_only_helps():
+    # the ray lemma behind cap_edge_supremum: at t >= 1 the covert margin
+    # P_u beta / (P_J (d_w^2 + h^2)) is unchanged, gamma_b = tA / (tB + C)
+    # with C > 0 rises and gamma_u, decreasing in P_J, falls, at every
+    # altitude; so a feasible point stays feasible with a higher rate
+    scales = [Fraction(t) for t in (1.0, 1.0 + 2.0 ** -40, 1.5, 2.0, 10.0, 1e3)]
+    for draw, seed in ((draw_scenario, 29), (draw_log_uniform_scenario, 30)):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            s = draw(rng)
+            p_u, p_j, w, beta = map(Fraction, (s.p_u, s.p_j, s.d_w2, s.beta))
+            for h in (0.0, s.h, 10.0 * s.h + 1.0, 1e4):
+                x = Fraction(h) ** 2
+                gamma_u, gamma_b = snrs_at(s, s.p_u, s.p_j, h)
+                assert [float(v) for v in exact_snrs(s, p_u, p_j, x)] == pytest.approx(
+                    [gamma_u, gamma_b], rel=1e-12)
+                margins, rays = [], []
+                for t in scales:
+                    margins.append(t * p_u * beta / (t * p_j * (w + x)))
+                    rays.append(exact_snrs(s, t * p_u, t * p_j, x))
+                assert len(set(margins)) == 1
+                for (u0, b0), (u1, b1) in zip(rays, rays[1:]):
+                    assert u1 < u0 and b1 > b0, (s, h)
+
 
 def test_grid_argmax_is_at_most_the_cap_edge_supremum(fig5):
     # the best rate lies on a power-cap edge, so no grid point beats the
