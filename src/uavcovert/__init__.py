@@ -6,11 +6,7 @@ from .errors import ConfigError, NumericalError
 from .model import Scenario, db_to_linear
 from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import capacity, simulate_destination_snr
-from .optimizer import (
-    GridSpec,
-    OptimizationResult,
-    maximize_covert_rate,
-)
+from .optimizer import OptimizationResult, maximize_covert_rate
 from .experiments import (
     SweepSpec,
     render_csv,
@@ -25,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "GridSpec",
     "NumericalError",
     "OptimizationResult",
     "Scenario",

@@ -18,7 +18,7 @@ import sys
 
 from .errors import ConfigError, NumericalError, _integer
 from .model import Scenario
-from .optimizer import GridSpec, maximize_covert_rate
+from .optimizer import maximize_covert_rate
 from .experiments import (
     SweepSpec, csv_block, run_covertness_sweep, run_detection_sweep,
     run_rate_sweep, run_validation, write_csv,
@@ -130,17 +130,13 @@ def _cmd_rate_sweep(scenario: Scenario, args) -> int:
 
 
 def _cmd_covertness_sweep(scenario: Scenario, args) -> int:
-    sweep = _sweep(args)
-    p_u_values = GridSpec.linear(scenario.p_max, scenario.p_max,
-                                 p_u_steps=args.pu_steps, p_j_steps=1).p_u_values
-    blocks = run_covertness_sweep(scenario, sweep, p_u_values, seed=args.seed)
+    blocks = run_covertness_sweep(scenario, _sweep(args), args.pu_steps, seed=args.seed)
     n_infeasible = sum(not f for block in blocks for f in block["feasible"])
     return _write_sweep(args, blocks, f" ({n_infeasible} infeasible)")
 
 
 def _cmd_optimize(scenario: Scenario, args) -> int:
-    grid = GridSpec.linear(scenario.p_max, scenario.p_max, args.pu_steps, args.pj_steps)
-    result = maximize_covert_rate(scenario, grid)
+    result = maximize_covert_rate(scenario, args.pu_steps, args.pj_steps)
     write_csv(args.out, [csv_block(
         scenario, args.seed, scenario.canonical_hash(),
         feasible=result.feasible, p_u_star=result.p_u_star,

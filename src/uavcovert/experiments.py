@@ -37,7 +37,7 @@ from .errors import ConfigError, NumericalError, _integer, _real
 from .model import Scenario, _canonical_hashes
 from .detection import error_curve, optimal_detection, simulate_detection
 from .rates import capacity, simulate_destination_snr, snrs_at
-from .optimizer import GridSpec, _maximize_over_epsilons
+from .optimizer import _axis, _maximize_over_epsilons
 
 _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
 
@@ -260,17 +260,18 @@ _RESULT_COLUMNS = ("feasible", "h_max", "p_u_star", "p_j_star", "h_star",
                    "r_b_star", "c_s_star")
 
 
-def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
-                         p_u_values: tuple[float, ...], seed: int = 0) -> list[dict]:
+def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec, p_u_steps: int,
+                         seed: int = 0) -> list[dict]:
     """Optimized covert rate over a covertness-slack grid.
 
     ``sweep`` runs over ``epsilon``, inside (0, 1); its overlay values are
-    jamming powers ``p_j``.  It checks its seed, its counts and every
-    overlay's scenario, then the first grid (later grids reuse its axis),
-    before any work.  For each (overlay p_j, epsilon) the forward power is
-    re-optimized over ``p_u_values`` (any iterable of ascending, distinct
-    values > 0, read once) with the altitude closed out analytically, in
-    one optimizer call per overlay over its whole (epsilon x p_u) grid.
+    jamming powers ``p_j``.  It checks its seed, then builds its forward-power
+    axis, ``p_u_steps`` values from p_max / p_u_steps up to p_max, as
+    :func:`maximize_covert_rate` does (an overlay changes only ``p_j``), then
+    checks its epsilons and every overlay's scenario, before any work.  For
+    each (overlay p_j, epsilon) the forward power is re-optimized over that
+    axis with the altitude closed out analytically, in one optimizer call
+    per overlay over its whole (epsilon x p_u) grid.
     One block per overlay p_j, in ascending order: the ``epsilon`` list (one
     object shared by every block) and one list per result field, with
     ``h_min`` the ``h_star`` list itself.  Infeasible points are recorded
@@ -280,15 +281,15 @@ def run_covertness_sweep(scenario: Scenario, sweep: SweepSpec,
     ``repr`` (taken once per sweep) into one per-overlay template.
     """
     seed = _integer("seed", seed, 0)
+    p_u_values = _axis("p_u_values", scenario.p_max, _integer("p_u_steps", p_u_steps, 1))
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
     bases = _overlays(scenario, sweep, "p_j")
-    p_u_values = tuple(p_u_values)  # the axis, read once
     epsilons = sweep.points().tolist()
     epsilon_cells = list(map(float.__repr__, epsilons))
     blocks = []
     for base in bases:
-        results = _maximize_over_epsilons(base, GridSpec(p_u_values, (base.p_j,)), epsilons)
+        results = _maximize_over_epsilons(base, p_u_values, (base.p_j,), epsilons)
         rates = [r.r_b_star for r in results if r.feasible]
         if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):
             raise NumericalError(

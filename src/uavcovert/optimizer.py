@@ -3,7 +3,8 @@
 The destination capacity is strictly decreasing in altitude, so for fixed
 powers the best feasible altitude is the left end of the feasible interval,
 the covert floor h_min; the powers themselves are searched exhaustively on
-a grid.  That holds where the ground is secure: a point whose secure band
+the scenario's own power box: each axis runs evenly from p_max / steps up
+to p_max.  That holds where the ground is secure: a point whose secure band
 lies wholly above insecure ground is reported infeasible
 (``test_feasibility_grid_finds_band_above_insecure_ground`` pins this as a
 strict xfail).  Ties break toward the smallest forward power, then smallest
@@ -38,41 +39,6 @@ _BLOCK_CELLS = 65536
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Candidate forward / jamming power values, ascending and distinct,
-    each axis stored as a tuple of Python floats, as a :class:`Scenario`
-    stores its fields."""
-
-    p_u_values: tuple[float, ...]
-    p_j_values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("p_u_values", "p_j_values"):
-            values = tuple(_positive(name, v) for v in getattr(self, name))
-            object.__setattr__(self, name, values)
-            if len(values) < 1:
-                raise ConfigError(f"{name} must be nonempty")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise ConfigError(f"{name} must be strictly increasing")
-
-    @classmethod
-    def linear(cls, p_u_stop: float, p_j_stop: float, p_u_steps: int = 50,
-               p_j_steps: int = 50) -> "GridSpec":
-        """Evenly spaced grids from stop/steps up to the given stops, so the
-        grid stays strictly positive (one step is the stop alone).  Each
-        stop must be finite and > 0."""
-        p_u_steps = _integer("p_u_steps", p_u_steps, 1)
-        p_j_steps = _integer("p_j_steps", p_j_steps, 1)
-        p_u_stop = _positive("p_u_stop", p_u_stop)
-        p_j_stop = _positive("p_j_stop", p_j_stop)
-
-        def axis(stop, steps):
-            return tuple(np.linspace(stop / steps, stop, steps).tolist())
-        return cls(p_u_values=axis(p_u_stop, p_u_steps),
-                   p_j_values=axis(p_j_stop, p_j_steps))
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     """Grid argmax of the covert rate, with the constraint state at it."""
 
@@ -93,34 +59,52 @@ _NO_FEASIBLE_POINT = OptimizationResult(
     c_s_star=math.nan, feasible=False, active_constraints=(), h_max=math.nan)
 
 
-def maximize_covert_rate(scenario: Scenario, grid: GridSpec) -> OptimizationResult:
-    """Exhaustive grid search over (p_u, p_j) with the altitude closed out.
+def _axis(name: str, p_max: float, steps: int) -> tuple[float, ...]:
+    """``steps`` evenly spaced powers from p_max / steps up to p_max (one
+    step is p_max alone), as Python floats; a ConfigError under ``name``
+    where p_max / steps underflows, so that they are not all > 0 and
+    strictly increasing."""
+    values = tuple(_positive(name, v) for v in np.linspace(p_max / steps, p_max, steps).tolist())
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{name} must be strictly increasing")
+    return values
 
-    Grid points above the scenario power cap are skipped (they violate the
-    cap constraint).  Deterministic: the ascending scan with strict
-    improvement implements the tie-break order.
+
+def maximize_covert_rate(scenario: Scenario, p_u_steps: int,
+                         p_j_steps: int) -> OptimizationResult:
+    """Exhaustive search of the scenario's own power box, ``p_u_steps`` x
+    ``p_j_steps`` points, with the altitude closed out.
+
+    Each count is a positive integer, both checked before either axis is
+    built.  Deterministic: the ascending scan with strict improvement
+    implements the tie-break order.
     """
-    (result,) = _maximize_over_epsilons(scenario, grid, (scenario.epsilon,))
+    p_u_steps = _integer("p_u_steps", p_u_steps, 1)
+    p_j_steps = _integer("p_j_steps", p_j_steps, 1)
+    (result,) = _maximize_over_epsilons(
+        scenario, _axis("p_u_values", scenario.p_max, p_u_steps),
+        _axis("p_j_values", scenario.p_max, p_j_steps), (scenario.epsilon,))
     return result
 
 
-def _maximize_over_epsilons(scenario: Scenario, grid: GridSpec,
+def _maximize_over_epsilons(scenario: Scenario, p_u_values: tuple[float, ...],
+                            p_j_values: tuple[float, ...],
                             epsilons) -> list[OptimizationResult]:
-    """:func:`maximize_covert_rate` of ``scenario.replace(epsilon=e)`` for
-    each ``e`` in the sequence ``epsilons`` (each in (0, 1)).
+    """:func:`maximize_covert_rate` of ``scenario.replace(epsilon=e)`` over
+    the power axes ``p_u_values`` and ``p_j_values`` (each nonempty and
+    ascending inside (0, p_max]) for each ``e`` in the sequence
+    ``epsilons`` (each in (0, 1)).
 
     A pass shares the ground verdicts of a block of powers among up to
     ``_BLOCK_CELLS`` (epsilon, point) cells; each epsilon has its own
     argmax.
     """
     s = scenario
-    p_u_values = [v for v in grid.p_u_values if v <= s.p_max]
-    p_j_values = [v for v in grid.p_j_values if v <= s.p_max]
-    rows = max(1, _BLOCK_CELLS // max(1, len(p_j_values)))
+    rows = max(1, _BLOCK_CELLS // len(p_j_values))
     best = [None] * len(epsilons)  # per epsilon: (r_b, p_u, p_j, h, gamma_u)
     for start in range(0, len(p_u_values), rows):
         p_u_block = p_u_values[start:start + rows]
-        span = max(1, _BLOCK_CELLS // max(1, len(p_u_block) * len(p_j_values)))
+        span = max(1, _BLOCK_CELLS // (len(p_u_block) * len(p_j_values)))
         for e0 in range(0, len(epsilons), span):
             chunk = epsilons[e0:e0 + span]
             h_min, gamma_u, gamma_b, feasible = feasibility_grid(

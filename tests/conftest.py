@@ -6,6 +6,7 @@ import math
 import pathlib
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
-    ConfigError, GridSpec, NumericalError, Scenario, maximize_covert_rate,
-    optimal_detection,
+    ConfigError, NumericalError, OptimizationResult, Scenario, optimal_detection,
 )
 from uavcovert import experiments  # noqa: E402
 from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid  # noqa: E402
 from uavcovert.experiments import _MONOTONE_SLACK, _RESULT_COLUMNS  # noqa: E402
 from uavcovert.model import _canonical_hashes  # noqa: E402
+from uavcovert.optimizer import _maximize_over_epsilons  # noqa: E402
 from uavcovert.rates import snrs_at  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
@@ -212,6 +213,36 @@ def one_point_verdict(scenario: Scenario) -> tuple[float, bool]:
     s = scenario
     h_min, _, _, feasible = feasibility_grid(s, (s.p_u,), (s.p_j,), (s.epsilon,))
     return h_min.item(), feasible.item()
+
+
+def exact_snrs(s, p_u, p_j, x):
+    """``rates.snrs_at``'s ``(gamma_u, gamma_b)`` at x = h^2, written out in
+    Fractions of the scenario's float fields and of the given powers."""
+    a, b, beta, p_a, s_u, s_b = map(Fraction, (
+        s.d_a2, s.d_b2, s.beta, s.p_a, s.sigma_u2, s.sigma_b2))
+    g_a, g_b = beta / (a + x), beta / (b + x)
+    gamma_u = p_a * g_a / (p_j * g_b + s_u)
+    gamma_b = p_u * p_a * g_b * g_a / ((p_u * s_u + p_j * s_b) * g_b
+                                       + p_a * g_a * s_b + s_b * s_u)
+    return gamma_u, gamma_b
+
+
+def box_axis(p_max: float, steps: int) -> tuple[float, ...]:
+    """The power axis maximize_covert_rate searches: ``steps`` values from
+    p_max / steps up to p_max, as Python floats."""
+    return tuple(np.linspace(p_max / steps, p_max, steps).tolist())
+
+
+def search(scenario: Scenario, p_u_values, p_j_values) -> OptimizationResult:
+    """maximize_covert_rate's search over the given power axes, each
+    ascending inside (0, p_max]: the one-point, edge and sub-box grids
+    that no public call takes."""
+    for axis in (p_u_values, p_j_values):
+        assert axis and 0.0 < axis[0] and axis[-1] <= scenario.p_max, axis
+        assert all(a < b for a, b in zip(axis, axis[1:])), axis
+    (result,) = _maximize_over_epsilons(scenario, tuple(p_u_values), tuple(p_j_values),
+                                        (scenario.epsilon,))
+    return result
 
 
 # Heights above an edge point's covert floor that cap_edge_supremum scans
@@ -436,20 +467,19 @@ def per_row_rate_oracle(scenario: Scenario, sweep, seed: int = 0) -> list[dict]:
     return records
 
 
-def per_epsilon_covertness_oracle(scenario: Scenario, sweep, p_u_values,
+def per_epsilon_covertness_oracle(scenario: Scenario, sweep, p_u_steps: int,
                                   seed: int = 0) -> list[dict]:
     """The covertness sweep as first written, one validated scenario and
-    one maximize_covert_rate call per (overlay, epsilon): the reference for
-    the one-kernel-call-per-overlay run_covertness_sweep."""
+    one one-epsilon search per (overlay, epsilon): the reference for the
+    one-kernel-call-per-overlay run_covertness_sweep."""
     if not (0.0 < sweep.start and sweep.stop < 1.0):
         raise ConfigError("epsilon sweep must stay inside (0, 1)")
+    p_u_values = box_axis(scenario.p_max, p_u_steps)
     epsilons = sweep.points().tolist()
     epsilon_cells = list(map(float.__repr__, epsilons))
     blocks = []
     for p_j in sorted(sweep.overlay_values):
-        point_grid = GridSpec(p_u_values=p_u_values, p_j_values=(p_j,))
-        results = [maximize_covert_rate(scenario.replace(p_j=p_j, epsilon=eps),
-                                        point_grid)
+        results = [search(scenario.replace(p_j=p_j, epsilon=eps), p_u_values, (p_j,))
                    for eps in epsilons]
         rates = [r.r_b_star for r in results if r.feasible]
         if any(b < a - _MONOTONE_SLACK for a, b in zip(rates, rates[1:])):

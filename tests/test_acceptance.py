@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from uavcovert import (
-    GridSpec, Scenario, SweepSpec, error_curve, maximize_covert_rate,
+    SweepSpec, error_curve, maximize_covert_rate,
     optimal_detection,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep,
     simulate_destination_snr,
@@ -167,9 +167,7 @@ def test_c7_trend_reproduction(fig3, fig4, fig5):
 
     sweep5 = SweepSpec(start=0.01, stop=0.02, steps=20,
                        overlay_values=(5.0, 10.0, 15.0))
-    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=60,
-                                 p_j_steps=1).p_u_values
-    records5 = expand_rows(run_covertness_sweep(fig5, sweep5, p_u_values, seed=7))
+    records5 = expand_rows(run_covertness_sweep(fig5, sweep5, 60, seed=7))
     assert all(r["feasible"] for r in records5)
     by_overlay = {p_j: sorted((r["epsilon"], r["r_b_star"]) for r in records5
                               if r["p_j"] == p_j)
@@ -197,15 +195,12 @@ def _assert_trends(records, y):
 
 # 8. optimizer soundness ---------------------------------------------------------
 
-def _brute_force(scenario, grid, h_points=33, h_span=300.0):
-    """Independent 3-D enumeration with direct constraint checks."""
+def _brute_force(scenario, p_u_steps, p_j_steps, h_points=33, h_span=300.0):
+    """Independent 3-D enumeration with direct constraint checks, over
+    p_max k / steps for k = 1..steps on each power axis."""
     best = None
-    for p_u in grid.p_u_values:
-        if p_u > scenario.p_max:
-            continue
-        for p_j in grid.p_j_values:
-            if p_j > scenario.p_max:
-                continue
+    for p_u in (scenario.p_max * k / p_u_steps for k in range(1, p_u_steps + 1)):
+        for p_j in (scenario.p_max * k / p_j_steps for k in range(1, p_j_steps + 1)):
             s = scenario.replace(p_u=p_u, p_j=p_j)
             radicand = (-p_u * s.beta / (p_j * math.log1p(-s.epsilon))
                         - s.d_w2)
@@ -229,9 +224,8 @@ def test_c8_optimizer_matches_brute_force():
         s = draw_scenario(rng, d_w2=float(rng.uniform(5.0, 300.0)),
                           epsilon=float(rng.uniform(0.005, 0.1)),
                           r_s=float(rng.uniform(0.0, 0.05)))
-        grid = GridSpec.linear(s.p_max, s.p_max, p_u_steps=5, p_j_steps=4)
-        result = maximize_covert_rate(s, grid)
-        brute = _brute_force(s, grid)
+        result = maximize_covert_rate(s, 5, 4)
+        brute = _brute_force(s, 5, 4)
         if brute is None:
             assert not result.feasible
             continue

@@ -21,7 +21,7 @@ from conftest import forbid_work
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 PUBLIC_API = {
-    "ConfigError", "GridSpec", "NumericalError", "OptimizationResult",
+    "ConfigError", "NumericalError", "OptimizationResult",
     "Scenario", "SweepSpec", "capacity", "db_to_linear", "error_curve",
     "maximize_covert_rate", "optimal_detection", "render_csv",
     "run_covertness_sweep", "run_detection_sweep", "run_rate_sweep",
@@ -41,7 +41,7 @@ REMOVED = {
     "secrecy_rate_at_height", "DetectionPoint", "DETECTION_COLUMNS",
     "RATE_COLUMNS", "COVERTNESS_COLUMNS", "OPTIMIZE_COLUMNS",
     "OptimalDetection", "DestinationSnrEstimate", "ValidationCheck",
-    "scenario_columns",
+    "scenario_columns", "GridSpec",
 }
 
 # names kept inside their modules but not exported
@@ -54,7 +54,7 @@ MODULE_ONLY = {
 def test_public_api_is_pinned():
     assert len(uavcovert.__all__) == len(set(uavcovert.__all__))
     assert set(uavcovert.__all__) == PUBLIC_API
-    assert len(PUBLIC_API) == 19
+    assert len(PUBLIC_API) == 18
 
 
 def test_results_are_plain_tuples():
@@ -124,10 +124,11 @@ def test_entry_points_take_only_the_inputs_callers_vary():
         return list(inspect.signature(fn).parameters)
     assert [f.name for f in dataclasses.fields(uavcovert.SweepSpec)] == [
         "start", "stop", "steps", "overlay_values"]
+    # the optimizer searches the scenario's own power box: step counts, no axes
+    assert parameters(uavcovert.maximize_covert_rate) == [
+        "scenario", "p_u_steps", "p_j_steps"]
     assert parameters(uavcovert.run_covertness_sweep) == [
-        "scenario", "sweep", "p_u_values", "seed"]
-    assert parameters(uavcovert.GridSpec.linear) == [
-        "p_u_stop", "p_j_stop", "p_u_steps", "p_j_steps"]
+        "scenario", "sweep", "p_u_steps", "seed"]
     # the powers in snrs_at's order, as the optimizer's grid holds them
     assert parameters(uavcovert.constraints.security_height_bound) == [
         "scenario", "p_u", "p_j"]
@@ -163,10 +164,9 @@ def test_removed_and_module_only_names_are_not_exported():
 # every real argument obeys errors._real: a float, or a non-bool real number
 # that fits in one, stored as a Python float
 _FIG2 = uavcovert.Scenario.from_file(ROOT / "scenarios" / "fig2.json")
+_FIG5 = uavcovert.Scenario.from_file(ROOT / "scenarios" / "fig5.json")
 _REAL_ENTRY_POINTS = {
     "Scenario.replace": lambda v: (_FIG2.replace(h=v).h,),
-    "GridSpec": lambda v: uavcovert.GridSpec((v,), (1.0,)).p_u_values,
-    "GridSpec.linear": lambda v: uavcovert.GridSpec.linear(v, 1.0, 1, 1).p_u_values,
     "SweepSpec start": lambda v: (uavcovert.SweepSpec(v, 10.0, 3, (1.0,)).start,),
     "SweepSpec overlay": lambda v: uavcovert.SweepSpec(0.0, 1.0, 2, (v,)).overlay_values,
     "error_curve": lambda v: sum(uavcovert.error_curve(_FIG2, [v]), []),
@@ -197,6 +197,11 @@ def _detect(n_trials=3, seed=0):
     return block["n_trials"], block["seed"]
 
 
+def _optimize(p_u_steps=3, p_j_steps=3):
+    result = uavcovert.maximize_covert_rate(_FIG5, p_u_steps, p_j_steps)
+    return result.p_u_star, result.p_j_star
+
+
 def _validate(**counts):
     checks = uavcovert.run_validation(
         _FIG2, **{"n_trials": 3, "n_symbols": 3, "gamma_points": 3, **counts})
@@ -205,10 +210,10 @@ def _validate(**counts):
 
 _COUNT_ENTRY_POINTS = {
     "SweepSpec steps": lambda v: (uavcovert.SweepSpec(0.0, 1.0, v, (1.0,)).steps,),
-    "GridSpec.linear p_u_steps":
-        lambda v: uavcovert.GridSpec.linear(1.0, 1.0, v, 1).p_u_values,
-    "GridSpec.linear p_j_steps":
-        lambda v: uavcovert.GridSpec.linear(1.0, 1.0, 1, v).p_j_values,
+    "maximize_covert_rate p_u_steps": lambda v: _optimize(p_u_steps=v),
+    "maximize_covert_rate p_j_steps": lambda v: _optimize(p_j_steps=v),
+    "run_covertness_sweep p_u_steps": lambda v: uavcovert.run_covertness_sweep(
+        _FIG5, uavcovert.SweepSpec(0.01, 0.02, 2, (5.0,)), v)[0]["p_u_star"],
     "simulate_detection": lambda v: uavcovert.simulate_detection(_FIG2, 1.0, v, 0),
     "simulate_destination_snr": lambda v: uavcovert.simulate_destination_snr(_FIG2, v, 0),
     "run_detection_sweep n_trials": lambda v: _detect(n_trials=v),
@@ -221,7 +226,7 @@ _SEED_ENTRY_POINTS = {
     "run_rate_sweep seed": lambda v: (uavcovert.run_rate_sweep(
         _FIG2, uavcovert.SweepSpec(0.0, 1.0, 2, (1.0,)), v)[0]["seed"],),
     "run_covertness_sweep seed": lambda v: (uavcovert.run_covertness_sweep(
-        _FIG2, uavcovert.SweepSpec(0.01, 0.02, 2, (1.0,)), (1.0,), v)[0]["seed"],),
+        _FIG2, uavcovert.SweepSpec(0.01, 0.02, 2, (1.0,)), 1, v)[0]["seed"],),
     "run_validation seed": lambda v: _validate(seed=v),
 }
 _NOT_INTEGERS = (True, np.True_, 2.5, "3", None, -10**5000)

@@ -614,6 +614,33 @@ def test_underflowing_noise_product_exits_two(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p_max, steps, message", [
+    (5e-324, 2, "p_u_values must be finite and > 0, got 0.0"),
+    (1e-323, 3, "p_u_values must be strictly increasing"),
+    (2e-323, 6, "p_u_values must be strictly increasing"),
+], ids=["zero", "repeat", "overshoot"])
+@pytest.mark.parametrize("command", ["optimize", "covertness-sweep"])
+def test_underflowing_power_axis_exits_two(tmp_path, capsys, command, p_max,
+                                           steps, message):
+    # at a cap of a few subnormals the axis rounds to 0, repeats a value or
+    # overshoots p_max before its last point: it is rejected before any work
+    raw = json.loads((SCENARIOS / "fig5.json").read_text())
+    raw.update(p_a_w=p_max, p_u_w=p_max, p_j_w=p_max, p_max_w=p_max)
+    scenario = tmp_path / "faint.json"
+    scenario.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    sizes = (["--pu-steps", str(steps), "--pj-steps", str(steps)] if command == "optimize"
+             else ["--pu-steps", str(steps), "--overlay-values", repr(p_max)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--scenario", str(scenario), "--out", str(out), *sizes])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, epsilon, code, err", [
     (["optimize", "--pu-steps", "8", "--pj-steps", "8"], 1e-320, 3,
      "no feasible grid point\n"),

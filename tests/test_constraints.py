@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uavcovert import GridSpec, NumericalError
+from uavcovert import NumericalError
 from uavcovert import constraints
 from uavcovert.constraints import (
     SEARCH_CEILING_M, _ratio, _threshold, feasibility_grid,
@@ -17,9 +17,9 @@ from uavcovert.constraints import (
 from uavcovert.rates import snrs_at
 
 from conftest import (
-    ROOT, covert_floor, draw_log_uniform_scenario, draw_low_noise_scenario,
-    draw_scenario, min_error_at_height, one_point_verdict, rate_report,
-    scan_feasibility,
+    ROOT, box_axis, covert_floor, draw_log_uniform_scenario,
+    draw_low_noise_scenario, draw_scenario, min_error_at_height,
+    one_point_verdict, rate_report, scan_feasibility,
 )
 
 
@@ -286,15 +286,73 @@ def test_fig5_grid_points_with_insecure_ground_are_insecure_at_every_altitude(fi
     # where P(0) = c0 < 0 and P'(0) = c1 <= 0, P(x) <= c0 + c1 x < 0 for
     # every x = h^2 >= 0.  On fig5's 50x50 power grid every ground-insecure
     # point is of that kind, so the grid's "infeasible" there is exact
-    grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=50, p_j_steps=50)
+    axis = box_axis(fig5.p_max, 50)
     ground_insecure = 0
-    for p_u, p_j in itertools.product(grid.p_u_values, grid.p_j_values):
+    for p_u, p_j in itertools.product(axis, axis):
         c0, c1, c2, c3, c4 = security_quartic(fig5.replace(p_u=p_u, p_j=p_j))
         assert c2 < 0 and c3 < 0 and c4 <= 0
         if c0 < 0:
             ground_insecure += 1
             assert c1 <= 0, (p_u, p_j)
     assert ground_insecure == 359
+
+
+def test_fig5_grid_verdict_splits_into_its_three_infeasible_classes(fig5):
+    # the verdict is the AND of three reasons: secure ground, a finite
+    # covert floor, security at the floor.  Each point's class comes from
+    # snrs_at on the ground and at the covert_floor oracle's h_min, with
+    # math.log2 capacities; the feasible class is the grid's verdict on
+    # fig5's own 50x50 box, and the ground verdict and feasibility match
+    # the dense altitude scan wherever it decides them (all 2,500 points)
+    axis = box_axis(fig5.p_max, 50)
+    _, _, _, feasible = feasibility_grid(fig5, axis, axis, (fig5.epsilon,))
+
+    def secure(gamma_u, gamma_b):
+        return math.log2(1.0 + gamma_b) - math.log2(1.0 + gamma_u) >= fig5.r_s
+
+    counts = dict.fromkeys(("feasible", "insecure ground", "infinite floor",
+                            "insecure at the floor"), 0)
+    for (i, p_u), (j, p_j) in itertools.product(enumerate(axis), repeat=2):
+        h_min = covert_floor(p_u, p_j, fig5.beta, fig5.epsilon, fig5.d_w2)
+        ground = secure(*snrs_at(fig5, p_u, p_j, 0.0))
+        if not ground:
+            kind = "insecure ground"
+        elif not math.isfinite(h_min):
+            kind = "infinite floor"
+        elif not secure(*snrs_at(fig5, p_u, p_j, h_min)):
+            kind = "insecure at the floor"
+        else:
+            kind = "feasible"
+        counts[kind] += 1
+        assert feasible.item(0, i, j) == (kind == "feasible"), (p_u, p_j, kind)
+        scan_ground, scan_feasible = scan_feasibility(fig5.replace(p_u=p_u, p_j=p_j))
+        assert scan_ground in (None, ground), (p_u, p_j)
+        assert scan_feasible in (None, kind == "feasible"), (p_u, p_j)
+    assert counts == {"feasible": 1844, "insecure ground": 359,
+                      "infinite floor": 0, "insecure at the floor": 297}
+
+
+def security_bound_points(fig5):
+    """``(scenario, p_u, p_j, h_max)`` at every finite h_max of the tracked
+    fig5 sweep and of fig5-sized 6x6 power boxes on 50 draws of each of
+    draw_scenario and draw_log_uniform_scenario."""
+    points = []
+    with (ROOT / "out" / "fig5_optimized_rate.csv").open() as f:
+        for row in csv.DictReader(f):
+            assert float(row["r_s"]) == fig5.r_s
+            points.append((fig5, float(row["p_u_star"]), float(row["p_j_star"]),
+                           float(row["h_max"])))
+    assert len(points) == 60 and all(math.isfinite(p[-1]) for p in points)
+    for draw, seed in ((draw_scenario, 0), (draw_log_uniform_scenario, 5)):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            s = draw(rng)
+            axis = box_axis(s.p_max, 6)
+            for p_u, p_j in itertools.product(axis, axis):
+                h = security_height_bound(s, p_u, p_j)
+                if h is not None and math.isfinite(h):
+                    points.append((s, p_u, p_j, h))
+    return points
 
 
 def test_security_bound_brackets_the_exact_crossing(fig5):
@@ -309,22 +367,7 @@ def test_security_bound_brackets_the_exact_crossing(fig5):
     # faint at the crossing that C_s stays within the residual of 0 over a
     # wide band, and the first midpoint inside it is returned: measured
     # worst 0.33, so delta = 0.35
-    points = []
-    with (ROOT / "out" / "fig5_optimized_rate.csv").open() as f:
-        for row in csv.DictReader(f):
-            assert float(row["r_s"]) == fig5.r_s
-            points.append((fig5, float(row["p_u_star"]), float(row["p_j_star"]),
-                           float(row["h_max"])))
-    assert len(points) == 60 and all(math.isfinite(p[-1]) for p in points)
-    for draw, seed in ((draw_scenario, 0), (draw_log_uniform_scenario, 5)):
-        rng = np.random.default_rng(seed)
-        for _ in range(50):
-            s = draw(rng)
-            grid = GridSpec.linear(s.p_max, s.p_max, p_u_steps=6, p_j_steps=6)
-            for p_u, p_j in itertools.product(grid.p_u_values, grid.p_j_values):
-                h = security_height_bound(s, p_u, p_j)
-                if h is not None and math.isfinite(h):
-                    points.append((s, p_u, p_j, h))
+    points = security_bound_points(fig5)
     flat = 0
     for s, p_u, p_j, h in points:
         quartic = security_quartic(s.replace(p_u=p_u, p_j=p_j))
@@ -333,6 +376,24 @@ def test_security_bound_brackets_the_exact_crossing(fig5):
         assert poly_at(quartic, (h * (1 - delta)) ** 2) >= 0, (s, p_u, p_j)
         assert poly_at(quartic, (h * (1 + delta)) ** 2) <= 0, (s, p_u, p_j)
     assert len(points) == 60 + 318 + 1068 and flat == 180
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "h_max stops on an absolute 1e-9 residual in C_s; where r_s = 0 and both "
+    "SNRs are faint, that leaves it far from the crossing"))
+def test_security_bound_brackets_the_exact_crossing_where_r_s_is_zero(fig5):
+    # the 180 r_s = 0 points of test_security_bound_brackets_the_exact_crossing
+    # held to its r_s > 0 bound, delta = 2e-6.  Measured: 104 of the 180
+    # lie beyond it, worst 0.33; the fix must drop the marker
+    delta = Fraction(2e-6)
+    outside = []
+    for s, p_u, p_j, h in security_bound_points(fig5):
+        if s.r_s == 0.0:
+            quartic = security_quartic(s.replace(p_u=p_u, p_j=p_j))
+            if (poly_at(quartic, (h * (1 - delta)) ** 2) < 0
+                    or poly_at(quartic, (h * (1 + delta)) ** 2) > 0):
+                outside.append((s, p_u, p_j, h))
+    assert outside == []
 
 
 def test_security_predicate_agrees_with_the_exact_sign():

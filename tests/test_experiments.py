@@ -14,7 +14,7 @@ import uavcovert.constraints
 import uavcovert.optimizer
 from uavcovert import experiments
 from uavcovert import (
-    ConfigError, GridSpec, NumericalError, Scenario, SweepSpec,
+    ConfigError, NumericalError, Scenario, SweepSpec,
     error_curve, maximize_covert_rate,
     optimal_detection, render_csv, run_covertness_sweep,
     run_detection_sweep, run_rate_sweep, run_validation,
@@ -27,7 +27,7 @@ from uavcovert.cli import main
 from uavcovert.model import _canonical_hashes
 
 from conftest import (
-    SCENARIOS, covert_floor, draw_scenario, expand_rows, forbid_work,
+    SCENARIOS, box_axis, covert_floor, draw_scenario, expand_rows, forbid_work,
     json_canonical_hash, monotone_by_overlay, per_epsilon_covertness_oracle,
     per_row_rate_oracle, rate_report, reference_cell, reference_render_csv,
     traced_peak_bytes,
@@ -83,7 +83,7 @@ _RUNNERS = {
     "rate-sweep": lambda s, seed: run_rate_sweep(
         s, SweepSpec(0.0, 100.0, 3, (7.0,)), seed),
     "covertness-sweep": lambda s, seed: run_covertness_sweep(
-        s, SweepSpec(0.01, 0.02, 3, (5.0,)), (1.0, 2.0), seed),
+        s, SweepSpec(0.01, 0.02, 3, (5.0,)), 2, seed),
     "validate": lambda s, seed: run_validation(s, n_trials=10, n_symbols=10, seed=seed),
 }
 
@@ -102,7 +102,7 @@ def test_runners_reject_a_seed_that_is_not_a_non_negative_int(fig5, monkeypatch,
 _OVERLAY_RUNNERS = pytest.mark.parametrize("runner, field", [
     (lambda s, sweep: run_detection_sweep(s, sweep, 10, 0), "p_u"),
     (lambda s, sweep: run_rate_sweep(s, sweep), "p_u"),
-    (lambda s, sweep: run_covertness_sweep(s, sweep, (1.0, 2.0)), "p_j"),
+    (lambda s, sweep: run_covertness_sweep(s, sweep, 2), "p_j"),
 ], ids=["detect-sweep", "rate-sweep", "covertness-sweep"])
 
 
@@ -161,14 +161,11 @@ def test_numpy_scalar_inputs_give_python_scalars(fig2, fig3, fig5):
     rates = SweepSpec(0.0, 100.0, 3, (7.0, 8.0))
     assert (render_csv(run_rate_sweep(fig3, npy(rates), np.int64(2)))
             == render_csv(run_rate_sweep(fig3, rates, 2)))
-    p_u_values = tuple(np.linspace(fig5.p_max / 4, fig5.p_max, 4))
-    assert type(p_u_values[0]) is np.float64
     slacks = SweepSpec(0.01, 0.5, 3, (fig5.p_j, fig5.p_max))
-    text = render_csv(run_covertness_sweep(fig5, npy(slacks), p_u_values, np.int64(1)))
-    assert text == render_csv(run_covertness_sweep(
-        fig5, slacks, tuple(map(float, p_u_values)), 1))
+    text = render_csv(run_covertness_sweep(fig5, npy(slacks), np.int64(4), np.int64(1)))
+    assert text == render_csv(run_covertness_sweep(fig5, slacks, 4, 1))
     assert "true" in text and "np." not in text
-    result = maximize_covert_rate(fig5, GridSpec(p_u_values, p_u_values))
+    result = maximize_covert_rate(fig5, np.int64(4), np.int64(4))
     assert result.feasible is True
     assert all(type(getattr(result, name)) is float for name in (
         "p_u_star", "p_j_star", "h_star", "r_b_star", "c_s_star", "h_max"))
@@ -332,10 +329,8 @@ def covertness_sweep_spec(steps=4, overlays=(5.0, 10.0, 15.0)):
 
 
 def test_covertness_sweep_records(fig5):
-    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=15,
-                                 p_j_steps=1).p_u_values
-    records = expand_rows(run_covertness_sweep(fig5, covertness_sweep_spec(),
-                                               p_u_values, seed=2))
+    records = expand_rows(run_covertness_sweep(fig5, covertness_sweep_spec(), 15,
+                                               seed=2))
     assert len(records) == 12
     assert all(r["feasible"] for r in records)
     for r in records:
@@ -351,10 +346,11 @@ def test_covertness_sweep_records(fig5):
 
 
 def test_covertness_sweep_records_infeasible_rows(fig4):
-    # pinned to the infeasible base forward power: every point reports
-    # feasible=false instead of being dropped
-    spec = SweepSpec(0.01, 0.02, 3, (fig4.p_j,))
-    records = expand_rows(run_covertness_sweep(fig4, spec, (fig4.p_u,), seed=2))
+    # capped at the infeasible base forward power, one step: every point
+    # reports feasible=false instead of being dropped
+    capped = fig4.replace(p_max=fig4.p_u, p_j=fig4.p_u)
+    spec = SweepSpec(0.01, 0.02, 3, (capped.p_j,))
+    records = expand_rows(run_covertness_sweep(capped, spec, 1, seed=2))
     assert len(records) == 3
     assert all(not r["feasible"] for r in records)
     assert all(math.isnan(r["r_b_star"]) for r in records)
@@ -364,16 +360,14 @@ def test_covertness_sweep_tight_epsilon_infeasible(fig5):
     # covertness so tight that the required altitude overshoots the
     # security ceiling even at the power cap
     spec = SweepSpec(0.0005, 0.0006, 2, (5.0,))
-    records = expand_rows(run_covertness_sweep(fig5, spec, (fig5.p_max,)))
+    records = expand_rows(run_covertness_sweep(fig5, spec, 1))
     assert len(records) == 2
     assert not any(r["feasible"] for r in records)
 
 
 def test_covertness_sweep_single_epsilon(fig5):
     spec = SweepSpec(0.015, 0.015, 1, (5.0, 10.0))
-    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=8,
-                                 p_j_steps=1).p_u_values
-    records = expand_rows(run_covertness_sweep(fig5, spec, p_u_values))
+    records = expand_rows(run_covertness_sweep(fig5, spec, 8))
     assert [(r["p_j"], r["epsilon"]) for r in records] == [
         (5.0, 0.015), (10.0, 0.015)]
 
@@ -381,36 +375,25 @@ def test_covertness_sweep_single_epsilon(fig5):
 @pytest.mark.parametrize("start, stop", [(0.0, 0.02), (0.5, 1.0), (-0.1, 0.5)])
 def test_covertness_sweep_rejects_epsilon_outside_unit_interval(fig5, start, stop):
     with pytest.raises(ConfigError, match=r"inside \(0, 1\)"):
-        run_covertness_sweep(fig5, SweepSpec(start, stop, 3, (5.0,)), (fig5.p_max,))
-
-
-@pytest.mark.parametrize("p_u_values", [(), (0.0, 1.0), (2.0, 1.0), (1.0, math.inf)])
-def test_covertness_sweep_validates_power_grid(fig5, p_u_values):
-    with pytest.raises(ConfigError, match="p_u_values"):
-        run_covertness_sweep(fig5, covertness_sweep_spec(steps=2), p_u_values)
+        run_covertness_sweep(fig5, SweepSpec(start, stop, 3, (5.0,)), 1)
 
 
 @pytest.mark.parametrize("overlays, message", [
     ((-1.0, 5.0), "p_j must be finite and > 0, got -1.0"),
     ((5.0, 40.0, math.inf), "p_j exceeds p_max (40.0 > 30.0)"),
     ((40.0, math.nan), "p_j exceeds p_max (40.0 > 30.0)"),
-])
-def test_covertness_sweep_checks_each_overlays_scenario_then_its_grid(
+], ids=["negative", "inf-last", "nan-last"])
+def test_covertness_sweep_checks_steps_then_overlays(
         fig5, monkeypatch, overlays, message):
-    # in ascending order, so 40 fails its scenario before inf would; a bad
-    # overlay is reported before a bad power axis
+    # the power axis comes from the scenario's own cap, which no overlay
+    # changes, so a bad step count is reported first; then each overlay in
+    # ascending order, so 40 fails its scenario before inf would
     forbid_work(monkeypatch)
-    for p_u_values in ((1.0, 2.0), (0.0, 1.0)):
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            run_covertness_sweep(fig5, SweepSpec(0.01, 0.02, 3, overlays), p_u_values)
-
-
-def test_covertness_sweep_reads_its_power_axis_once(fig5):
-    # a one-shot iterable serves every overlay, as a tuple does
-    sweep = SweepSpec(0.01, 0.02, 3, (5.0, 10.0))
-    want = render_csv(run_covertness_sweep(fig5, sweep, (2.0, 4.0, 6.0)))
-    got = render_csv(run_covertness_sweep(fig5, sweep, (v for v in (2.0, 4.0, 6.0))))
-    assert got == want
+    sweep = SweepSpec(0.01, 0.02, 3, overlays)
+    with pytest.raises(ConfigError, match="p_u_steps must be a positive integer"):
+        run_covertness_sweep(fig5, sweep, 0)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_covertness_sweep(fig5, sweep, 2)
 
 
 def assert_same_blocks(got, want):
@@ -428,8 +411,8 @@ def assert_same_blocks(got, want):
 
 
 def random_covertness_sweep(rng, kind):
-    """A drawn scenario, epsilon sweep and p_u grid for the per-epsilon
-    oracle.  The grid runs up to 45 W, above the 30 W cap; ``kind`` picks
+    """A drawn scenario, epsilon sweep and p_u step count for the
+    per-epsilon oracle.  ``kind`` picks
     r_s = 0, epsilons so tight their covert floor lies above the search
     ceiling, a 1-step sweep, or r_s put on C_s(h_min) (or 1e-12 either
     side) at one (epsilon, p_u, p_j), inside the guard band."""
@@ -442,23 +425,20 @@ def random_covertness_sweep(rng, kind):
     overlays = tuple(float(v) for v in rng.choice(
         np.arange(1.0, 30.5, 0.5), size=int(rng.integers(1, 4)), replace=False))
     sweep = SweepSpec(start, stop, steps, overlays)
-    p_u_values = GridSpec.linear(float(rng.uniform(5.0, 45.0)), 1.0,
-                                 p_u_steps=int(rng.integers(1, 13)),
-                                 p_j_steps=1).p_u_values
+    p_u_steps = int(rng.integers(1, 13))
     if kind == "r_s=0":
         s = s.replace(r_s=0.0)
     elif kind == "guard":
         for _ in range(10):  # until C_s(h_min) leaves room for r_s >= 0
-            p_u = float(rng.choice([v for v in p_u_values if v <= s.p_max]
-                                   or [s.p_max]))
+            p_u = float(rng.choice(box_axis(s.p_max, p_u_steps)))
             p_j = float(rng.choice(overlays))
             epsilon = float(rng.choice(sweep.points()))
             h = covert_floor(p_u, p_j, s.beta, epsilon, s.d_w2)
             r_s = rate_report(s.replace(p_u=p_u, p_j=p_j, h=h)).c_s + float(
                 rng.choice([-1e-12, 0.0, 1e-12]))
             if r_s >= 0.0:
-                return s.replace(r_s=r_s), sweep, p_u_values
-    return s, sweep, p_u_values
+                return s.replace(r_s=r_s), sweep, p_u_steps
+    return s, sweep, p_u_steps
 
 
 @pytest.mark.parametrize("log2_skew, cells", [
@@ -477,25 +457,23 @@ def test_covertness_sweep_matches_per_epsilon_oracle(monkeypatch, log2_skew,
             log2(x), log2_skew if next(turn) % 2 else -log2_skew))
     rng, trials = np.random.default_rng(20261018), 200
     kinds = ("random", "r_s=0", "tight", "1-step", "guard")
-    seen = dict.fromkeys(("feasible", "infeasible", "tight", "above_cap"), 0)
+    seen = dict.fromkeys(("feasible", "infeasible", "tight"), 0)
     for trial in range(trials):
         kind = kinds[trial % len(kinds)]
-        s, sweep, p_u_values = random_covertness_sweep(rng, kind)
-        got = run_covertness_sweep(s, sweep, p_u_values, seed=trial)
-        want = per_epsilon_covertness_oracle(s, sweep, p_u_values, seed=trial)
+        s, sweep, p_u_steps = random_covertness_sweep(rng, kind)
+        got = run_covertness_sweep(s, sweep, p_u_steps, seed=trial)
+        want = per_epsilon_covertness_oracle(s, sweep, p_u_steps, seed=trial)
         assert_same_blocks(got, want)
         assert render_csv(got) == render_csv(want)
         flags = [f for block in want for f in block["feasible"]]
         seen["feasible"] += sum(flags)
         seen["infeasible"] += len(flags) - sum(flags)
         seen["tight"] += kind == "tight" and not any(flags)
-        seen["above_cap"] += p_u_values[-1] > s.p_max
     assert seen["feasible"] >= trials and seen["infeasible"] >= trials
-    assert seen["tight"] >= trials // 10 and seen["above_cap"] >= trials // 5
+    assert seen["tight"] >= trials // 10
 
 
 def test_covertness_sweep_keeps_the_solvers_numerical_errors(fig5, monkeypatch):
-    p_u_values = (10.0, 20.0, 30.0)
     sweep = SweepSpec(0.01, 0.02, 5, (15.0,))
 
     def raises_at_argmax(scenario, p_u, p_j):
@@ -504,23 +482,23 @@ def test_covertness_sweep_keeps_the_solvers_numerical_errors(fig5, monkeypatch):
                         raises_at_argmax)
     for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
         with pytest.raises(NumericalError, match="re-crosses"):
-            runner(fig5, sweep, p_u_values)
+            runner(fig5, sweep, 3)
 
     # a ceiling that contradicts the grid's verdict at the argmax
     monkeypatch.setattr(uavcovert.optimizer, "security_height_bound",
                         lambda scenario, p_u, p_j: None)
     for runner in (per_epsilon_covertness_oracle, run_covertness_sweep):
         with pytest.raises(NumericalError, match="grid verdict disagrees"):
-            runner(fig5, sweep, p_u_values)
+            runner(fig5, sweep, 3)
 
 
 def test_covertness_sweep_self_check_catches_falling_rate(monkeypatch, tmp_path,
                                                          capsys):
     real = experiments._maximize_over_epsilons
 
-    def falling(scenario, grid, epsilons):
-        return [dataclasses.replace(r, r_b_star=r.r_b_star - k)
-                for k, r in enumerate(real(scenario, grid, epsilons))]
+    def falling(scenario, p_u_values, p_j_values, epsilons):
+        return [dataclasses.replace(r, r_b_star=r.r_b_star - k) for k, r in
+                enumerate(real(scenario, p_u_values, p_j_values, epsilons))]
 
     monkeypatch.setattr(experiments, "_maximize_over_epsilons", falling)
     out = tmp_path / "covert.csv"
@@ -550,9 +528,7 @@ def test_covertness_sweep_solves_security_once_per_argmax(fig5, monkeypatch):
         return replace(self, **changes)
     monkeypatch.setattr(Scenario, "replace", counted)
     sweep = SweepSpec(0.01, 0.02, 20, (5.0, 10.0, 15.0))  # the fig5 default
-    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=12,
-                                 p_j_steps=1).p_u_values
-    blocks = run_covertness_sweep(fig5, sweep, p_u_values)
+    blocks = run_covertness_sweep(fig5, sweep, 12)
     argmaxes = {(p_u, block["p_j"]) for block in blocks
                 for p_u, feasible in zip(block["p_u_star"], block["feasible"])
                 if feasible}
@@ -609,15 +585,13 @@ def test_runners_are_bit_equal_under_power_of_two_power_scaling(seed, m, r_s):
             rates, overlay_values=tuple(v * scale for v in overlays))),
         run_rate_sweep(s, rates), dict.fromkeys(_POWER_FIELDS, scale))
 
-    p_u_values = GridSpec.linear(s.p_max, s.p_max, 6, 1).p_u_values
     overlays = (s.p_j, s.p_max)
     epsilons = SweepSpec(0.01, 0.5, 6, overlays)
     assert_blocks_scale(
         run_covertness_sweep(
             scaled, dataclasses.replace(
-                epsilons, overlay_values=tuple(v * scale for v in overlays)),
-            tuple(v * scale for v in p_u_values)),
-        run_covertness_sweep(s, epsilons, p_u_values),
+                epsilons, overlay_values=tuple(v * scale for v in overlays)), 6),
+        run_covertness_sweep(s, epsilons, 6),
         dict.fromkeys(_POWER_FIELDS + ("p_u_star", "p_j_star"), scale))
 
     gamma_star, zeta_star = optimal_detection(s)
@@ -674,16 +648,15 @@ def check_geometric_scaling(m):
         assert_blocks_scale(
             run_rate_sweep(scaled, dataclasses.replace(rates, stop=300.0 * 2.0 ** m)),
             run_rate_sweep(s, rates), {**geometry, "h": 2.0 ** m})
-        grid = GridSpec.linear(s.p_max, s.p_max, 8, 8)
-        want = maximize_covert_rate(s, grid)
-        assert repr(maximize_covert_rate(scaled, grid)) == repr(dataclasses.replace(
+        want = maximize_covert_rate(s, 8, 8)
+        assert repr(maximize_covert_rate(scaled, 8, 8)) == repr(dataclasses.replace(
             want, h_star=want.h_star * 2.0 ** m, h_max=want.h_max * 2.0 ** m))
         feasible += want.feasible
         h_maxes += [want.h_max] if want.feasible else []
         slacks = SweepSpec(0.005, 0.05, 5, (s.p_j, s.p_max))
-        blocks = run_covertness_sweep(s, slacks, grid.p_u_values)
+        blocks = run_covertness_sweep(s, slacks, 8)
         lengths = dict.fromkeys(("h", "h_min", "h_star", "h_max"), 2.0 ** m)
-        assert_blocks_scale(run_covertness_sweep(scaled, slacks, grid.p_u_values),
+        assert_blocks_scale(run_covertness_sweep(scaled, slacks, 8),
                             blocks, {**geometry, **lengths})
         swept += sum(block["feasible"].count(True) for block in blocks)
         h_maxes += [h for block in blocks
@@ -915,8 +888,7 @@ def test_sweep_blocks_share_their_lists(fig2, fig3, fig5):
     rate = run_rate_sweep(fig3, rate_sweep_spec(steps=4))
     detection = run_detection_sweep(fig2, detection_sweep_spec(steps=3),
                                     n_trials=10, seed=1)
-    covertness = run_covertness_sweep(fig5, covertness_sweep_spec(steps=2),
-                                      (fig5.p_max,))
+    covertness = run_covertness_sweep(fig5, covertness_sweep_spec(steps=2), 1)
     for blocks, swept in ((rate, "h"), (detection, "gamma"), (covertness, "epsilon")):
         assert len(blocks) == 3
         assert all(b[swept] is blocks[0][swept] for b in blocks)
@@ -937,11 +909,8 @@ def test_rate_sweep_csv_memory_per_row(fig3):
 def test_render_csv_peak_is_below_three_times_its_text(fig3, fig5):
     # the lines, the text and one block's cells; a second copy of the text,
     # or the last block's cells held through the join, reads near 4x
-    p_u_values = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=30,
-                                 p_j_steps=1).p_u_values
     for blocks in (run_rate_sweep(fig3, rate_sweep_spec(steps=500)),
-                   run_covertness_sweep(fig5, covertness_sweep_spec(steps=500),
-                                        p_u_values)):
+                   run_covertness_sweep(fig5, covertness_sweep_spec(steps=500), 30)):
         text = render_csv(blocks)
         assert traced_peak_bytes(render_csv, blocks) < 3 * len(text)
 

@@ -9,55 +9,32 @@ import pytest
 import uavcovert.optimizer
 from uavcovert.constraints import SEARCH_CEILING_M, security_height_bound
 from uavcovert.rates import snrs_at
-from uavcovert import (
-    ConfigError, GridSpec, OptimizationResult, Scenario, maximize_covert_rate,
-)
+from uavcovert import OptimizationResult, Scenario, maximize_covert_rate
 
 from conftest import (
-    NoFeasibleHeight, cap_edge_supremum, covert_floor,
-    draw_log_uniform_scenario, draw_scenario, min_error_at_height,
-    one_point_verdict, optimal_height_given_powers, rate_report,
+    NoFeasibleHeight, box_axis, cap_edge_supremum, covert_floor,
+    draw_log_uniform_scenario, draw_scenario, exact_snrs, min_error_at_height,
+    one_point_verdict, optimal_height_given_powers, rate_report, search,
 )
 
 
-# -- grid spec ---------------------------------------------------------------
+# -- power axes --------------------------------------------------------------
 
-def test_gridspec_validation():
-    with pytest.raises(ConfigError):
-        GridSpec(p_u_values=(), p_j_values=(1.0,))
-    with pytest.raises(ConfigError):
-        GridSpec(p_u_values=(1.0, 1.0), p_j_values=(1.0,))
-    with pytest.raises(ConfigError):
-        GridSpec(p_u_values=(2.0, 1.0), p_j_values=(1.0,))
-    with pytest.raises(ConfigError):
-        GridSpec(p_u_values=(0.0, 1.0), p_j_values=(1.0,))
-    for values in (("1.0",), (True,), (1j,)):  # float() would take the first two
-        with pytest.raises(ConfigError, match="must be a real number"):
-            GridSpec(p_u_values=(1.0,), p_j_values=values)
-    grid = GridSpec(p_u_values=[np.float64(1.0), 2], p_j_values=np.array([3.0]))
-    assert grid == GridSpec((1.0, 2.0), (3.0,))
-    assert [type(v) for v in grid.p_u_values + grid.p_j_values] == [float] * 3
-    with pytest.raises(ConfigError):
-        GridSpec.linear(10.0, 10.0, p_u_steps=0)
-    for steps in (2.5, True):  # not an int, or a bool taken as one step
-        with pytest.raises(ConfigError, match="p_u_steps must be a positive integer"):
-            GridSpec.linear(10.0, 10.0, p_u_steps=steps)
-        with pytest.raises(ConfigError, match="p_j_steps must be a positive integer"):
-            GridSpec.linear(10.0, 10.0, p_j_steps=steps)
+def test_maximize_searches_the_scenarios_own_box(fig5, monkeypatch):
+    # each axis runs from p_max / steps up to p_max in Python floats; a
+    # smaller box is a scenario with a smaller cap
+    searched = []
+    real = uavcovert.optimizer._maximize_over_epsilons
 
-
-def test_gridspec_linear():
-    grid = GridSpec.linear(10.0, 30.0, p_u_steps=5, p_j_steps=1)
-    assert grid.p_u_values == (2.0, 4.0, 6.0, 8.0, 10.0)
-    assert grid.p_j_values == (30.0,)
-
-
-@pytest.mark.parametrize("stop", [math.inf, -math.inf, math.nan, 0.0])
-@pytest.mark.parametrize("name", ["p_u_stop", "p_j_stop"])
-def test_gridspec_linear_rejects_a_stop_outside_its_domain(name, stop):
-    with pytest.raises(ConfigError) as info:
-        GridSpec.linear(**{"p_u_stop": 10.0, "p_j_stop": 10.0, name: stop})
-    assert str(info.value) == f"{name} must be finite and > 0, got {stop!r}"
+    def spy(scenario, p_u_values, p_j_values, epsilons):
+        searched.append((p_u_values, p_j_values, epsilons))
+        return real(scenario, p_u_values, p_j_values, epsilons)
+    monkeypatch.setattr(uavcovert.optimizer, "_maximize_over_epsilons", spy)
+    capped = fig5.replace(p_max=10.0, p_u=2.0, p_j=5.0)
+    result = maximize_covert_rate(capped, 5, 1)
+    assert searched == [((2.0, 4.0, 6.0, 8.0, 10.0), (10.0,), (capped.epsilon,))]
+    assert [type(v) for v in searched[0][0] + searched[0][1]] == [float] * 6
+    assert result.feasible and result.p_u_star <= 10.0 and result.p_j_star == 10.0
 
 
 # -- height closure ----------------------------------------------------------
@@ -94,8 +71,7 @@ def test_relaxing_covertness_lowers_height_and_raises_rate(fig5):
 
 def test_maximize_single_point_grid_composition(fig5):
     s = fig5.replace(p_u=10.0, p_j=5.0)
-    grid = GridSpec(p_u_values=(10.0,), p_j_values=(5.0,))
-    result = maximize_covert_rate(s, grid)
+    result = search(s, (10.0,), (5.0,))
     h_star, r_b = optimal_height_given_powers(s)
     assert result.feasible
     assert result.p_u_star == 10.0 and result.p_j_star == 5.0
@@ -107,10 +83,8 @@ def test_maximize_single_point_grid_composition(fig5):
 def test_maximize_refined_grid_never_worse(fig5):
     fine_pu = tuple(float(v) for v in np.linspace(5.0, 30.0, 11))
     fine_pj = tuple(float(v) for v in np.linspace(5.0, 15.0, 5))
-    coarse = GridSpec(p_u_values=fine_pu[::2], p_j_values=fine_pj[::2])
-    fine = GridSpec(p_u_values=fine_pu, p_j_values=fine_pj)
-    r_coarse = maximize_covert_rate(fig5, coarse)
-    r_fine = maximize_covert_rate(fig5, fine)
+    r_coarse = search(fig5, fine_pu[::2], fine_pj[::2])
+    r_fine = search(fig5, fine_pu, fine_pj)
     assert r_fine.r_b_star >= r_coarse.r_b_star
 
 
@@ -120,8 +94,7 @@ def test_maximize_jamming_helps_at_fixed_forward_power(fig5):
     # climbs across the jamming overlays
     rates = []
     for p_j in (5.0, 10.0, 15.0):
-        result = maximize_covert_rate(
-            fig5, GridSpec(p_u_values=(20.0,), p_j_values=(p_j,)))
+        result = search(fig5, (20.0,), (p_j,))
         assert result.feasible
         rates.append(result.r_b_star)
     assert rates[0] < rates[1] < rates[2]
@@ -130,11 +103,11 @@ def test_maximize_jamming_helps_at_fixed_forward_power(fig5):
 def test_maximize_infeasible_everywhere(fig4):
     # at 1-2 W forward power the relay out-hears the receiver everywhere,
     # so the security constraint kills every grid point
-    grid = GridSpec(p_u_values=(1.0, 2.0), p_j_values=(2.0, 5.0))
-    for p_u in grid.p_u_values:
-        for p_j in grid.p_j_values:
+    p_u_values, p_j_values = (1.0, 2.0), (2.0, 5.0)
+    for p_u in p_u_values:
+        for p_j in p_j_values:
             assert not one_point_verdict(fig4.replace(p_u=p_u, p_j=p_j))[1]
-    result = maximize_covert_rate(fig4, grid)
+    result = search(fig4, p_u_values, p_j_values)
     assert not result.feasible
     assert math.isnan(result.r_b_star)
     assert result.active_constraints == ()
@@ -145,21 +118,12 @@ def test_maximize_infinite_covert_floor_is_infeasible(fig5):
     # was once reported feasible at h_star = inf with r_b_star = 0
     s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, r_s=0.0, epsilon=1e-320)
-    result = maximize_covert_rate(s, GridSpec.linear(30.0, 30.0, 3, 3))
+    result = maximize_covert_rate(s, 3, 3)
     assert not result.feasible and math.isnan(result.h_star)
 
 
-def test_maximize_skips_grid_points_above_cap(fig5):
-    capped = fig5.replace(p_max=10.0, p_u=2.0, p_j=5.0)
-    grid = GridSpec(p_u_values=(5.0, 10.0, 25.0), p_j_values=(5.0,))
-    result = maximize_covert_rate(capped, grid)
-    assert result.feasible
-    assert result.p_u_star <= 10.0
-
-
 def test_maximize_result_satisfies_constraints(fig5):
-    grid = GridSpec.linear(fig5.p_max, 15.0, p_u_steps=8, p_j_steps=3)
-    result = maximize_covert_rate(fig5, grid)
+    result = search(fig5, box_axis(fig5.p_max, 8), box_axis(15.0, 3))
     assert result.feasible
     s = fig5.replace(p_u=result.p_u_star, p_j=result.p_j_star)
     assert min_error_at_height(s, result.h_star) >= 1.0 - s.epsilon - 1e-12
@@ -170,8 +134,7 @@ def test_maximize_result_satisfies_constraints(fig5):
 
 
 def test_maximize_active_constraint_flags(fig5):
-    grid = GridSpec.linear(fig5.p_max, 15.0, p_u_steps=6, p_j_steps=3)
-    result = maximize_covert_rate(fig5, grid)
+    result = search(fig5, box_axis(fig5.p_max, 6), box_axis(15.0, 3))
     assert result.feasible
     if result.h_star > 0.0:
         assert "covert" in result.active_constraints
@@ -194,15 +157,15 @@ def test_maximize_builds_no_scenario(fig5, monkeypatch):
         replaces.append(changes)
         return replace(self, **changes)
     monkeypatch.setattr(Scenario, "replace", counted)
-    result = maximize_covert_rate(fig5, GridSpec.linear(30.0, 30.0, 50, 50))
+    result = maximize_covert_rate(fig5, 50, 50)
     assert result.feasible and result.h_max > result.h_star
     assert replaces == []
 
 
 def test_maximize_deterministic(fig5):
-    grid = GridSpec.linear(fig5.p_max, 15.0, p_u_steps=7, p_j_steps=3)
-    a = maximize_covert_rate(fig5, grid)
-    b = maximize_covert_rate(fig5, grid)
+    axes = box_axis(fig5.p_max, 7), box_axis(15.0, 3)
+    a = search(fig5, *axes)
+    b = search(fig5, *axes)
     assert a == b
 
 
@@ -226,18 +189,6 @@ def test_endpoint_optimality_randomized():
 
 
 # -- grid argmax vs the cap-edge oracle ---------------------------------------
-
-def exact_snrs(s, p_u, p_j, x):
-    """``rates.snrs_at``'s ``(gamma_u, gamma_b)`` at x = h^2, written out in
-    Fractions of the scenario's float fields and of the given powers."""
-    a, b, beta, p_a, s_u, s_b = map(Fraction, (
-        s.d_a2, s.d_b2, s.beta, s.p_a, s.sigma_u2, s.sigma_b2))
-    g_a, g_b = beta / (a + x), beta / (b + x)
-    gamma_u = p_a * g_a / (p_j * g_b + s_u)
-    gamma_b = p_u * p_a * g_b * g_a / ((p_u * s_u + p_j * s_b) * g_b
-                                       + p_a * g_a * s_b + s_b * s_u)
-    return gamma_u, gamma_b
-
 
 def test_scaling_both_powers_up_keeps_the_floor_and_only_helps():
     # the ray lemma behind cap_edge_supremum: at t >= 1 the covert margin
@@ -278,19 +229,18 @@ def test_grid_argmax_is_at_most_the_cap_edge_supremum(fig5):
 
     def assert_bounded(s, steps):
         nonlocal edge_grids
-        grid = GridSpec.linear(s.p_max, s.p_max, steps, steps)
-        result = maximize_covert_rate(s, grid)
+        result = maximize_covert_rate(s, steps, steps)
         if not result.feasible:
             return False
         assert result.r_b_star <= (cap_edge_supremum(s)
                                    + 4 * math.ulp(result.r_b_star))
-        edges = []
+        axis, edges = box_axis(s.p_max, steps), []
         if result.p_u_star == s.p_max:
-            edges.append(GridSpec((s.p_max,), grid.p_j_values))
+            edges.append(((s.p_max,), axis))
         if result.p_j_star == s.p_max:
-            edges.append(GridSpec(grid.p_u_values, (s.p_max,)))
+            edges.append((axis, (s.p_max,)))
         for edge in edges:
-            assert repr(maximize_covert_rate(s, edge)) == repr(result)
+            assert repr(search(s, *edge)) == repr(result)
         edge_grids += len(edges)
         return True
 
@@ -306,19 +256,18 @@ def test_grid_argmax_is_at_most_the_cap_edge_supremum(fig5):
 @pytest.mark.parametrize("m", [-7, 5])
 def test_argmax_is_equivariant_under_power_of_two_power_scaling(fig5, m):
     # scaling every power and noise by 2^m is exact in binary floating
-    # point and leaves every SNR, covert floor and capacity unchanged: the
-    # result is bit-equal, with the argmax powers scaled by 2^m
+    # point and leaves every SNR, covert floor and capacity unchanged, and
+    # the power axes of the scaled cap are the scaled axes: the result is
+    # bit-equal, with the argmax powers scaled by 2^m
     scale = 2.0 ** m
     rng = np.random.default_rng(21)
     feasible = 0
     for s in [fig5, *(draw_scenario(rng) for _ in range(299))]:
-        grid = GridSpec.linear(s.p_max, s.p_max, 12, 12)
         scaled = s.replace(**{f: getattr(s, f) * scale for f in (
             "p_a", "p_u", "p_j", "p_max", "sigma_u2", "sigma_b2", "sigma_w2")})
-        got = maximize_covert_rate(scaled, GridSpec(
-            p_u_values=tuple(v * scale for v in grid.p_u_values),
-            p_j_values=tuple(v * scale for v in grid.p_j_values)))
-        want = maximize_covert_rate(s, grid)
+        assert box_axis(scaled.p_max, 12) == tuple(v * scale for v in box_axis(s.p_max, 12))
+        got = maximize_covert_rate(scaled, 12, 12)
+        want = maximize_covert_rate(s, 12, 12)
         assert_same_result(got, dataclasses.replace(
             want, p_u_star=want.p_u_star * scale,
             p_j_star=want.p_j_star * scale))
@@ -332,17 +281,13 @@ def test_argmax_is_equivariant_under_power_of_two_power_scaling(fig5, m):
 # itself: its independent oracle is the dense altitude scan of
 # test_constraints.py::test_feasible_interval_agrees_with_a_dense_altitude_scan
 
-def per_point_oracle(scenario, grid):
+def per_point_oracle(scenario, p_u_values, p_j_values):
     """The optimizer as a plain loop: the one-point grid verdict,
-    security_height_bound and rate_report on every in-cap grid point, in
-    scan order, with strict improvement."""
+    security_height_bound and rate_report on every grid point, in scan
+    order, with strict improvement."""
     best = None
-    for p_u in grid.p_u_values:
-        if p_u > scenario.p_max:
-            continue
-        for p_j in grid.p_j_values:
-            if p_j > scenario.p_max:
-                continue
+    for p_u in p_u_values:
+        for p_j in p_j_values:
             candidate = scenario.replace(p_u=p_u, p_j=p_j)
             h, feasible = one_point_verdict(candidate)
             if not feasible:
@@ -383,6 +328,15 @@ def assert_same_result(got, want):
             assert a == b, (field.name, a, b)
 
 
+def drawn_axes(s, rng, stop):
+    """Two power axes of a drawn box, each up to a ``stop()`` with 1 to 7
+    steps, less every value above s.p_max; an axis may come out empty."""
+    stops = float(stop()), float(stop())
+    steps = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    return [tuple(v for v in box_axis(stop, n) if v <= s.p_max)
+            for stop, n in zip(stops, steps)]
+
+
 @pytest.mark.parametrize("log2_skew", [0.0, math.inf, -math.inf])
 def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
     # a skew moves np.log2 results one ULP, alternately up and down, as
@@ -398,27 +352,25 @@ def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
         s = draw_scenario(rng, d_w2=float(rng.uniform(5.0, 300.0)),
                           epsilon=float(rng.uniform(0.002, 0.1)),
                           r_s=float(rng.uniform(0.0, 0.05)))
-        grid = GridSpec.linear(
-            float(rng.uniform(5.0, 40.0)), float(rng.uniform(5.0, 40.0)),
-            p_u_steps=int(rng.integers(1, 8)), p_j_steps=int(rng.integers(1, 8)))
+        p_u_values, p_j_values = drawn_axes(s, rng, lambda: rng.uniform(5.0, 40.0))
         kind = ("random", "r_s=0", "guard")[trial % 3]
         if kind == "r_s=0":
             s = s.replace(r_s=0.0)
         elif kind == "guard":
             # put r_s on C_s at h_min or at the ground for one grid point,
             # or 1e-12 either side
-            p_u = float(rng.choice([v for v in grid.p_u_values if v <= s.p_max]
-                                   or [s.p_max]))
-            p_j = float(rng.choice([v for v in grid.p_j_values if v <= s.p_max]
-                                   or [s.p_max]))
+            p_u = float(rng.choice(p_u_values or [s.p_max]))
+            p_j = float(rng.choice(p_j_values or [s.p_max]))
             h = float(rng.choice(
                 [covert_floor(p_u, p_j, s.beta, s.epsilon, s.d_w2), 0.0]))
             c_s = rate_report(s.replace(p_u=p_u, p_j=p_j, h=h)).c_s
             r_s = c_s + float(rng.choice([-1e-12, 0.0, 1e-12]))
             if r_s >= 0.0:
                 s = s.replace(r_s=r_s)
-        got = maximize_covert_rate(s, grid)
-        want = per_point_oracle(s, grid)
+        if not (p_u_values and p_j_values):
+            continue  # the whole box lies above the cap
+        got = search(s, p_u_values, p_j_values)
+        want = per_point_oracle(s, p_u_values, p_j_values)
         assert_same_result(got, want)
         kinds[kind] += 1
         kinds["feasible"] += want.feasible
@@ -428,11 +380,9 @@ def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
     wide_feasible = 0
     for _ in range(60):
         s = draw_log_uniform_scenario(rng)
-        grid = GridSpec.linear(
-            float(10.0 ** rng.uniform(-2, 3)), float(10.0 ** rng.uniform(-2, 3)),
-            p_u_steps=int(rng.integers(1, 8)), p_j_steps=int(rng.integers(1, 8)))
-        want = per_point_oracle(s, grid)
-        assert_same_result(maximize_covert_rate(s, grid), want)
+        axes = drawn_axes(s, rng, lambda: 10.0 ** rng.uniform(-2, 3))
+        want = per_point_oracle(s, *axes)
+        assert_same_result(search(s, *axes), want)
         wide_feasible += want.feasible
     assert wide_feasible >= 10
     assert kinds["feasible"] >= 50
@@ -451,8 +401,8 @@ def test_grid_pass_matches_per_point_oracle(monkeypatch, log2_skew):
 ])
 def test_grid_pass_matches_oracle_on_edge_scenarios(fig5, changes):
     s = fig5.replace(**changes)
-    grid = GridSpec.linear(s.p_max, s.p_max, p_u_steps=9, p_j_steps=7)
-    assert_same_result(maximize_covert_rate(s, grid), per_point_oracle(s, grid))
+    assert_same_result(maximize_covert_rate(s, 9, 7), per_point_oracle(
+        s, box_axis(s.p_max, 9), box_axis(s.p_max, 7)))
 
 
 def test_grid_pass_decides_a_crossing_in_the_last_scan_bracket(fig5):
@@ -460,10 +410,9 @@ def test_grid_pass_decides_a_crossing_in_the_last_scan_bracket(fig5):
     # [2^19 m, 1e6 m], above a covert floor near 600 km: feasible
     s = fig5.replace(sigma_u2=1e-12, sigma_b2=1e-12, d_a2=100.0, d_b2=100.0,
                      d_w2=10.0, r_s=3.612, epsilon=2.78e-11)
-    grid = GridSpec(p_u_values=(30.0,), p_j_values=(30.0,))
-    want = per_point_oracle(s, grid)
+    want = per_point_oracle(s, (s.p_max,), (s.p_max,))
     assert want.feasible and 2.0 ** 19 < want.h_star < want.h_max < 1e6
-    assert_same_result(maximize_covert_rate(s, grid), want)
+    assert_same_result(maximize_covert_rate(s, 1, 1), want)
 
 
 @pytest.mark.parametrize("offset", [
@@ -475,10 +424,9 @@ def test_grid_pass_decides_a_margin_just_outside_the_guard(fig5, offset):
     h_min = covert_floor(10.0, 15.0, fig5.beta, fig5.epsilon, fig5.d_w2)
     s = fig5.replace(r_s=rate_report(
         fig5.replace(p_u=10.0, p_j=15.0, h=h_min)).c_s + offset)
-    grid = GridSpec(p_u_values=(10.0,), p_j_values=(15.0,))
-    want = per_point_oracle(s, grid)
+    want = per_point_oracle(s, (10.0,), (15.0,))
     assert want.feasible == (offset < 0.0)
-    got = maximize_covert_rate(s, grid)
+    got = search(s, (10.0,), (15.0,))
     assert_same_result(got, want)
     if got.feasible:
         assert got.c_s_star >= s.r_s
@@ -494,8 +442,8 @@ def test_ceiling_on_the_threshold_goes_to_the_solver(fig5, scale):
                      d_w2=10.0, epsilon=0.3)
     s = s.replace(r_s=scale * rate_report(
         s.replace(p_u=30.0, p_j=30.0, h=SEARCH_CEILING_M)).c_s)
-    grid = GridSpec(p_u_values=(30.0,), p_j_values=(30.0,))
-    assert_same_result(maximize_covert_rate(s, grid), per_point_oracle(s, grid))
+    assert_same_result(maximize_covert_rate(s, 1, 1),
+                       per_point_oracle(s, (s.p_max,), (s.p_max,)))
 
 
 def test_reported_rates_are_math_log2_capacities(fig5):
@@ -507,8 +455,7 @@ def test_reported_rates_are_math_log2_capacities(fig5):
                                  rng.uniform(1.0, 30.0, 1500),
                                  rng.uniform(0.005, 0.05, 1500)):
         s = fig5.replace(p_u=float(p_u), p_j=float(p_j), epsilon=float(epsilon))
-        result = maximize_covert_rate(
-            s, GridSpec(p_u_values=(s.p_u,), p_j_values=(s.p_j,)))
+        result = search(s, (s.p_u,), (s.p_j,))
         if not result.feasible:
             continue
         report = rate_report(s.replace(h=result.h_star))
@@ -524,10 +471,10 @@ def test_ties_break_toward_first_point_in_scan_order(fig5, monkeypatch):
     monkeypatch.setattr(uavcovert.optimizer, "capacity",
                         lambda snrs: [1.0] * np.size(snrs))
     monkeypatch.setattr(uavcovert.optimizer, "_BLOCK_CELLS", 4)
-    grid = GridSpec.linear(fig5.p_max, fig5.p_max, p_u_steps=6, p_j_steps=5)
-    first = next((p_u, p_j) for p_u in grid.p_u_values for p_j in grid.p_j_values
+    first = next((p_u, p_j) for p_u in box_axis(fig5.p_max, 6)
+                 for p_j in box_axis(fig5.p_max, 5)
                  if one_point_verdict(fig5.replace(p_u=p_u, p_j=p_j))[1])
-    result = maximize_covert_rate(fig5, grid)
+    result = maximize_covert_rate(fig5, 6, 5)
     assert (result.p_u_star, result.p_j_star) == first
 
 
@@ -541,8 +488,7 @@ def test_noise_level_far_scan_follows_the_solver():
                  p_u=1.0, p_j=1.0, p_max=1e6, sigma_u2=1.3142905344791695,
                  sigma_b2=8.421854256367805e-10, sigma_w2=0.01, epsilon=0.05,
                  r_s=0.0)
-    grid = GridSpec(p_u_values=(5e4, 57951.730594944325, 6e4),
-                    p_j_values=(2505.31356725798,))
-    got = maximize_covert_rate(s, grid)
+    axes = (5e4, 57951.730594944325, 6e4), (2505.31356725798,)
+    got = search(s, *axes)
     assert got.feasible
-    assert_same_result(got, per_point_oracle(s, grid))
+    assert_same_result(got, per_point_oracle(s, *axes))
