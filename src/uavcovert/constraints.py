@@ -30,9 +30,11 @@ of (epsilon, p_u, p_j) at once: by the one crossing, the security
 predicate N_b / D_b >= t N_u / D_u, as (1 + gamma_b) / (1 + gamma_u) >= t,
 on the ground and at each covert floor h_min decides a point.
 :func:`security_height_bound` takes the grid's own float powers, with
-no rebuilt Scenario; its h_max bisection compares the same ratio with
-2^(r_s -+ BISECT_RESIDUAL).  Floats and arrays round its plain arithmetic
-alike, so the grid and the bisection decide a point alike.
+no rebuilt Scenario; its altitude scan applies the same predicate, and
+its h_max bisection compares the same ratio with 2^(r_s -+
+BISECT_RESIDUAL), or, where r_s = 0, gamma_b with gamma_u: the same set
+as C_s >= 0 without the rounding of 1 + gamma.  Floats and arrays round
+their plain arithmetic alike, so the grid and the scan decide a point alike.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from .model import Scenario
 from .rates import snrs_at
 
 SEARCH_CEILING_M = 1e6     # top of the h_max scan, beyond any hover height
-BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at the returned height
+BISECT_RESIDUAL = 1e-9     # absolute residual on C_s at h_max where r_s > 0
 
 
 def _threshold(r_s: float) -> float:
@@ -74,10 +76,12 @@ def security_height_bound(scenario: Scenario, p_u, p_j):
     search ceiling, by the security predicate at every scan height in one
     array pass (NumericalError where an SNR overflows).  Otherwise C_s
     crosses r_s once (module docstring), between the first doubling
-    altitude where the predicate fails and the one before.  The bisection
-    returns the first midpoint whose 2^C_s lies strictly inside 2^(r_s -+
-    BISECT_RESIDUAL), or the one that no longer lies strictly inside its
-    bracket: every other step narrows the bracket, so the loop ends.
+    altitude where the predicate fails and the one before.  Where r_s > 0
+    the bisection returns the first midpoint whose 2^C_s lies strictly
+    inside 2^(r_s -+ BISECT_RESIDUAL), or the one that no longer lies
+    strictly inside its bracket: every other step narrows the bracket, so
+    the loop ends.  Where r_s = 0 it decides each midpoint by gamma_b >=
+    gamma_u and returns the secure end of a bracket of adjacent floats.
     """
     s = scenario
     try:
@@ -92,6 +96,11 @@ def security_height_bound(scenario: Scenario, p_u, p_j):
         return math.inf
     k = secure.index(False)
     lo, hi = _SCAN_HEIGHTS[k - 1].item(), _SCAN_HEIGHTS[k].item()
+    if s.r_s == 0.0:  # C_s >= 0 is gamma_b >= gamma_u: no residual window
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            gamma_u, gamma_b = snrs_at(s, p_u, p_j, mid)
+            lo, hi = (mid, hi) if gamma_b >= gamma_u else (lo, mid)
+        return lo
     t_lo = _threshold(s.r_s - BISECT_RESIDUAL)
     t_hi = _threshold(s.r_s + BISECT_RESIDUAL)
     while True:

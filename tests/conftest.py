@@ -16,9 +16,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from uavcovert import (  # noqa: E402
-    ConfigError, NumericalError, OptimizationResult, Scenario, optimal_detection,
+    ConfigError, NumericalError, OptimizationResult, Scenario,
 )
 from uavcovert import experiments  # noqa: E402
+from uavcovert.detection import optimal_detection  # noqa: E402
 from uavcovert.constraints import SEARCH_CEILING_M, feasibility_grid  # noqa: E402
 from uavcovert.experiments import _MONOTONE_SLACK, _RESULT_COLUMNS  # noqa: E402
 from uavcovert.model import _canonical_hashes  # noqa: E402

@@ -11,14 +11,14 @@ import time
 import numpy as np
 
 from uavcovert import (
-    SweepSpec, error_curve, maximize_covert_rate,
-    optimal_detection,
+    SweepSpec, maximize_covert_rate,
     run_covertness_sweep, run_detection_sweep, run_rate_sweep,
-    simulate_destination_snr,
 )
 from uavcovert.cli import main
 from uavcovert.constraints import security_height_bound
+from uavcovert.detection import error_curve, optimal_detection
 from uavcovert.experiments import mc_zeta_tolerance
+from uavcovert.rates import simulate_destination_snr
 
 from conftest import (
     AuxCoefficients, aux_coefficients, covert_floor, draw_scenario,

@@ -21,12 +21,9 @@ from conftest import forbid_work
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 PUBLIC_API = {
-    "ConfigError", "NumericalError", "OptimizationResult",
-    "Scenario", "SweepSpec", "capacity", "db_to_linear", "error_curve",
-    "maximize_covert_rate", "optimal_detection", "render_csv",
-    "run_covertness_sweep", "run_detection_sweep", "run_rate_sweep",
-    "run_validation", "simulate_destination_snr", "simulate_detection",
-    "write_csv",
+    "ConfigError", "NumericalError", "OptimizationResult", "Scenario",
+    "SweepSpec", "maximize_covert_rate", "run_covertness_sweep",
+    "run_detection_sweep", "run_rate_sweep", "run_validation", "write_csv",
 }
 
 # names the package no longer defines
@@ -47,20 +44,23 @@ REMOVED = {
 # names kept inside their modules but not exported
 MODULE_ONLY = {
     "constraints": ("feasibility_grid", "security_height_bound"),
-    "experiments": ("mc_zeta_tolerance", "csv_block"),
+    "detection": ("error_curve", "optimal_detection", "simulate_detection"),
+    "rates": ("capacity", "snrs_at", "simulate_destination_snr"),
+    "model": ("db_to_linear",),
+    "experiments": ("render_csv", "csv_block", "mc_zeta_tolerance"),
 }
 
 
 def test_public_api_is_pinned():
     assert len(uavcovert.__all__) == len(set(uavcovert.__all__))
     assert set(uavcovert.__all__) == PUBLIC_API
-    assert len(PUBLIC_API) == 18
+    assert len(PUBLIC_API) == 11
 
 
 def test_results_are_plain_tuples():
     s = uavcovert.Scenario.from_file(ROOT / "scenarios" / "fig2.json")
-    for pair in (uavcovert.optimal_detection(s),
-                 uavcovert.simulate_destination_snr(s, 100, 0)):
+    for pair in (uavcovert.detection.optimal_detection(s),
+                 uavcovert.rates.simulate_destination_snr(s, 100, 0)):
         assert type(pair) is tuple and [type(v) for v in pair] == [float, float]
     checks = uavcovert.run_validation(s, n_trials=100, n_symbols=100, gamma_points=2)
     assert type(checks) is list and len(checks) == 3
@@ -132,13 +132,13 @@ def test_entry_points_take_only_the_inputs_callers_vary():
     # the powers in snrs_at's order, as the optimizer's grid holds them
     assert parameters(uavcovert.constraints.security_height_bound) == [
         "scenario", "p_u", "p_j"]
-    assert parameters(uavcovert.capacity) == ["snrs"]
-    assert parameters(uavcovert.render_csv) == ["blocks"]
+    assert parameters(uavcovert.rates.capacity) == ["snrs"]
+    assert parameters(uavcovert.experiments.render_csv) == ["blocks"]
     assert parameters(uavcovert.write_csv) == ["path", "blocks"]
     # perfbench/tracer.py reads these argument names for its counters
-    assert parameters(uavcovert.simulate_detection) == [
+    assert parameters(uavcovert.detection.simulate_detection) == [
         "scenario", "gamma", "n_trials", "seed"]
-    assert parameters(uavcovert.simulate_destination_snr) == [
+    assert parameters(uavcovert.rates.simulate_destination_snr) == [
         "scenario", "n_symbols", "seed"]
 
 
@@ -169,8 +169,8 @@ _REAL_ENTRY_POINTS = {
     "Scenario.replace": lambda v: (_FIG2.replace(h=v).h,),
     "SweepSpec start": lambda v: (uavcovert.SweepSpec(v, 10.0, 3, (1.0,)).start,),
     "SweepSpec overlay": lambda v: uavcovert.SweepSpec(0.0, 1.0, 2, (v,)).overlay_values,
-    "error_curve": lambda v: sum(uavcovert.error_curve(_FIG2, [v]), []),
-    "simulate_detection": lambda v: uavcovert.simulate_detection(_FIG2, v, 100, 0),
+    "error_curve": lambda v: sum(uavcovert.detection.error_curve(_FIG2, [v]), []),
+    "simulate_detection": lambda v: uavcovert.detection.simulate_detection(_FIG2, v, 100, 0),
 }
 
 
@@ -214,8 +214,8 @@ _COUNT_ENTRY_POINTS = {
     "maximize_covert_rate p_j_steps": lambda v: _optimize(p_j_steps=v),
     "run_covertness_sweep p_u_steps": lambda v: uavcovert.run_covertness_sweep(
         _FIG5, uavcovert.SweepSpec(0.01, 0.02, 2, (5.0,)), v)[0]["p_u_star"],
-    "simulate_detection": lambda v: uavcovert.simulate_detection(_FIG2, 1.0, v, 0),
-    "simulate_destination_snr": lambda v: uavcovert.simulate_destination_snr(_FIG2, v, 0),
+    "simulate_detection": lambda v: uavcovert.detection.simulate_detection(_FIG2, 1.0, v, 0),
+    "simulate_destination_snr": lambda v: uavcovert.rates.simulate_destination_snr(_FIG2, v, 0),
     "run_detection_sweep n_trials": lambda v: _detect(n_trials=v),
     "run_validation gamma_points": lambda v: _validate(gamma_points=v),
     "run_validation n_trials": lambda v: _validate(n_trials=v),

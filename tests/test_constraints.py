@@ -18,7 +18,7 @@ from uavcovert.rates import snrs_at
 
 from conftest import (
     ROOT, box_axis, covert_floor, draw_log_uniform_scenario,
-    draw_low_noise_scenario, draw_scenario, min_error_at_height,
+    draw_low_noise_scenario, draw_scenario, exact_log1p, min_error_at_height,
     one_point_verdict, rate_report, scan_feasibility,
 )
 
@@ -137,6 +137,47 @@ def test_grid_covert_floor_is_the_scalar_one(fig5, p_u_values, p_j_values,
         grid_h_min, *_ = feasibility_grid(fig5, p_u_values, p_j_values, epsilons)
     for index, h_min in want.items():
         assert repr(grid_h_min.item(index)) == repr(h_min), index
+
+
+@pytest.mark.parametrize("draw, seed, steps, positive", [
+    (None, None, 50, 2140), (draw_scenario, 0, 8, 2537),
+    (draw_log_uniform_scenario, 5, 8, 8488)], ids=["fig5", "draws", "log_draws"])
+def test_covert_floor_stays_within_its_error_bound(fig5, draw, seed, steps,
+                                                   positive):
+    # h_min against the exact floor h = sqrt(A - d_w^2), A = -P_u beta /
+    # (P_J ln(1 - epsilon)), in 60-digit decimal from the float inputs, at
+    # every positive floor of fig5's 50x50 box and of 300 draws' 8x8 boxes
+    # of each family: |h_min - h| <= (2.5 kappa + 1.5) u h, u = 2^-53,
+    # kappa = A / (A - d_w^2).  The float A carries about 5u (the two
+    # products, the quotient and the <= 1-ULP log1p that test_golden
+    # holds); subtracting d_w^2 scales that by kappa and adds one rounding,
+    # and the square root halves both and adds its own.  Measured worst
+    # shares of the bound: 0.45, 0.48 and 0.58
+    u = 2.0 ** -53
+    exact = decimal.Context(prec=60)
+    D = decimal.Decimal
+    if draw is None:
+        scenarios = [fig5]
+    else:
+        rng = np.random.default_rng(seed)
+        scenarios = [draw(rng) for _ in range(300)]
+    count = 0
+    for s in scenarios:
+        axis = box_axis(s.p_max, steps)
+        h_min = feasibility_grid(s, axis, axis, (s.epsilon,))[0][0].tolist()
+        log = exact_log1p(-s.epsilon)
+        for (i, p_u), (j, p_j) in itertools.product(enumerate(axis), repeat=2):
+            a = exact.divide(exact.multiply(D(-p_u), D(s.beta)),
+                             exact.multiply(D(p_j), log))
+            radicand = exact.subtract(a, D(s.d_w2))
+            if radicand <= 0 and h_min[i][j] == 0.0:
+                continue
+            h = exact.sqrt(radicand)
+            kappa = float(exact.divide(a, radicand))
+            error = float(exact.divide(abs(D(h_min[i][j]) - h), h))
+            assert error <= (2.5 * kappa + 1.5) * u, (s, p_u, p_j)
+            count += 1
+    assert count == positive
 
 
 # -- security height bound ---------------------------------------------------
@@ -360,40 +401,22 @@ def test_security_bound_brackets_the_exact_crossing(fig5):
     # x = h^2): P >= 0 at (h_max (1 - delta))^2 and P <= 0 at
     # (h_max (1 + delta))^2, for every finite h_max of the tracked fig5
     # sweep and of 6x6 power grids on 50 draws of each family.  The
-    # bisection stops on a 1e-9 residual in C_s, not in h, so delta depends
-    # on the slope of C_s at the crossing.  Measured worst cases: 1.24e-8 on
-    # fig5, 5.8e-7 on draw_scenario and 1.6e-6 on the log-uniform draws with
-    # r_s > 0, so delta = 2e-6 there.  With r_s = 0 both SNRs can be so
-    # faint at the crossing that C_s stays within the residual of 0 over a
-    # wide band, and the first midpoint inside it is returned: measured
-    # worst 0.33, so delta = 0.35
+    # bisection stops on a 1e-9 residual in C_s where r_s > 0, not in h, so
+    # delta depends on the slope of C_s at the crossing.  Measured worst
+    # cases: 1.24e-8 on fig5, 5.8e-7 on draw_scenario and 1.6e-6 on the
+    # log-uniform draws with r_s > 0, so delta = 2e-6.  Where r_s = 0 it
+    # bisects gamma_b >= gamma_u to adjacent floats, even where both SNRs
+    # are so faint that C_s stays near 0 over a wide band: measured worst
+    # 2.5e-12 from the exact root on those 180 points, inside the same delta
     points = security_bound_points(fig5)
+    delta = Fraction(2e-6)
     flat = 0
     for s, p_u, p_j, h in points:
         quartic = security_quartic(s.replace(p_u=p_u, p_j=p_j))
-        delta = Fraction(2e-6 if s.r_s > 0.0 else 0.35)
         flat += s.r_s == 0.0
         assert poly_at(quartic, (h * (1 - delta)) ** 2) >= 0, (s, p_u, p_j)
         assert poly_at(quartic, (h * (1 + delta)) ** 2) <= 0, (s, p_u, p_j)
     assert len(points) == 60 + 318 + 1068 and flat == 180
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "h_max stops on an absolute 1e-9 residual in C_s; where r_s = 0 and both "
-    "SNRs are faint, that leaves it far from the crossing"))
-def test_security_bound_brackets_the_exact_crossing_where_r_s_is_zero(fig5):
-    # the 180 r_s = 0 points of test_security_bound_brackets_the_exact_crossing
-    # held to its r_s > 0 bound, delta = 2e-6.  Measured: 104 of the 180
-    # lie beyond it, worst 0.33; the fix must drop the marker
-    delta = Fraction(2e-6)
-    outside = []
-    for s, p_u, p_j, h in security_bound_points(fig5):
-        if s.r_s == 0.0:
-            quartic = security_quartic(s.replace(p_u=p_u, p_j=p_j))
-            if (poly_at(quartic, (h * (1 - delta)) ** 2) < 0
-                    or poly_at(quartic, (h * (1 + delta)) ** 2) > 0):
-                outside.append((s, p_u, p_j, h))
-    assert outside == []
 
 
 def test_security_predicate_agrees_with_the_exact_sign():

@@ -8,12 +8,12 @@ import hypothesis.strategies as st
 
 import uavcovert.detection
 from uavcovert import (
-    ConfigError, NumericalError, Scenario,
-    SweepSpec, error_curve, optimal_detection, run_detection_sweep,
-    simulate_detection,
+    ConfigError, NumericalError, Scenario, SweepSpec, run_detection_sweep,
 )
 from uavcovert.cli import main
-from uavcovert.detection import _TRIAL_CHUNK
+from uavcovert.detection import (
+    _TRIAL_CHUNK, error_curve, optimal_detection, simulate_detection,
+)
 
 from conftest import (
     PRESETS, SCENARIOS, draw_scenario, los_gain, reference_detection,

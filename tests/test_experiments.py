@@ -14,14 +14,13 @@ import uavcovert.constraints
 import uavcovert.optimizer
 from uavcovert import experiments
 from uavcovert import (
-    ConfigError, NumericalError, Scenario, SweepSpec,
-    error_curve, maximize_covert_rate,
-    optimal_detection, render_csv, run_covertness_sweep,
-    run_detection_sweep, run_rate_sweep, run_validation,
-    simulate_destination_snr, simulate_detection,
+    ConfigError, NumericalError, Scenario, SweepSpec, maximize_covert_rate,
+    run_covertness_sweep, run_detection_sweep, run_rate_sweep, run_validation,
     write_csv,
 )
-from uavcovert.experiments import mc_zeta_tolerance
+from uavcovert.detection import error_curve, optimal_detection, simulate_detection
+from uavcovert.experiments import mc_zeta_tolerance, render_csv
+from uavcovert.rates import simulate_destination_snr
 
 from uavcovert.cli import main
 from uavcovert.model import _canonical_hashes
@@ -936,7 +935,8 @@ def test_csv_columns_prefixed_by_scenario(fig5):
 
 def test_records_recomputable_from_scenario_columns(fig2, fig3):
     # closed-form outputs must follow from the row's own scenario columns
-    from uavcovert import Scenario, error_curve, optimal_detection
+    from uavcovert import Scenario
+    from uavcovert.detection import error_curve, optimal_detection
 
     det = run_detection_sweep(fig2, detection_sweep_spec(steps=5),
                               n_trials=100, seed=6)

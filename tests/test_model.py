@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from uavcovert import ConfigError, Scenario, db_to_linear
+from uavcovert import ConfigError, Scenario
 from uavcovert.experiments import SweepSpec, render_csv, run_rate_sweep
-from uavcovert.model import _JSON_FIELDS, _canonical_hashes
+from uavcovert.model import _JSON_FIELDS, _canonical_hashes, db_to_linear
 
 from conftest import (
     PRESETS, SCENARIOS, draw_log_uniform_scenario, draw_scenario,

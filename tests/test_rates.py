@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from uavcovert import ConfigError, Scenario, capacity, simulate_destination_snr
-from uavcovert.rates import _CHUNK, snrs_at
+from uavcovert import ConfigError, Scenario
+from uavcovert.rates import _CHUNK, capacity, simulate_destination_snr, snrs_at
 
 from conftest import (
     PRESETS, SCENARIOS, AuxCoefficients, RateReport, aux_coefficients,
