@@ -28,13 +28,16 @@ above the ground; :func:`feasibility_grid` reports such points infeasible.
 :func:`feasibility_grid` is the one feasibility verdict, over whole arrays
 of (epsilon, p_u, p_j) at once: by the one crossing, the security
 predicate N_b / D_b >= t N_u / D_u, as (1 + gamma_b) / (1 + gamma_u) >= t,
-on the ground and at each covert floor h_min decides a point.
-:func:`security_height_bound` takes the grid's own float powers, with
-no rebuilt Scenario; its altitude scan applies the same predicate, and
-its h_max bisection compares the same ratio with 2^(r_s -+
-BISECT_RESIDUAL), or, where r_s = 0, gamma_b with gamma_u: the same set
-as C_s >= 0 without the rounding of 1 + gamma.  Floats and arrays round
-their plain arithmetic alike, so the grid and the scan decide a point alike.
+on the ground and at each covert floor h_min decides a point.  Where
+r_s = 0 the predicate is gamma_b >= gamma_u instead: the same set as
+C_s >= 0, without the rounding of 1 + gamma, which reads two SNRs below
+about 1e-16 as secure whatever their order.  :func:`_secure` is that one
+predicate.  :func:`security_height_bound` takes the grid's own float
+powers, with no rebuilt Scenario; its altitude scan applies the same
+predicate, and its h_max bisection too where r_s = 0; where r_s > 0 it
+compares the ratio with 2^(r_s -+ BISECT_RESIDUAL).  Floats and arrays
+round their plain arithmetic alike, so the grid and the scan decide a
+point alike.
 """
 from __future__ import annotations
 
@@ -62,6 +65,17 @@ def _ratio(snrs):
     return (1.0 + gamma_b) / (1.0 + gamma_u)
 
 
+def _secure(snrs, r_s: float, t: float):
+    """The security predicate C_s >= r_s for ``snrs = (gamma_u, gamma_b)``
+    and ``t = _threshold(r_s)``: ``_ratio(snrs) >= t``, or, where r_s = 0,
+    gamma_b >= gamma_u, the same set without the rounding of 1 + gamma,
+    which reads every pair of SNRs below about 1e-16 as secure."""
+    if r_s == 0.0:
+        gamma_u, gamma_b = snrs
+        return gamma_b >= gamma_u
+    return _ratio(snrs) >= t
+
+
 # The security bracket scan: 0, then doubling altitudes from 1 m, then the
 # search ceiling itself.
 _SCAN_HEIGHTS = np.array([0.0, *(2.0 ** k for k in range(
@@ -80,8 +94,8 @@ def security_height_bound(scenario: Scenario, p_u, p_j):
     the bisection returns the first midpoint whose 2^C_s lies strictly
     inside 2^(r_s -+ BISECT_RESIDUAL), or the one that no longer lies
     strictly inside its bracket: every other step narrows the bracket, so
-    the loop ends.  Where r_s = 0 it decides each midpoint by gamma_b >=
-    gamma_u and returns the secure end of a bracket of adjacent floats.
+    the loop ends.  Where r_s = 0 the predicate is gamma_b >= gamma_u, and
+    the bisection returns the secure end of a bracket of adjacent floats.
     """
     s = scenario
     try:
@@ -89,17 +103,17 @@ def security_height_bound(scenario: Scenario, p_u, p_j):
             snrs = snrs_at(s, p_u, p_j, _SCAN_HEIGHTS)
     except FloatingPointError as exc:
         raise NumericalError(f"SNRs on the altitude scan overflow: {exc}") from exc
-    secure = (_ratio(snrs) >= _threshold(s.r_s)).tolist()
+    t = _threshold(s.r_s)
+    secure = _secure(snrs, s.r_s, t).tolist()
     if not secure[0]:
         return None
     if secure[-1]:
         return math.inf
     k = secure.index(False)
     lo, hi = _SCAN_HEIGHTS[k - 1].item(), _SCAN_HEIGHTS[k].item()
-    if s.r_s == 0.0:  # C_s >= 0 is gamma_b >= gamma_u: no residual window
+    if s.r_s == 0.0:  # no residual window: bisect to adjacent floats
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            gamma_u, gamma_b = snrs_at(s, p_u, p_j, mid)
-            lo, hi = (mid, hi) if gamma_b >= gamma_u else (lo, mid)
+            lo, hi = (mid, hi) if _secure(snrs_at(s, p_u, p_j, mid), s.r_s, t) else (lo, mid)
         return lo
     t_lo = _threshold(s.r_s - BISECT_RESIDUAL)
     t_hi = _threshold(s.r_s + BISECT_RESIDUAL)
@@ -145,9 +159,9 @@ def feasibility_grid(scenario: Scenario, p_u_values, p_j_values, epsilons):
     h_min = np.sqrt(np.maximum(radicand, 0.0))
     try:
         with np.errstate(over="raise"):
-            ground_ok = _ratio(snrs_at(s, p_u, p_j, 0.0)) >= t
+            ground_ok = _secure(snrs_at(s, p_u, p_j, 0.0), s.r_s, t)
             gamma_u, gamma_b = snrs_at(s, p_u, p_j, h_min)
     except FloatingPointError as exc:
         raise NumericalError(f"SNRs on the power grid overflow: {exc}") from exc
-    feasible = ground_ok & (h_min < math.inf) & (_ratio((gamma_u, gamma_b)) >= t)
+    feasible = ground_ok & (h_min < math.inf) & _secure((gamma_u, gamma_b), s.r_s, t)
     return h_min, gamma_u, gamma_b, feasible

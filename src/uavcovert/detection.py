@@ -10,7 +10,10 @@ closed forms are one list pass, :func:`error_curve`; a vectorized Monte
 Carlo mirror, :func:`simulate_detection`, reproduces them one threshold
 per call and returns the same ``(p_fa, p_md, zeta)`` triple as one
 element of the curve.  The mirror draws its fades chunk by chunk into one
-scratch buffer, so its memory does not grow with the trial count.
+scratch buffer, so its memory does not grow with the trial count.  It
+shares no state between calls, so a sweep may run its points on two
+threads (``experiments.run_detection_sweep``) and get the values of a
+serial loop.
 """
 from __future__ import annotations
 

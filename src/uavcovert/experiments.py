@@ -6,29 +6,32 @@ rate chain, and a covertness sweep that re-optimizes the covert rate per
 point.  Each runner's protocol fixes which field it sweeps and which it
 overlays; a :class:`SweepSpec` holds only the range and the overlay
 values.  Each runner checks its seed, its counts and every overlay (one
-plain ``Scenario.replace`` of its overlay field) before any work, is one
-serial loop over its overlays in ascending order, and returns one column
-block per overlay: a dict that maps a column to a list of one value per
-swept point, or to one value shared by the block's rows.  Every block,
-the CLI's ``optimize`` record too, comes from :func:`csv_block`, the one
-row layout, and its keys in insertion order are its CSV header.  The
-swept points are one list object shared by every block.  The detection
-sweep takes each overlay's closed forms in one list pass (Monte Carlo
-stays per point), and validation draws through it; the rate sweep takes
-one array pass per sweep, over the whole (overlay x altitude) grid, and
-its ``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block, as
-the swept points are.  Capacities come from :func:`rates.capacity` and
-array values reach the blocks as floats via ``.tolist()``.
-:func:`render_csv` takes the header from the first block's keys and
-renders each distinct list once and each shared value once per block;
-floats render with repr, so the CSV round-trips exactly and is
-byte-deterministic for a fixed (scenario, seed, trials) on one platform.
+plain ``Scenario.replace`` of its overlay field) before any work, takes
+its overlays in ascending order, and returns one column block per
+overlay: a dict that maps a column to a list of one value per swept
+point, or to one value shared by the block's rows.  Every block, the
+CLI's ``optimize`` record too, comes from :func:`csv_block`, the one row
+layout, and its keys in insertion order are its CSV header.  The swept
+points are one list object shared by every block.  The detection sweep
+takes each overlay's closed forms in one list pass, then its Monte Carlo
+per point, the points split over the calling thread and one more, each
+on its own stream, so no value depends on the scheduling; validation
+draws through it; the rate sweep takes one array pass per sweep, over
+the whole (overlay x altitude) grid, and its ``p_u``-free
+``gamma_u``/``c_u`` lists are shared by every block, as the swept points
+are.  Capacities come from :func:`rates.capacity` and array values reach
+the blocks as floats via ``.tolist()``.  :func:`render_csv` takes the
+header from the first block's keys and renders each distinct list once
+and each shared value once per block; floats render with repr, so the
+CSV round-trips exactly and is byte-deterministic for a fixed (scenario,
+seed, trials) on one platform.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields as dataclass_fields
-from itertools import repeat
+from itertools import product, repeat
 from operator import sub
 
 import numpy as np
@@ -178,6 +181,35 @@ def _overlays(scenario: Scenario, sweep: SweepSpec, field: str) -> list[Scenario
     return [scenario.replace(**{field: value}) for value in sorted(sweep.overlay_values)]
 
 
+def _on_two_threads(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, the even-indexed items on the
+    calling thread and the odd-indexed ones on one more thread, each result
+    in its item's slot, so the list does not depend on scheduling.  The
+    first exception on either thread stops both at their next item and is
+    raised here, after the other thread is joined."""
+    results = [None] * len(items)
+    errors = []
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, len(items), 2):
+                if errors:
+                    return
+                results[i] = fn(items[i])
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, args=(1,))
+    thread.start()
+    try:
+        run(0)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
                         seed: int) -> list[dict]:
     """Closed-form and Monte Carlo error curves over a threshold grid.
@@ -188,19 +220,26 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
     per gamma: the ``gamma`` list (one object shared by every block), the
     closed-form columns of one :func:`error_curve` call, and the per-point
     Monte Carlo columns, whose stream at each point derives from (seed, overlay
-    index, point index), not from the other points.
+    index, point index), not from the other points.  Every overlay's closed
+    forms come first, so their errors raise before any draw; the (overlay,
+    point) draws then run on two threads (:func:`_on_two_threads`), and each
+    result goes to its own row, whatever the scheduling.
     """
     seed = _integer("seed", seed, 0)
     n_trials = _integer("n_trials", n_trials, 1)
     gamma_values = sweep.points().tolist()
+    scenarios = _overlays(scenario, sweep, "p_u")
+    closed = [(*optimal_detection(sc), *error_curve(sc, gamma_values)) for sc in scenarios]
+
+    def simulate(job):
+        oi, gi = job
+        return simulate_detection(scenarios[oi], gamma_values[gi], n_trials,
+                                  seed=np.random.SeedSequence(entropy=[seed, oi, gi]))
+    points = len(gamma_values)
+    mc = _on_two_threads(simulate, list(product(range(len(scenarios)), range(points))))
     blocks = []
-    for oi, sc in enumerate(_overlays(scenario, sweep, "p_u")):
-        gamma_star, zeta_star = optimal_detection(sc)
-        p_fa, p_md, zeta = error_curve(sc, gamma_values)
-        p_fa_mc, p_md_mc, zeta_mc = map(list, zip(*(
-            simulate_detection(sc, gamma, n_trials,
-                               seed=np.random.SeedSequence(entropy=[seed, oi, gi]))
-            for gi, gamma in enumerate(gamma_values))))
+    for oi, (sc, (gamma_star, zeta_star, p_fa, p_md, zeta)) in enumerate(zip(scenarios, closed)):
+        p_fa_mc, p_md_mc, zeta_mc = map(list, zip(*mc[oi * points:(oi + 1) * points]))
         blocks.append(csv_block(
             sc, seed, sc.canonical_hash(),
             gamma=gamma_values, p_fa=p_fa, p_md=p_md, zeta=zeta,

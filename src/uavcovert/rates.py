@@ -9,12 +9,15 @@ own jamming cancelled (full-duplex self-interference cancellation).
 
 The signal-level oracle :func:`simulate_destination_snr` draws the source
 symbols, the jamming, the relay noise and the receiver noise in that order,
-and pushes them through the chain in place in three length-n float arrays
-and two chunk-sized scratch buffers, about 24 bytes per symbol.
+on one producer thread, and pushes them through the chain in place on the
+calling thread, in three length-n float arrays, one complex chunk buffer
+and the producer's ring of four chunk buffers, about 24 bytes per symbol.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,11 +76,14 @@ def snrs_at(scenario: Scenario, p_u, p_j, h):
     return gamma_u, num / den
 
 
-# Symbols per chunk of the simulator's scratch buffers.  Complex abs needs
-# complex storage, and 2^14 symbols (256 KiB complex, 128 KiB real) keep
-# that scratch in cache at a negligible share of the length-n arrays.  No
+# Symbols per chunk of the simulator's buffers.  Complex abs needs complex
+# storage, and 2^14 symbols (256 KiB complex, 128 KiB real) keep that
+# scratch in cache at a negligible share of the length-n arrays.  No
 # element's operations depend on it, so the results do not either.
 _CHUNK = 1 << 14
+# Chunk buffers in the ring of simulate_destination_snr's producer thread:
+# 4 x 2^14 floats, 512 KiB.
+_RING = 4
 
 
 def _chunks(n: int, *scratch: np.ndarray):
@@ -88,6 +94,71 @@ def _chunks(n: int, *scratch: np.ndarray):
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         yield (slice(lo, hi), *(b[:hi - lo] for b in scratch))
+
+
+class _Normals:
+    """The next ``segments`` segments of n standard normals of ``rng``, in
+    stream order, drawn ahead on one producer thread.
+
+    The producer draws each segment chunk by chunk, as :func:`_chunks` cuts
+    it, into a ring of ``_RING`` buffers; chunk by chunk gives the values of
+    one draw.  :meth:`segment` hands the caller one buffer at a time, and
+    the producer fills the others ahead of it.  As a context manager it
+    starts the thread and joins it on exit; a caller that leaves early sets
+    the stop flag, which ends the producer at its next chunk.  An exception
+    on the producer is raised on the caller's thread, by :meth:`segment`.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, segments: int):
+        self._n = n
+        self._ring = np.empty((_RING, min(n, _CHUNK)))
+        self._taken = itertools.cycle(self._ring)  # the caller's next buffer
+        # The caller holds one buffer, from one take to the next, so the
+        # producer starts with one buffer fewer, and each take frees one.
+        self._free = threading.Semaphore(_RING - 1)
+        self._full = threading.Semaphore(0)
+        self._stop = False
+        self._error = None
+        self._thread = threading.Thread(target=self._produce, args=(rng, segments))
+
+    def _slots(self, ring):
+        """Each slice of one segment, with the next buffer of ``ring``."""
+        for k, _ in _chunks(self._n, self._ring[0]):
+            yield k, next(ring)[:k.stop - k.start]
+
+    def _produce(self, rng: np.random.Generator, segments: int) -> None:
+        ring = itertools.cycle(self._ring)
+        try:
+            for _ in range(segments):
+                for _, buf in self._slots(ring):
+                    self._free.acquire()
+                    if self._stop:
+                        return
+                    rng.standard_normal(out=buf)
+                    self._full.release()
+        except BaseException as exc:
+            self._error = exc
+            self._full.release()
+
+    def __enter__(self) -> _Normals:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()  # wakes a producer that waits for a buffer
+        self._thread.join()
+
+    def segment(self):
+        """Each slice of the length-n arrays, in order, with the buffer that
+        holds the next segment's normals for it: the caller's to overwrite
+        until it asks for the next."""
+        for k, buf in self._slots(self._taken):
+            self._free.release()  # the buffer taken before; at first, the spare
+            self._full.acquire()
+            if self._error is not None:
+                raise self._error
+            yield k, buf
 
 
 def simulate_destination_snr(scenario: Scenario, n_symbols: int,
@@ -105,20 +176,24 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
     The stream is consumed in a fixed order, each complex stream as
     ``n_symbols`` real parts then ``n_symbols`` imaginary parts: the source
     symbols x_a, the jamming x_j, the relay noise n_u, the receiver noise
-    n_b.  A segment is drawn straight into a length-n array or chunk by
-    chunk into a scratch buffer; both give the values of one draw.
+    n_b.  One producer thread draws these eight segments, chunk by chunk,
+    while the calling thread applies each chunk's arithmetic as it arrives
+    (:class:`_Normals`); chunk by chunk gives the values of one draw, and
+    the thread is joined before the call returns or raises.
 
-    The chain runs in place in three length-n float arrays, about 24 bytes
-    per symbol (24 MB at 1e6 symbols): the real and imaginary parts of the
-    running sum, and one more.  x_a is held whole while |c x_a|^2 fills the
-    third array, since each power is one ``np.mean`` over a full-length
-    array: its pairwise sum depends on the whole array, so a chunked mean
-    would round differently.  Each |z| is numpy's complex ``abs`` over a
-    chunk copied into complex scratch; ``np.hypot`` differs from it in the
-    last bit.  When the imaginary part of n_u completes y_u, |G y_u|^2
-    overwrites y_u's real part and n_u's imaginary part is kept in its
-    place.  Every element sees the operations of the one-array-per-
-    expression form, in its association, so the result is bit-equal to it.
+    The chain runs in place in three length-n float arrays, allocated and
+    filled on the calling thread, about 24 bytes per symbol (24 MB at 1e6
+    symbols): the real and imaginary parts of the running sum, and one
+    more.  x_a is held whole while |c x_a|^2 fills the third array, since
+    each power is one ``np.mean`` over a full-length array: its pairwise
+    sum depends on the whole array, so a chunked mean would round
+    differently.  Each |z| is numpy's complex ``abs`` over a chunk copied
+    into complex scratch; ``np.hypot`` differs from it in the last bit.
+    When the imaginary part of n_u completes y_u, |G y_u|^2 overwrites
+    y_u's real part and n_u's imaginary part takes the place of its own.
+    Every element sees the operations of the one-array-per-expression form,
+    in its association, so the result is bit-equal to it, whatever the
+    threads' scheduling.
     """
     n = _integer("n_symbols", n_symbols, 1)
     s = scenario
@@ -129,56 +204,55 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
     amp_jam = math.sqrt(s.p_j * g_ub)
     amp_ub = math.sqrt(s.p_u * g_ub)
     g = 1.0 / math.sqrt(s.p_a * g_ua + s.p_j * g_ub + s.sigma_u2)  # unit |x_u|^2
+    unit = math.sqrt(1.0 / 2.0)
+    scale_u = math.sqrt(s.sigma_u2 / 2.0)
+    scale_b = math.sqrt(s.sigma_b2 / 2.0)
 
     re, im, w = np.empty(n), np.empty(n), np.empty(n)
     z = np.empty(min(n, _CHUNK), dtype=complex)
-    r = np.empty(len(z))
-    unit = math.sqrt(1.0 / 2.0)
-
-    rng.standard_normal(out=re)                             # x_a
-    rng.standard_normal(out=im)
-    re *= unit
-    im *= unit
-    c = amp_ub * g * amp_ua
-    for k, zk in _chunks(n, z):                             # received signal
-        np.multiply(re[k], c, out=zk.real)
-        np.multiply(im[k], c, out=zk.imag)
-        np.abs(zk, out=w[k])
-    w *= w
-    signal_power = float(np.mean(w))
-    re *= amp_ua
-    im *= amp_ua
-    for part in (re, im):                                   # + x_j
-        rng.standard_normal(out=w)
-        w *= unit
-        w *= amp_jam
-        part += w
-    scale = math.sqrt(s.sigma_u2 / 2.0)
-    rng.standard_normal(out=w)                              # n_u, real
-    w *= scale
-    re += w                                                 # y_u, real
-    for k, zk, rk in _chunks(n, z, r):
-        rng.standard_normal(out=rk)                         # n_u, imaginary
-        rk *= scale
-        zr, zi = zk.real, zk.imag
-        np.add(im[k], rk, out=zi)                           # y_u, imaginary
-        np.multiply(zi, g, out=zi)                          # x_u = G y_u
-        np.multiply(re[k], g, out=zr)
-        np.abs(zk, out=re[k])
-        im[k] = rk
-    re *= re
-    forwarded_power = float(np.mean(re))
-    c = amp_ub * g
-    w *= c
-    im *= c
-    scale = math.sqrt(s.sigma_b2 / 2.0)
-    for part in (w, im):                                    # + n_b
-        rng.standard_normal(out=re)
-        re *= scale
-        part += re                                          # received noise
-    for k, zk in _chunks(n, z):
-        zk.real, zk.imag = w[k], im[k]
-        np.abs(zk, out=re[k])
-    re *= re
+    with _Normals(rng, n, 8) as normals:
+        for k, b in normals.segment():                      # x_a, real
+            np.multiply(b, unit, out=re[k])
+        c = amp_ub * g * amp_ua
+        for k, b in normals.segment():                      # x_a, imaginary
+            zk = z[:len(b)]
+            np.multiply(b, unit, out=im[k])
+            np.multiply(re[k], c, out=zk.real)              # received signal
+            np.multiply(im[k], c, out=zk.imag)
+            np.abs(zk, out=w[k])
+            w[k] *= w[k]
+            re[k] *= amp_ua
+            im[k] *= amp_ua
+        signal_power = float(np.mean(w))
+        for part in (re, im):                               # + x_j
+            for k, b in normals.segment():
+                b *= unit
+                b *= amp_jam
+                part[k] += b
+        for k, b in normals.segment():                      # n_u, real
+            np.multiply(b, scale_u, out=w[k])
+            re[k] += w[k]                                   # y_u, real
+        c = amp_ub * g
+        for k, b in normals.segment():                      # n_u, imaginary
+            zk = z[:len(b)]
+            b *= scale_u
+            np.add(im[k], b, out=zk.imag)                   # y_u, imaginary
+            np.multiply(zk.imag, g, out=zk.imag)            # x_u = G y_u
+            np.multiply(re[k], g, out=zk.real)
+            np.abs(zk, out=re[k])
+            re[k] *= re[k]
+            np.multiply(b, c, out=im[k])
+            w[k] *= c
+        forwarded_power = float(np.mean(re))
+        for k, b in normals.segment():                      # n_b, real
+            b *= scale_b
+            w[k] += b                                       # received noise
+        for k, b in normals.segment():                      # n_b, imaginary
+            zk = z[:len(b)]
+            b *= scale_b
+            im[k] += b
+            zk.real, zk.imag = w[k], im[k]
+            np.abs(zk, out=re[k])
+            re[k] *= re[k]
     noise_power = float(np.mean(re))
     return signal_power / noise_power, forwarded_power

@@ -56,6 +56,16 @@ def fig5():
     return Scenario.from_file(SCENARIOS / "fig5.json")
 
 
+@pytest.fixture
+def busy_switching():
+    """Switch threads every microsecond while the test runs, so that a
+    result that depended on scheduling would show it."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
 def forbid_work(monkeypatch) -> None:
     """Make the runners' work functions raise, so a test sees the argument
     checks that run first and no bad count reaches an allocation."""

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -50,6 +51,24 @@ def test_help_exits_zero(capsys):
         assert main(["--help"]) == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] and "detect-sweep" in texts[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect-sweep", "--scenario", str(SCENARIOS / "fig2.json"), "--out", "d.csv",
+     "--trials", "1000", "--steps", "9"],
+    ["rate-sweep", "--scenario", str(SCENARIOS / "fig3.json"), "--out", "r.csv"],
+    ["covertness-sweep", "--scenario", str(SCENARIOS / "fig5.json"), "--out", "c.csv",
+     "--steps", "3", "--pu-steps", "4"],
+    _optimize_argv("o.csv"),
+    ["validate", "--scenario", str(SCENARIOS / "fig4.json"), "--trials", "1000",
+     "--symbols", "40000"],
+], ids=lambda argv: argv[0])
+def test_subcommands_leave_no_thread_behind(tmp_path, monkeypatch, capsys, argv):
+    # the Monte Carlo's second thread is joined inside the call that starts it
+    monkeypatch.chdir(tmp_path)
+    before = threading.active_count()
+    assert main(argv) == 0
+    assert threading.active_count() == before
 
 
 def test_usage_error_exits_two(tmp_path, capsys):

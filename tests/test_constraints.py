@@ -419,6 +419,51 @@ def test_security_bound_brackets_the_exact_crossing(fig5):
     assert len(points) == 60 + 318 + 1068 and flat == 180
 
 
+def log_uniform_draws_where_r_s_is_zero():
+    """``(index, scenario)`` of every r_s = 0 draw among 3,000 of
+    draw_log_uniform_scenario(default_rng(5))."""
+    rng = np.random.default_rng(5)
+    draws = [draw_log_uniform_scenario(rng) for _ in range(3000)]
+    return [(i, s) for i, s in enumerate(draws) if s.r_s == 0.0]
+
+
+def test_security_bound_where_r_s_is_zero_and_both_snrs_are_faint():
+    # draw 580 has gamma_b < gamma_u at every scan height from 65,536 m up,
+    # where both SNRs lie below 1e-16 and 1 + gamma rounds to 1: the ratio
+    # read every such height secure and h_max was inf.  gamma_b >= gamma_u
+    # finds the crossing, within the delta of the crossing test above
+    (s,) = (s for i, s in log_uniform_draws_where_r_s_is_zero() if i == 580)
+    h = security_height_bound(s, s.p_u, s.p_j)
+    assert math.isfinite(h)
+    quartic = security_quartic(s)
+    delta = Fraction(2e-6)
+    assert poly_at(quartic, (h * (1 - delta)) ** 2) >= 0
+    assert poly_at(quartic, (h * (1 + delta)) ** 2) <= 0
+
+
+def test_scan_and_grid_agree_where_r_s_is_zero():
+    # one security predicate: on every r_s = 0 draw, at its own powers, the
+    # grid reads a covert floor feasible exactly where h_max puts it in the
+    # secure set [0, h_max].  The floors run from 0 to the search ceiling,
+    # above which h_max = inf says nothing; those within the crossing test's
+    # delta of h_max are skipped
+    draws = log_uniform_draws_where_r_s_is_zero()
+    targets = [0.0, *np.geomspace(0.25, SEARCH_CEILING_M, 60).tolist()]
+    checked = 0
+    for _, s in draws:
+        h_max = security_height_bound(s, s.p_u, s.p_j)
+        epsilons = {-math.expm1(-s.p_u * s.beta / (s.p_j * (s.d_w2 + h * h)))
+                    for h in targets}
+        epsilons = sorted(e for e in epsilons if 0.0 < e < 1.0)
+        h_min, _, _, feasible = feasibility_grid(s, [s.p_u], [s.p_j], epsilons)
+        for h, ok in zip(h_min.ravel().tolist(), feasible.ravel().tolist()):
+            if h_max is not None and math.isfinite(h_max) and abs(h - h_max) <= 2e-6 * h_max:
+                continue
+            assert ok == (h_max is not None and h <= h_max), (s, h, h_max)
+            checked += 1
+    assert len(draws) == 550 and checked >= 30_000
+
+
 def test_security_predicate_agrees_with_the_exact_sign():
     # the float verdict _ratio >= _threshold against the exact sign of
     # (1 + gamma_b) / (1 + gamma_u) - 2^r_s, with 1 + gamma in Fractions of

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import threading
 import warnings
 from statistics import NormalDist
 
@@ -28,8 +29,8 @@ from uavcovert.model import _canonical_hashes
 from conftest import (
     SCENARIOS, box_axis, covert_floor, draw_scenario, expand_rows, forbid_work,
     json_canonical_hash, monotone_by_overlay, per_epsilon_covertness_oracle,
-    per_row_rate_oracle, rate_report, reference_cell, reference_render_csv,
-    traced_peak_bytes,
+    per_row_rate_oracle, rate_report, reference_cell, reference_detection,
+    reference_render_csv, traced_peak_bytes,
 )
 
 
@@ -202,6 +203,44 @@ def test_detection_sweep_deterministic_across_runs(fig2):
     first = run_detection_sweep(fig2, spec, n_trials=2000, seed=11)
     again = run_detection_sweep(fig2, spec, n_trials=2000, seed=11)
     assert render_csv(first) == render_csv(again)
+
+
+def test_detection_sweep_does_not_depend_on_scheduling(fig2, busy_switching):
+    # the (overlay, point) draws run on two threads and each result goes to
+    # its own row: with a thread switch every microsecond the Monte Carlo
+    # columns are a serial per-point loop's, of the kernel and of the
+    # reference, and the second thread is joined before the call returns
+    spec = detection_sweep_spec(steps=7)
+    before = threading.active_count()
+    blocks = run_detection_sweep(fig2, spec, n_trials=3000, seed=13)
+    assert threading.active_count() == before
+    for oi, block in enumerate(blocks):
+        sc = fig2.replace(p_u=block["p_u"])
+        for gi, gamma in enumerate(block["gamma"]):
+            seed = np.random.SeedSequence(entropy=[13, oi, gi])
+            want = simulate_detection(sc, gamma, 3000, seed)
+            assert want == reference_detection(sc, gamma, 3000, seed)
+            assert tuple(block[c][gi] for c in ("p_fa_mc", "p_md_mc", "zeta_mc")) == want
+
+
+class SweepError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [2, 3], ids=["calling-thread", "second-thread"])
+def test_detection_sweep_raises_either_threads_error_after_joining(fig2, monkeypatch, failing):
+    # even points run on the calling thread, odd ones on the second: an
+    # error on either reaches the caller, with no thread left behind and
+    # nothing left to pytest's unhandled-thread-exception warning
+    def simulate(sc, gamma, n_trials, seed):
+        if seed.entropy[2] == failing:
+            raise SweepError(f"point {failing}")
+        return simulate_detection(sc, gamma, n_trials, seed)
+    monkeypatch.setattr(experiments, "simulate_detection", simulate)
+    before = threading.active_count()
+    with pytest.raises(SweepError, match=f"point {failing}"):
+        run_detection_sweep(fig2, detection_sweep_spec(overlays=(2.0,)), n_trials=100, seed=1)
+    assert threading.active_count() == before
 
 
 # -- rate sweep --------------------------------------------------------------

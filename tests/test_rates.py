@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -275,3 +276,52 @@ def test_simulate_destination_snr_footprint(fig4):
     n = 1_000_000
     peak = traced_peak_bytes(simulate_destination_snr, fig4, n, 3)
     assert peak <= 28 * n
+
+
+# -- the producer thread -----------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK + 1, 4 * _CHUNK + 7])
+def test_simulate_destination_snr_does_not_depend_on_scheduling(fig4, busy_switching, n):
+    # the producer draws up to three chunks ahead of the calling thread;
+    # with a thread switch every microsecond every field is still the
+    # reference's, and the producer is joined before the call returns
+    before = threading.active_count()
+    seed = np.random.SeedSequence([7, 1])
+    assert simulate_destination_snr(fig4, n, seed) == reference_destination_snr(fig4, n, seed)
+    assert threading.active_count() == before
+
+
+class PipelineError(Exception):
+    pass
+
+
+def test_simulate_destination_snr_raises_a_callers_error_after_joining(fig4, monkeypatch):
+    # the first mean fails after the second of eight segments of five
+    # chunks, with the producer waiting for a buffer: the stop flag ends it,
+    # it is joined, and the error reaches the caller
+    def mean(a):
+        raise PipelineError("mean failed")
+    monkeypatch.setattr(np, "mean", mean)
+    before = threading.active_count()
+    with pytest.raises(PipelineError, match="mean failed"):
+        simulate_destination_snr(fig4, 4 * _CHUNK + 7, 3)
+    assert threading.active_count() == before
+
+
+def test_simulate_destination_snr_raises_a_producers_error_after_joining(fig4, monkeypatch):
+    # the producer's sixth draw fails, in the second segment: the error is
+    # raised on the calling thread, not left to the thread's excepthook
+    class Draws:
+        left = 5
+
+        def standard_normal(self, out):
+            if not self.left:
+                raise PipelineError("draw failed")
+            self.left -= 1
+            out.fill(1.0)
+            return out
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+    before = threading.active_count()
+    with pytest.raises(PipelineError, match="draw failed"):
+        simulate_destination_snr(fig4, 4 * _CHUNK + 7, 3)
+    assert threading.active_count() == before
