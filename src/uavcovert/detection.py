@@ -11,9 +11,9 @@ Carlo mirror, :func:`simulate_detection`, reproduces them one threshold
 per call and returns the same ``(p_fa, p_md, zeta)`` triple as one
 element of the curve.  The mirror draws its fades chunk by chunk into one
 scratch buffer, so its memory does not grow with the trial count.  It
-shares no state between calls, so a sweep may run its points on two
-threads (``experiments.run_detection_sweep``) and get the values of a
-serial loop.
+shares no state between calls, so a sweep may run half its points on the
+one more thread of ``rates._ahead`` (``experiments.run_detection_sweep``)
+and get the values of a serial loop.
 """
 from __future__ import annotations
 

@@ -14,22 +14,21 @@ CLI's ``optimize`` record too, comes from :func:`csv_block`, the one row
 layout, and its keys in insertion order are its CSV header.  The swept
 points are one list object shared by every block.  The detection sweep
 takes each overlay's closed forms in one list pass, then its Monte Carlo
-per point, the points split over the calling thread and one more, each
-on its own stream, so no value depends on the scheduling; validation
-draws through it; the rate sweep takes one array pass per sweep, over
-the whole (overlay x altitude) grid, and its ``p_u``-free
-``gamma_u``/``c_u`` lists are shared by every block, as the swept points
-are.  Capacities come from :func:`rates.capacity` and array values reach
-the blocks as floats via ``.tolist()``.  :func:`render_csv` takes the
-header from the first block's keys and renders each distinct list once
-and each shared value once per block; floats render with repr, so the
-CSV round-trips exactly and is byte-deterministic for a fixed (scenario,
-seed, trials) on one platform.
+per point, the odd points on the one more thread of ``rates._ahead`` and
+the even ones on the calling thread, each on its own stream, so no value
+depends on the scheduling; validation draws through it; the rate sweep
+takes one array pass per sweep, over the whole (overlay x altitude) grid,
+and its ``p_u``-free ``gamma_u``/``c_u`` lists are shared by every block,
+as the swept points are.  Capacities come from :func:`rates.capacity`
+and array values reach the blocks as floats via ``.tolist()``.
+:func:`render_csv` takes the header from the first block's keys and
+renders each distinct list once and each shared value once per block;
+floats render with repr, so the CSV round-trips exactly and is
+byte-deterministic for a fixed (scenario, seed, trials) on one platform.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields as dataclass_fields
 from itertools import product, repeat
 from operator import sub
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, _integer, _real
 from .model import Scenario, _canonical_hashes
 from .detection import error_curve, optimal_detection, simulate_detection
-from .rates import capacity, simulate_destination_snr, snrs_at
+from .rates import _ahead, capacity, simulate_destination_snr, snrs_at
 from .optimizer import _axis, _maximize_over_epsilons
 
 _MONOTONE_SLACK = 1e-12  # float guard on provably monotone sequences
@@ -181,35 +180,6 @@ def _overlays(scenario: Scenario, sweep: SweepSpec, field: str) -> list[Scenario
     return [scenario.replace(**{field: value}) for value in sorted(sweep.overlay_values)]
 
 
-def _on_two_threads(fn, items: list) -> list:
-    """``[fn(item) for item in items]``, the even-indexed items on the
-    calling thread and the odd-indexed ones on one more thread, each result
-    in its item's slot, so the list does not depend on scheduling.  The
-    first exception on either thread stops both at their next item and is
-    raised here, after the other thread is joined."""
-    results = [None] * len(items)
-    errors = []
-
-    def run(first: int) -> None:
-        try:
-            for i in range(first, len(items), 2):
-                if errors:
-                    return
-                results[i] = fn(items[i])
-        except BaseException as exc:
-            errors.append(exc)
-
-    thread = threading.Thread(target=run, args=(1,))
-    thread.start()
-    try:
-        run(0)
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
                         seed: int) -> list[dict]:
     """Closed-form and Monte Carlo error curves over a threshold grid.
@@ -221,9 +191,11 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
     closed-form columns of one :func:`error_curve` call, and the per-point
     Monte Carlo columns, whose stream at each point derives from (seed, overlay
     index, point index), not from the other points.  Every overlay's closed
-    forms come first, so their errors raise before any draw; the (overlay,
-    point) draws then run on two threads (:func:`_on_two_threads`), and each
-    result goes to its own row, whatever the scheduling.
+    forms come first, so their errors raise before any draw.  The (overlay,
+    point) draws then run on two threads, the odd ones on that of
+    :func:`rates._ahead`, each result in its own row, whatever the
+    scheduling.  An error on the calling thread stops the other at its next
+    point; the other's is raised once the calling thread reaches its point.
     """
     seed = _integer("seed", seed, 0)
     n_trials = _integer("n_trials", n_trials, 1)
@@ -236,7 +208,9 @@ def run_detection_sweep(scenario: Scenario, sweep: SweepSpec, n_trials: int,
         return simulate_detection(scenarios[oi], gamma_values[gi], n_trials,
                                   seed=np.random.SeedSequence(entropy=[seed, oi, gi]))
     points = len(gamma_values)
-    mc = _on_two_threads(simulate, list(product(range(len(scenarios)), range(points))))
+    jobs = list(product(range(len(scenarios)), range(points)))
+    with _ahead(map(simulate, jobs[1::2]), len(jobs)) as odd:
+        mc = [next(odd) if i % 2 else simulate(job) for i, job in enumerate(jobs)]
     blocks = []
     for oi, (sc, (gamma_star, zeta_star, p_fa, p_md, zeta)) in enumerate(zip(scenarios, closed)):
         p_fa_mc, p_md_mc, zeta_mc = map(list, zip(*mc[oi * points:(oi + 1) * points]))

@@ -49,8 +49,9 @@ class OptimizationResult:
     c_s_star: float
     feasible: bool
     active_constraints: tuple[str, ...]
-    # security ceiling at the argmax (inf if none, NaN if infeasible); as a
-    # bisection midpoint it may sit just below h_star, "security" then active
+    # security ceiling at the argmax (inf if none, NaN if infeasible): where
+    # r_s > 0 a bisection midpoint, which may sit just below h_star, "security"
+    # then active; where r_s = 0 the secure end of a bracket of adjacent floats
     h_max: float
 
 

@@ -9,15 +9,18 @@ own jamming cancelled (full-duplex self-interference cancellation).
 
 The signal-level oracle :func:`simulate_destination_snr` draws the source
 symbols, the jamming, the relay noise and the receiver noise in that order,
-on one producer thread, and pushes them through the chain in place on the
-calling thread, in three length-n float arrays, one complex chunk buffer
-and the producer's ring of four chunk buffers, about 24 bytes per symbol.
+one thread ahead of the calling thread (:func:`_ahead`, the package's one
+thread helper), and pushes them through the chain in place on the calling
+thread, in three length-n float arrays, one complex chunk buffer and a ring
+of four chunk buffers for the draws, about 24 bytes per symbol.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import threading
+from collections import deque
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,8 +84,8 @@ def snrs_at(scenario: Scenario, p_u, p_j, h):
 # scratch in cache at a negligible share of the length-n arrays.  No
 # element's operations depend on it, so the results do not either.
 _CHUNK = 1 << 14
-# Chunk buffers in the ring of simulate_destination_snr's producer thread:
-# 4 x 2^14 floats, 512 KiB.
+# Chunk buffers in the ring of simulate_destination_snr's draws, 4 x 2^14
+# floats, 512 KiB; _ahead at this depth refills none the caller still holds.
 _RING = 4
 
 
@@ -96,69 +99,57 @@ def _chunks(n: int, *scratch: np.ndarray):
         yield (slice(lo, hi), *(b[:hi - lo] for b in scratch))
 
 
-class _Normals:
-    """The next ``segments`` segments of n standard normals of ``rng``, in
-    stream order, drawn ahead on one producer thread.
+@contextmanager
+def _ahead(items, depth: int):
+    """An iterator over ``items`` that one more thread runs ahead of the
+    caller.  That thread holds at most ``depth`` items the caller is not
+    done with, and the caller is done with an item once it asks for the
+    next.  An exception on that thread is raised by the caller's iterator
+    in the place of the item it cut short.  On exit the thread stops before
+    its next item and is joined."""
+    items, made = iter(items), deque()  # made: (item, None) or (None, exception)
+    slots, ready = threading.Semaphore(depth), threading.Semaphore(0)
+    stop = False
 
-    The producer draws each segment chunk by chunk, as :func:`_chunks` cuts
-    it, into a ring of ``_RING`` buffers; chunk by chunk gives the values of
-    one draw.  :meth:`segment` hands the caller one buffer at a time, and
-    the producer fills the others ahead of it.  As a context manager it
-    starts the thread and joins it on exit; a caller that leaves early sets
-    the stop flag, which ends the producer at its next chunk.  An exception
-    on the producer is raised on the caller's thread, by :meth:`segment`.
-    """
-
-    def __init__(self, rng: np.random.Generator, n: int, segments: int):
-        self._n = n
-        self._ring = np.empty((_RING, min(n, _CHUNK)))
-        self._taken = itertools.cycle(self._ring)  # the caller's next buffer
-        # The caller holds one buffer, from one take to the next, so the
-        # producer starts with one buffer fewer, and each take frees one.
-        self._free = threading.Semaphore(_RING - 1)
-        self._full = threading.Semaphore(0)
-        self._stop = False
-        self._error = None
-        self._thread = threading.Thread(target=self._produce, args=(rng, segments))
-
-    def _slots(self, ring):
-        """Each slice of one segment, with the next buffer of ``ring``."""
-        for k, _ in _chunks(self._n, self._ring[0]):
-            yield k, next(ring)[:k.stop - k.start]
-
-    def _produce(self, rng: np.random.Generator, segments: int) -> None:
-        ring = itertools.cycle(self._ring)
+    def run() -> None:
         try:
-            for _ in range(segments):
-                for _, buf in self._slots(ring):
-                    self._free.acquire()
-                    if self._stop:
-                        return
-                    rng.standard_normal(out=buf)
-                    self._full.release()
-        except BaseException as exc:
-            self._error = exc
-            self._full.release()
+            while slots.acquire() and not stop:
+                made.append((next(items), None))
+                ready.release()
+        except BaseException as exc:  # StopIteration once items run out
+            made.append((None, exc))
+            ready.release()
 
-    def __enter__(self) -> _Normals:
-        self._thread.start()
-        return self
+    def taken():
+        while True:
+            ready.acquire()
+            item, exc = made.popleft()
+            if isinstance(exc, StopIteration):
+                return
+            if exc is not None:
+                raise exc
+            yield item
+            slots.release()
 
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()  # wakes a producer that waits for a buffer
-        self._thread.join()
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        yield taken()
+    finally:
+        stop = True
+        slots.release()  # wakes a thread that waits for a slot
+        thread.join()
 
-    def segment(self):
-        """Each slice of the length-n arrays, in order, with the buffer that
-        holds the next segment's normals for it: the caller's to overwrite
-        until it asks for the next."""
-        for k, buf in self._slots(self._taken):
-            self._free.release()  # the buffer taken before; at first, the spare
-            self._full.acquire()
-            if self._error is not None:
-                raise self._error
-            yield k, buf
+
+def _normals(rng: np.random.Generator, ring: np.ndarray, n: int, segments: int):
+    """``segments`` segments of n standard normals of ``rng``, in stream
+    order, each drawn chunk by chunk as :func:`_chunks` cuts it (chunk by
+    chunk gives the values of one draw) into the next row of ``ring``, a
+    ring of chunk buffers."""
+    buffers = itertools.cycle(ring)
+    for _ in range(segments):
+        for k, _ in _chunks(n, ring[0]):
+            yield rng.standard_normal(out=next(buffers)[:k.stop - k.start])
 
 
 def simulate_destination_snr(scenario: Scenario, n_symbols: int,
@@ -176,15 +167,16 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
     The stream is consumed in a fixed order, each complex stream as
     ``n_symbols`` real parts then ``n_symbols`` imaginary parts: the source
     symbols x_a, the jamming x_j, the relay noise n_u, the receiver noise
-    n_b.  One producer thread draws these eight segments, chunk by chunk,
-    while the calling thread applies each chunk's arithmetic as it arrives
-    (:class:`_Normals`); chunk by chunk gives the values of one draw, and
-    the thread is joined before the call returns or raises.
+    n_b.  One more thread draws these eight segments, chunk by chunk, into
+    a ring of buffers (:func:`_normals` through :func:`_ahead`) while the
+    calling thread applies each chunk's arithmetic; chunk by chunk gives
+    the values of one draw, and the thread is joined before the call
+    returns or raises.
 
-    The chain runs in place in three length-n float arrays, allocated and
-    filled on the calling thread, about 24 bytes per symbol (24 MB at 1e6
-    symbols): the real and imaginary parts of the running sum, and one
-    more.  x_a is held whole while |c x_a|^2 fills the third array, since
+    The chain runs in place in three length-n float arrays, allocated (as
+    is the ring) and filled on the calling thread, about 24 bytes per
+    symbol (24 MB at 1e6 symbols): the real and imaginary parts of the
+    running sum, and one more.  x_a is held whole while |c x_a|^2 fills the third array, since
     each power is one ``np.mean`` over a full-length array: its pairwise
     sum depends on the whole array, so a chunked mean would round
     differently.  Each |z| is numpy's complex ``abs`` over a chunk copied
@@ -210,12 +202,12 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
 
     re, im, w = np.empty(n), np.empty(n), np.empty(n)
     z = np.empty(min(n, _CHUNK), dtype=complex)
-    with _Normals(rng, n, 8) as normals:
-        for k, b in normals.segment():                      # x_a, real
+    ring = np.empty((_RING, min(n, _CHUNK)))
+    with _ahead(_normals(rng, ring, n, 8), _RING) as normals:
+        for (k, _), b in zip(_chunks(n, z), normals):   # x_a, real
             np.multiply(b, unit, out=re[k])
         c = amp_ub * g * amp_ua
-        for k, b in normals.segment():                      # x_a, imaginary
-            zk = z[:len(b)]
+        for (k, zk), b in zip(_chunks(n, z), normals):  # x_a, imaginary
             np.multiply(b, unit, out=im[k])
             np.multiply(re[k], c, out=zk.real)              # received signal
             np.multiply(im[k], c, out=zk.imag)
@@ -225,16 +217,15 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
             im[k] *= amp_ua
         signal_power = float(np.mean(w))
         for part in (re, im):                               # + x_j
-            for k, b in normals.segment():
+            for (k, _), b in zip(_chunks(n, z), normals):
                 b *= unit
                 b *= amp_jam
                 part[k] += b
-        for k, b in normals.segment():                      # n_u, real
+        for (k, _), b in zip(_chunks(n, z), normals):   # n_u, real
             np.multiply(b, scale_u, out=w[k])
             re[k] += w[k]                                   # y_u, real
         c = amp_ub * g
-        for k, b in normals.segment():                      # n_u, imaginary
-            zk = z[:len(b)]
+        for (k, zk), b in zip(_chunks(n, z), normals):  # n_u, imaginary
             b *= scale_u
             np.add(im[k], b, out=zk.imag)                   # y_u, imaginary
             np.multiply(zk.imag, g, out=zk.imag)            # x_u = G y_u
@@ -244,11 +235,10 @@ def simulate_destination_snr(scenario: Scenario, n_symbols: int,
             np.multiply(b, c, out=im[k])
             w[k] *= c
         forwarded_power = float(np.mean(re))
-        for k, b in normals.segment():                      # n_b, real
+        for (k, _), b in zip(_chunks(n, z), normals):   # n_b, real
             b *= scale_b
             w[k] += b                                       # received noise
-        for k, b in normals.segment():                      # n_b, imaginary
-            zk = z[:len(b)]
+        for (k, zk), b in zip(_chunks(n, z), normals):  # n_b, imaginary
             b *= scale_b
             im[k] += b
             zk.real, zk.imag = w[k], im[k]

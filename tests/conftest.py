@@ -238,6 +238,24 @@ def exact_snrs(s, p_u, p_j, x):
     return gamma_u, gamma_b
 
 
+def exact_detection(s) -> tuple[Fraction, Fraction, Fraction]:
+    """``detection.optimal_detection``'s ``(gamma_star, zeta_star)`` and its
+    exponent x = P_u beta / (P_J (d_w^2 + h^2)), written out in Fractions of
+    the scenario's float fields: gamma_star and x exact, zeta_star = e**-x
+    to 60 significant digits."""
+    p_u, p_j, beta, d_w2, h, sigma_w2 = map(Fraction, (
+        s.p_u, s.p_j, s.beta, s.d_w2, s.h, s.sigma_w2))
+    signal = p_u * beta / (d_w2 + h * h)
+    x = signal / p_j
+    exponent = _EXACT.divide(-decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    return sigma_w2 + signal, Fraction(_EXACT.exp(exponent)), x
+
+
+def ulps(got: float, exact: Fraction) -> float:
+    """|got - exact| in units in the last place of exact rounded to a float."""
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
+
+
 def box_axis(p_max: float, steps: int) -> tuple[float, ...]:
     """The power axis maximize_covert_rate searches: ``steps`` values from
     p_max / steps up to p_max, as Python floats."""

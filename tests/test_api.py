@@ -257,3 +257,14 @@ def test_only_errors_imports_numbers():
     for name in names:
         holds = any(v is numbers for v in vars(importlib.import_module(name)).values())
         assert holds == (name == "uavcovert.errors"), name
+
+
+def test_threads_start_in_one_place():
+    # rates._ahead, the one run-ahead helper, starts every thread under src/
+    # and makes every semaphore
+    from uavcovert.rates import _ahead
+    helper = inspect.getsource(_ahead.__wrapped__)
+    src = "".join(path.read_text() for path in sorted((ROOT / "src").rglob("*.py")))
+    assert "from threading" not in src
+    for call in ("threading.Thread(", "threading.Semaphore("):
+        assert src.count(call) == helper.count(call) >= 1, call

@@ -223,6 +223,21 @@ def test_detection_sweep_does_not_depend_on_scheduling(fig2, busy_switching):
             assert tuple(block[c][gi] for c in ("p_fa_mc", "p_md_mc", "zeta_mc")) == want
 
 
+def test_detection_sweep_runs_its_odd_points_on_one_more_thread(fig2, monkeypatch):
+    # in (overlay, point) order the even draws run on the calling thread and
+    # the odd ones on one other thread, the second thread the speed rests on
+    threads = {}
+
+    def simulate(sc, gamma, n_trials, seed):
+        threads[tuple(seed.entropy[1:])] = threading.get_ident()
+        return simulate_detection(sc, gamma, n_trials, seed)
+    monkeypatch.setattr(experiments, "simulate_detection", simulate)
+    run_detection_sweep(fig2, detection_sweep_spec(steps=5), n_trials=100, seed=1)
+    order = [threads[job] for job in sorted(threads)]
+    assert len(order) == 15 and len(set(order)) == 2
+    assert [t == threading.get_ident() for t in order] == [i % 2 == 0 for i in range(15)]
+
+
 class SweepError(Exception):
     pass
 

@@ -15,7 +15,7 @@ from conftest import (
     PRESETS, SCENARIOS, AuxCoefficients, RateReport, aux_coefficients,
     draw_log_uniform_scenario, draw_scenario, exact_snrs, los_gain, rate_report,
     reference_destination_snr, reference_relay_snr, snr_destination_expanded,
-    traced_peak_bytes,
+    traced_peak_bytes, ulps,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -140,11 +140,6 @@ def test_variant_constant_term_diagnostic(fig4):
         snr_destination_expanded(degenerate,
                                  coefficients=variant_coefficients(degenerate)),
         rate_report(degenerate).gamma_b, rel_tol=1e-12)
-
-
-def ulps(got: float, exact: Fraction) -> float:
-    """|got - exact| in units in the last place of exact rounded to a float."""
-    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact))))
 
 
 def test_snrs_at_lies_within_3_and_4_ulp_of_the_exact_snrs():
@@ -289,6 +284,25 @@ def test_simulate_destination_snr_does_not_depend_on_scheduling(fig4, busy_switc
     seed = np.random.SeedSequence([7, 1])
     assert simulate_destination_snr(fig4, n, seed) == reference_destination_snr(fig4, n, seed)
     assert threading.active_count() == before
+
+
+def test_simulate_destination_snr_draws_on_one_more_thread(fig4, monkeypatch):
+    # every draw runs on one thread, not the caller's, which does the
+    # arithmetic: the second thread the speed rests on
+    threads = set()
+    default_rng = np.random.default_rng
+
+    class Draws:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, out):
+            threads.add(threading.get_ident())
+            return self.rng.standard_normal(out=out)
+    want = simulate_destination_snr(fig4, 3 * _CHUNK, 5)
+    monkeypatch.setattr(np.random, "default_rng", Draws)
+    assert simulate_destination_snr(fig4, 3 * _CHUNK, 5) == want
+    assert len(threads) == 1 and threading.get_ident() not in threads
 
 
 class PipelineError(Exception):
